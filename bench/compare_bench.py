@@ -129,6 +129,7 @@ AMORTIZED_FAMILIES = (
     "BM_System4fTiled",
     "BM_JtcBatchedCorrelate",
     "BM_ConvEngineBatch",
+    "BM_ConvEngineBatchPhotoFourier",
 )
 
 
@@ -152,13 +153,13 @@ def report_amortization(path):
         if 1 not in rows or len(rows) < 2:
             continue
         if not any_family:
-            print(f"{'benchmark':<28}  {'per-item':>10}  "
+            print(f"{'benchmark':<32}  {'per-item':>10}  "
                   f"{'vs /1':>8}")
             any_family = True
         for k in sorted(rows):
             per_item = rows[k] / k
             ratio = rows[1] / per_item
-            print(f"{family + '/' + str(k):<28}  "
+            print(f"{family + '/' + str(k):<32}  "
                   f"{fmt_ns(per_item):>10}  {ratio:>7.2f}x")
     if not any_family:
         print("no batched benchmark families found "

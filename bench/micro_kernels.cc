@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the computational kernels the
  * simulator is built on: FFTs (radix-2 and Bluestein), the field-level
- * JTC evaluation, direct vs FFT 1D convolution, and row-tiled 2D
- * convolution on both backends.
+ * JTC evaluation, direct vs FFT 1D convolution, row-tiled 2D
+ * convolution on both backends, and both conv engines.
  */
 
 #include <benchmark/benchmark.h>
@@ -79,107 +79,8 @@ BM_FftBluestein(benchmark::State &state)
 BENCHMARK(BM_FftBluestein)->Arg(63)->Arg(257)->Arg(1000)->Arg(4093);
 
 // --- Plan cache: repeated same-size FFTs with a cached plan vs paying
-// --- plan construction (twiddle tables, chirp spectra) on every call,
-// --- and vs the pre-plan seed algorithms (per-call twiddle recurrence,
-// --- three-FFT Bluestein). The ratios are the plan-cache speedup
-// --- recorded in BENCH_micro.json.
-
-namespace seed_baseline {
-
-// The repository's original fftRadix2: no tables, twiddles generated
-// by a per-stage recurrence on every call. Kept here (bench-local)
-// as the fixed baseline the plan path is measured against.
-void
-fftRadix2(sig::ComplexVector &data, bool inverse)
-{
-    const size_t n = data.size();
-    for (size_t i = 1, j = 0; i < n; ++i) {
-        size_t bit = n >> 1;
-        for (; j & bit; bit >>= 1)
-            j ^= bit;
-        j ^= bit;
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-    for (size_t len = 2; len <= n; len <<= 1) {
-        const double angle =
-            (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
-        const sig::Complex wlen(std::cos(angle), std::sin(angle));
-        for (size_t i = 0; i < n; i += len) {
-            sig::Complex w(1.0, 0.0);
-            for (size_t k = 0; k < len / 2; ++k) {
-                const sig::Complex u = data[i + k];
-                const sig::Complex v = data[i + k + len / 2] * w;
-                data[i + k] = u + v;
-                data[i + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-    }
-    if (inverse) {
-        const double scale = 1.0 / static_cast<double>(n);
-        for (auto &value : data)
-            value *= scale;
-    }
-}
-
-// The original Bluestein: chirp rebuilt and three full-size FFTs run
-// on every call (the plan precomputes the chirp spectra, leaving two).
-sig::ComplexVector
-bluestein(const sig::ComplexVector &input)
-{
-    const size_t n = input.size();
-    sig::ComplexVector chirp(n);
-    for (size_t k = 0; k < n; ++k) {
-        const uintmax_t k2 =
-            (static_cast<uintmax_t>(k) * k) % (2 * static_cast<uintmax_t>(n));
-        const double angle =
-            -M_PI * static_cast<double>(k2) / static_cast<double>(n);
-        chirp[k] = sig::Complex(std::cos(angle), std::sin(angle));
-    }
-    const size_t m = sig::nextPowerOfTwo(2 * n - 1);
-    sig::ComplexVector a(m, sig::Complex(0.0, 0.0));
-    sig::ComplexVector b(m, sig::Complex(0.0, 0.0));
-    for (size_t k = 0; k < n; ++k)
-        a[k] = input[k] * chirp[k];
-    b[0] = std::conj(chirp[0]);
-    for (size_t k = 1; k < n; ++k)
-        b[k] = b[m - k] = std::conj(chirp[k]);
-    fftRadix2(a, false);
-    fftRadix2(b, false);
-    for (size_t k = 0; k < m; ++k)
-        a[k] *= b[k];
-    fftRadix2(a, true);
-    sig::ComplexVector out(n);
-    for (size_t k = 0; k < n; ++k)
-        out[k] = a[k] * chirp[k];
-    return out;
-}
-
-} // namespace seed_baseline
-
-static void
-BM_FftSeedRadix2(benchmark::State &state)
-{
-    const auto input = randomComplex(static_cast<size_t>(state.range(0)));
-    for (auto _ : state) {
-        auto copy = input;
-        seed_baseline::fftRadix2(copy, false);
-        benchmark::DoNotOptimize(copy.data());
-    }
-}
-BENCHMARK(BM_FftSeedRadix2)->Arg(256)->Arg(1024)->Arg(4096);
-
-static void
-BM_FftSeedBluestein(benchmark::State &state)
-{
-    const auto input = randomComplex(static_cast<size_t>(state.range(0)));
-    for (auto _ : state) {
-        auto out = seed_baseline::bluestein(input);
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_FftSeedBluestein)->Arg(1000)->Arg(4093);
+// --- plan construction (twiddle tables, chirp spectra) on every call.
+// --- The ratio is the plan-cache speedup recorded in BENCH_micro.json.
 
 static void
 BM_FftPlanCached(benchmark::State &state)
@@ -328,10 +229,8 @@ BM_Conv2dDirectReference(benchmark::State &state)
 }
 BENCHMARK(BM_Conv2dDirectReference)->Arg(14)->Arg(28)->Arg(56);
 
-// --- Real-FFT path: r2c/c2r vs the full complex transform, and the
-// --- seed complex-FFT convolution vs the real-path rewrite. The
-// --- RealVsComplex ratio is the two-for-one packing; the Convolve1d
-// --- ratio is what convolve1dFft gained end to end.
+// --- Real-FFT path: r2c/c2r vs the full complex transform. The ratio
+// --- is the two-for-one packing.
 
 static void
 BM_FftRealR2C(benchmark::State &state)
@@ -368,37 +267,6 @@ BM_FftRealOnComplexPlan(benchmark::State &state)
 BENCHMARK(BM_FftRealOnComplexPlan)
     ->Arg(256)->Arg(1024)->Arg(4096)->Arg(1000);
 
-static void
-BM_Convolve1dFftSeedComplex(benchmark::State &state)
-{
-    // The seed implementation of convolve1dFft: three full complex
-    // power-of-two FFTs per call (kept bench-local as the fixed
-    // baseline the real-path rewrite is measured against).
-    pf::Rng rng(2);
-    const auto a =
-        rng.uniformVector(static_cast<size_t>(state.range(0)), -1, 1);
-    const auto b = rng.uniformVector(25, -1, 1);
-    for (auto _ : state) {
-        const size_t out_size = a.size() + b.size() - 1;
-        const size_t n = sig::nextPowerOfTwo(out_size);
-        sig::ComplexVector fa(n, sig::Complex(0.0, 0.0));
-        sig::ComplexVector fb(n, sig::Complex(0.0, 0.0));
-        for (size_t i = 0; i < a.size(); ++i)
-            fa[i] = sig::Complex(a[i], 0.0);
-        for (size_t i = 0; i < b.size(); ++i)
-            fb[i] = sig::Complex(b[i], 0.0);
-        sig::fftRadix2(fa, false);
-        sig::fftRadix2(fb, false);
-        for (size_t i = 0; i < n; ++i)
-            fa[i] *= fb[i];
-        sig::fftRadix2(fa, true);
-        std::vector<double> out(out_size);
-        for (size_t i = 0; i < out_size; ++i)
-            out[i] = fa[i].real();
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_Convolve1dFftSeedComplex)->Arg(256)->Arg(1024)->Arg(4096);
 
 // --- 1D conv backends: the zero-skip sliding reference vs the FFT
 // --- backend (cold = kernel transformed per call, cached = the
@@ -785,12 +653,15 @@ BM_JtcBatchedCorrelate(benchmark::State &state)
 }
 BENCHMARK(BM_JtcBatchedCorrelate)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-static void
-BM_ConvEngineBatch(benchmark::State &state)
+namespace {
+
+/** N same-shape requests through one convolveBatch call (the serving
+ *  path): per-layer weight prep and kernel-spectrum fetches happen
+ *  once for the whole micro-batch. */
+void
+convEngineBatchBench(benchmark::State &state,
+                     const pf::nn::ConvEngine &engine)
 {
-    // N same-shape requests through one convolveBatch call (the fused
-    // serving path): per-layer weight prep and kernel-spectrum fetches
-    // happen once for the whole micro-batch.
     const size_t batch = static_cast<size_t>(state.range(0));
     pf::Rng rng(15);
     std::vector<pf::nn::Tensor> inputs;
@@ -806,7 +677,6 @@ BM_ConvEngineBatch(benchmark::State &state)
         weights.push_back(std::move(w));
     }
     const std::vector<double> bias(8, 0.1);
-    pf::nn::DirectEngine engine(nullptr, pf::nn::ConvPath::Fft);
     auto warm = engine.convolveBatch(inputs, weights, bias, 1,
                                      sig::ConvMode::Same);
     benchmark::DoNotOptimize(warm.data());
@@ -818,7 +688,26 @@ BM_ConvEngineBatch(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * batch));
 }
+
+} // namespace
+
+static void
+BM_ConvEngineBatch(benchmark::State &state)
+{
+    convEngineBatchBench(
+        state, pf::nn::DirectEngine(nullptr, pf::nn::ConvPath::Fft));
+}
 BENCHMARK(BM_ConvEngineBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+static void
+BM_ConvEngineBatchPhotoFourier(benchmark::State &state)
+{
+    // The paper's engine at its defaults: row tiling on a 256-wide
+    // PFCU, 8-bit DAC/ADC, temporal accumulation depth 16, Auto 1D
+    // backend, noise off.
+    convEngineBatchBench(state, pf::nn::PhotoFourierEngine());
+}
+BENCHMARK(BM_ConvEngineBatchPhotoFourier)->Arg(1)->Arg(4);
 
 // --- observability hot paths: the acceptance bar is that recording a
 // metric or span costs a vanishing fraction of a DirectEngine-class

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,15 +57,18 @@ enum class ConvPath
 /**
  * Abstract convolution executor.
  *
- * Thread-safety contract: convolve() is const and must be safe to call
- * concurrently from any number of threads on one engine instance, with
- * results that are a pure function of the arguments (and the engine's
- * immutable configuration). The serving layer relies on this: worker
- * replicas may share an engine, and a request's output must not depend
- * on which worker ran it. Engines therefore may not keep mutable
- * per-call state; PhotoFourierEngine derives its noise stream per call
- * from (noise_seed, quantized activations, weights) instead of
- * consuming a shared RNG.
+ * One compute entry point: convolveBatch runs N inputs through one
+ * layer's weights, and convolve is a batch of one through it.
+ *
+ * Thread-safety contract: convolveBatch() is const and must be safe
+ * to call concurrently from any number of threads on one engine
+ * instance, with results that are a pure function of the arguments
+ * (and the engine's immutable configuration). The serving layer
+ * relies on this: worker replicas may share an engine, and a
+ * request's output must not depend on which worker ran it. Engines
+ * therefore may not keep mutable per-call state; PhotoFourierEngine
+ * derives its noise stream per input from (noise_seed, quantized
+ * activations, weights) instead of consuming a shared RNG.
  */
 class ConvEngine
 {
@@ -72,37 +76,32 @@ class ConvEngine
     virtual ~ConvEngine() = default;
 
     /**
-     * Compute a conv layer:
-     * out[oc] = sum_ic corr2d(input[ic], weights[oc] channel ic) + bias.
+     * Compute a conv layer for N inputs sharing one set of weights:
+     * outs[i][oc] = sum_ic corr2d(inputs[i][ic], weights[oc] channel
+     * ic) + bias. Contract: outs[i] is bit-identical whatever else is
+     * in the batch — batching may only amortize work whose result is
+     * input-independent (weight quantization, kernel-spectrum
+     * lookups, tiling plans, fused transform dispatches), never
+     * change per-input numerics. Inputs of differing shapes are
+     * computed one at a time.
      *
-     * @param input   CHW input activations
+     * @param inputs  CHW input activations, one per request
      * @param weights one Tensor per output channel (ic x kh x kw)
      * @param bias    one bias per output channel (may be empty)
      * @param stride  spatial stride
      * @param mode    Same or Valid padding
      */
-    virtual Tensor convolve(const Tensor &input,
-                            const std::vector<Tensor> &weights,
-                            const std::vector<double> &bias,
-                            size_t stride,
-                            signal::ConvMode mode) const = 0;
-
-    /**
-     * Batched convolve: N inputs (one micro-batch, all one shape)
-     * through one set of weights. Contract: outs[i] is bit-identical
-     * to convolve(inputs[i], ...) for every engine — batching may
-     * only amortize work whose result is input-independent (weight
-     * quantization, kernel-spectrum lookups, tiling plans, fused
-     * transform dispatches), never change per-request numerics. The
-     * base implementation loops convolve (correct for any third-party
-     * engine); DirectEngine and PhotoFourierEngine override with
-     * fused versions.
-     */
     virtual std::vector<Tensor>
-    convolveBatch(const std::vector<Tensor> &inputs,
+    convolveBatch(std::span<const Tensor> inputs,
                   const std::vector<Tensor> &weights,
                   const std::vector<double> &bias, size_t stride,
-                  signal::ConvMode mode) const;
+                  signal::ConvMode mode) const = 0;
+
+    /** One input: convolveBatch over a batch of one. */
+    Tensor convolve(const Tensor &input,
+                    const std::vector<Tensor> &weights,
+                    const std::vector<double> &bias, size_t stride,
+                    signal::ConvMode mode) const;
 
     /** Engine name for logs. */
     virtual std::string name() const = 0;
@@ -124,18 +123,12 @@ class DirectEngine : public ConvEngine
         std::shared_ptr<tiling::KernelSpectrumCache> spectra = nullptr,
         ConvPath path = ConvPath::Auto);
 
-    Tensor convolve(const Tensor &input,
-                    const std::vector<Tensor> &weights,
-                    const std::vector<double> &bias, size_t stride,
-                    signal::ConvMode mode) const override;
-
-    /** Fused batch: on the frequency row path, the input-row spectra
-     *  of all N inputs run as one dispatch, kernel-row spectra are
-     *  fetched once for the whole batch, and the (input, output
-     *  channel) fan-out crosses requests. Bit-identical to looped
-     *  convolve. */
+    /** The frequency row path runs the input-row spectra of all N
+     *  inputs as one dispatch and fetches kernel-row spectra once per
+     *  call; both paths fan (input, output channel) pairs across the
+     *  worker pool. */
     std::vector<Tensor>
-    convolveBatch(const std::vector<Tensor> &inputs,
+    convolveBatch(std::span<const Tensor> inputs,
                   const std::vector<Tensor> &weights,
                   const std::vector<double> &bias, size_t stride,
                   signal::ConvMode mode) const override;
@@ -226,20 +219,14 @@ class PhotoFourierEngine : public ConvEngine
         PhotoFourierEngineConfig config = {},
         std::shared_ptr<tiling::KernelSpectrumCache> spectra = nullptr);
 
-    Tensor convolve(const Tensor &input,
-                    const std::vector<Tensor> &weights,
-                    const std::vector<double> &bias, size_t stride,
-                    signal::ConvMode mode) const override;
-
-    /** Fused batch: the input-independent mixed-signal prep — weight
-     *  DAC quantization, the pseudo-negative (p, n) split, and the
+    /** The input-independent mixed-signal prep — weight DAC
+     *  quantization, the pseudo-negative (p, n) split, and the
      *  tiled-convolution plan/backend — runs once for all N inputs.
-     *  Per-request numerics (activation quantization, the per-call
-     *  noise key, ADC calibration) stay per input, so outs[i] is
-     *  bit-identical to solo convolve(inputs[i], ...) even with
-     *  sensing noise on. */
+     *  Per-input numerics (activation quantization, the per-input
+     *  noise key, ADC calibration) stay per input, so outs[i] does not
+     *  depend on the rest of the batch, even with sensing noise on. */
     std::vector<Tensor>
-    convolveBatch(const std::vector<Tensor> &inputs,
+    convolveBatch(std::span<const Tensor> inputs,
                   const std::vector<Tensor> &weights,
                   const std::vector<double> &bias, size_t stride,
                   signal::ConvMode mode) const override;
@@ -257,10 +244,10 @@ class PhotoFourierEngine : public ConvEngine
     }
 
   private:
-    /** Everything input-independent that convolve() sets up before
-     *  touching activations: the DAC-quantized weights and their
-     *  pseudo-negative (p, n) split. Built once per convolveBatch and
-     *  shared read-only by every request. */
+    /** Everything input-independent that convolveBatch() sets up
+     *  before touching activations: the DAC-quantized weights and
+     *  their pseudo-negative (p, n) split. Built once per call and
+     *  shared read-only by every input. */
     struct PreparedLayer;
 
     /** Quantize `weights` through the layer-range DAC and split the
@@ -268,10 +255,10 @@ class PhotoFourierEngine : public ConvEngine
     PreparedLayer
     prepareLayer(const std::vector<Tensor> &weights) const;
 
-    /** The per-input tail of convolve(): activation quantization,
-     *  per-call noise key, group charges, ADC readout. Pure function
-     *  of (input, prepared state), so batched and solo calls are
-     *  bit-identical by construction. */
+    /** The per-input tail of convolveBatch(): activation
+     *  quantization, per-input noise key, group charges, ADC readout.
+     *  Pure function of (input, prepared state), so an input's output
+     *  does not depend on its batch. */
     Tensor convolvePrepared(const Tensor &input,
                             const PreparedLayer &prep,
                             const tiling::TiledConvolution &tiled,
@@ -284,7 +271,7 @@ class PhotoFourierEngine : public ConvEngine
 
     /** Health-facing gauges (pf_photonic_snr_db, pf_photonic_
      *  saturation), resolved once from the global registry so
-     *  convolve() records with two relaxed stores — no lookups, no
+     *  convolveBatch() records with two relaxed stores — no lookups, no
      *  allocation on the hot path. The SLO rule snr_floor_db
      *  (obs/health) reads the first one. */
     obs::Gauge *snr_gauge_ = nullptr;

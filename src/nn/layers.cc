@@ -89,11 +89,9 @@ Conv2d::setConvEngine(std::shared_ptr<const ConvEngine> engine)
 Tensor
 Conv2d::forward(const Tensor &input)
 {
-    pf_assert(input.channels() == in_channels_,
-              "conv2d input channels ", input.channels(), " != ",
-              in_channels_);
-    cached_input_ = input;
-    return engine_->convolve(input, weights_, bias_, stride_, mode_);
+    std::vector<Tensor> outs =
+        forwardBatch(std::vector<Tensor>(1, input));
+    return std::move(outs.front());
 }
 
 std::vector<Tensor>
@@ -478,14 +476,9 @@ Residual::Residual(std::vector<std::unique_ptr<Layer>> main_path,
 Tensor
 Residual::forward(const Tensor &input)
 {
-    Tensor main_out = input;
-    for (auto &layer : main_path_)
-        main_out = layer->forward(main_out);
-    Tensor short_out = input;
-    for (auto &layer : shortcut_)
-        short_out = layer->forward(short_out);
-    main_out.add(short_out);
-    return main_out;
+    std::vector<Tensor> outs =
+        forwardBatch(std::vector<Tensor>(1, input));
+    return std::move(outs.front());
 }
 
 std::vector<Tensor>

@@ -36,12 +36,14 @@ class Layer
 
     /**
      * Forward a micro-batch of same-shape inputs. Contract: outs[i]
-     * is bit-identical to forward(inputs[i]) called alone — overrides
-     * may only amortize input-independent work (Conv2d hands the whole
-     * batch to ConvEngine::convolveBatch; Residual keeps its
-     * sub-layers batched end to end). The default loops forward().
+     * does not depend on the rest of the batch. The default loops
+     * forward(), which is all a layer without a conv engine needs.
+     * Conv2d and Residual implement the batch instead (Conv2d hands
+     * it to ConvEngine::convolveBatch; Residual keeps its sub-layers
+     * batched end to end) and their forward() is a batch of one.
      * After the call the layer's cached activations are those of the
-     * LAST input; batched passes are for inference, not training.
+     * LAST input, so backward() after a batch of one trains as
+     * forward() does; larger batches are for inference.
      */
     virtual std::vector<Tensor>
     forwardBatch(const std::vector<Tensor> &inputs);
@@ -107,8 +109,9 @@ class Conv2d : public Layer
     Conv2d(size_t in_channels, size_t out_channels, size_t kernel,
            size_t stride, signal::ConvMode mode, Rng &rng);
 
+    /** forwardBatch over a batch of one. */
     Tensor forward(const Tensor &input) override;
-    /** One fused ConvEngine::convolveBatch call for the batch. */
+    /** One ConvEngine::convolveBatch call for the batch. */
     std::vector<Tensor>
     forwardBatch(const std::vector<Tensor> &inputs) override;
     Tensor backward(const Tensor &grad_out) override;
@@ -220,6 +223,7 @@ class Residual : public Layer
     Residual(std::vector<std::unique_ptr<Layer>> main_path,
              std::vector<std::unique_ptr<Layer>> shortcut);
 
+    /** forwardBatch over a batch of one. */
     Tensor forward(const Tensor &input) override;
     /** Both sub-paths stay batched, so nested conv layers fuse. */
     std::vector<Tensor>

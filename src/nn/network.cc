@@ -12,29 +12,13 @@ Network::add(std::unique_ptr<Layer> layer)
     layers_.push_back(std::move(layer));
 }
 
-Tensor
-Network::forward(const Tensor &input)
-{
-    pf_assert(!layers_.empty(), "forward through an empty network");
-    Tensor x = input;
-    for (auto &layer : layers_)
-        x = layer->forward(x);
-    return x;
-}
-
-std::vector<double>
-Network::logits(const Tensor &input)
-{
-    return forward(input).data();
-}
-
 std::vector<Tensor>
 Network::forwardBatch(const std::vector<Tensor> &inputs)
 {
     pf_assert(!layers_.empty(), "forward through an empty network");
-    std::vector<Tensor> xs = inputs;
-    for (auto &layer : layers_)
-        xs = layer->forwardBatch(xs);
+    std::vector<Tensor> xs = layers_.front()->forwardBatch(inputs);
+    for (size_t i = 1; i < layers_.size(); ++i)
+        xs = layers_[i]->forwardBatch(xs);
     return xs;
 }
 
@@ -47,6 +31,22 @@ Network::logitsBatch(const std::vector<Tensor> &inputs)
     for (Tensor &out : outs)
         logits.push_back(std::move(out.data()));
     return logits;
+}
+
+Tensor
+Network::forward(const Tensor &input)
+{
+    std::vector<Tensor> outs =
+        forwardBatch(std::vector<Tensor>(1, input));
+    return std::move(outs.front());
+}
+
+std::vector<double>
+Network::logits(const Tensor &input)
+{
+    std::vector<std::vector<double>> outs =
+        logitsBatch(std::vector<Tensor>(1, input));
+    return std::move(outs.front());
 }
 
 Tensor

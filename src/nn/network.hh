@@ -26,25 +26,27 @@ class Network
     /** Append a layer (takes ownership). */
     void add(std::unique_ptr<Layer> layer);
 
-    /** Forward pass through all layers. */
-    Tensor forward(const Tensor &input);
-
-    /** Forward pass returning the flat output vector (logits). */
-    std::vector<double> logits(const Tensor &input);
-
     /**
      * Forward a micro-batch of same-shape inputs in one pass: every
      * layer sees the whole batch (Layer::forwardBatch), so conv
-     * layers fuse their per-layer weight prep, spectrum fetches, and
-     * transform dispatches across requests. outs[i] is bit-identical
-     * to forward(inputs[i]) — the serving layer relies on this when
-     * it routes a dequeued micro-batch through one call.
+     * layers share their per-layer weight prep, spectrum fetches, and
+     * transform dispatches across inputs. outs[i] does not depend on
+     * the rest of the batch — the serving layer relies on this when
+     * it routes every dequeued micro-batch, of any size, through one
+     * call.
      */
     std::vector<Tensor> forwardBatch(const std::vector<Tensor> &inputs);
 
-    /** forwardBatch returning each request's flat logits. */
+    /** forwardBatch returning each input's flat logits. */
     std::vector<std::vector<double>>
     logitsBatch(const std::vector<Tensor> &inputs);
+
+    /** forwardBatch over a batch of one; caches activations for
+     *  backward(). */
+    Tensor forward(const Tensor &input);
+
+    /** logitsBatch over a batch of one. */
+    std::vector<double> logits(const Tensor &input);
 
     /** Backward pass through all layers (after a forward). */
     Tensor backward(const Tensor &grad_out);

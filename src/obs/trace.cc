@@ -95,7 +95,7 @@ namespace {
 
 struct ThreadTraceState
 {
-    uint64_t trace_id = 0;
+    std::span<const uint64_t> trace_ids;
     TraceSink *sink = nullptr;
     uint32_t depth = 0;
 };
@@ -107,7 +107,7 @@ thread_local ThreadTraceState tls_trace;
 uint64_t
 activeTrace()
 {
-    return tls_trace.trace_id;
+    return tls_trace.trace_ids.empty() ? 0 : tls_trace.trace_ids.front();
 }
 
 TraceSink &
@@ -117,10 +117,24 @@ activeSink()
 }
 
 TraceBinding::TraceBinding(uint64_t trace_id, TraceSink *sink)
-    : prev_id_(tls_trace.trace_id), prev_sink_(tls_trace.sink),
-      prev_depth_(tls_trace.depth)
+    : single_id_(trace_id)
 {
-    tls_trace.trace_id = trace_id;
+    bind({&single_id_, trace_id != 0 ? 1u : 0u}, sink);
+}
+
+TraceBinding::TraceBinding(std::span<const uint64_t> trace_ids,
+                           TraceSink *sink)
+{
+    bind(trace_ids, sink);
+}
+
+void
+TraceBinding::bind(std::span<const uint64_t> trace_ids, TraceSink *sink)
+{
+    prev_ids_ = tls_trace.trace_ids;
+    prev_sink_ = tls_trace.sink;
+    prev_depth_ = tls_trace.depth;
+    tls_trace.trace_ids = trace_ids;
     if (sink != nullptr)
         tls_trace.sink = sink;
     tls_trace.depth = 0;
@@ -128,13 +142,13 @@ TraceBinding::TraceBinding(uint64_t trace_id, TraceSink *sink)
 
 TraceBinding::~TraceBinding()
 {
-    tls_trace.trace_id = prev_id_;
+    tls_trace.trace_ids = prev_ids_;
     tls_trace.sink = prev_sink_;
     tls_trace.depth = prev_depth_;
 }
 
 ScopedSpan::ScopedSpan(const char *name)
-    : name_(name), active_(tls_trace.trace_id != 0)
+    : name_(name), active_(!tls_trace.trace_ids.empty())
 {
     if (active_) {
         ++tls_trace.depth;
@@ -147,13 +161,16 @@ ScopedSpan::~ScopedSpan()
     if (!active_)
         return;
     SpanRecord rec;
-    rec.trace_id = tls_trace.trace_id;
     rec.name = name_;
     rec.depth = tls_trace.depth;
     rec.start_ns = start_ns_;
     rec.duration_ns = nowNs() - start_ns_;
     --tls_trace.depth;
-    activeSink().record(rec);
+    TraceSink &sink = activeSink();
+    for (uint64_t id : tls_trace.trace_ids) {
+        rec.trace_id = id;
+        sink.record(rec);
+    }
 }
 
 void

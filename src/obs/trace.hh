@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,37 +90,51 @@ class TraceSink
     uint64_t dropped_ = 0;
 };
 
-/** Trace id bound to the calling thread (0 = not tracing). */
+/** Trace id bound to the calling thread (0 = not tracing); the first
+ *  one when a binding carries several. */
 uint64_t activeTrace();
 
 /** Sink the calling thread's spans go to (global() by default). */
 TraceSink &activeSink();
 
 /**
- * RAII binding of a trace id (and optionally a sink) to the current
+ * RAII binding of trace ids (and optionally a sink) to the current
  * thread. While bound, ScopedSpans anywhere down the call stack —
- * conv engines, FFTs — record into the trace. Pass trace_id 0 to
- * explicitly disable tracing inside the scope.
+ * conv engines, FFTs — record into the bound traces. Pass trace_id 0
+ * (or no ids) to explicitly disable tracing inside the scope.
  */
 class TraceBinding
 {
   public:
     explicit TraceBinding(uint64_t trace_id, TraceSink *sink = nullptr);
+
+    /**
+     * Bind every id in `trace_ids` at once: the traced members of one
+     * fused batch, whose work is shared. Each ScopedSpan in the scope
+     * records once per id, so every member's trace holds the shared
+     * spans. The ids must be nonzero and outlive the binding.
+     */
+    explicit TraceBinding(std::span<const uint64_t> trace_ids,
+                          TraceSink *sink = nullptr);
     ~TraceBinding();
 
     TraceBinding(const TraceBinding &) = delete;
     TraceBinding &operator=(const TraceBinding &) = delete;
 
   private:
-    uint64_t prev_id_;
-    TraceSink *prev_sink_;
-    uint32_t prev_depth_;
+    void bind(std::span<const uint64_t> trace_ids, TraceSink *sink);
+
+    uint64_t single_id_ = 0;
+    std::span<const uint64_t> prev_ids_;
+    TraceSink *prev_sink_ = nullptr;
+    uint32_t prev_depth_ = 0;
 };
 
 /**
  * RAII span timer. Free when the thread has no active trace (one
  * thread_local read); otherwise records (name, depth, start, duration)
- * into the bound sink at destruction. `name` must be a string literal.
+ * into the bound sink at destruction, once per bound trace id. `name`
+ * must be a string literal.
  */
 class ScopedSpan
 {

@@ -18,8 +18,9 @@
  * model's registry engine override wins over the factory, and workers
  * re-clone a replica whose registry version moved on (re-registration
  * takes effect without a restart). Batches coalesce per model
- * (BatchQueue) and requests resolve through future-style Completion
- * handles. Results are bit-identical to sequential Network::logits
+ * (BatchQueue), every dequeue of any size runs as one
+ * Network::logitsBatch call, and requests resolve through
+ * future-style Completion handles. Results are bit-identical to sequential Network::logits
  * calls on the prototype: replicas carry identical weights and engines
  * are pure functions of their inputs (see the ConvEngine
  * thread-safety contract).

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "arch/accel_config.hh"
 #include "arch/area_model.hh"
@@ -98,10 +100,22 @@ TEST(AreaModel, NgSamePfcuCountAsCgIsSmaller)
 /** Table III column check: max waveguides under 100 mm^2. */
 struct BudgetCase
 {
+    BudgetCase(ph::Generation g, size_t n, size_t w)
+        : gen(g), n_pfcus(n), paper_waveguides(w)
+    {
+    }
+
     ph::Generation gen;
+    // gtest names each case by the raw bytes of the parameter, so the
+    // slot the compiler would pad is an explicit zero: otherwise the
+    // names carry stack garbage and change from build to build.
+    uint32_t reserved = 0;
     size_t n_pfcus;
     size_t paper_waveguides;
 };
+static_assert(sizeof(BudgetCase) == 24 &&
+                  offsetof(BudgetCase, n_pfcus) == 8,
+              "BudgetCase layout fixes the parameterised test names");
 
 class AreaBudgetTest : public ::testing::TestWithParam<BudgetCase>
 {

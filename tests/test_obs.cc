@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -788,6 +790,97 @@ TEST(ObsServing, ServerRecordsStageMetricsAndSpans)
     EXPECT_GE(convs, 8u); // one per Conv2d layer execution
 }
 
+namespace {
+
+/** Spans of 4 traced requests (trace ids 1..4) served at `max_batch`:
+ *  every request queues before the single worker dispatches, so the
+ *  dequeues are full and deterministic. */
+std::vector<obs::Span>
+servedTraces(size_t max_batch, obs::MetricsRegistry &registry)
+{
+    obs::TraceSink sink(512);
+    serve::ServerConfig config;
+    config.workers = 1;
+    config.start_workers = false;
+    config.batching.max_batch = max_batch;
+    config.metrics = &registry;
+    config.trace_sink = &sink;
+    serve::InferenceServer server(config);
+    server.registry().add("tiny", tinyNet());
+
+    std::vector<serve::Completion> handles;
+    for (uint64_t id = 1; id <= 4; ++id) {
+        serve::SubmitOptions options;
+        options.trace_id = id;
+        handles.push_back(server.submit("tiny", tinyInput(id), options));
+    }
+    server.shutdown();
+    for (auto &handle : handles)
+        EXPECT_EQ(handle.wait(), serve::RequestStatus::Done);
+    return sink.snapshot();
+}
+
+using TraceShape = std::map<uint64_t,
+                            std::vector<std::pair<std::string, uint32_t>>>;
+
+/** Each trace's (name, depth) pairs, sorted. */
+TraceShape
+traceShape(const std::vector<obs::Span> &spans)
+{
+    TraceShape shape;
+    for (const auto &span : spans)
+        shape[span.trace_id].emplace_back(span.name, span.depth);
+    for (auto &entry : shape)
+        std::sort(entry.second.begin(), entry.second.end());
+    return shape;
+}
+
+} // namespace
+
+TEST(ObsServing, FusedBatchTracesMatchBatchOfOneTraces)
+{
+    // One dispatch path for every batch size: a traced request's
+    // waterfall holds the same spans at the same depths whether it
+    // ran alone or inside a fused batch, and the conv engine's spans
+    // nest inside that request's own engine window.
+    obs::MetricsRegistry solo_registry, fused_registry;
+    const std::vector<obs::Span> solo = servedTraces(1, solo_registry);
+    const std::vector<obs::Span> fused = servedTraces(4, fused_registry);
+    EXPECT_EQ(solo_registry.counter("pf_serve_fused_batch_total").value(),
+              0u);
+    EXPECT_EQ(
+        fused_registry.counter("pf_serve_fused_batch_total").value(), 1u);
+
+    const TraceShape shape = traceShape(solo);
+    ASSERT_EQ(shape.size(), 4u);
+    EXPECT_EQ(traceShape(fused), shape);
+    const std::pair<std::string, uint32_t> conv{"direct_conv", 2};
+    for (const auto &entry : shape)
+        EXPECT_NE(std::find(entry.second.begin(), entry.second.end(),
+                            conv),
+                  entry.second.end())
+            << "trace " << entry.first << " has no direct_conv at depth 2";
+
+    for (const std::vector<obs::Span> *spans : {&solo, &fused}) {
+        std::map<uint64_t, const obs::Span *> engine;
+        for (const auto &span : *spans)
+            if (span.name == "engine")
+                engine[span.trace_id] = &span;
+        ASSERT_EQ(engine.size(), 4u);
+        size_t convs = 0;
+        for (const auto &span : *spans) {
+            if (span.name != "direct_conv")
+                continue;
+            ++convs;
+            const obs::Span &window = *engine.at(span.trace_id);
+            EXPECT_GE(span.start_ns, window.start_ns);
+            EXPECT_LE(span.start_ns + span.duration_ns,
+                      window.start_ns + window.duration_ns);
+        }
+        EXPECT_EQ(convs, 4u); // one Conv2d layer per request
+    }
+}
+
 TEST(ObsServing, RouterMergeEqualsLocalMerge)
 {
     // Two shards with *private* registries + sinks, fronted by a
@@ -985,6 +1078,36 @@ TEST(ObsAlloc, HotPathRecordingIsAllocationFree)
         pf_test_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "metrics/trace hot path allocated";
+}
+
+TEST(ObsAlloc, MultiTraceBindingIsAllocationFree)
+{
+    // The fused-batch binding: N trace ids at once, each active span
+    // recorded once per id into the preallocated ring.
+    obs::TraceSink sink(512);
+    const uint64_t ids[] = {11, 12, 13, 14};
+    {
+        obs::TraceBinding binding(ids, &sink);
+        obs::ScopedSpan warm("warm");
+        (void)warm;
+    }
+    EXPECT_EQ(sink.size(), 4u);
+
+    const uint64_t before =
+        pf_test_allocations.load(std::memory_order_relaxed);
+    {
+        obs::TraceBinding binding(ids, &sink);
+        EXPECT_EQ(obs::activeTrace(), 11u);
+        for (int i = 0; i < 100; ++i) {
+            obs::ScopedSpan span("hot");
+            (void)span;
+        }
+    }
+    const uint64_t after =
+        pf_test_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << "multi-id trace binding allocated";
+    EXPECT_EQ(sink.size(), 4u + 4u * 100u);
+    EXPECT_EQ(obs::activeTrace(), 0u);
 }
 
 TEST(ObsAlloc, LogEventRecordingIsAllocationFree)
