@@ -127,9 +127,9 @@ def fmt_ns(ns):
 AMORTIZED_FAMILIES = (
     "BM_Fft2dRealBatch",
     "BM_System4fTiled",
-    "BM_JtcBatchedCorrelate",
     "BM_ConvEngineBatch",
     "BM_ConvEngineBatchPhotoFourier",
+    "BM_ConvEngineBatchPhotoFourierOptical",
 )
 
 

@@ -627,31 +627,6 @@ BM_System4fTiled(benchmark::State &state)
 }
 BENCHMARK(BM_System4fTiled)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-static void
-BM_JtcBatchedCorrelate(benchmark::State &state)
-{
-    // k kernels tiled into ONE joint plane (guard-banded designBatch
-    // layout): one r2c + |.|^2 + c2r serves every kernel's window.
-    // 16-tap kernels on a 256-sample row keep the tiled plane inside
-    // the same pow2 envelope as the per-kernel planes — the regime
-    // where tiling wins (long kernels round the plane up; see the
-    // layout notes in jtc_system.hh).
-    const size_t k = static_cast<size_t>(state.range(0));
-    pf::Rng rng(14);
-    const auto s = rng.uniformVector(256, 0.0, 1.0);
-    std::vector<std::vector<double>> kernels;
-    for (size_t j = 0; j < k; ++j)
-        kernels.push_back(rng.uniformVector(16, 0.0, 0.3));
-    jtc::JtcSystem optics;
-    std::vector<double> out;
-    optics.correlationWindowBatchInto(s, kernels, s.size(), 0, out);
-    for (auto _ : state) {
-        optics.correlationWindowBatchInto(s, kernels, s.size(), 0, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * k));
-}
-BENCHMARK(BM_JtcBatchedCorrelate)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 namespace {
 
@@ -708,6 +683,19 @@ BM_ConvEngineBatchPhotoFourier(benchmark::State &state)
     convEngineBatchBench(state, pf::nn::PhotoFourierEngine());
 }
 BENCHMARK(BM_ConvEngineBatchPhotoFourier)->Arg(1)->Arg(4);
+
+static void
+BM_ConvEngineBatchPhotoFourierOptical(benchmark::State &state)
+{
+    // The same layer with the 1D convolutions on the field-level JTC
+    // simulation (optical_backend): every input tile goes through the
+    // signal-plane lens transform, every kernel through the Fourier-
+    // plane intensity and the second lens.
+    pf::nn::PhotoFourierEngineConfig config;
+    config.optical_backend = true;
+    convEngineBatchBench(state, pf::nn::PhotoFourierEngine(config));
+}
+BENCHMARK(BM_ConvEngineBatchPhotoFourierOptical)->Arg(1)->Arg(4);
 
 // --- observability hot paths: the acceptance bar is that recording a
 // metric or span costs a vanishing fraction of a DirectEngine-class

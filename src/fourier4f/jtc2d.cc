@@ -62,8 +62,10 @@ Jtc2dLayout::designBatch(size_t signal_rows, size_t signal_cols,
     layout.kernel_cols = kernel_cols;
     layout.kernel_count = kernel_count;
 
-    // Row-axis guard bands, exactly the 1D batch design with
-    // Ls -> Sr and Lk -> Kr (see JtcPlaneLayout::designBatch).
+    // Row-axis guard bands: spacing S = Sr + 3*Kr - 2 puts each
+    // signal-kernel cross band (Sr + Kr - 1 rows, centred at q_j)
+    // between the kernel-kernel cross bands (2*Kr - 1 rows, at j*S)
+    // with one clear row each side.
     const size_t longest = std::max(signal_rows, kernel_rows);
     layout.kernel_row_step = signal_rows + 3 * kernel_rows - 2;
     const size_t base = signal_rows + kernel_rows - 1;

@@ -53,8 +53,7 @@ struct Jtc2dLayout
     /**
      * Layout tiling `kernel_count` kernel blocks down ONE joint plane
      * so a single 2D Fourier pass yields every kernel's correlation.
-     * Guard bands mirror the 1D batch design along the row axis
-     * (JtcPlaneLayout::designBatch): blocks at row spacing
+     * Guard bands along the row axis: blocks at row spacing
      * S = Sr + 3*Kr - 2 interleave each signal-kernel cross band
      * between the kernel-kernel bands with one clear row each side;
      * plane_rows >= 2*q_last + 2*Kr clears the mirrors; columns are

@@ -46,48 +46,6 @@ JtcPlaneLayout::design(size_t signal_len, size_t kernel_len)
     return layout;
 }
 
-JtcPlaneLayout
-JtcPlaneLayout::designBatch(size_t signal_len, size_t kernel_len,
-                            size_t kernel_count)
-{
-    pf_assert(kernel_count >= 1, "designBatch with no kernels");
-    // A batch of one IS the solo layout: same separation, same plane,
-    // same cached kernel spectrum — batch-of-1 readouts are
-    // bit-identical to the unbatched path by construction.
-    if (kernel_count == 1)
-        return design(signal_len, kernel_len);
-    pf_assert(signal_len > 0 && kernel_len > 0,
-              "JTC inputs must be non-empty");
-    const size_t longest = std::max(signal_len, kernel_len);
-
-    JtcPlaneLayout layout;
-    layout.signal_len = signal_len;
-    layout.kernel_len = kernel_len;
-    layout.signal_pos = 0;
-    layout.kernel_count = kernel_count;
-    // Spacing S interleaves each signal-kernel cross band (width
-    // Ls+Lk-1, centred at q_j) between the kernel-kernel cross bands
-    // (width 2Lk-1, at multiples of S) with one clear sample each
-    // side: S = (Ls+Lk-1) + (2Lk-1) + 2 gaps of 1... = Ls + 3Lk - 2.
-    layout.kernel_step = signal_len + 3 * kernel_len - 2;
-    // First separation: congruent to Ls+Lk-1 mod S (the interleaving
-    // phase), lifted by whole steps until the cross band's first lag
-    // q_0 - (Ls-1) clears the central term's last lag (longest - 1).
-    const size_t base = signal_len + kernel_len - 1;
-    const size_t need =
-        longest > kernel_len ? longest - kernel_len : 0;
-    const size_t lift =
-        (need + layout.kernel_step - 1) / layout.kernel_step;
-    layout.kernel_pos = base + lift * layout.kernel_step;
-    // Mirror bands start at N - q_j - (Lk-1): N >= 2*q_last + 2Lk
-    // keeps the nearest one past the furthest cross band.
-    const size_t q_last =
-        layout.kernel_pos + (kernel_count - 1) * layout.kernel_step;
-    layout.plane_size =
-        signal::nextPowerOfTwo(2 * q_last + 2 * kernel_len);
-    return layout;
-}
-
 JtcSystem::JtcSystem(JtcConfig config,
                      std::shared_ptr<signal::PlaneSpectrumCache> spectra)
     : config_(config),
@@ -129,50 +87,6 @@ JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
         });
 }
 
-std::shared_ptr<const signal::ComplexVector>
-JtcSystem::kernelBankSpectrum(
-    const std::vector<std::vector<double>> &kernels,
-    const JtcPlaneLayout &layout) const
-{
-    // One entry for the whole tiled bank: the salt pins the tiling
-    // geometry, the payload is the concatenated kernel bytes. The
-    // lens is linear, so the bank's Fourier-plane contribution is one
-    // transform of all kernel fields summed onto the plane.
-    uint64_t salt = signal::planeSpectrumSalt(layout.plane_size);
-    salt = signal::planeSpectrumSalt(layout.kernel_pos, salt);
-    salt = signal::planeSpectrumSalt(layout.kernel_step, salt);
-    salt = signal::planeSpectrumSalt(layout.kernel_count, salt);
-
-    static thread_local std::vector<double> bank_payload;
-    bank_payload.clear();
-    for (const auto &k : kernels)
-        bank_payload.insert(bank_payload.end(), k.begin(), k.end());
-
-    struct Ctx
-    {
-        const std::vector<std::vector<double>> *kernels;
-        const JtcPlaneLayout *layout;
-    } ctx{&kernels, &layout};
-    return spectra_->spectrum(
-        salt, bank_payload, layout.plane_size / 2 + 1,
-        [&ctx](signal::ComplexVector &out) {
-            const size_t n = ctx.layout->plane_size;
-            const auto plan = signal::fftPlanFor(n);
-            std::vector<double> &padded =
-                signal::threadFftWorkspace().realBuffer(kSlotJtcPlane,
-                                                        n);
-            std::fill(padded.begin(), padded.end(), 0.0);
-            for (size_t j = 0; j < ctx.kernels->size(); ++j) {
-                const auto &k = (*ctx.kernels)[j];
-                const size_t pos = ctx.layout->kernel_pos +
-                                   j * ctx.layout->kernel_step;
-                for (size_t t = 0; t < k.size(); ++t)
-                    padded[pos + t] += k[t];
-            }
-            plan->executeReal(padded.data(), out.data());
-        });
-}
-
 JtcPlaneLayout
 JtcSystem::layoutFor(const std::vector<double> &s,
                      const std::vector<double> &k)
@@ -208,37 +122,60 @@ JtcSystem::outputPlane(const std::vector<double> &s,
 }
 
 void
-JtcSystem::outputPlaneInto(const std::vector<double> &s,
-                           const std::vector<double> &k,
-                           std::vector<double> &out) const
+JtcSystem::signalSpectrumInto(const std::vector<double> &s,
+                              const JtcPlaneLayout &layout,
+                              signal::ComplexVector &out) const
 {
-    const JtcPlaneLayout layout = layoutFor(s, k);
+    pf_assert(s.size() == layout.signal_len, "signal of ", s.size(),
+              " samples on a layout for ", layout.signal_len);
     const size_t n = layout.plane_size;
     // Both lens transforms reuse one cached plan for the plane size; a
     // CNN layer evaluates thousands of same-geometry JTC passes, so the
     // twiddle/bit-reversal tables are built exactly once per layout.
     const auto plan = signal::fftPlanFor(n);
-    const size_t half_n = plan->halfSpectrumSize();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-
-    // Static kernel field: transformed once per (kernel, layout) and
-    // cached. Fetched before the signal plane is built — the miss
-    // path borrows the plane slot for its padding scratch.
-    const auto kspec = kernelPlaneSpectrum(k, layout);
 
     // Signal field on the joint plane (the kernel block stays zero:
     // its contribution is the cached spectrum, added after the lens —
     // the lens transform is linear).
-    std::vector<double> &plane = ws.realBuffer(kSlotJtcPlane, n);
+    std::vector<double> &plane =
+        signal::threadFftWorkspace().realBuffer(kSlotJtcPlane, n);
     std::fill(plane.begin(), plane.end(), 0.0);
     std::copy(s.begin(), s.end(),
               plane.begin() + static_cast<long>(layout.signal_pos));
 
     // First lens: E -> F(u), on the r2c path (the plane is real).
-    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
-    plan->executeReal(plane.data(), field.data());
-    for (size_t i = 0; i < half_n; ++i)
+    out.resize(plan->halfSpectrumSize());
+    plan->executeReal(plane.data(), out.data());
+}
+
+void
+JtcSystem::outputPlaneInto(const std::vector<double> &s,
+                           const std::vector<double> &k,
+                           std::vector<double> &out) const
+{
+    const JtcPlaneLayout layout = layoutFor(s, k);
+    // Static kernel field: transformed once per (kernel, layout) and
+    // cached. Fetched before the signal plane is built — the miss
+    // path borrows the plane slot for its padding scratch.
+    const auto kspec = kernelPlaneSpectrum(k, layout);
+
+    signal::ComplexVector &field = signal::threadFftWorkspace().complexBuffer(
+        kSlotJtcHalf, layout.plane_size / 2 + 1);
+    signalSpectrumInto(s, layout, field);
+    for (size_t i = 0; i < field.size(); ++i)
         field[i] += (*kspec)[i];
+    detectPlane(field, layout, out);
+}
+
+void
+JtcSystem::detectPlane(signal::ComplexVector &field,
+                      const JtcPlaneLayout &layout,
+                      std::vector<double> &out) const
+{
+    const size_t n = layout.plane_size;
+    const auto plan = signal::fftPlanFor(n);
+    const size_t half_n = plan->halfSpectrumSize();
+    signal::FftWorkspace &ws = signal::threadFftWorkspace();
 
     photonics::Photodetector out_pd(config_.detector,
                                     config_.noise_seed + 1);
@@ -339,18 +276,49 @@ JtcSystem::correlationWindowInto(const std::vector<double> &s,
                                  size_t count, long start,
                                  std::vector<double> &out) const
 {
-    // out[i] = c[-(start + i)]: read the full correlation backwards,
-    // straight off the output plane (c[m + Ls - 1] = R[(q + m) % n]).
     const JtcPlaneLayout layout = layoutFor(s, k);
     std::vector<double> &plane = signal::threadFftWorkspace().realBuffer(
         kSlotJtcOutPlane, layout.plane_size);
     outputPlaneInto(s, k, plane);
+    readWindow(plane, layout, count, start, out);
+}
 
+void
+JtcSystem::correlationWindowFromSpectraInto(
+    const signal::ComplexVector &signal_spectrum,
+    const signal::ComplexVector &kernel_spectrum,
+    const JtcPlaneLayout &layout, size_t count, long start,
+    std::vector<double> &out) const
+{
+    const size_t half_n = layout.plane_size / 2 + 1;
+    pf_assert(signal_spectrum.size() == half_n &&
+                  kernel_spectrum.size() == half_n,
+              "spectra do not match the ", layout.plane_size,
+              "-sample plane");
+    signal::FftWorkspace &ws = signal::threadFftWorkspace();
+    // The joint field: the same sum outputPlaneInto forms, so the
+    // readout is bit-identical to the one-call path.
+    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
+    for (size_t i = 0; i < half_n; ++i)
+        field[i] = signal_spectrum[i] + kernel_spectrum[i];
+    std::vector<double> &plane =
+        ws.realBuffer(kSlotJtcOutPlane, layout.plane_size);
+    detectPlane(field, layout, plane);
+    readWindow(plane, layout, count, start, out);
+}
+
+void
+JtcSystem::readWindow(const std::vector<double> &plane,
+                      const JtcPlaneLayout &layout, size_t count,
+                      long start, std::vector<double> &out)
+{
+    // out[i] = c[-(start + i)]: read the full correlation backwards,
+    // straight off the output plane (c[m + Ls - 1] = R[(q + m) % n]).
     const long n = static_cast<long>(layout.plane_size);
     const long q = static_cast<long>(layout.kernel_pos);
-    const long zero_index = static_cast<long>(s.size()) - 1;
+    const long zero_index = static_cast<long>(layout.signal_len) - 1;
     const long c_size =
-        static_cast<long>(s.size() + k.size()) - 1;
+        static_cast<long>(layout.signal_len + layout.kernel_len) - 1;
     out.resize(count);
     for (size_t i = 0; i < count; ++i) {
         const long idx = zero_index - (start + static_cast<long>(i));
@@ -362,87 +330,6 @@ JtcSystem::correlationWindowInto(const std::vector<double> &s,
         } else {
             // Kernel fully past either end of the signal -> zero.
             out[i] = 0.0;
-        }
-    }
-}
-
-void
-JtcSystem::correlationWindowBatchInto(
-    const std::vector<double> &s,
-    const std::vector<std::vector<double>> &kernels, size_t count,
-    long start, std::vector<double> &out) const
-{
-    pf_assert(!kernels.empty(),
-              "correlationWindowBatchInto with no kernels");
-    for (const auto &k : kernels)
-        pf_assert(k.size() == kernels[0].size(),
-                  "tiled kernels must share one length");
-
-    // Noise on: per-detector draws depend on the plane geometry, so a
-    // tiled plane would give a request different noise than the solo
-    // path. Determinism wins — run the per-kernel path (each kernel's
-    // readout sees exactly the noise stream it would solo).
-    if (config_.noise) {
-        static thread_local std::vector<double> window;
-        out.resize(kernels.size() * count);
-        for (size_t j = 0; j < kernels.size(); ++j) {
-            correlationWindowInto(s, kernels[j], count, start, window);
-            std::copy(window.begin(), window.end(),
-                      out.begin() + static_cast<long>(j * count));
-        }
-        return;
-    }
-
-    const JtcPlaneLayout layout = JtcPlaneLayout::designBatch(
-        s.size(), kernels[0].size(), kernels.size());
-    const size_t n = layout.plane_size;
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half_n = plan->halfSpectrumSize();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-
-    // The whole tiled kernel bank in one cached spectrum.
-    const auto kspec = kernelBankSpectrum(kernels, layout);
-
-    // Signal field on the joint plane; ONE lens pass serves every
-    // kernel of the bank.
-    std::vector<double> &plane = ws.realBuffer(kSlotJtcPlane, n);
-    std::fill(plane.begin(), plane.end(), 0.0);
-    std::copy(s.begin(), s.end(),
-              plane.begin() + static_cast<long>(layout.signal_pos));
-
-    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
-    plan->executeReal(plane.data(), field.data());
-    for (size_t i = 0; i < half_n; ++i)
-        field[i] += (*kspec)[i];
-    for (size_t i = 0; i < half_n; ++i)
-        field[i] = signal::Complex(std::norm(field[i]), 0.0);
-    std::vector<double> &rplane = ws.realBuffer(kSlotJtcOutPlane, n);
-    plan->executeRealInverse(field.data(), rplane.data());
-
-    // Per-kernel readout at each kernel's own displaced lag; the
-    // guard bands of designBatch keep every read position clear of
-    // the other kernels' terms.
-    photonics::Photodetector out_pd(config_.detector,
-                                    config_.noise_seed + 1);
-    const long ln = static_cast<long>(n);
-    const long zero_index = static_cast<long>(s.size()) - 1;
-    const long c_size =
-        static_cast<long>(s.size() + kernels[0].size()) - 1;
-    out.resize(kernels.size() * count);
-    for (size_t j = 0; j < kernels.size(); ++j) {
-        const long q = static_cast<long>(layout.kernel_pos +
-                                         j * layout.kernel_step);
-        double *dst = out.data() + j * count;
-        for (size_t i = 0; i < count; ++i) {
-            const long idx = zero_index - (start + static_cast<long>(i));
-            if (idx >= 0 && idx < c_size) {
-                const long m = idx - zero_index;
-                const size_t p =
-                    static_cast<size_t>(((q + m) % ln + ln) % ln);
-                dst[i] = readOut(rplane[p], rplane[p], out_pd);
-            } else {
-                dst[i] = 0.0;
-            }
         }
     }
 }

@@ -62,13 +62,6 @@ struct JtcPlaneLayout
     size_t kernel_pos;   ///< plane index where k starts (the separation)
     size_t plane_size;   ///< total samples of the joint plane (pow2)
 
-    /** Tiled kernels sharing this plane (1 = the classic layout). */
-    size_t kernel_count = 1;
-
-    /** Plane spacing between consecutive tiled kernels (0 = single).
-     *  Kernel j starts at kernel_pos + j * kernel_step. */
-    size_t kernel_step = 0;
-
     /**
      * Compute a non-aliasing layout for the given input sizes.
      *
@@ -77,27 +70,6 @@ struct JtcPlaneLayout
      * clear of the cross term.
      */
     static JtcPlaneLayout design(size_t signal_len, size_t kernel_len);
-
-    /**
-     * Layout tiling `kernel_count` kernels onto ONE joint plane, so a
-     * single Fourier pass yields every kernel's correlation (the lens
-     * is linear — the multi-channel trick of arXiv:2112.12297).
-     *
-     * Guard bands, sized from the correlation support: kernels sit at
-     * q_j = q_0 + j*S with spacing S = Ls + 3*Lk - 2, which interleaves
-     * each signal-kernel cross band (width Ls+Lk-1, centred at lag
-     * q_j) exactly between the kernel-kernel cross bands (width
-     * 2*Lk-1, at lags j*S) with one clear sample on each side;
-     * q_0 = Ls + Lk - 1 + m*S with the smallest m clearing the central
-     * term (m*S >= max(Ls,Lk) - Lk), and the plane size
-     * >= 2*q_last + 2*Lk keeps every mirror band past every cross
-     * band. kernel_count == 1 returns design() exactly, so a batch of
-     * one is bit-identical to the solo path (same plane, same cached
-     * spectra).
-     */
-    static JtcPlaneLayout designBatch(size_t signal_len,
-                                      size_t kernel_len,
-                                      size_t kernel_count);
 };
 
 /** Configuration of a JTC simulation instance. */
@@ -133,10 +105,9 @@ class JtcSystem
      * per (kernel bytes, plane layout) and cached in `spectra`;
      * every correlate call transforms only the streamed signal.
      * Pass a shared cache to amortize across instances (the tiled
-     * optical backend constructs a JtcSystem per call and the engine
-     * shares the serving registry's per-model cache); null gives
-     * this instance a private cache, which still amortizes repeated
-     * kernels across calls.
+     * optical backend holds one JtcSystem on the serving registry's
+     * per-model cache); null gives this instance a private cache,
+     * which still amortizes repeated kernels across calls.
      */
     explicit JtcSystem(
         JtcConfig config = {},
@@ -205,23 +176,42 @@ class JtcSystem
                                std::vector<double> &out) const;
 
     /**
-     * Batched correlationWindow: every kernel's window from ONE
-     * Fourier pass. The kernels (all one length) tile a single joint
-     * plane (JtcPlaneLayout::designBatch); their summed field spectrum
-     * is cached as one bank entry, so one r2c + |.|^2 + c2r on the
-     * tiled plane serves all of them, and kernel j's window is read at
-     * its own displaced lag. `out` holds the windows back to back
-     * (kernel j at out[j * count]). Matches per-kernel
-     * correlationWindowInto within FFT rounding of the larger plane
-     * (bit-identical when kernels.size() == 1 — same layout, same
-     * cache entry); with noise enabled it falls back to the per-kernel
-     * path so every (request, kernel) readout draws the same noise
-     * stream either way. Allocation-free with a warm bank cache.
+     * The signal half of a correlation: the first lens applied to the
+     * signal field alone, s placed at layout.signal_pos on an
+     * otherwise dark layout.plane_size plane. `out` receives the
+     * plane_size/2+1 Hermitian half-spectrum (resized, capacity
+     * reused). The lens is linear, so this spectrum plus any kernel's
+     * kernelPlaneSpectrum is the joint plane's Fourier field: one
+     * streamed input transformed once serves every kernel it is
+     * correlated with. Allocation-free in steady state.
      */
-    void correlationWindowBatchInto(
-        const std::vector<double> &s,
-        const std::vector<std::vector<double>> &kernels, size_t count,
-        long start, std::vector<double> &out) const;
+    void signalSpectrumInto(const std::vector<double> &s,
+                            const JtcPlaneLayout &layout,
+                            signal::ComplexVector &out) const;
+
+    /**
+     * The cached Fourier-plane contribution of `k` placed at
+     * layout.kernel_pos on a layout.plane_size joint plane (the
+     * plane_size/2+1 Hermitian half-spectrum). Transformed once per
+     * (kernel bytes, layout) and shared through spectrumCache(); a
+     * caller that reads it for many signals resolves the handle once.
+     */
+    std::shared_ptr<const signal::ComplexVector> kernelPlaneSpectrum(
+        const std::vector<double> &k, const JtcPlaneLayout &layout) const;
+
+    /**
+     * The kernel half of correlationWindow: the window read off the
+     * output plane of the joint field signal_spectrum +
+     * kernel_spectrum (signalSpectrumInto and kernelPlaneSpectrum on
+     * the same layout) — Fourier-plane detection, the second lens and
+     * the readout model. Bit-identical to correlationWindowInto on the
+     * same operands, noise included. Allocation-free in steady state.
+     */
+    void correlationWindowFromSpectraInto(
+        const signal::ComplexVector &signal_spectrum,
+        const signal::ComplexVector &kernel_spectrum,
+        const JtcPlaneLayout &layout, size_t count, long start,
+        std::vector<double> &out) const;
 
     /** Layout used for the most recent evaluation sizes. */
     static JtcPlaneLayout layoutFor(const std::vector<double> &s,
@@ -241,19 +231,17 @@ class JtcSystem
     JtcConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;
 
-    /** The cached Fourier-plane contribution of `k` placed at
-     *  layout.kernel_pos on a layout.plane_size joint plane (the
-     *  plane_size/2+1 Hermitian half-spectrum). */
-    std::shared_ptr<const signal::ComplexVector> kernelPlaneSpectrum(
-        const std::vector<double> &k,
-        const JtcPlaneLayout &layout) const;
+    /** Second lens and readout: `field` holds the joint plane's
+     *  Fourier field on entry (consumed); the recorded output plane
+     *  lands in `out`. */
+    void detectPlane(signal::ComplexVector &field,
+                    const JtcPlaneLayout &layout,
+                    std::vector<double> &out) const;
 
-    /** The cached summed Fourier-plane contribution of every tiled
-     *  kernel (kernel j at layout.kernel_pos + j*kernel_step) — one
-     *  bank entry per (kernel bytes, tiling geometry). */
-    std::shared_ptr<const signal::ComplexVector> kernelBankSpectrum(
-        const std::vector<std::vector<double>> &kernels,
-        const JtcPlaneLayout &layout) const;
+    /** Read the sliding window off a recorded output plane. */
+    static void readWindow(const std::vector<double> &plane,
+                           const JtcPlaneLayout &layout, size_t count,
+                           long start, std::vector<double> &out);
 
     /** Apply the configured readout model (+ optional noise). */
     double readOut(double field_value, double scale,

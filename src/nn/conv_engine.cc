@@ -19,9 +19,12 @@ namespace {
 
 /**
  * Per-thread scratch for the engines' convolution hot loops: channel
- * matrices, partial planes, and the tiled executor's workspace, all
- * reused across calls so steady-state inference never allocates on
- * the per-channel path.
+ * matrices, partial planes, the tiled executor's workspace, and the
+ * photonic engine's per-input state, all reused across calls so
+ * steady-state inference never allocates on the per-channel path.
+ * PhotoFourierEngine's output-channel jobs touch only part_p, part_n
+ * and conv; the rest belongs to the thread running the call, so the
+ * caller's own jobs never clobber it.
  */
 struct EngineScratch
 {
@@ -33,6 +36,15 @@ struct EngineScratch
     std::vector<double> kernel_row;
     signal::ComplexVector acc_spec;
     std::vector<double> row_time;
+
+    /** PhotoFourierEngine: one input channel's prepared tiles, read by
+     *  every output-channel job. */
+    tiling::TiledInput tiles;
+    /** PhotoFourierEngine: photodetector charges, plane-sized blocks
+     *  indexed ((oc * groups + g) * 2 + polarity). */
+    std::vector<double> charges;
+    /** PhotoFourierEngine: per-output-channel peak charge. */
+    std::vector<double> oc_calib;
 };
 
 EngineScratch &
@@ -71,14 +83,16 @@ hashBits(uint64_t h, uint64_t v)
     return h;
 }
 
+/** Fold a tensor's shape and its values, as quantized by `q`, into a
+ *  running hash (streamed, so the quantized tensor is never stored). */
 uint64_t
-hashTensor(uint64_t h, const Tensor &t)
+hashQuantized(uint64_t h, const Tensor &t, const photonics::Quantizer &q)
 {
     h = hashBits(h, t.channels());
     h = hashBits(h, t.height());
     h = hashBits(h, t.width());
     for (double v : t.data())
-        h = hashBits(h, std::bit_cast<uint64_t>(v));
+        h = hashBits(h, std::bit_cast<uint64_t>(q.quantize(v)));
     return h;
 }
 
@@ -367,68 +381,6 @@ DirectEngine::convolveBatch(std::span<const Tensor> inputs,
     return outs;
 }
 
-PhotoFourierEngine::PhotoFourierEngine(
-    PhotoFourierEngineConfig config,
-    std::shared_ptr<tiling::KernelSpectrumCache> spectra)
-    : config_(config),
-      spectra_(spectra
-                   ? std::move(spectra)
-                   : std::make_shared<tiling::KernelSpectrumCache>())
-{
-    pf_assert(config_.temporal_accumulation_depth >= 1,
-              "temporal accumulation depth must be >= 1");
-    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
-    snr_gauge_ = &registry.gauge("pf_photonic_snr_db");
-    saturation_gauge_ = &registry.gauge("pf_photonic_saturation");
-}
-
-/** Input-independent half of PhotoFourierEngine::convolveBatch. */
-struct PhotoFourierEngine::PreparedLayer
-{
-    /** DAC-quantized weights (the noise key hashes these). */
-    std::vector<Tensor> q_weights;
-    /** Pseudo-negative split of q_weights: non-negative p filters. */
-    std::vector<Tensor> w_pos;
-    /** ... and the matching non-negative n filters. */
-    std::vector<Tensor> w_neg;
-};
-
-PhotoFourierEngine::PreparedLayer
-PhotoFourierEngine::prepareLayer(const std::vector<Tensor> &weights) const
-{
-    // --- weight DAC quantization (per-layer symmetric range) ---
-    double w_range = 0.0;
-    for (const auto &w : weights)
-        w_range = std::max(w_range, w.maxAbs());
-    photonics::Quantizer w_dac(
-        config_.dac_bits > 0 ? config_.dac_bits : 2,
-        config_.dac_bits > 0 ? w_range : 0.0);
-
-    PreparedLayer prep;
-    prep.q_weights = weights;
-    for (auto &w : prep.q_weights)
-        for (auto &v : w.data())
-            v = w_dac.quantize(v);
-
-    // Pseudo-negative execution [13]: each filter runs as a (p, n)
-    // pair of non-negative filters whose photodetector charges are
-    // read out *separately* and subtracted digitally. The ADC
-    // quantizes each readout on a grid fixed by the layer's output
-    // scale — that fixed grid is why fewer readouts (deeper temporal
-    // accumulation) mean less total quantization error (Section V-C1:
-    // "8-bit precision is not enough for partial sums").
-    prep.w_pos = prep.q_weights;
-    prep.w_neg = prep.q_weights;
-    for (size_t oc = 0; oc < prep.q_weights.size(); ++oc) {
-        for (size_t i = 0; i < prep.w_pos[oc].data().size(); ++i) {
-            const double w = prep.q_weights[oc].data()[i];
-            prep.w_pos[oc].data()[i] = w >= 0.0 ? w : 0.0;
-            prep.w_neg[oc].data()[i] = w < 0.0 ? -w : 0.0;
-        }
-    }
-    return prep;
-}
-
 namespace {
 
 /** The 1D backend of the tiled path for a given engine config. */
@@ -455,6 +407,91 @@ selectConvBackend(
 
 } // namespace
 
+PhotoFourierEngine::PhotoFourierEngine(
+    PhotoFourierEngineConfig config,
+    std::shared_ptr<tiling::KernelSpectrumCache> spectra)
+    : config_(config),
+      spectra_(spectra
+                   ? std::move(spectra)
+                   : std::make_shared<tiling::KernelSpectrumCache>()),
+      backend_(selectConvBackend(config_, spectra_))
+{
+    pf_assert(config_.temporal_accumulation_depth >= 1,
+              "temporal accumulation depth must be >= 1");
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    snr_gauge_ = &registry.gauge("pf_photonic_snr_db");
+    saturation_gauge_ = &registry.gauge("pf_photonic_saturation");
+}
+
+/** Input-independent half of PhotoFourierEngine::convolveBatch. */
+struct PhotoFourierEngine::PreparedLayer
+{
+    /** The layer's weights and their DAC (the noise key hashes the
+     *  quantized weights). */
+    const std::vector<Tensor> *weights = nullptr;
+    photonics::Quantizer w_dac{2, 0.0};
+    /** Every (output channel, input channel, polarity) kernel plane
+     *  of the pseudo-negative split, resolved once through the 1D
+     *  backend: tiled taps, Auto choices, cached spectrum handles. */
+    tiling::KernelBank kernels;
+    /** Prepared kernels per kernel plane (TiledConvolution::
+     *  kernelGroups()). */
+    size_t groups = 1;
+    size_t n_in = 0;
+
+    /** Index of kernel plane (oc, ic, polarity 0 = p, 1 = n). */
+    size_t
+    kernel(size_t oc, size_t ic, size_t polarity) const
+    {
+        return ((oc * n_in + ic) * 2 + polarity) * groups;
+    }
+
+    /** Scratch of the (p, n) split of one weight channel. */
+    signal::Matrix w_ch, w_pos, w_neg;
+};
+
+void
+PhotoFourierEngine::prepareLayer(const std::vector<Tensor> &weights,
+                                 const tiling::TiledConvolution &tiled,
+                                 PreparedLayer &prep) const
+{
+    // --- weight DAC quantization (per-layer symmetric range) ---
+    double w_range = 0.0;
+    for (const auto &w : weights)
+        w_range = std::max(w_range, w.maxAbs());
+    prep.weights = &weights;
+    prep.w_dac = photonics::Quantizer(
+        config_.dac_bits > 0 ? config_.dac_bits : 2,
+        config_.dac_bits > 0 ? w_range : 0.0);
+
+    // Pseudo-negative execution [13]: each filter runs as a (p, n)
+    // pair of non-negative filters whose photodetector charges are
+    // read out *separately* and subtracted digitally. The ADC
+    // quantizes each readout on a grid fixed by the layer's output
+    // scale — that fixed grid is why fewer readouts (deeper temporal
+    // accumulation) mean less total quantization error (Section V-C1:
+    // "8-bit precision is not enough for partial sums").
+    prep.n_in = weights[0].channels();
+    prep.groups = tiled.kernelGroups();
+    prep.kernels.clear();
+    for (size_t oc = 0; oc < weights.size(); ++oc) {
+        for (size_t ic = 0; ic < prep.n_in; ++ic) {
+            weights[oc].channelMatrixInto(ic, prep.w_ch);
+            for (auto &v : prep.w_ch.data)
+                v = prep.w_dac.quantize(v);
+            prep.w_pos = prep.w_ch;
+            prep.w_neg = prep.w_ch;
+            for (size_t i = 0; i < prep.w_ch.data.size(); ++i) {
+                const double w = prep.w_ch.data[i];
+                prep.w_pos.data[i] = w >= 0.0 ? w : 0.0;
+                prep.w_neg.data[i] = w < 0.0 ? -w : 0.0;
+            }
+            tiled.prepareKernel(prep.w_pos, prep.kernels);
+            tiled.prepareKernel(prep.w_neg, prep.kernels);
+        }
+    }
+}
+
 std::vector<Tensor>
 PhotoFourierEngine::convolveBatch(std::span<const Tensor> inputs,
                                   const std::vector<Tensor> &weights,
@@ -473,10 +510,11 @@ PhotoFourierEngine::convolveBatch(std::span<const Tensor> inputs,
     checkConvShapes(inputs[0], weights, bias);
     pf_assert(inputs[0].height() == inputs[0].width(),
               "PhotoFourier engine expects square feature maps");
-    // Weight quantization, the (p, n) split, and the tiling plan are
-    // input-independent: build them once, share them read-only across
-    // the batch. Everything per-input runs in convolvePrepared.
-    const PreparedLayer prep = prepareLayer(weights);
+    // Weight quantization, the (p, n) split, the tiling plan and every
+    // prepared kernel plane are input-independent: build them once,
+    // share them read-only across the batch. Everything per-input runs
+    // in convolvePrepared. The prepared layer is per-thread scratch,
+    // so steady-state calls reuse its buffers.
     tiling::TilingParams params{
         .input_size = inputs[0].height(),
         .kernel_size = weights[0].height(),
@@ -485,8 +523,9 @@ PhotoFourierEngine::convolveBatch(std::span<const Tensor> inputs,
         .stride = stride,
         .zero_pad_rows = config_.zero_pad_rows,
     };
-    tiling::TiledConvolution tiled(params,
-                                   selectConvBackend(config_, spectra_));
+    const tiling::TiledConvolution tiled(params, backend_);
+    static thread_local PreparedLayer prep;
+    prepareLayer(weights, tiled, prep);
     std::vector<Tensor> outs;
     outs.reserve(inputs.size());
     for (const Tensor &input : inputs)
@@ -503,25 +542,22 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
                                      size_t stride,
                                      signal::ConvMode mode) const
 {
-    const std::vector<Tensor> &q_weights = prep.q_weights;
-    const std::vector<Tensor> &w_pos = prep.w_pos;
-    const std::vector<Tensor> &w_neg = prep.w_neg;
-    const size_t k = q_weights[0].height();
+    const std::vector<Tensor> &weights = *prep.weights;
+    const size_t k = weights[0].height();
     const size_t n_in = input.channels();
-    const size_t n_out = q_weights.size();
+    const size_t n_out = weights.size();
     const size_t nta = config_.temporal_accumulation_depth;
+    EngineScratch &sc = threadEngineScratch();
 
     // --- activation DAC quantization (per-call symmetric range) ---
     const double act_range = input.maxAbs();
     photonics::Quantizer act_dac(
         config_.dac_bits > 0 ? config_.dac_bits : 2,
         config_.dac_bits > 0 ? act_range : 0.0);
-    Tensor q_input = input;
-    for (auto &v : q_input.data())
-        v = act_dac.quantize(v);
 
     const size_t oh = outputDim(input.height(), k, stride, mode);
     const size_t ow = outputDim(input.width(), k, stride, mode);
+    const size_t plane = oh * ow;
     const size_t groups = (n_in + nta - 1) / nta;
 
     // Per-input noise key: sensing noise is a pure function of the
@@ -533,70 +569,96 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
     uint64_t noise_key = 0;
     if (config_.noise) {
         uint64_t h = hashBits(config_.noise_seed, n_out);
-        h = hashTensor(h, q_input);
-        for (const auto &w : q_weights)
-            h = hashTensor(h, w);
+        h = hashQuantized(h, input, act_dac);
+        for (const auto &w : weights)
+            h = hashQuantized(h, w, prep.w_dac);
         noise_key = h;
     }
 
     // First pass: per-group photodetector charges (full precision,
-    // plus optional sensing noise), p and n separately.
-    const double inv_snr = std::pow(10.0, -config_.snr_db / 20.0);
-    std::vector<std::vector<signal::Matrix>> group_p(n_out);
-    std::vector<std::vector<signal::Matrix>> group_n(n_out);
-    std::vector<double> oc_calib(n_out, 0.0);
-    // Output channels are independent, so both paths fan them across
-    // the worker pool (each channel touches only its own
-    // group_p/group_n/oc_calib slots). Noise draws come from a
-    // per-channel stream forked off the call key, so the result is
-    // identical for any worker count. Small layers stay sequential,
-    // like DirectEngine: below the shared dispatch threshold a pool
-    // publication costs more than it buys — and, for serving, keeps
-    // concurrent workers off the pool's dispatch lock.
+    // plus optional sensing noise), p and n separately. The loop runs
+    // input channel first, as the hardware does (Section V-F2: one
+    // input-channel tile is broadcast to every PFCU's filters in the
+    // same cycle): each input channel's tiles are prepared once and
+    // every (output channel, polarity) kernel plane runs against them.
+    // Per (oc, group) the charges still accumulate in ascending input
+    // channel order, so the sums are those of a per-kernel loop.
+    sc.charges.assign(n_out * groups * 2 * plane, 0.0);
+    double *const charges = sc.charges.data();
+    auto charge = [&](size_t oc, size_t g, size_t polarity) {
+        return charges + ((oc * groups + g) * 2 + polarity) * plane;
+    };
+    // Output channels are independent, so both passes fan them across
+    // the worker pool (each channel touches only its own charges and
+    // oc_calib slot). Small layers stay sequential, like DirectEngine:
+    // below the shared dispatch threshold a pool publication costs
+    // more than it buys — and, for serving, keeps concurrent workers
+    // off the pool's dispatch lock.
     const size_t total_macs = n_out * n_in * oh * ow * k * k;
     const size_t oc_workers =
         total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
-    signal::parallelFor(n_out, oc_workers, [&](size_t oc) {
-        EngineScratch &sc = threadEngineScratch();
+    for (size_t ic = 0; ic < n_in; ++ic) {
+        input.channelMatrixInto(ic, sc.in_ch);
+        for (auto &v : sc.in_ch.data)
+            v = act_dac.quantize(v);
+        tiled.prepareInput(sc.in_ch, sc.tiles,
+                           prep.kernels.needs_tile_spectra);
+        const size_t g = ic / nta;
+        signal::parallelForEach(n_out, oc_workers, [&](size_t oc) {
+            EngineScratch &js = threadEngineScratch();
+            tiled.executePrepared(sc.tiles, prep.kernels,
+                                  prep.kernel(oc, ic, 0), js.part_p,
+                                  js.conv);
+            tiled.executePrepared(sc.tiles, prep.kernels,
+                                  prep.kernel(oc, ic, 1), js.part_n,
+                                  js.conv);
+            double *acc_p = charge(oc, g, 0);
+            double *acc_n = charge(oc, g, 1);
+            for (size_t i = 0; i < plane; ++i) {
+                acc_p[i] += js.part_p.data[i];
+                acc_n[i] += js.part_n.data[i];
+            }
+        });
+    }
+
+    // Sensing noise, one readout per group per polarity, and the ADC
+    // calibration range. Noise draws come from a per-channel stream
+    // forked off the call key, in (group, polarity, sample) order, so
+    // the result is identical for any worker count.
+    const double inv_snr = std::pow(10.0, -config_.snr_db / 20.0);
+    sc.oc_calib.assign(n_out, 0.0);
+    signal::parallelForEach(n_out, oc_workers, [&](size_t oc) {
+        EngineScratch &js = threadEngineScratch();
         Rng noise_rng(hashBits(noise_key, oc + 1));
-        group_p[oc].assign(groups, signal::Matrix(oh, ow));
-        group_n[oc].assign(groups, signal::Matrix(oh, ow));
-        signal::Matrix total_p(oh, ow), total_n(oh, ow);
+        js.part_p.resize(oh, ow);
+        js.part_n.resize(oh, ow);
+        std::vector<double> &total_p = js.part_p.data;
+        std::vector<double> &total_n = js.part_n.data;
         for (size_t g = 0; g < groups; ++g) {
-            auto &acc_p = group_p[oc][g];
-            auto &acc_n = group_n[oc][g];
-            const size_t ic_end = std::min(n_in, (g + 1) * nta);
-            for (size_t ic = g * nta; ic < ic_end; ++ic) {
-                q_input.channelMatrixInto(ic, sc.in_ch);
-                w_pos[oc].channelMatrixInto(ic, sc.w_ch);
-                tiled.execute(sc.in_ch, sc.w_ch, sc.part_p, sc.conv);
-                w_neg[oc].channelMatrixInto(ic, sc.w_ch);
-                tiled.execute(sc.in_ch, sc.w_ch, sc.part_n, sc.conv);
-                for (size_t i = 0; i < acc_p.data.size(); ++i) {
-                    acc_p.data[i] += sc.part_p.data[i];
-                    acc_n.data[i] += sc.part_n.data[i];
-                }
-            }
+            double *acc_p = charge(oc, g, 0);
+            double *acc_n = charge(oc, g, 1);
             if (config_.noise) {
-                for (auto &v : acc_p.data)
-                    v += noise_rng.normal(0.0, std::abs(v) * inv_snr);
-                for (auto &v : acc_n.data)
-                    v += noise_rng.normal(0.0, std::abs(v) * inv_snr);
+                for (size_t i = 0; i < plane; ++i)
+                    acc_p[i] += noise_rng.normal(
+                        0.0, std::abs(acc_p[i]) * inv_snr);
+                for (size_t i = 0; i < plane; ++i)
+                    acc_n[i] += noise_rng.normal(
+                        0.0, std::abs(acc_n[i]) * inv_snr);
             }
-            for (size_t i = 0; i < acc_p.data.size(); ++i) {
-                total_p.data[i] += acc_p.data[i];
-                total_n.data[i] += acc_n.data[i];
+            for (size_t i = 0; i < plane; ++i) {
+                total_p[i] += acc_p[i];
+                total_n[i] += acc_n[i];
             }
         }
-        for (size_t i = 0; i < total_p.data.size(); ++i) {
-            oc_calib[oc] = std::max(oc_calib[oc],
-                                    std::abs(total_p.data[i]));
-            oc_calib[oc] = std::max(oc_calib[oc],
-                                    std::abs(total_n.data[i]));
+        for (size_t i = 0; i < plane; ++i) {
+            sc.oc_calib[oc] = std::max(sc.oc_calib[oc],
+                                       std::abs(total_p[i]));
+            sc.oc_calib[oc] = std::max(sc.oc_calib[oc],
+                                       std::abs(total_n[i]));
         }
     });
     double adc_calib = 0.0; // max accumulated charge per polarity
-    for (double calib : oc_calib)
+    for (double calib : sc.oc_calib)
         adc_calib = std::max(adc_calib, calib);
 
     // Health-facing gauges (two relaxed stores, nothing else): the
@@ -613,18 +675,16 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
                              config_.adc_bits > 0 ? adc_calib : 0.0);
     Tensor out(n_out, oh, ow);
     for (size_t oc = 0; oc < n_out; ++oc) {
-        signal::Matrix acc(oh, ow);
+        double *acc = out.data().data() + oc * plane;
         for (size_t g = 0; g < groups; ++g) {
-            const auto &p = group_p[oc][g];
-            const auto &n = group_n[oc][g];
-            for (size_t i = 0; i < acc.data.size(); ++i)
-                acc.data[i] += adc.quantize(p.data[i]) -
-                               adc.quantize(n.data[i]);
+            const double *p = charge(oc, g, 0);
+            const double *n = charge(oc, g, 1);
+            for (size_t i = 0; i < plane; ++i)
+                acc[i] += adc.quantize(p[i]) - adc.quantize(n[i]);
         }
         const double b = bias.empty() ? 0.0 : bias[oc];
-        for (size_t i = 0; i < acc.data.size(); ++i)
-            acc.data[i] += b;
-        out.setChannel(oc, acc);
+        for (size_t i = 0; i < plane; ++i)
+            acc[i] += b;
     }
     return out;
 }

@@ -28,6 +28,7 @@
 #include "nn/tensor.hh"
 #include "obs/metrics.hh"
 #include "signal/convolution.hh"
+#include "tiling/backends.hh"
 #include "tiling/spectrum_cache.hh"
 
 namespace photofourier {
@@ -200,9 +201,18 @@ struct PhotoFourierEngineConfig
 /**
  * Row-tiled, quantization-aware engine.
  *
- * The 1D convolutions run on the exact digital backend (the optical
- * path is validated equal to it elsewhere); what this engine adds is
- * the numerics of the mixed-signal system around the optics.
+ * The 1D convolutions run on the configured 1D backend — digital
+ * (sliding, FFT, or Auto) or the field-level optical JTC; what this
+ * engine adds is the numerics of the mixed-signal system around the
+ * optics.
+ *
+ * Dataflow: output-stationary with input broadcasting, as in the
+ * hardware (Section V-F2). For each input channel, the tiles are
+ * prepared once (flattened, checked, and transformed by the signal-
+ * plane r2c where the backend needs it), and every (output channel,
+ * polarity) kernel plane runs against them. Each (output channel,
+ * readout group) charge still accumulates in ascending input-channel
+ * order, so outputs match a per-kernel loop bit for bit.
  */
 class PhotoFourierEngine : public ConvEngine
 {
@@ -220,11 +230,14 @@ class PhotoFourierEngine : public ConvEngine
         std::shared_ptr<tiling::KernelSpectrumCache> spectra = nullptr);
 
     /** The input-independent mixed-signal prep — weight DAC
-     *  quantization, the pseudo-negative (p, n) split, and the
-     *  tiled-convolution plan/backend — runs once for all N inputs.
-     *  Per-input numerics (activation quantization, the per-input
-     *  noise key, ADC calibration) stay per input, so outs[i] does not
-     *  depend on the rest of the batch, even with sensing noise on. */
+     *  quantization, the pseudo-negative (p, n) split, the tiling plan,
+     *  and every kernel plane prepared through the 1D backend (tiled
+     *  taps, Auto choices, spectrum handles) — runs once for all N
+     *  inputs. Per-input numerics (activation quantization, the
+     *  per-input noise key, ADC calibration) stay per input, so
+     *  outs[i] does not depend on the rest of the batch, even with
+     *  sensing noise on. In steady state the call allocates only the
+     *  tensors it returns. */
     std::vector<Tensor>
     convolveBatch(std::span<const Tensor> inputs,
                   const std::vector<Tensor> &weights,
@@ -245,20 +258,25 @@ class PhotoFourierEngine : public ConvEngine
 
   private:
     /** Everything input-independent that convolveBatch() sets up
-     *  before touching activations: the DAC-quantized weights and
-     *  their pseudo-negative (p, n) split. Built once per call and
-     *  shared read-only by every input. */
+     *  before touching activations: the weight DAC and every (output
+     *  channel, input channel, polarity) kernel plane of the quantized
+     *  weights' pseudo-negative split, prepared through the 1D backend —
+     *  tiled taps, Auto choices and cached spectrum handles resolved
+     *  once per call. Shared read-only by every input; per-thread
+     *  scratch across calls. */
     struct PreparedLayer;
 
-    /** Quantize `weights` through the layer-range DAC and split the
-     *  result into the pseudo-negative (p, n) pair. */
-    PreparedLayer
-    prepareLayer(const std::vector<Tensor> &weights) const;
+    /** Quantize `weights` through the layer-range DAC, split the
+     *  result into the pseudo-negative (p, n) pair, and prepare every
+     *  kernel plane of the split on `tiled` into `prep`. */
+    void prepareLayer(const std::vector<Tensor> &weights,
+                      const tiling::TiledConvolution &tiled,
+                      PreparedLayer &prep) const;
 
     /** The per-input tail of convolveBatch(): activation
-     *  quantization, per-input noise key, group charges, ADC readout.
-     *  Pure function of (input, prepared state), so an input's output
-     *  does not depend on its batch. */
+     *  quantization, per-input noise key, the input-broadcast charge
+     *  pass, ADC readout. Pure function of (input, prepared state), so
+     *  an input's output does not depend on its batch. */
     Tensor convolvePrepared(const Tensor &input,
                             const PreparedLayer &prep,
                             const tiling::TiledConvolution &tiled,
@@ -268,6 +286,9 @@ class PhotoFourierEngine : public ConvEngine
 
     PhotoFourierEngineConfig config_;
     std::shared_ptr<tiling::KernelSpectrumCache> spectra_;
+    /** The 1D backend the config selects, built once (it holds only
+     *  config and cache handles, so every call can share it). */
+    tiling::Conv1dBackend backend_;
 
     /** Health-facing gauges (pf_photonic_snr_db, pf_photonic_
      *  saturation), resolved once from the global registry so

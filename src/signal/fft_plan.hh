@@ -222,6 +222,19 @@ void parallelFor(size_t jobs, size_t threads,
                  const std::function<void(size_t)> &fn);
 
 /**
+ * parallelFor for a callable of any size: `fn` travels by one
+ * reference, so the std::function the pool takes stays in its
+ * small-buffer storage and a dispatch never allocates, whatever `fn`
+ * captures.
+ */
+template <typename Fn>
+void
+parallelForEach(size_t jobs, size_t threads, const Fn &fn)
+{
+    parallelFor(jobs, threads, [&fn](size_t i) { fn(i); });
+}
+
+/**
  * Batched in-place DFT: transform `batch` contiguous rows of length n
  * starting at data, fanned across the worker pool. Equivalent to
  * calling fftPlanFor(n)->execute(...) on each row sequentially —

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -41,6 +42,21 @@ planeSpectrumSalt(uint64_t value, uint64_t seed)
     return mixBytes(seed, value);
 }
 
+PlaneSpectrumCache::Entry *
+PlaneSpectrumCache::find(uint64_t key, uint64_t salt,
+                         const std::vector<double> &payload,
+                         size_t spectrum_size)
+{
+    auto [it, end] = entries_.equal_range(key);
+    for (; it != end; ++it) {
+        Entry &e = it->second;
+        if (e.salt == salt && e.spectrum_size == spectrum_size &&
+            e.payload == payload)
+            return &e;
+    }
+    return nullptr;
+}
+
 std::shared_ptr<const ComplexVector>
 PlaneSpectrumCache::spectrum(uint64_t salt,
                              const std::vector<double> &payload,
@@ -53,37 +69,73 @@ PlaneSpectrumCache::spectrum(uint64_t salt,
 
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto [it, end] = entries_.equal_range(key);
-        for (; it != end; ++it) {
-            const Entry &e = it->second;
-            if (e.salt == salt && e.spectrum_size == spectrum_size &&
-                e.payload == payload) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                return e.spectrum;
-            }
+        const Entry *e = find(key, salt, payload, spectrum_size);
+        if (e != nullptr && e->spectrum) {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            return e->spectrum;
         }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+
+    {
+        // Single flight: wait out another thread's computation of this
+        // entry instead of repeating it. An entry dropped mid-flight
+        // (clear(), or a throwing compute) sends the waiter round
+        // again, to compute it itself.
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        for (;;) {
+            const Entry *e = find(key, salt, payload, spectrum_size);
+            if (e == nullptr)
+                break;
+            if (e->spectrum) {
+                hits_.fetch_add(1, std::memory_order_relaxed);
+                return e->spectrum;
+            }
+            computed_.wait(lock);
+        }
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        entries_.emplace(key, Entry{salt, spectrum_size, payload, nullptr});
+    }
 
     // Compute outside any lock: `compute` is a pure function of
-    // (salt-encoded geometry, payload), so racing threads produce
-    // bit-identical spectra and either insert may win.
+    // (salt-encoded geometry, payload).
     auto spectrum = std::make_shared<ComplexVector>(spectrum_size);
-    compute(*spectrum);
-    pf_assert(spectrum->size() == spectrum_size,
-              "plane-spectrum compute resized its output");
-
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    auto [it, end] = entries_.equal_range(key);
-    for (; it != end; ++it) {
-        const Entry &e = it->second;
-        if (e.salt == salt && e.spectrum_size == spectrum_size &&
-            e.payload == payload)
-            return e.spectrum; // a racing thread inserted first
+    try {
+        compute(*spectrum);
+        pf_assert(spectrum->size() == spectrum_size,
+                  "plane-spectrum compute resized its output");
+    } catch (...) {
+        {
+            std::unique_lock<std::shared_mutex> lock(mutex_);
+            auto [it, end] = entries_.equal_range(key);
+            for (; it != end; ++it) {
+                const Entry &e = it->second;
+                if (!e.spectrum && e.salt == salt &&
+                    e.spectrum_size == spectrum_size &&
+                    e.payload == payload) {
+                    entries_.erase(it);
+                    break;
+                }
+            }
+        }
+        computed_.notify_all();
+        throw;
     }
-    auto inserted = entries_.emplace(
-        key, Entry{salt, spectrum_size, payload, std::move(spectrum)});
-    return inserted->second.spectrum;
+
+    std::shared_ptr<const ComplexVector> result;
+    {
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        Entry *e = find(key, salt, payload, spectrum_size);
+        if (e == nullptr) // cleared mid-flight
+            e = &entries_
+                     .emplace(key, Entry{salt, spectrum_size, payload,
+                                         nullptr})
+                     ->second;
+        if (!e->spectrum)
+            e->spectrum = std::move(spectrum);
+        result = e->spectrum;
+    }
+    computed_.notify_all();
+    return result;
 }
 
 PlaneSpectrumCache::Stats

@@ -26,13 +26,18 @@
  *
  * Thread-safety: lookups take a shared lock, insertions a unique lock;
  * spectra are immutable and shared_ptr-owned, so readers are never
- * invalidated. Hits are the steady state and allocation-free.
+ * invalidated. Hits are the steady state and allocation-free. Misses
+ * are single-flight: the first thread to miss an entry computes it,
+ * and threads that ask for it meanwhile wait for that result (and
+ * count as hits), so every entry is transformed once, however many
+ * serving workers reach a cold layer together.
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_PLANE_SPECTRUM_CACHE_HH
 #define PHOTOFOURIER_SIGNAL_PLANE_SPECTRUM_CACHE_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -70,8 +75,9 @@ class PlaneSpectrumCache
      * Computes the spectrum of `payload` into its argument, which
      * arrives sized to `spectrum_size` with unspecified contents. Must
      * be a pure function of the payload and the geometry encoded in
-     * the salt — a racing thread computing the same entry must produce
-     * bit-identical values (either copy may win the insert).
+     * the salt: after a clear() a thread may recompute an entry
+     * another thread is still computing, and either copy may win. It
+     * must not call back into the same cache.
      */
     using Compute = std::function<void(ComplexVector &out)>;
 
@@ -98,12 +104,20 @@ class PlaneSpectrumCache
         uint64_t salt;
         size_t spectrum_size;
         std::vector<double> payload; ///< exact bytes, verified on hit
+        /** Null while the first thread to miss is computing it. */
         std::shared_ptr<const ComplexVector> spectrum;
     };
+
+    /** The entry for (key, salt, payload, size), or null. */
+    Entry *find(uint64_t key, uint64_t salt,
+                const std::vector<double> &payload, size_t spectrum_size);
 
     /** Lock order: leaf lock — taken with no other lock held, and no
      *  lock may be acquired while holding it (compute runs outside). */
     mutable std::shared_mutex mutex_;
+    /** Signalled (under mutex_) whenever an in-flight entry is filled
+     *  or dropped; waiters hold mutex_ uniquely. */
+    std::condition_variable_any computed_;
     /** hash(salt, size, payload bytes) -> entries; collisions chain. */
     std::unordered_multimap<uint64_t, Entry> entries_;
     std::atomic<uint64_t> hits_{0};

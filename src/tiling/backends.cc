@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "arch/simd.hh"
 #include "common/logging.hh"
-#include "signal/fft_plan.hh"
 
 namespace photofourier {
 namespace tiling {
@@ -19,7 +19,6 @@ namespace {
 // loop below holds its own buffers).
 constexpr size_t kSlotBlockInput = 9;
 constexpr size_t kSlotBlockSpectrum = 10;
-constexpr size_t kSlotLocalKernelSpectrum = 11;
 constexpr size_t kSlotBlockOutput = 12;
 
 /**
@@ -42,117 +41,15 @@ correlationFftSize(size_t n_input, size_t n_kernel)
 }
 
 /**
- * Sliding correlation via the real-FFT path: linear convolution of
- * the input with the reversed kernel, evaluated only over the blocks
- * that overlap the requested window (overlap-save). All scratch lives
- * in the per-thread workspace; the kernel half-spectrum comes from
- * `cache` when given.
+ * The FFT path's cost for one window shape in sliding-MAC units, or
+ * +infinity for an empty shape (which never runs the FFT path). See
+ * fftConvProfitable for the model.
  */
-void
-fftCorrelate(const std::vector<double> &input,
-             const std::vector<double> &kernel, long start, size_t count,
-             std::vector<double> &out, KernelSpectrumCache *cache)
-{
-    const size_t n_in = input.size();
-    const size_t n_k = kernel.size();
-    out.assign(count, 0.0);
-    if (count == 0 || n_in == 0 || n_k == 0)
-        return;
-
-    // out[i] = f[start + i + K - 1] where f = input (*) reverse(kernel)
-    // is the full linear convolution, f[m] defined for m in
-    // [0, N + K - 2]; window samples outside that range are zero.
-    const long m_base = start + static_cast<long>(n_k) - 1;
-    const long m_lo = std::max<long>(0, m_base);
-    const long m_hi =
-        std::min<long>(static_cast<long>(n_in + n_k) - 2,
-                       m_base + static_cast<long>(count) - 1);
-    if (m_lo > m_hi)
-        return;
-
-    const size_t n = correlationFftSize(n_in, n_k);
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half = plan->halfSpectrumSize();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-
-    // Kernel half-spectrum: shared through the cache (one transform
-    // per static kernel per process) or computed into local scratch.
-    std::shared_ptr<const signal::ComplexVector> shared_spec;
-    const signal::Complex *kspec = nullptr;
-    if (cache != nullptr) {
-        shared_spec = cache->correlationSpectrum(kernel, n);
-        kspec = shared_spec->data();
-    } else {
-        signal::ComplexVector &local =
-            ws.complexBuffer(kSlotLocalKernelSpectrum, half);
-        computeCorrelationSpectrum(kernel, n, local.data());
-        kspec = local.data();
-    }
-
-    // Overlap-save: block b yields f[m] for m in [b*L, b*L + L) from
-    // the n input samples starting at b*L - (K - 1).
-    const size_t L = n - n_k + 1;
-    std::vector<double> &block = ws.realBuffer(kSlotBlockInput, n);
-    signal::ComplexVector &spec =
-        ws.complexBuffer(kSlotBlockSpectrum, half);
-    std::vector<double> &time = ws.realBuffer(kSlotBlockOutput, n);
-
-    const size_t b_first = static_cast<size_t>(m_lo) / L;
-    const size_t b_last = static_cast<size_t>(m_hi) / L;
-    for (size_t b = b_first; b <= b_last; ++b) {
-        const long src0 = static_cast<long>(b * L) -
-                          (static_cast<long>(n_k) - 1);
-        for (size_t j = 0; j < n; ++j) {
-            const long src = src0 + static_cast<long>(j);
-            block[j] = (src >= 0 && src < static_cast<long>(n_in))
-                           ? input[static_cast<size_t>(src)]
-                           : 0.0;
-        }
-        plan->executeReal(block.data(), spec.data());
-        simd::kernels().complexMulInPlace(
-            reinterpret_cast<double *>(spec.data()),
-            reinterpret_cast<const double *>(kspec), half);
-        plan->executeRealInverse(spec.data(), time.data());
-
-        const long seg_lo = std::max<long>(m_lo, static_cast<long>(b * L));
-        const long seg_hi =
-            std::min<long>(m_hi, static_cast<long>(b * L + L - 1));
-        for (long m = seg_lo; m <= seg_hi; ++m)
-            out[static_cast<size_t>(m - m_base)] =
-                time[static_cast<size_t>(m) - b * L + n_k - 1];
-    }
-}
-
-} // namespace
-
-Conv1dBackend
-cpuBackend()
-{
-    return [](const std::vector<double> &input,
-              const std::vector<double> &kernel, long start, size_t count,
-              std::vector<double> &out) {
-        jtc::slidingCorrelationInto(input, kernel, count, start, out);
-    };
-}
-
-Conv1dBackend
-fftBackend(std::shared_ptr<KernelSpectrumCache> cache)
-{
-    return [cache = std::move(cache)](const std::vector<double> &input,
-                                      const std::vector<double> &kernel,
-                                      long start, size_t count,
-                                      std::vector<double> &out) {
-        fftCorrelate(input, kernel, start, count, out, cache.get());
-    };
-}
-
-bool
-fftConvProfitable(size_t input_len, size_t kernel_len,
-                  size_t active_taps, size_t count)
+double
+fftCorrelationCost(size_t input_len, size_t kernel_len, size_t count)
 {
     if (count == 0 || kernel_len == 0 || input_len == 0)
-        return false;
-
+        return std::numeric_limits<double>::infinity();
     // Cost model, in sliding-MAC units. The sliding path does
     // count * taps fused multiply-adds over contiguous doubles; the
     // FFT path pays (per overlap-save block) one r2c, one half-
@@ -179,13 +76,527 @@ fftConvProfitable(size_t input_len, size_t kernel_len,
     const size_t blocks = (count + (n - kernel_len)) / (n - kernel_len + 1);
     const double log2n = std::log2(static_cast<double>(n));
     constexpr double kFftMacFactor = 8.0;
+    return fftCrossoverScale() * kFftMacFactor *
+           static_cast<double>(blocks) * static_cast<double>(n) * log2n;
+}
 
-    const double fft_cost = fftCrossoverScale() * kFftMacFactor *
-                            static_cast<double>(blocks) *
-                            static_cast<double>(n) * log2n;
-    const double direct_cost =
-        static_cast<double>(count) * static_cast<double>(active_taps);
-    return fft_cost < direct_cost;
+/** The sliding path's cost: one MAC per window sample per tap. */
+double
+slidingCost(size_t count, size_t active_taps)
+{
+    return static_cast<double>(count) * static_cast<double>(active_taps);
+}
+
+/** Append `kernel`'s nonzero taps (ascending, as the SIMD sliding dot
+ *  requires) to the bank and a new entry for it. */
+PreparedKernel &
+appendKernel(const std::vector<double> &kernel, KernelBank &bank)
+{
+    PreparedKernel &k = bank.kernels.emplace_back();
+    k.length = kernel.size();
+    k.tap_begin = bank.tap_idx.size();
+    for (size_t t = 0; t < kernel.size(); ++t) {
+        if (kernel[t] != 0.0) {
+            bank.tap_idx.push_back(t);
+            bank.tap_val.push_back(kernel[t]);
+        }
+    }
+    k.tap_count = bank.tap_idx.size() - k.tap_begin;
+    return k;
+}
+
+/** The kernel's window by the zero-skip SIMD sliding dot product. */
+void
+slidingWindow(const PreparedTile &tile, const KernelBank &bank,
+              const PreparedKernel &k, std::vector<double> &out)
+{
+    out.resize(tile.count);
+    simd::kernels().slidingDot(
+        tile.samples.data(), tile.samples.size(),
+        bank.tap_idx.data() + k.tap_begin,
+        bank.tap_val.data() + k.tap_begin, k.tap_count, tile.start,
+        tile.count, out.data());
+}
+
+/**
+ * Overlap-save geometry of one FFT correlation window: the output is
+ * out[i] = f[start + i + K - 1] where f = input (*) reverse(kernel) is
+ * the full linear convolution, f[m] defined for m in [0, N + K - 2];
+ * block b of length L = n - K + 1 yields f[m] for m in [b*L, b*L + L)
+ * from the n input samples starting at b*L - (K - 1).
+ */
+struct FftWindow
+{
+    long m_base = 0; ///< f index of window sample 0
+    long m_lo = 0;   ///< first f index inside both window and support
+    long m_hi = -1;  ///< last such index (m_lo > m_hi: all zero)
+    size_t n = 0;    ///< FFT size
+    size_t L = 0;    ///< valid outputs per block
+    size_t b_first = 0;
+    size_t b_last = 0;
+
+    FftWindow(size_t n_in, size_t n_k, long start, size_t count)
+    {
+        if (count == 0 || n_in == 0 || n_k == 0)
+            return;
+        m_base = start + static_cast<long>(n_k) - 1;
+        m_lo = std::max<long>(0, m_base);
+        m_hi = std::min<long>(static_cast<long>(n_in + n_k) - 2,
+                              m_base + static_cast<long>(count) - 1);
+        if (empty())
+            return;
+        n = correlationFftSize(n_in, n_k);
+        L = n - n_k + 1;
+        b_first = static_cast<size_t>(m_lo) / L;
+        b_last = static_cast<size_t>(m_hi) / L;
+    }
+
+    bool empty() const { return m_lo > m_hi; }
+    size_t blocks() const { return empty() ? 0 : b_last - b_first + 1; }
+};
+
+/** Tile half of the FFT path: the r2c of every overlap-save block the
+ *  window touches, back to back in tile.spectrum. */
+void
+fftPrepareTile(PreparedTile &tile)
+{
+    const size_t n_in = tile.samples.size();
+    const size_t n_k = tile.kernel_len;
+    const FftWindow w(n_in, n_k, tile.start, tile.count);
+    tile.spectrum.clear();
+    tile.plan.reset();
+    if (w.empty())
+        return;
+    tile.plan = signal::fftPlanFor(w.n);
+    const size_t half = tile.plan->halfSpectrumSize();
+    tile.spectrum.resize(w.blocks() * half);
+    std::vector<double> &block =
+        signal::threadFftWorkspace().realBuffer(kSlotBlockInput, w.n);
+    for (size_t b = w.b_first; b <= w.b_last; ++b) {
+        const long src0 = static_cast<long>(b * w.L) -
+                          (static_cast<long>(n_k) - 1);
+        for (size_t j = 0; j < w.n; ++j) {
+            const long src = src0 + static_cast<long>(j);
+            block[j] = (src >= 0 && src < static_cast<long>(n_in))
+                           ? tile.samples[static_cast<size_t>(src)]
+                           : 0.0;
+        }
+        tile.plan->executeReal(block.data(),
+                               tile.spectrum.data() +
+                                   (b - w.b_first) * half);
+    }
+}
+
+/** Kernel half of the FFT path: pointwise product with the kernel's
+ *  correlation spectrum and one c2r per block. */
+void
+fftWindow(const PreparedTile &tile, const PreparedKernel &k,
+          std::vector<double> &out)
+{
+    const size_t n_k = k.length;
+    out.assign(tile.count, 0.0);
+    const FftWindow w(tile.samples.size(), n_k, tile.start, tile.count);
+    if (w.empty())
+        return;
+    pf_assert(tile.plan && tile.plan->size() == w.n && k.spectrum,
+              "FFT window on a tile or kernel prepared without its "
+              "spectrum");
+    const size_t half = tile.plan->halfSpectrumSize();
+    pf_assert(k.spectrum->size() == half,
+              "kernel spectrum prepared for another input length");
+    signal::FftWorkspace &ws = signal::threadFftWorkspace();
+    signal::ComplexVector &spec =
+        ws.complexBuffer(kSlotBlockSpectrum, half);
+    std::vector<double> &time = ws.realBuffer(kSlotBlockOutput, w.n);
+    for (size_t b = w.b_first; b <= w.b_last; ++b) {
+        const signal::Complex *block =
+            tile.spectrum.data() + (b - w.b_first) * half;
+        std::copy(block, block + half, spec.begin());
+        simd::kernels().complexMulInPlace(
+            reinterpret_cast<double *>(spec.data()),
+            reinterpret_cast<const double *>(k.spectrum->data()), half);
+        tile.plan->executeRealInverse(spec.data(), time.data());
+
+        const long seg_lo =
+            std::max<long>(w.m_lo, static_cast<long>(b * w.L));
+        const long seg_hi =
+            std::min<long>(w.m_hi, static_cast<long>(b * w.L + w.L - 1));
+        for (long m = seg_lo; m <= seg_hi; ++m)
+            out[static_cast<size_t>(m - w.m_base)] =
+                time[static_cast<size_t>(m) - b * w.L + n_k - 1];
+    }
+}
+
+/** The kernel's correlation half-spectrum at the FFT size its tiles
+ *  of `input_len` samples use: shared through the cache, or owned. */
+std::shared_ptr<const signal::ComplexVector>
+correlationSpectrumFor(const std::vector<double> &kernel, size_t input_len,
+                       KernelSpectrumCache *cache)
+{
+    const size_t n = correlationFftSize(input_len, kernel.size());
+    if (cache != nullptr)
+        return cache->correlationSpectrum(kernel, n);
+    auto spectrum = std::make_shared<signal::ComplexVector>(n / 2 + 1);
+    computeCorrelationSpectrum(kernel, n, spectrum->data());
+    return spectrum;
+}
+
+} // namespace
+
+void
+KernelBank::clear()
+{
+    kernels.clear();
+    tap_idx.clear();
+    tap_val.clear();
+    needs_tile_spectra = false;
+}
+
+/** A backend's two halves (one subclass per backend kind). */
+class Conv1dBackend::Impl
+{
+  public:
+    virtual ~Impl() = default;
+
+    virtual size_t prepareKernel(const std::vector<double> &kernel,
+                                 size_t input_len,
+                                 std::span<const size_t> counts,
+                                 KernelBank &bank) const = 0;
+
+    virtual void prepareTile(PreparedTile &tile, bool spectrum) const = 0;
+
+    virtual void window(const PreparedTile &tile, const KernelBank &bank,
+                        size_t kernel, std::vector<double> &out) const = 0;
+};
+
+namespace {
+
+class CpuImpl final : public Conv1dBackend::Impl
+{
+  public:
+    size_t
+    prepareKernel(const std::vector<double> &kernel, size_t,
+                  std::span<const size_t>, KernelBank &bank) const override
+    {
+        appendKernel(kernel, bank);
+        return bank.kernels.size() - 1;
+    }
+
+    void prepareTile(PreparedTile &, bool) const override {}
+
+    void
+    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+           std::vector<double> &out) const override
+    {
+        slidingWindow(tile, bank, bank.kernels[kernel], out);
+    }
+};
+
+class FftImpl final : public Conv1dBackend::Impl
+{
+  public:
+    explicit FftImpl(std::shared_ptr<KernelSpectrumCache> cache)
+        : cache_(std::move(cache))
+    {
+    }
+
+    size_t
+    prepareKernel(const std::vector<double> &kernel, size_t input_len,
+                  std::span<const size_t>, KernelBank &bank) const override
+    {
+        PreparedKernel &k = bank.kernels.emplace_back();
+        k.length = kernel.size();
+        if (!kernel.empty() && input_len > 0)
+            k.spectrum =
+                correlationSpectrumFor(kernel, input_len, cache_.get());
+        bank.needs_tile_spectra = true;
+        return bank.kernels.size() - 1;
+    }
+
+    void
+    prepareTile(PreparedTile &tile, bool) const override
+    {
+        fftPrepareTile(tile);
+    }
+
+    void
+    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+           std::vector<double> &out) const override
+    {
+        fftWindow(tile, bank.kernels[kernel], out);
+    }
+
+  private:
+    std::shared_ptr<KernelSpectrumCache> cache_;
+};
+
+class AutoImpl final : public Conv1dBackend::Impl
+{
+  public:
+    explicit AutoImpl(std::shared_ptr<KernelSpectrumCache> cache)
+        : cache_(std::move(cache))
+    {
+    }
+
+    size_t
+    prepareKernel(const std::vector<double> &kernel, size_t input_len,
+                  std::span<const size_t> counts,
+                  KernelBank &bank) const override
+    {
+        PreparedKernel &k = appendKernel(kernel, bank);
+        // The FFT spectrum is fetched only if some window shape this
+        // kernel will meet is predicted faster on the FFT path.
+        for (size_t count : counts) {
+            if (fftConvProfitable(input_len, k.length, k.tap_count,
+                                  count)) {
+                k.spectrum = correlationSpectrumFor(kernel, input_len,
+                                                    cache_.get());
+                bank.needs_tile_spectra = true;
+                break;
+            }
+        }
+        return bank.kernels.size() - 1;
+    }
+
+    void
+    prepareTile(PreparedTile &tile, bool spectrum) const override
+    {
+        tile.fft_cost = fftCorrelationCost(tile.samples.size(),
+                                           tile.kernel_len, tile.count);
+        if (spectrum) {
+            fftPrepareTile(tile);
+        } else {
+            tile.spectrum.clear();
+            tile.plan.reset();
+        }
+    }
+
+    void
+    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+           std::vector<double> &out) const override
+    {
+        const PreparedKernel &k = bank.kernels[kernel];
+        // fftConvProfitable, split across the halves: the FFT cost is
+        // the tile's, the sliding cost the kernel's tap count.
+        if (tile.fft_cost < slidingCost(tile.count, k.tap_count))
+            fftWindow(tile, k, out);
+        else
+            slidingWindow(tile, bank, k, out);
+    }
+
+  private:
+    std::shared_ptr<KernelSpectrumCache> cache_;
+};
+
+class JtcImpl final : public Conv1dBackend::Impl
+{
+  public:
+    JtcImpl(jtc::JtcConfig config,
+            std::shared_ptr<signal::PlaneSpectrumCache> spectra)
+        : optics_(config, std::move(spectra))
+    {
+    }
+
+    size_t
+    prepareKernel(const std::vector<double> &kernel, size_t input_len,
+                  std::span<const size_t>, KernelBank &bank) const override
+    {
+        // The kernel-plane spectra live in the shared cache, so a
+        // layer's static (tiled) kernel field is transformed once per
+        // process, and its handle is resolved once per prepared kernel.
+        const jtc::JtcPlaneLayout layout =
+            jtc::JtcPlaneLayout::design(input_len, kernel.size());
+        PreparedKernel &k = bank.kernels.emplace_back();
+        k.length = kernel.size();
+        bank.needs_tile_spectra = true;
+        const bool any_negative =
+            std::any_of(kernel.begin(), kernel.end(),
+                        [](double w) { return w < 0.0; });
+        if (!any_negative) {
+            k.spectrum = optics_.kernelPlaneSpectrum(kernel, layout);
+            return bank.kernels.size() - 1;
+        }
+
+        // Pseudo-negative decomposition [13]: k = p - n, two passes
+        // whose readouts are subtracted digitally. The split kernels
+        // are per-thread scratch (signed weights are the common
+        // trained-CNN case, so this must stay allocation-free).
+        static thread_local std::vector<double> pos, neg;
+        pos.assign(kernel.size(), 0.0);
+        neg.assign(kernel.size(), 0.0);
+        for (size_t i = 0; i < kernel.size(); ++i) {
+            if (kernel[i] >= 0.0)
+                pos[i] = kernel[i];
+            else
+                neg[i] = -kernel[i];
+        }
+        k.spectrum = optics_.kernelPlaneSpectrum(pos, layout);
+        k.negative = optics_.kernelPlaneSpectrum(neg, layout);
+        return bank.kernels.size() - 1;
+    }
+
+    void
+    prepareTile(PreparedTile &tile, bool) const override
+    {
+        for (double v : tile.samples) {
+            pf_assert(v >= 0.0,
+                      "optical backend requires non-negative inputs "
+                      "(got ", v, ")");
+        }
+        // The signal-plane lens transform, once for every kernel.
+        optics_.signalSpectrumInto(
+            tile.samples,
+            jtc::JtcPlaneLayout::design(tile.samples.size(),
+                                        tile.kernel_len),
+            tile.spectrum);
+    }
+
+    void
+    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+           std::vector<double> &out) const override
+    {
+        const PreparedKernel &k = bank.kernels[kernel];
+        const jtc::JtcPlaneLayout layout =
+            jtc::JtcPlaneLayout::design(tile.samples.size(), k.length);
+        optics_.correlationWindowFromSpectraInto(
+            tile.spectrum, *k.spectrum, layout, tile.count, tile.start,
+            out);
+        if (!k.negative)
+            return;
+        static thread_local std::vector<double> out_n;
+        optics_.correlationWindowFromSpectraInto(
+            tile.spectrum, *k.negative, layout, tile.count, tile.start,
+            out_n);
+        for (size_t i = 0; i < out.size(); ++i)
+            out[i] -= out_n[i];
+    }
+
+  private:
+    jtc::JtcSystem optics_;
+};
+
+class VariedImpl final : public Conv1dBackend::Impl
+{
+  public:
+    VariedImpl(Conv1dBackend base, std::vector<double> input_gains,
+               std::vector<double> weight_gains)
+        : base_(std::move(base)), input_gains_(std::move(input_gains)),
+          weight_gains_(std::move(weight_gains))
+    {
+    }
+
+    size_t
+    prepareKernel(const std::vector<double> &kernel, size_t input_len,
+                  std::span<const size_t> counts,
+                  KernelBank &bank) const override
+    {
+        pf_assert(kernel.size() <= weight_gains_.size(),
+                  "kernel longer than the device's gain map");
+        static thread_local std::vector<double> varied_k;
+        varied_k.resize(kernel.size());
+        for (size_t i = 0; i < kernel.size(); ++i)
+            varied_k[i] = kernel[i] * weight_gains_[i];
+        return base_.prepareKernel(varied_k, input_len, counts, bank);
+    }
+
+    void
+    prepareTile(PreparedTile &tile, bool spectrum) const override
+    {
+        pf_assert(tile.samples.size() <= input_gains_.size(),
+                  "input longer than the device's gain map");
+        // Scaled in place: once per prepared tile, for every kernel.
+        for (size_t i = 0; i < tile.samples.size(); ++i)
+            tile.samples[i] = tile.samples[i] * input_gains_[i];
+        base_.prepareTile(tile, spectrum);
+    }
+
+    void
+    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+           std::vector<double> &out) const override
+    {
+        base_.window(tile, bank, kernel, out);
+    }
+
+  private:
+    Conv1dBackend base_;
+    std::vector<double> input_gains_;
+    std::vector<double> weight_gains_;
+};
+
+} // namespace
+
+Conv1dBackend::Conv1dBackend(std::shared_ptr<const Impl> impl)
+    : impl_(std::move(impl))
+{
+}
+
+size_t
+Conv1dBackend::prepareKernel(const std::vector<double> &kernel,
+                             size_t input_len,
+                             std::span<const size_t> counts,
+                             KernelBank &bank) const
+{
+    return impl_->prepareKernel(kernel, input_len, counts, bank);
+}
+
+void
+Conv1dBackend::prepareTile(PreparedTile &tile, bool spectrum) const
+{
+    impl_->prepareTile(tile, spectrum);
+}
+
+void
+Conv1dBackend::window(const PreparedTile &tile, const KernelBank &bank,
+                      size_t kernel, std::vector<double> &out) const
+{
+    pf_assert(bank.kernels[kernel].length == tile.kernel_len,
+              "kernel of ", bank.kernels[kernel].length,
+              " samples on a tile prepared for ", tile.kernel_len);
+    impl_->window(tile, bank, kernel, out);
+}
+
+void
+Conv1dBackend::operator()(const std::vector<double> &input,
+                          const std::vector<double> &kernel, long start,
+                          size_t count, std::vector<double> &out) const
+{
+    struct Scratch
+    {
+        PreparedTile tile;
+        KernelBank bank;
+    };
+    static thread_local Scratch scratch;
+    scratch.bank.clear();
+    const size_t counts[] = {count};
+    const size_t k =
+        prepareKernel(kernel, input.size(), counts, scratch.bank);
+    PreparedTile &tile = scratch.tile;
+    tile.samples.assign(input.begin(), input.end());
+    tile.start = start;
+    tile.count = count;
+    tile.kernel_len = kernel.size();
+    prepareTile(tile, scratch.bank.needs_tile_spectra);
+    window(tile, scratch.bank, k, out);
+}
+
+Conv1dBackend
+cpuBackend()
+{
+    return Conv1dBackend(std::make_shared<CpuImpl>());
+}
+
+Conv1dBackend
+fftBackend(std::shared_ptr<KernelSpectrumCache> cache)
+{
+    return Conv1dBackend(std::make_shared<FftImpl>(std::move(cache)));
+}
+
+bool
+fftConvProfitable(size_t input_len, size_t kernel_len,
+                  size_t active_taps, size_t count)
+{
+    return fftCorrelationCost(input_len, kernel_len, count) <
+           slidingCost(count, active_taps);
 }
 
 double
@@ -205,18 +616,7 @@ fftCrossoverScale()
 Conv1dBackend
 autoBackend(std::shared_ptr<KernelSpectrumCache> cache)
 {
-    return [cache = std::move(cache)](const std::vector<double> &input,
-                                      const std::vector<double> &kernel,
-                                      long start, size_t count,
-                                      std::vector<double> &out) {
-        size_t taps = 0;
-        for (double w : kernel)
-            taps += w != 0.0 ? 1 : 0;
-        if (fftConvProfitable(input.size(), kernel.size(), taps, count))
-            fftCorrelate(input, kernel, start, count, out, cache.get());
-        else
-            jtc::slidingCorrelationInto(input, kernel, count, start, out);
-    };
+    return Conv1dBackend(std::make_shared<AutoImpl>(std::move(cache)));
 }
 
 Conv1dBackend
@@ -225,48 +625,8 @@ jtcBackend(jtc::JtcConfig config,
 {
     if (!spectra)
         spectra = std::make_shared<signal::PlaneSpectrumCache>();
-    return [config, spectra = std::move(spectra)](
-               const std::vector<double> &input,
-               const std::vector<double> &kernel, long start,
-               size_t count, std::vector<double> &out) {
-        for (double v : input) {
-            pf_assert(v >= 0.0,
-                      "optical backend requires non-negative inputs "
-                      "(got ", v, ")");
-        }
-        // The JtcSystem instance is per call (it is just config +
-        // cache handles), but the kernel-plane spectra live in the
-        // shared cache, so a layer's static (tiled) kernel field is
-        // transformed once per process, not once per tile.
-        jtc::JtcSystem optics(config, spectra);
-
-        const bool any_negative =
-            std::any_of(kernel.begin(), kernel.end(),
-                        [](double w) { return w < 0.0; });
-        if (!any_negative) {
-            optics.correlationWindowInto(input, kernel, count, start,
-                                         out);
-            return;
-        }
-
-        // Pseudo-negative decomposition [13]: k = p - n. The split
-        // kernels and the negative pass's output are per-thread
-        // scratch (signed weights are the common trained-CNN case, so
-        // this path must stay allocation-free in steady state too).
-        static thread_local std::vector<double> pos, neg, out_n;
-        pos.assign(kernel.size(), 0.0);
-        neg.assign(kernel.size(), 0.0);
-        for (size_t i = 0; i < kernel.size(); ++i) {
-            if (kernel[i] >= 0.0)
-                pos[i] = kernel[i];
-            else
-                neg[i] = -kernel[i];
-        }
-        optics.correlationWindowInto(input, pos, count, start, out);
-        optics.correlationWindowInto(input, neg, count, start, out_n);
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] -= out_n[i];
-    };
+    return Conv1dBackend(
+        std::make_shared<JtcImpl>(config, std::move(spectra)));
 }
 
 Conv1dBackend
@@ -274,23 +634,8 @@ variedBackend(Conv1dBackend base, std::vector<double> input_gains,
               std::vector<double> weight_gains)
 {
     pf_assert(base, "null base backend");
-    return [base = std::move(base), input_gains = std::move(input_gains),
-            weight_gains = std::move(weight_gains)](
-               const std::vector<double> &input,
-               const std::vector<double> &kernel, long start,
-               size_t count, std::vector<double> &out) {
-        pf_assert(input.size() <= input_gains.size(),
-                  "input longer than the device's gain map");
-        pf_assert(kernel.size() <= weight_gains.size(),
-                  "kernel longer than the device's gain map");
-        std::vector<double> varied_in(input.size());
-        for (size_t i = 0; i < input.size(); ++i)
-            varied_in[i] = input[i] * input_gains[i];
-        std::vector<double> varied_k(kernel.size());
-        for (size_t i = 0; i < kernel.size(); ++i)
-            varied_k[i] = kernel[i] * weight_gains[i];
-        base(varied_in, varied_k, start, count, out);
-    };
+    return Conv1dBackend(std::make_shared<VariedImpl>(
+        std::move(base), std::move(input_gains), std::move(weight_gains)));
 }
 
 } // namespace tiling

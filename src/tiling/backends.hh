@@ -1,54 +1,173 @@
 /**
  * @file
- * 1D convolution backends for the tiled executor.
+ * 1D convolution backends for the tiled executor, each split into a
+ * tile half and a kernel half.
  *
- * The row-tiling executor is backend-agnostic: it hands flattened input
- * and kernel vectors to a Conv1dBackend which writes the requested
- * sliding-correlation window into a caller-provided output buffer (so
- * steady-state executions allocate nothing). Backends:
+ * A backend computes sliding-correlation windows
+ * out[i] = sum_t input[start + i + t] * kernel[t]. In a conv layer the
+ * two operands have different reuse: every input tile meets every
+ * (output channel, polarity) kernel, and every kernel meets every tile
+ * of every request. So each backend does its work in two halves:
  *
+ *  - The tile half (prepareTile) runs once per input tile. It checks
+ *    the samples (optical inputs are light amplitudes, so they must be
+ *    non-negative) and, when some kernel needs it, runs the tile's one
+ *    r2c transform: the overlap-save block spectra of the FFT path, or
+ *    the JTC's signal-plane lens transform. That cost is amortized over
+ *    every kernel the tile meets.
+ *  - The kernel half is resolved once per kernel (prepareKernel): its
+ *    nonzero taps for the sliding path, the Auto choice, and its
+ *    cached spectrum handle. That cost is amortized over every tile
+ *    the kernel meets. window() then runs one prepared kernel against
+ *    one prepared tile: the sliding dot, the pointwise product and c2r
+ *    of the FFT path, or the JTC's Fourier-plane detection and second
+ *    lens.
+ *
+ * The one-kernel call backend(input, kernel, start, count, out) runs
+ * the same halves back to back, so a prepared tile read by N prepared
+ * kernels gives bit-identical windows to N one-kernel calls.
+ *
+ * Backends:
  *  - cpuBackend: exact digital sliding dot product (golden model).
  *  - fftBackend: frequency-domain correlation on the real-FFT fast
  *    path, reusing kernel half-spectra through a KernelSpectrumCache.
- *  - autoBackend: per-call choice between the two by a measured
- *    crossover on the call shape (deterministic — the choice is a pure
- *    function of the sizes, never of timing or cache state).
+ *  - autoBackend: per-window choice between the two by a measured
+ *    crossover on the window shape (deterministic: the choice is a
+ *    pure function of the sizes, never of timing or cache state).
  *  - jtcBackend: the field-level optical JTC (optionally noisy),
  *    handling signed kernels via the pseudo-negative decomposition.
+ *  - variedBackend: per-waveguide gain variation around another
+ *    backend.
  *
- * Layering: the digital backends are implemented on top of jtc/
- * (cpuBackend wraps jtc::slidingCorrelationReference) and signal/
- * (fftBackend runs on FftPlan's r2c/c2r path); jtcBackend wraps
- * jtc::JtcSystem. Backends returned here hold no mutable per-call
- * state beyond the thread-safe spectrum cache and are safe to invoke
- * concurrently.
+ * Layering: the digital backends sit on jtc/ (the SIMD sliding dot)
+ * and signal/ (FftPlan's r2c/c2r path); jtcBackend wraps
+ * jtc::JtcSystem. A backend holds no mutable per-call state beyond the
+ * thread-safe spectrum caches, so it is safe to invoke concurrently;
+ * prepared tiles and kernels are read-only inputs to window(), so
+ * several threads may run kernels against one prepared tile.
  */
 
 #ifndef PHOTOFOURIER_TILING_BACKENDS_HH
 #define PHOTOFOURIER_TILING_BACKENDS_HH
 
 #include <cstddef>
-#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "jtc/jtc_system.hh"
+#include "signal/fft_plan.hh"
 #include "tiling/spectrum_cache.hh"
 
 namespace photofourier {
 namespace tiling {
 
 /**
- * A 1D sliding-correlation engine.
+ * One input tile, prepared once for every kernel that reads it.
  *
- * out[i] = sum_t input[start + i + t] * kernel[t], i in [0, count),
- * out-of-range input samples read as zero. `out` is resized to count;
- * its previous contents are discarded but its capacity is reused, so
- * callers that keep a buffer across calls never allocate.
+ * The caller fills samples, start, count and kernel_len, then calls
+ * Conv1dBackend::prepareTile. All buffers keep their capacity, so a
+ * tile reused across calls never allocates in steady state.
  */
-using Conv1dBackend = std::function<void(
-    const std::vector<double> &input, const std::vector<double> &kernel,
-    long start, size_t count, std::vector<double> &out)>;
+struct PreparedTile
+{
+    std::vector<double> samples; ///< the 1D input (a flattened tile)
+    long start = 0;              ///< shift of the first window sample
+    size_t count = 0;            ///< window samples read per kernel
+    size_t kernel_len = 0;       ///< length of every kernel it meets
+
+    /** Transform of the samples: the FFT path's overlap-save block
+     *  half-spectra back to back, or the JTC signal-plane
+     *  half-spectrum. Empty when no kernel needs it. */
+    signal::ComplexVector spectrum;
+    /** The plan `spectrum` was computed with (null when empty). */
+    std::shared_ptr<const signal::FftPlan> plan;
+    /** Auto: the FFT path's cost for this window shape, in sliding-MAC
+     *  units (fftConvProfitable's left-hand side). */
+    double fft_cost = 0.0;
+};
+
+/** One kernel, resolved once for every tile it meets. */
+struct PreparedKernel
+{
+    size_t length = 0;    ///< kernel samples, zero padding included
+    size_t tap_begin = 0; ///< first of its nonzero taps in the bank
+    size_t tap_count = 0; ///< nonzero taps (the sliding path's work)
+    /** FFT path: the correlation half-spectrum. JTC: the kernel-plane
+     *  spectrum (of the non-negative part, for a signed kernel). Null
+     *  when the kernel only runs the sliding path. */
+    std::shared_ptr<const signal::ComplexVector> spectrum;
+    /** JTC, signed kernel: the plane spectrum of the negated negative
+     *  part (pseudo-negative decomposition). */
+    std::shared_ptr<const signal::ComplexVector> negative;
+};
+
+/**
+ * Prepared kernels in flat storage: the nonzero taps of every kernel
+ * live in two shared arrays. clear() keeps every capacity, so a bank
+ * reused across calls of one layer shape never allocates.
+ */
+struct KernelBank
+{
+    std::vector<PreparedKernel> kernels;
+    std::vector<size_t> tap_idx;  ///< tap offsets, ascending per kernel
+    std::vector<double> tap_val;  ///< the matching tap values
+    /** Some kernel runs in the frequency domain, so tiles need their
+     *  spectrum (pass to Conv1dBackend::prepareTile). */
+    bool needs_tile_spectra = false;
+
+    /** Drop every kernel, keeping capacity. */
+    void clear();
+};
+
+/**
+ * A 1D sliding-correlation engine, split into a tile half and a kernel
+ * half (see the file comment).
+ *
+ * Windows: out[i] = sum_t input[start + i + t] * kernel[t],
+ * i in [0, count); out-of-range input samples read as zero. `out` is
+ * resized to count with its capacity reused.
+ */
+class Conv1dBackend
+{
+  public:
+    class Impl;
+
+    Conv1dBackend() = default;
+    explicit Conv1dBackend(std::shared_ptr<const Impl> impl);
+
+    /**
+     * Kernel half, resolved once: append `kernel`'s prepared form to
+     * `bank` and return its index. The kernel will meet tiles of
+     * `input_len` samples read at the window lengths in `counts`
+     * (the Auto backend resolves its choice for those shapes and
+     * fetches a spectrum only if some shape runs the FFT path).
+     */
+    size_t prepareKernel(const std::vector<double> &kernel,
+                         size_t input_len, std::span<const size_t> counts,
+                         KernelBank &bank) const;
+
+    /**
+     * Tile half: check tile.samples and, if `spectrum` (or the backend
+     * always needs it), transform them once for every kernel.
+     */
+    void prepareTile(PreparedTile &tile, bool spectrum) const;
+
+    /** Kernel half: bank.kernels[kernel] against a prepared tile. */
+    void window(const PreparedTile &tile, const KernelBank &bank,
+                size_t kernel, std::vector<double> &out) const;
+
+    /** One-kernel call through both halves (per-thread scratch;
+     *  allocation-free in steady state). */
+    void operator()(const std::vector<double> &input,
+                    const std::vector<double> &kernel, long start,
+                    size_t count, std::vector<double> &out) const;
+
+    explicit operator bool() const { return impl_ != nullptr; }
+
+  private:
+    std::shared_ptr<const Impl> impl_;
+};
 
 /** Exact digital backend (zero-skip sliding dot product). */
 Conv1dBackend cpuBackend();
@@ -59,8 +178,8 @@ Conv1dBackend cpuBackend();
  * long inputs in overlap-save blocks so the FFT size stays bounded.
  * Kernel half-spectra come from `cache` when given (shared across
  * calls, threads, and engines — the serving hot path transforms each
- * static kernel once); with a null cache each call transforms the
- * kernel itself. Results match cpuBackend within ~1e-12 relative
+ * static kernel once); with a null cache each prepared kernel
+ * transforms itself. Results match cpuBackend within ~1e-12 relative
  * error (FFT rounding), far inside the 1e-9 contract the engines
  * test against.
  */
@@ -68,10 +187,10 @@ Conv1dBackend fftBackend(
     std::shared_ptr<KernelSpectrumCache> cache = nullptr);
 
 /**
- * Per-call auto-selection between cpuBackend and fftBackend using
- * fftConvProfitable on the call shape. The decision depends only on
- * (input length, nonzero kernel taps, window length), so outputs are
- * deterministic across threads, processes, and cache states.
+ * Auto-selection between cpuBackend and fftBackend using
+ * fftConvProfitable on each window's shape. The decision depends only
+ * on (input length, nonzero kernel taps, window length), so outputs
+ * are deterministic across threads, processes, and cache states.
  */
 Conv1dBackend autoBackend(
     std::shared_ptr<KernelSpectrumCache> cache = nullptr);
@@ -110,7 +229,7 @@ double fftCrossoverScale();
 /**
  * Optical JTC backend. Inputs must be non-negative (they are light
  * amplitudes); signed kernels run as a pseudo-negative pair (two
- * passes, subtracted digitally).
+ * passes over one signal spectrum, subtracted digitally).
  *
  * @param config  optical simulation settings (noise, readout model)
  * @param spectra joint-plane kernel-spectrum cache shared across
@@ -126,8 +245,9 @@ Conv1dBackend jtcBackend(
 
 /**
  * Decorate a backend with per-waveguide manufacturing variation:
- * input samples are scaled by the input-side gain map and kernel taps
- * by the weight-side gain map before the wrapped backend runs
+ * input samples are scaled by the input-side gain map (once per
+ * prepared tile) and kernel taps by the weight-side gain map (once per
+ * prepared kernel) before the wrapped backend sees them
  * (photonics::VariationModel semantics — calibration removes the
  * static component).
  *

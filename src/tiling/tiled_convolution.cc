@@ -64,6 +64,27 @@ tileInputRowsInto(const signal::Matrix &input, long first_row,
     }
 }
 
+/**
+ * Unit-stride output geometry shared by the three variants: Same mode
+ * pads Sk/2 on every side, Valid mode shrinks by Sk - 1.
+ */
+struct OutputGeometry
+{
+    long pad;
+    size_t rows;
+    size_t cols;
+
+    explicit OutputGeometry(const TilingParams &params)
+    {
+        const size_t si = params.input_size;
+        const size_t sk = params.kernel_size;
+        const bool same = params.mode == signal::ConvMode::Same;
+        pad = same ? static_cast<long>(sk / 2) : 0;
+        rows = same ? si : si - sk + 1;
+        cols = same ? si : si - sk + 1;
+    }
+};
+
 } // namespace
 
 TiledConvolution::TiledConvolution(TilingParams params,
@@ -87,6 +108,40 @@ TiledConvolution::effectiveWorkers() const
     const size_t macs = params_.input_size * params_.input_size *
                         params_.kernel_size * params_.kernel_size;
     return macs < signal::kParallelDispatchThreshold ? 1 : 0;
+}
+
+size_t
+TiledConvolution::kernelGroups() const
+{
+    switch (plan_.variant) {
+      case Variant::RowTiling:
+        return 1;
+      case Variant::PartialRowTiling:
+        return ceilDiv(params_.kernel_size, plan_.rows_per_tile);
+      case Variant::RowPartitioning:
+        return params_.kernel_size;
+    }
+    return 1;
+}
+
+size_t
+TiledConvolution::tileCount() const
+{
+    const OutputGeometry g(params_);
+    switch (plan_.variant) {
+      case Variant::RowTiling:
+        return ceilDiv(g.rows, plan_.valid_rows_per_op);
+      case Variant::PartialRowTiling:
+        // One tile per (output row, kernel-row group).
+        return g.rows * kernelGroups();
+      case Variant::RowPartitioning: {
+        // One tile per (input row read, partition): output rows r0
+        // and kernel rows kr with equal r0 + kr read the same slice.
+        const size_t step = params_.n_conv - params_.kernel_size + 1;
+        return (g.rows + params_.kernel_size - 1) * ceilDiv(g.cols, step);
+      }
+    }
+    return 0;
 }
 
 void
@@ -114,181 +169,221 @@ TiledConvolution::execute(const signal::Matrix &input,
                           const signal::Matrix &kernel,
                           signal::Matrix &out, ConvWorkspace &ws) const
 {
-    pf_assert(input.rows == params_.input_size &&
-              input.cols == params_.input_size,
-              "input is ", input.rows, "x", input.cols,
-              " but the plan was built for ", params_.input_size);
+    ws.bank.clear();
+    const size_t k = prepareKernel(kernel, ws.bank);
+    prepareInput(input, ws.input, ws.bank.needs_tile_spectra);
+    executePrepared(ws.input, ws.bank, k, out, ws);
+}
+
+size_t
+TiledConvolution::prepareKernel(const signal::Matrix &kernel,
+                                KernelBank &bank) const
+{
     pf_assert(kernel.rows == params_.kernel_size &&
               kernel.cols == params_.kernel_size,
               "kernel is ", kernel.rows, "x", kernel.cols,
               " but the plan was built for ", params_.kernel_size);
-
-    last_ops_ = 0;
-    // Unit stride writes straight into the caller's matrix; otherwise
-    // the full plane lands in workspace and is subsampled out.
-    signal::Matrix &full = params_.stride == 1 ? out : ws.full;
+    const OutputGeometry g(params_);
+    const size_t sk = params_.kernel_size;
+    const size_t sp = plan_.row_stride;
+    static thread_local std::vector<double> flat;
+    const size_t first = bank.kernels.size();
     switch (plan_.variant) {
-      case Variant::RowTiling:
-        executeRowTiling(input, kernel, full, ws);
+      case Variant::RowTiling: {
+        // Every tile but possibly the last reads Nor full rows.
+        const size_t nor = plan_.valid_rows_per_op;
+        const size_t last = g.rows - (ceilDiv(g.rows, nor) - 1) * nor;
+        const size_t counts[] = {std::min(nor, g.rows) * sp, last * sp};
+        tileKernelInto(kernel, sp, 0, sk, flat);
+        backend_.prepareKernel(flat, plan_.rows_per_tile * sp, counts,
+                               bank);
         break;
-      case Variant::PartialRowTiling:
-        executePartialRowTiling(input, kernel, full, ws);
+      }
+      case Variant::PartialRowTiling: {
+        // The kernel-row-group tilings depend only on the group index.
+        const size_t nir = plan_.rows_per_tile;
+        const size_t counts[] = {sp};
+        for (size_t kr0 = 0; kr0 < sk; kr0 += nir) {
+            const size_t rows_this = std::min(nir, sk - kr0);
+            tileKernelInto(kernel, sp, kr0, rows_this, flat);
+            backend_.prepareKernel(flat, rows_this * sp, counts, bank);
+        }
         break;
-      case Variant::RowPartitioning:
-        executeRowPartitioning(input, kernel, full, ws);
+      }
+      case Variant::RowPartitioning: {
+        const size_t step = params_.n_conv - sk + 1;
+        const size_t last =
+            g.cols - (ceilDiv(g.cols, step) - 1) * step;
+        const size_t counts[] = {std::min(step, g.cols), last};
+        for (size_t kr = 0; kr < sk; ++kr) {
+            flat.assign(sk, 0.0);
+            for (size_t kc = 0; kc < sk; ++kc)
+                flat[kc] = kernel.at(kr, kc);
+            backend_.prepareKernel(flat, params_.n_conv, counts, bank);
+        }
         break;
+      }
     }
-    if (params_.stride != 1)
-        applyStride(full, out);
+    return first;
 }
 
 void
-TiledConvolution::executeRowTiling(const signal::Matrix &input,
-                                   const signal::Matrix &kernel,
-                                   signal::Matrix &out,
-                                   ConvWorkspace &ws) const
+TiledConvolution::prepareInput(const signal::Matrix &input,
+                               TiledInput &tiles, bool spectra) const
 {
+    pf_assert(input.rows == params_.input_size &&
+              input.cols == params_.input_size,
+              "input is ", input.rows, "x", input.cols,
+              " but the plan was built for ", params_.input_size);
+    const OutputGeometry g(params_);
     const size_t sk = params_.kernel_size;
-    const bool same = params_.mode == signal::ConvMode::Same;
-    const long pad = same ? static_cast<long>(sk / 2) : 0;
-    const size_t out_rows = same ? input.rows : input.rows - sk + 1;
-    const size_t out_cols = same ? input.cols : input.cols - sk + 1;
     const size_t sp = plan_.row_stride;
-    const size_t nor = plan_.valid_rows_per_op;
+    tiles.count = tileCount();
+    if (tiles.tiles.size() < tiles.count)
+        tiles.tiles.resize(tiles.count);
 
-    tileKernelInto(kernel, sp, 0, sk, ws.tiled_kernel);
-    const std::vector<double> &tiled_kernel = ws.tiled_kernel;
-
-    // Every tile is an independent backend invocation writing a
-    // disjoint block of output rows, so the fan-out is bit-exact
-    // regardless of scheduling. Sequential runs draw scratch from the
-    // caller's workspace (allocation-free); parallel jobs use their
-    // worker thread's own.
-    const size_t tiles = ceilDiv(out_rows, nor);
-    const size_t workers = effectiveWorkers();
-    out.resizeNoFill(out_rows, out_cols);
-    signal::parallelFor(tiles, workers, [&](size_t tile) {
-        ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
-        const size_t r0 = tile * nor;
-        const size_t rows_this = std::min(nor, out_rows - r0);
-        tileInputRowsInto(input, static_cast<long>(r0) - pad,
-                          plan_.rows_per_tile, sp, j.tiled_input);
-        backend_(j.tiled_input, tiled_kernel, -pad, rows_this * sp,
-                 j.window);
-        for (size_t r = 0; r < rows_this; ++r)
-            for (size_t c = 0; c < out_cols; ++c)
-                out.at(r0 + r, c) = j.window[r * sp + c];
-    });
-    last_ops_ = tiles;
-}
-
-void
-TiledConvolution::executePartialRowTiling(const signal::Matrix &input,
-                                          const signal::Matrix &kernel,
-                                          signal::Matrix &out,
-                                          ConvWorkspace &ws) const
-{
-    const size_t sk = params_.kernel_size;
-    const bool same = params_.mode == signal::ConvMode::Same;
-    const long pad = same ? static_cast<long>(sk / 2) : 0;
-    const size_t out_rows = same ? input.rows : input.rows - sk + 1;
-    const size_t out_cols = same ? input.cols : input.cols - sk + 1;
-    const size_t sp = plan_.row_stride;
-    const size_t nir = plan_.rows_per_tile;
-    const size_t groups = ceilDiv(sk, nir);
-
-    // The kernel-row-group tilings depend only on the group index:
-    // build each once instead of once per output row.
-    if (ws.kernel_groups.size() < groups)
-        ws.kernel_groups.resize(groups);
-    for (size_t g = 0; g < groups; ++g) {
-        const size_t kr0 = g * nir;
-        tileKernelInto(kernel, sp, kr0, std::min(nir, sk - kr0),
-                       ws.kernel_groups[g]);
-    }
-    const auto &group_kernels = ws.kernel_groups;
-
-    // Each output row accumulates its kernel-row groups sequentially
-    // (fixed order), rows fan out across the pool.
-    const size_t workers = effectiveWorkers();
-    out.resize(out_rows, out_cols);
-    signal::parallelFor(out_rows, workers, [&](size_t r0) {
-        ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
-        for (size_t g = 0; g < groups; ++g) {
-            const size_t kr0 = g * nir;
+    // Tiles are independent: each flattens its own rows and runs the
+    // backend's tile half, so the fan-out is bit-exact regardless of
+    // scheduling. Without transforms a tile is only a copy, too little
+    // work to pay for a pool dispatch.
+    const size_t workers = spectra ? effectiveWorkers() : 1;
+    signal::parallelForEach(tiles.count, workers, [&](size_t t) {
+        PreparedTile &tile = tiles.tiles[t];
+        switch (plan_.variant) {
+          case Variant::RowTiling: {
+            const size_t nor = plan_.valid_rows_per_op;
+            const size_t r0 = t * nor;
+            tileInputRowsInto(input, static_cast<long>(r0) - g.pad,
+                              plan_.rows_per_tile, sp, tile.samples);
+            tile.start = -g.pad;
+            tile.count = std::min(nor, g.rows - r0) * sp;
+            tile.kernel_len = plan_.tiled_kernel_len;
+            break;
+          }
+          case Variant::PartialRowTiling: {
+            const size_t nir = plan_.rows_per_tile;
+            const size_t groups = kernelGroups();
+            const size_t r0 = t / groups;
+            const size_t kr0 = (t % groups) * nir;
             const size_t rows_this = std::min(nir, sk - kr0);
             tileInputRowsInto(
                 input,
-                static_cast<long>(r0) - pad + static_cast<long>(kr0),
-                rows_this, sp, j.tiled_input);
-            backend_(j.tiled_input, group_kernels[g], -pad, sp,
-                     j.window);
-            for (size_t c = 0; c < out_cols; ++c)
-                out.at(r0, c) += j.window[c];
+                static_cast<long>(r0) - g.pad + static_cast<long>(kr0),
+                rows_this, sp, tile.samples);
+            tile.start = -g.pad;
+            tile.count = sp;
+            tile.kernel_len = (rows_this - 1) * sp + sk;
+            break;
+          }
+          case Variant::RowPartitioning: {
+            // Overlapped partitions: each yields n_conv - sk + 1 exact
+            // outputs.
+            const size_t n_conv = params_.n_conv;
+            const size_t step = n_conv - sk + 1;
+            const size_t partitions = ceilDiv(g.cols, step);
+            const long src_row =
+                static_cast<long>(t / partitions) - g.pad;
+            const size_t p = t % partitions;
+            const long col0 = static_cast<long>(p * step) - g.pad;
+            tile.samples.assign(n_conv, 0.0);
+            if (src_row >= 0 && src_row < static_cast<long>(input.rows)) {
+                for (size_t i = 0; i < n_conv; ++i) {
+                    const long c = col0 + static_cast<long>(i);
+                    if (c >= 0 && c < static_cast<long>(input.cols))
+                        tile.samples[i] = input.at(
+                            static_cast<size_t>(src_row),
+                            static_cast<size_t>(c));
+                }
+            }
+            tile.start = 0;
+            tile.count = std::min(step, g.cols - p * step);
+            tile.kernel_len = sk;
+            break;
+          }
         }
+        backend_.prepareTile(tile, spectra);
     });
-    last_ops_ = out_rows * groups;
 }
 
 void
-TiledConvolution::executeRowPartitioning(const signal::Matrix &input,
-                                         const signal::Matrix &kernel,
-                                         signal::Matrix &out,
-                                         ConvWorkspace &ws) const
+TiledConvolution::executePrepared(const TiledInput &tiles,
+                                  const KernelBank &bank, size_t kernel,
+                                  signal::Matrix &out,
+                                  ConvWorkspace &ws) const
 {
+    pf_assert(tiles.count == tileCount(),
+              "input prepared for another plan");
+    pf_assert(kernel + kernelGroups() <= bank.kernels.size(),
+              "kernel plane not in the bank");
+    const OutputGeometry g(params_);
     const size_t sk = params_.kernel_size;
-    const bool same = params_.mode == signal::ConvMode::Same;
-    const long pad = same ? static_cast<long>(sk / 2) : 0;
-    const size_t out_rows = same ? input.rows : input.rows - sk + 1;
-    const size_t out_cols = same ? input.cols : input.cols - sk + 1;
-    const size_t n_conv = params_.n_conv;
-    // Overlapped partitions: each yields n_conv - sk + 1 exact outputs.
-    const size_t step = n_conv - sk + 1;
-    const size_t partitions = ceilDiv(out_cols, step);
-
-    if (ws.kernel_groups.size() < sk)
-        ws.kernel_groups.resize(sk);
-    for (size_t kr = 0; kr < sk; ++kr) {
-        ws.kernel_groups[kr].assign(sk, 0.0);
-        for (size_t kc = 0; kc < sk; ++kc)
-            ws.kernel_groups[kr][kc] = kernel.at(kr, kc);
-    }
-    const auto &kernel_rows = ws.kernel_groups;
-
-    // Rows fan out; within a row the (kernel row x partition)
-    // accumulation keeps its sequential order.
+    const size_t sp = plan_.row_stride;
     const size_t workers = effectiveWorkers();
-    out.resize(out_rows, out_cols);
-    signal::parallelFor(out_rows, workers, [&](size_t r0) {
-        ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
-        j.piece.resize(n_conv);
-        for (size_t kr = 0; kr < sk; ++kr) {
-            const long src_row =
-                static_cast<long>(r0) - pad + static_cast<long>(kr);
-            for (size_t p = 0; p < partitions; ++p) {
-                const long col0 =
-                    static_cast<long>(p * step) - pad;
-                std::fill(j.piece.begin(), j.piece.end(), 0.0);
-                if (src_row >= 0 &&
-                    src_row < static_cast<long>(input.rows)) {
-                    for (size_t i = 0; i < n_conv; ++i) {
-                        const long c = col0 + static_cast<long>(i);
-                        if (c >= 0 && c < static_cast<long>(input.cols))
-                            j.piece[i] = input.at(
-                                static_cast<size_t>(src_row),
-                                static_cast<size_t>(c));
-                    }
-                }
-                const size_t cols_this =
-                    std::min(step, out_cols - p * step);
-                backend_(j.piece, kernel_rows[kr], 0, cols_this,
-                         j.window);
-                for (size_t i = 0; i < cols_this; ++i)
-                    out.at(r0, p * step + i) += j.window[i];
+    // Unit stride writes straight into the caller's matrix; otherwise
+    // the full plane lands in workspace and is subsampled out.
+    signal::Matrix &full = params_.stride == 1 ? out : ws.full;
+
+    // Every job writes a disjoint block of output rows, so the fan-out
+    // is bit-exact regardless of scheduling. Sequential runs draw
+    // scratch from the caller's workspace (allocation-free); parallel
+    // jobs use their worker thread's own.
+    switch (plan_.variant) {
+      case Variant::RowTiling: {
+        const size_t nor = plan_.valid_rows_per_op;
+        full.resizeNoFill(g.rows, g.cols);
+        signal::parallelForEach(tiles.count, workers, [&](size_t t) {
+            ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            const size_t r0 = t * nor;
+            const size_t rows_this = std::min(nor, g.rows - r0);
+            backend_.window(tiles.tiles[t], bank, kernel, j.window);
+            for (size_t r = 0; r < rows_this; ++r)
+                for (size_t c = 0; c < g.cols; ++c)
+                    full.at(r0 + r, c) = j.window[r * sp + c];
+        });
+        last_ops_ = tiles.count;
+        break;
+      }
+      case Variant::PartialRowTiling: {
+        // Each output row accumulates its kernel-row groups
+        // sequentially (fixed order), rows fan out across the pool.
+        const size_t groups = kernelGroups();
+        full.resize(g.rows, g.cols);
+        signal::parallelForEach(g.rows, workers, [&](size_t r0) {
+            ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            for (size_t grp = 0; grp < groups; ++grp) {
+                backend_.window(tiles.tiles[r0 * groups + grp], bank,
+                                kernel + grp, j.window);
+                for (size_t c = 0; c < g.cols; ++c)
+                    full.at(r0, c) += j.window[c];
             }
-        }
-    });
-    last_ops_ = out_rows * sk * partitions;
+        });
+        last_ops_ = g.rows * groups;
+        break;
+      }
+      case Variant::RowPartitioning: {
+        // Rows fan out; within a row the (kernel row x partition)
+        // accumulation keeps its sequential order.
+        const size_t step = params_.n_conv - sk + 1;
+        const size_t partitions = ceilDiv(g.cols, step);
+        full.resize(g.rows, g.cols);
+        signal::parallelForEach(g.rows, workers, [&](size_t r0) {
+            ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            for (size_t kr = 0; kr < sk; ++kr) {
+                for (size_t p = 0; p < partitions; ++p) {
+                    const PreparedTile &tile =
+                        tiles.tiles[(r0 + kr) * partitions + p];
+                    backend_.window(tile, bank, kernel + kr, j.window);
+                    for (size_t i = 0; i < tile.count; ++i)
+                        full.at(r0, p * step + i) += j.window[i];
+                }
+            }
+        });
+        last_ops_ = g.rows * sk * partitions;
+        break;
+      }
+    }
+    if (params_.stride != 1)
+        applyStride(full, out);
 }
 
 } // namespace tiling

@@ -2,11 +2,29 @@
  * @file
  * Backend-agnostic executor for the Section III tiling algorithms.
  *
- * Flattens 2D inputs/kernels row-wise per the plan, invokes a 1D
- * convolution backend (digital reference or optical JTC), and scatters
- * the valid window samples into the 2D output. Strided convolutions are
- * executed at unit stride and subsampled, matching the hardware's
- * unit-stride-only JTC operation (Section VI-E).
+ * Flattens 2D inputs/kernels row-wise per the plan, runs them through
+ * a 1D convolution backend (digital reference or optical JTC), and
+ * scatters the valid window samples into the 2D output. Strided
+ * convolutions are executed at unit stride and subsampled, matching
+ * the hardware's unit-stride-only JTC operation (Section VI-E).
+ *
+ * The executor is split like its backends (tiling/backends.hh):
+ *
+ *  - The tile half (prepareInput) flattens every tile of one input
+ *    plane and runs the backend's tile half on each: one r2c per tile
+ *    for the FFT path and the JTC's signal plane. It is amortized over
+ *    every kernel plane that convolves the input plane: all output
+ *    channels and both pseudo-negative polarities of a conv layer.
+ *  - The kernel half (prepareKernel) flattens one kernel plane's
+ *    kernel-row groups and resolves each through the backend once:
+ *    taps, Auto choice, cached spectrum handle. It is amortized over
+ *    every tile of every input that meets the kernel plane.
+ *  - executePrepared combines one prepared kernel plane with one
+ *    prepared input plane. It computes exactly the arithmetic of
+ *    execute(), in the same order, so the two are bit-identical.
+ *
+ * execute() is the one-kernel call: both halves back to back on
+ * workspace scratch.
  */
 
 #ifndef PHOTOFOURIER_TILING_TILED_CONVOLUTION_HH
@@ -24,22 +42,31 @@ namespace photofourier {
 namespace tiling {
 
 /**
- * Reusable scratch for TiledConvolution::execute. All buffers keep
- * their capacity across calls, so a caller that holds one workspace
- * per thread (the serving hot path) executes convolutions without
- * touching the allocator. A workspace may be used by one execute()
- * at a time; the executor's internal tile fan-out uses per-thread
- * workspaces of its own when it goes parallel.
+ * One input plane's tiles, prepared once for every kernel plane (the
+ * tile half). Grow-only: the first `count` tiles are live, the rest
+ * keep their buffers for the next larger plane, so reuse across calls
+ * never allocates in steady state.
+ */
+struct TiledInput
+{
+    std::vector<PreparedTile> tiles;
+    size_t count = 0;
+};
+
+/**
+ * Reusable scratch for TiledConvolution. All buffers keep their
+ * capacity across calls, so a caller that holds one workspace per
+ * thread (the serving hot path) executes convolutions without touching
+ * the allocator. A workspace may be used by one call at a time; the
+ * executor's internal tile fan-out uses per-thread workspaces of its
+ * own when it goes parallel.
  */
 struct ConvWorkspace
 {
-    std::vector<double> tiled_input;   ///< flattened input rows
-    std::vector<double> tiled_kernel;  ///< flattened, zero-spaced kernel
-    std::vector<double> window;        ///< backend output window
-    std::vector<double> piece;         ///< row-partitioning input slice
-    /** Kernel-row-group tilings (partial row tiling / partitioning). */
-    std::vector<std::vector<double>> kernel_groups;
-    signal::Matrix full;               ///< pre-stride output plane
+    std::vector<double> window; ///< backend output window
+    KernelBank bank;            ///< execute()'s prepared kernel plane
+    TiledInput input;           ///< execute()'s prepared input plane
+    signal::Matrix full;        ///< pre-stride output plane
 };
 
 /** Executes 2D convolutions through 1D tiling on a chosen backend. */
@@ -76,6 +103,36 @@ class TiledConvolution
     signal::Matrix execute(const signal::Matrix &input,
                            const signal::Matrix &kernel) const;
 
+    /**
+     * Kernel half: append `kernel`'s kernelGroups() prepared
+     * kernel-row groups to `bank`, consecutively, and return the index
+     * of the first. Allocation-free once the bank has grown.
+     */
+    size_t prepareKernel(const signal::Matrix &kernel,
+                         KernelBank &bank) const;
+
+    /**
+     * Tile half: flatten every tile of `input` into `tiles` and run the
+     * backend's tile half on each; `spectra` as in
+     * Conv1dBackend::prepareTile (pass bank.needs_tile_spectra).
+     */
+    void prepareInput(const signal::Matrix &input, TiledInput &tiles,
+                      bool spectra) const;
+
+    /**
+     * The convolution of a prepared input plane with the prepared
+     * kernel plane starting at bank.kernels[kernel], into `out`:
+     * bit-identical to execute() on the original operands.
+     */
+    void executePrepared(const TiledInput &tiles, const KernelBank &bank,
+                         size_t kernel, signal::Matrix &out,
+                         ConvWorkspace &ws) const;
+
+    /** Prepared kernels per kernel plane: 1 for row tiling, the
+     *  kernel-row groups for partial row tiling, Sk for row
+     *  partitioning. */
+    size_t kernelGroups() const;
+
     /** 1D backend invocations made by the most recent execute(). */
     size_t lastOpCount() const { return last_ops_.load(); }
 
@@ -97,17 +154,8 @@ class TiledConvolution
      *  a pool dispatch. */
     size_t effectiveWorkers() const;
 
-    void executeRowTiling(const signal::Matrix &input,
-                          const signal::Matrix &kernel,
-                          signal::Matrix &out, ConvWorkspace &ws) const;
-    void executePartialRowTiling(const signal::Matrix &input,
-                                 const signal::Matrix &kernel,
-                                 signal::Matrix &out,
-                                 ConvWorkspace &ws) const;
-    void executeRowPartitioning(const signal::Matrix &input,
-                                const signal::Matrix &kernel,
-                                signal::Matrix &out,
-                                ConvWorkspace &ws) const;
+    /** Number of tiles prepareInput() produces. */
+    size_t tileCount() const;
 
     /** Subsample the unit-stride plane in ws.full into out. */
     void applyStride(const signal::Matrix &full,

@@ -24,16 +24,19 @@
 #include "fourier4f/jtc2d.hh"
 #include "fourier4f/system4f.hh"
 #include "jtc/jtc_system.hh"
+#include "nn/conv_engine.hh"
 #include "nn/tensor.hh"
 #include "signal/convolution.hh"
 #include "signal/fft2d.hh"
 #include "signal/fft2d_plan.hh"
+#include "tiling/backends.hh"
 
 namespace pf = photofourier;
 namespace sig = photofourier::signal;
 namespace jtc = photofourier::jtc;
 namespace f4 = photofourier::fourier4f;
 namespace nn = photofourier::nn;
+namespace tl = photofourier::tiling;
 
 namespace {
 
@@ -203,6 +206,99 @@ TEST(AllocPins, JtcSystemOutputPlaneAndFullCorrelationInto)
     }), 0u) << "JtcSystem::fullCorrelationInto allocated in steady state";
 }
 
+TEST(AllocPins, JtcSystemSignalSpectrumAndWindowFromSpectraInto)
+{
+    // The two halves of correlationWindowInto: the signal-plane lens
+    // transform once, then one kernel's window from the two spectra.
+    pf::Rng rng(82);
+    const auto s = rng.uniformVector(48, 0.0, 1.0);
+    const auto k = rng.uniformVector(7, 0.0, 1.0);
+    for (bool noise : {false, true}) {
+        jtc::JtcConfig config;
+        config.noise = noise;
+        jtc::JtcSystem sys(config);
+        const auto layout = jtc::JtcPlaneLayout::design(s.size(), k.size());
+        const auto kspec = sys.kernelPlaneSpectrum(k, layout);
+
+        sig::ComplexVector sspec;
+        std::vector<double> out, ref;
+        sys.signalSpectrumInto(s, layout, sspec);
+        sys.correlationWindowFromSpectraInto(sspec, *kspec, layout, 44,
+                                             -2, out);
+        sys.correlationWindowInto(s, k, 44, -2, ref);
+        ASSERT_EQ(out.size(), ref.size());
+        for (size_t i = 0; i < ref.size(); ++i)
+            EXPECT_EQ(out[i], ref[i]) << "noise " << noise << " shift " << i;
+
+        EXPECT_EQ(steadyStateAllocations([&] {
+            sys.signalSpectrumInto(s, layout, sspec);
+        }), 0u) << "JtcSystem::signalSpectrumInto allocated in steady state";
+        EXPECT_EQ(steadyStateAllocations([&] {
+            sys.correlationWindowFromSpectraInto(sspec, *kspec, layout, 44,
+                                                 -2, out);
+        }), 0u) << "JtcSystem::correlationWindowFromSpectraInto allocated "
+                   "in steady state";
+    }
+}
+
+TEST(AllocPins, VariedBackendOneKernelCall)
+{
+    // The variation decorator scales the tile and the kernel into
+    // per-thread scratch, not fresh vectors per call.
+    pf::Rng rng(83);
+    const auto s = rng.uniformVector(64, 0.0, 1.0);
+    const auto k = rng.uniformVector(9, -0.5, 0.5);
+    const auto input_gains = rng.uniformVector(64, 0.9, 1.1);
+    const auto weight_gains = rng.uniformVector(9, 0.9, 1.1);
+    for (const auto &base : {tl::cpuBackend(), tl::fftBackend(
+                                 std::make_shared<tl::KernelSpectrumCache>()),
+                             tl::jtcBackend()}) {
+        const auto varied =
+            tl::variedBackend(base, input_gains, weight_gains);
+        std::vector<double> out;
+        EXPECT_EQ(steadyStateAllocations([&] {
+            varied(s, k, -4, 64, out);
+        }), 0u) << "variedBackend allocated in steady state";
+    }
+}
+
+TEST(AllocPins, PhotoFourierEngineOpticalConvolveBatch)
+{
+    // A warm optical convolveBatch allocates only what it returns: the
+    // output vector and one buffer per output tensor. Prepared kernels,
+    // prepared tiles, charges and windows are per-thread scratch.
+    pf::Rng rng(84);
+    std::vector<nn::Tensor> weights;
+    for (size_t oc = 0; oc < 3; ++oc) {
+        nn::Tensor w(2, 3, 3);
+        w.data() = rng.uniformVector(w.size(), -0.5, 0.5);
+        weights.push_back(std::move(w));
+    }
+    std::vector<nn::Tensor> inputs;
+    for (size_t b = 0; b < 3; ++b) {
+        nn::Tensor x(2, 12, 12);
+        x.data() = rng.uniformVector(x.size(), 0.0, 1.0);
+        inputs.push_back(std::move(x));
+    }
+    const std::vector<double> bias = {0.1, 0.0, -0.1};
+    nn::PhotoFourierEngineConfig config;
+    config.optical_backend = true;
+    config.n_conv = 64;
+    config.temporal_accumulation_depth = 1;
+    config.noise = true;
+    const nn::PhotoFourierEngine engine(config);
+
+    std::vector<nn::Tensor> outs;
+    const int iterations = 16;
+    const uint64_t allocations = steadyStateAllocations([&] {
+        outs = engine.convolveBatch(inputs, weights, bias, 1,
+                                    sig::ConvMode::Same);
+    }, iterations);
+    ASSERT_EQ(outs.size(), inputs.size());
+    EXPECT_EQ(allocations, iterations * (inputs.size() + 1))
+        << "PhotoFourierEngine::convolveBatch allocated beyond its result";
+}
+
 TEST(AllocPins, SlidingCorrelationInto)
 {
     pf::Rng rng(76);
@@ -293,34 +389,6 @@ TEST(AllocPins, System4fApplyBatchInto)
     EXPECT_EQ(steadyStateAllocations([&] {
         system.applyBatchInto(image, kernels, outs);
     }), 0u) << "System4f::applyBatchInto allocated in steady state";
-}
-
-TEST(AllocPins, JtcCorrelationWindowBatchInto)
-{
-    pf::Rng rng(80);
-    const auto s = rng.uniformVector(48, 0.0, 1.0);
-    std::vector<std::vector<double>> kernels;
-    for (size_t j = 0; j < 3; ++j)
-        kernels.push_back(rng.uniformVector(7, 0.0, 1.0));
-    jtc::JtcSystem sys;
-    const size_t count = 42;
-    const long start = -3;
-
-    std::vector<double> out;
-    sys.correlationWindowBatchInto(s, kernels, count, start, out);
-    ASSERT_EQ(out.size(), kernels.size() * count);
-    std::vector<double> solo;
-    for (size_t j = 0; j < kernels.size(); ++j) {
-        sys.correlationWindowInto(s, kernels[j], count, start, solo);
-        for (size_t i = 0; i < count; ++i)
-            EXPECT_NEAR(out[j * count + i], solo[i], 1e-9)
-                << "kernel " << j << " shift " << i;
-    }
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        sys.correlationWindowBatchInto(s, kernels, count, start, out);
-    }), 0u)
-        << "correlationWindowBatchInto allocated in steady state";
 }
 
 TEST(AllocPins, Jtc2dCorrelateBatchInto)

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -20,6 +22,7 @@
 #include "jtc/jtc_system.hh"
 #include "jtc/pfcu.hh"
 #include "signal/fft_plan.hh"
+#include "signal/plane_spectrum_cache.hh"
 
 namespace pf = photofourier;
 namespace jtc = photofourier::jtc;
@@ -326,6 +329,35 @@ TEST(JtcSystem, SharedSpectrumCacheIsRaceFreeAndExact)
     EXPECT_GT(shared->stats().hits, 0u);
 }
 
+TEST(PlaneSpectrumCache, ConcurrentMissesComputeOnce)
+{
+    // Threads that reach a cold entry while another thread computes it
+    // wait for that result instead of transforming it again.
+    sig::PlaneSpectrumCache cache;
+    const std::vector<double> payload(16, 0.5);
+    std::atomic<int> computes{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+        threads.emplace_back([&] {
+            const auto spectrum = cache.spectrum(
+                7, payload, 9, [&](sig::ComplexVector &out) {
+                    computes.fetch_add(1);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(50));
+                    std::fill(out.begin(), out.end(),
+                              sig::Complex(1.0, 0.0));
+                });
+            EXPECT_EQ((*spectrum)[8], sig::Complex(1.0, 0.0));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(computes.load(), 1);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 7u);
+    EXPECT_EQ(cache.stats().entries, 1u);
+}
+
 TEST(JtcSystem, SquareLawReadoutRecoversByDigitalSqrt)
 {
     // With non-negative operands the |R|^2 readout plus sqrt equals the
@@ -520,124 +552,3 @@ TEST(Pfcu, InputLargerThanWaveguidesPanics)
     EXPECT_DEATH((void)pfcu.opticalCorrelation(in, w), "exceeds");
 }
 
-// ---------------------------------------------------------------------------
-// Batched (tiled) joint planes: k kernels, one Fourier pass.
-// ---------------------------------------------------------------------------
-
-TEST(JtcLayout, DesignBatchGeometry)
-{
-    // Batch-of-1 must be the classic layout exactly (same plane, same
-    // cached spectra, bit-identical readout).
-    const auto solo = jtc::JtcPlaneLayout::design(48, 7);
-    const auto one = jtc::JtcPlaneLayout::designBatch(48, 7, 1);
-    EXPECT_EQ(one.kernel_pos, solo.kernel_pos);
-    EXPECT_EQ(one.plane_size, solo.plane_size);
-    EXPECT_EQ(one.kernel_count, 1u);
-
-    for (size_t count : {size_t(2), size_t(4), size_t(8)}) {
-        const auto l = jtc::JtcPlaneLayout::designBatch(48, 7, count);
-        EXPECT_EQ(l.kernel_count, count);
-        // S = Ls + 3*Lk - 2 interleaves signal-kernel cross bands
-        // between kernel-kernel bands with one clear sample each side.
-        EXPECT_EQ(l.kernel_step, 48 + 3 * 7 - 2);
-        // Central term clear of the first cross band.
-        EXPECT_GE(l.kernel_pos, 48 + 7 - 1);
-        // Mirror terms clear of every cross band, all kernels in
-        // bounds.
-        const size_t q_last =
-            l.kernel_pos + (count - 1) * l.kernel_step;
-        EXPECT_GE(l.plane_size, 2 * q_last + 2 * l.kernel_len);
-        EXPECT_LE(q_last + l.kernel_len, l.plane_size);
-    }
-}
-
-TEST(JtcSystem, CorrelationWindowBatchMatchesPerKernel)
-{
-    pf::Rng rng(90);
-    const auto s = randomNonNegative(rng, 48);
-    jtc::JtcSystem sys;
-    const size_t count = 44;
-    const long start = -2;
-
-    for (size_t nk : {size_t(1), size_t(3), size_t(6)}) {
-        std::vector<std::vector<double>> kernels;
-        for (size_t j = 0; j < nk; ++j)
-            kernels.push_back(randomNonNegative(rng, 7));
-        std::vector<double> out;
-        sys.correlationWindowBatchInto(s, kernels, count, start, out);
-        ASSERT_EQ(out.size(), nk * count);
-        std::vector<double> solo;
-        for (size_t j = 0; j < nk; ++j) {
-            sys.correlationWindowInto(s, kernels[j], count, start,
-                                      solo);
-            for (size_t i = 0; i < count; ++i) {
-                if (nk == 1) {
-                    // Same layout, same cache entry: bit-identical.
-                    EXPECT_EQ(out[i], solo[i]) << "shift " << i;
-                } else {
-                    // Larger tiled plane: FFT rounding differs within
-                    // the documented tolerance.
-                    EXPECT_NEAR(out[j * count + i], solo[i], 1e-9)
-                        << "nk " << nk << " kernel " << j << " shift "
-                        << i;
-                }
-            }
-            // Both stay pinned to the direct sliding reference.
-            const auto ref = jtc::slidingCorrelationReference(
-                s, kernels[j], count, start);
-            for (size_t i = 0; i < count; ++i)
-                EXPECT_NEAR(out[j * count + i], ref[i], 1e-9);
-        }
-    }
-}
-
-TEST(JtcSystem, CorrelationWindowBatchNoiseMatchesSoloExactly)
-{
-    // With sensing noise on, the batched entry point must fall back
-    // to the per-kernel path so every (request, kernel) pair draws
-    // the same noise stream as a solo call — bit-identical, not just
-    // close.
-    pf::Rng rng(91);
-    const auto s = randomNonNegative(rng, 32);
-    std::vector<std::vector<double>> kernels;
-    for (size_t j = 0; j < 3; ++j)
-        kernels.push_back(randomNonNegative(rng, 5));
-
-    jtc::JtcConfig config;
-    config.noise = true;
-    config.noise_seed = 7;
-    jtc::JtcSystem sys(config);
-
-    const size_t count = 28;
-    std::vector<double> batch_out;
-    sys.correlationWindowBatchInto(s, kernels, count, 0, batch_out);
-    ASSERT_EQ(batch_out.size(), kernels.size() * count);
-    std::vector<double> solo;
-    for (size_t j = 0; j < kernels.size(); ++j) {
-        sys.correlationWindowInto(s, kernels[j], count, 0, solo);
-        for (size_t i = 0; i < count; ++i)
-            EXPECT_EQ(batch_out[j * count + i], solo[i])
-                << "kernel " << j << " shift " << i;
-    }
-}
-
-TEST(JtcSystem, BatchKernelBankIsOneCacheEntry)
-{
-    pf::Rng rng(92);
-    const auto s = randomNonNegative(rng, 48);
-    std::vector<std::vector<double>> kernels;
-    for (size_t j = 0; j < 4; ++j)
-        kernels.push_back(randomNonNegative(rng, 7));
-
-    auto shared = std::make_shared<sig::PlaneSpectrumCache>();
-    jtc::JtcSystem sys({}, shared);
-    std::vector<double> out;
-    sys.correlationWindowBatchInto(s, kernels, 42, 0, out);
-    const auto first = shared->stats();
-    EXPECT_EQ(first.entries, 1u)
-        << "tiled kernel fields should sum into ONE bank entry";
-    sys.correlationWindowBatchInto(s, kernels, 42, 0, out);
-    const auto second = shared->stats();
-    EXPECT_EQ(second.entries, 1u);
-    EXPECT_GT(second.hits, first.hits);
-}

@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 
+#include "arch/simd.hh"
 #include "common/rng.hh"
 #include "nn/conv_engine.hh"
 #include "nn/datasets.hh"
@@ -886,4 +891,412 @@ TEST(ConvEngineBatch, NetworkLogitsBatchMatchesSolo)
             EXPECT_EQ(batched[i][j], solo[j])
                 << "input " << i << " logit " << j;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Output-bit digests of PhotoFourierEngine::convolveBatch: any change to
+// the engine's compute order that moves a single output bit shows here.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over the exact bit patterns of `t` (and its shape). */
+uint64_t
+foldTensorBits(uint64_t h, const nn::Tensor &t)
+{
+    auto fold = [&h](uint64_t v) {
+        for (int shift = 0; shift < 64; shift += 8) {
+            h ^= (v >> shift) & 0xffull;
+            h *= 0x100000001b3ull;
+        }
+    };
+    fold(t.channels());
+    fold(t.height());
+    fold(t.width());
+    for (double v : t.data())
+        fold(std::bit_cast<uint64_t>(v));
+    return h;
+}
+
+/** One digest case: a 1D backend, a tiling variant, and the readout. */
+struct DigestCase
+{
+    const char *name;
+    nn::ConvPath path;
+    bool optical;
+    size_t n_conv;
+    size_t stride;
+    sig::ConvMode mode;
+    bool noise;
+    int adc_bits;
+};
+
+/**
+ * Every (backend, variant, readout) combination. With a 16x16 input
+ * and a 5x5 kernel, n_conv 256 row-tiles (two tiles, the last one
+ * short), 48 partially row-tiles (kernel-row groups of 3 and 2) and
+ * 12 row-partitions (two partitions, the last one short). Readouts:
+ * full-precision partial sums (adc_bits 0, so every output bit of the
+ * optics reaches the digest) without and with sensing noise, and the
+ * 8-bit ADC with noise.
+ */
+std::vector<DigestCase>
+digestCases()
+{
+    struct Backend
+    {
+        const char *name;
+        nn::ConvPath path;
+        bool optical;
+    };
+    struct Tiling
+    {
+        const char *name;
+        size_t n_conv;
+        size_t stride;
+        sig::ConvMode mode;
+    };
+    const Backend backends[] = {
+        {"direct", nn::ConvPath::Direct, false},
+        {"fft", nn::ConvPath::Fft, false},
+        {"auto", nn::ConvPath::Auto, false},
+        {"optical", nn::ConvPath::Auto, true},
+    };
+    const Tiling tilings[] = {
+        {"row-tiling", 256, 1, sig::ConvMode::Same},
+        {"partial-row-tiling", 48, 2, sig::ConvMode::Same},
+        {"row-partitioning", 12, 1, sig::ConvMode::Valid},
+    };
+    struct Readout
+    {
+        bool noise;
+        int adc_bits;
+    };
+    const Readout readouts[] = {{false, 0}, {true, 0}, {true, 8}};
+    std::vector<DigestCase> cases;
+    for (const Backend &b : backends)
+        for (const Tiling &t : tilings)
+            for (const Readout &r : readouts)
+                cases.push_back({b.name, b.path, b.optical, t.n_conv,
+                                 t.stride, t.mode, r.noise, r.adc_bits});
+    return cases;
+}
+
+/** Digest of a batch-of-1 and a batch-of-3 convolveBatch for `c`. */
+uint64_t
+engineDigest(const DigestCase &c)
+{
+    pf::Rng rng(4711);
+    std::vector<nn::Tensor> weights;
+    for (size_t oc = 0; oc < 3; ++oc)
+        weights.push_back(randomTensor(rng, 5, 5, 5, -0.5, 0.5));
+    const std::vector<double> bias = {0.05, -0.1, 0.2};
+    std::vector<nn::Tensor> inputs;
+    for (size_t i = 0; i < 3; ++i)
+        inputs.push_back(randomTensor(rng, 5, 16, 16, 0.0, 1.0));
+
+    nn::PhotoFourierEngineConfig config;
+    config.n_conv = c.n_conv;
+    config.temporal_accumulation_depth = 2; // 3 readout groups
+    config.adc_bits = c.adc_bits;
+    config.noise = c.noise;
+    config.snr_db = 20.0;
+    config.noise_seed = 29;
+    config.optical_backend = c.optical;
+    config.conv_path = c.path;
+    nn::PhotoFourierEngine engine(config);
+
+    uint64_t h = 0xcbf29ce484222325ull;
+    const std::span<const nn::Tensor> all(inputs);
+    for (const auto &batch : {all.first(1), all}) {
+        for (const nn::Tensor &out : engine.convolveBatch(
+                 batch, weights, bias, c.stride, c.mode))
+            h = foldTensorBits(h, out);
+    }
+    return h;
+}
+
+/**
+ * The toolchain key digests are recorded under: the SIMD dispatch
+ * level, the build flavour (build type and sanitizers change code
+ * generation, and with it the low output bits) and the compiler.
+ */
+std::string
+digestKey()
+{
+    return std::string(pf::simd::activeLevelName()) + "/" +
+           PHOTOFOURIER_BUILD_FLAVOR + "/" + __VERSION__;
+}
+
+/** Digests in digestCases() order, per digestKey(). */
+const std::map<std::string, std::vector<uint64_t>> &
+recordedDigests()
+{
+    // Recorded on x86-64 with GCC 12.2 for the three CMake build
+    // types, at the native dispatch level and under PF_SIMD=scalar.
+    static const std::map<std::string, std::vector<uint64_t>> table = {
+        {"avx2/Release/12.2.0",
+         {
+          0xc484e986f1a33dd9ull, // direct n_conv=256 adc=0
+          0x1f372cda24cd7210ull, // direct n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // direct n_conv=256 noise adc=8
+          0xd3384f1df242d1f3ull, // direct n_conv=48 adc=0
+          0x9d2b52f570b84d6bull, // direct n_conv=48 noise adc=0
+          0x51a68c85d046985dull, // direct n_conv=48 noise adc=8
+          0xe89f27caeebfa418ull, // direct n_conv=12 adc=0
+          0x1614c0ea112b5dd1ull, // direct n_conv=12 noise adc=0
+          0xb078c6aad57de42cull, // direct n_conv=12 noise adc=8
+          0x9cd97299768ef796ull, // fft n_conv=256 adc=0
+          0xa9c1ff880ade0f80ull, // fft n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // fft n_conv=256 noise adc=8
+          0x8e2319ff2b8a4827ull, // fft n_conv=48 adc=0
+          0x50f88a32d46d75deull, // fft n_conv=48 noise adc=0
+          0x19a425ab47616dbdull, // fft n_conv=48 noise adc=8
+          0x7fe3371ba902d30cull, // fft n_conv=12 adc=0
+          0x35857e6849f348e1ull, // fft n_conv=12 noise adc=0
+          0x7286a76702f4000cull, // fft n_conv=12 noise adc=8
+          0xc484e986f1a33dd9ull, // auto n_conv=256 adc=0
+          0x1f372cda24cd7210ull, // auto n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // auto n_conv=256 noise adc=8
+          0xd3384f1df242d1f3ull, // auto n_conv=48 adc=0
+          0x9d2b52f570b84d6bull, // auto n_conv=48 noise adc=0
+          0x51a68c85d046985dull, // auto n_conv=48 noise adc=8
+          0xe89f27caeebfa418ull, // auto n_conv=12 adc=0
+          0x1614c0ea112b5dd1ull, // auto n_conv=12 noise adc=0
+          0xb078c6aad57de42cull, // auto n_conv=12 noise adc=8
+          0xb87b1183bef7218cull, // optical n_conv=256 adc=0
+          0xd0757499586b87c7ull, // optical n_conv=256 noise adc=0
+          0x45262b47bd068c8eull, // optical n_conv=256 noise adc=8
+          0x274a537782e2c7d9ull, // optical n_conv=48 adc=0
+          0xfac4eeee4319b479ull, // optical n_conv=48 noise adc=0
+          0x54bb263080983c35ull, // optical n_conv=48 noise adc=8
+          0x909f304b82b22feull, // optical n_conv=12 adc=0
+          0x397ff4a49a3cdc6bull, // optical n_conv=12 noise adc=0
+          0xd22d26be902d316aull, // optical n_conv=12 noise adc=8
+         }},
+        {"scalar/Release/12.2.0",
+         {
+          0xe64780c9e0d0be6aull, // direct n_conv=256 adc=0
+          0x887bff25a6ad00baull, // direct n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // direct n_conv=256 noise adc=8
+          0xc67250d4e4e021feull, // direct n_conv=48 adc=0
+          0x1fe8dae58b7e803eull, // direct n_conv=48 noise adc=0
+          0xfb8197bea1d9b454ull, // direct n_conv=48 noise adc=8
+          0x5cb94c58b45f6c1dull, // direct n_conv=12 adc=0
+          0xb7f25323f7b58c6ull, // direct n_conv=12 noise adc=0
+          0xe5a8f0c6942bed54ull, // direct n_conv=12 noise adc=8
+          0xb501d39ac74804ccull, // fft n_conv=256 adc=0
+          0x42796668ba7a67caull, // fft n_conv=256 noise adc=0
+          0x832575352e6fefd5ull, // fft n_conv=256 noise adc=8
+          0x3bb96adc186bbf31ull, // fft n_conv=48 adc=0
+          0x58d4d7bc6d1646fcull, // fft n_conv=48 noise adc=0
+          0x3b9c5656a23a08d4ull, // fft n_conv=48 noise adc=8
+          0xf629f0f13d7193d1ull, // fft n_conv=12 adc=0
+          0xc73fa1a329fd8215ull, // fft n_conv=12 noise adc=0
+          0x75e5290c448ad6a0ull, // fft n_conv=12 noise adc=8
+          0xe64780c9e0d0be6aull, // auto n_conv=256 adc=0
+          0x887bff25a6ad00baull, // auto n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // auto n_conv=256 noise adc=8
+          0xc67250d4e4e021feull, // auto n_conv=48 adc=0
+          0x1fe8dae58b7e803eull, // auto n_conv=48 noise adc=0
+          0xfb8197bea1d9b454ull, // auto n_conv=48 noise adc=8
+          0x5cb94c58b45f6c1dull, // auto n_conv=12 adc=0
+          0xb7f25323f7b58c6ull, // auto n_conv=12 noise adc=0
+          0xe5a8f0c6942bed54ull, // auto n_conv=12 noise adc=8
+          0x8199cb9ce9b376adull, // optical n_conv=256 adc=0
+          0x9c433a757c7d81c0ull, // optical n_conv=256 noise adc=0
+          0x85cdce3c913b00f0ull, // optical n_conv=256 noise adc=8
+          0x5f66014de787b40aull, // optical n_conv=48 adc=0
+          0xe53e3f8ca2d79789ull, // optical n_conv=48 noise adc=0
+          0x3a8e2f731f1def4bull, // optical n_conv=48 noise adc=8
+          0xd69f4151e67e23b8ull, // optical n_conv=12 adc=0
+          0xabc6329bb4db5552ull, // optical n_conv=12 noise adc=0
+          0x1db8efd934738912ull, // optical n_conv=12 noise adc=8
+         }},
+        {"avx2/RelWithDebInfo/12.2.0",
+         {
+          0x98da862b65a09181ull, // direct n_conv=256 adc=0
+          0x263fc02e524bd0dcull, // direct n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // direct n_conv=256 noise adc=8
+          0x9f6fe9dbcd9a4b90ull, // direct n_conv=48 adc=0
+          0x54548a9d123fd81aull, // direct n_conv=48 noise adc=0
+          0x51a68c85d046985dull, // direct n_conv=48 noise adc=8
+          0xe89f27caeebfa418ull, // direct n_conv=12 adc=0
+          0x1614c0ea112b5dd1ull, // direct n_conv=12 noise adc=0
+          0xb078c6aad57de42cull, // direct n_conv=12 noise adc=8
+          0x9cd97299768ef796ull, // fft n_conv=256 adc=0
+          0xa9c1ff880ade0f80ull, // fft n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // fft n_conv=256 noise adc=8
+          0x8e2319ff2b8a4827ull, // fft n_conv=48 adc=0
+          0x50f88a32d46d75deull, // fft n_conv=48 noise adc=0
+          0x19a425ab47616dbdull, // fft n_conv=48 noise adc=8
+          0x7fe3371ba902d30cull, // fft n_conv=12 adc=0
+          0x35857e6849f348e1ull, // fft n_conv=12 noise adc=0
+          0x7286a76702f4000cull, // fft n_conv=12 noise adc=8
+          0x98da862b65a09181ull, // auto n_conv=256 adc=0
+          0x263fc02e524bd0dcull, // auto n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // auto n_conv=256 noise adc=8
+          0x9f6fe9dbcd9a4b90ull, // auto n_conv=48 adc=0
+          0x54548a9d123fd81aull, // auto n_conv=48 noise adc=0
+          0x51a68c85d046985dull, // auto n_conv=48 noise adc=8
+          0xe89f27caeebfa418ull, // auto n_conv=12 adc=0
+          0x1614c0ea112b5dd1ull, // auto n_conv=12 noise adc=0
+          0xb078c6aad57de42cull, // auto n_conv=12 noise adc=8
+          0xb87b1183bef7218cull, // optical n_conv=256 adc=0
+          0xd0757499586b87c7ull, // optical n_conv=256 noise adc=0
+          0x45262b47bd068c8eull, // optical n_conv=256 noise adc=8
+          0x274a537782e2c7d9ull, // optical n_conv=48 adc=0
+          0xfac4eeee4319b479ull, // optical n_conv=48 noise adc=0
+          0x54bb263080983c35ull, // optical n_conv=48 noise adc=8
+          0x909f304b82b22feull, // optical n_conv=12 adc=0
+          0x397ff4a49a3cdc6bull, // optical n_conv=12 noise adc=0
+          0xd22d26be902d316aull, // optical n_conv=12 noise adc=8
+         }},
+        {"scalar/RelWithDebInfo/12.2.0",
+         {
+          0xe64780c9e0d0be6aull, // direct n_conv=256 adc=0
+          0x887bff25a6ad00baull, // direct n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // direct n_conv=256 noise adc=8
+          0xc67250d4e4e021feull, // direct n_conv=48 adc=0
+          0x1fe8dae58b7e803eull, // direct n_conv=48 noise adc=0
+          0xfb8197bea1d9b454ull, // direct n_conv=48 noise adc=8
+          0x5cb94c58b45f6c1dull, // direct n_conv=12 adc=0
+          0xb7f25323f7b58c6ull, // direct n_conv=12 noise adc=0
+          0xe5a8f0c6942bed54ull, // direct n_conv=12 noise adc=8
+          0xb501d39ac74804ccull, // fft n_conv=256 adc=0
+          0x42796668ba7a67caull, // fft n_conv=256 noise adc=0
+          0x832575352e6fefd5ull, // fft n_conv=256 noise adc=8
+          0x3bb96adc186bbf31ull, // fft n_conv=48 adc=0
+          0x58d4d7bc6d1646fcull, // fft n_conv=48 noise adc=0
+          0x3b9c5656a23a08d4ull, // fft n_conv=48 noise adc=8
+          0xf629f0f13d7193d1ull, // fft n_conv=12 adc=0
+          0xc73fa1a329fd8215ull, // fft n_conv=12 noise adc=0
+          0x75e5290c448ad6a0ull, // fft n_conv=12 noise adc=8
+          0xe64780c9e0d0be6aull, // auto n_conv=256 adc=0
+          0x887bff25a6ad00baull, // auto n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // auto n_conv=256 noise adc=8
+          0xc67250d4e4e021feull, // auto n_conv=48 adc=0
+          0x1fe8dae58b7e803eull, // auto n_conv=48 noise adc=0
+          0xfb8197bea1d9b454ull, // auto n_conv=48 noise adc=8
+          0x5cb94c58b45f6c1dull, // auto n_conv=12 adc=0
+          0xb7f25323f7b58c6ull, // auto n_conv=12 noise adc=0
+          0xe5a8f0c6942bed54ull, // auto n_conv=12 noise adc=8
+          0x8199cb9ce9b376adull, // optical n_conv=256 adc=0
+          0x9c433a757c7d81c0ull, // optical n_conv=256 noise adc=0
+          0x85cdce3c913b00f0ull, // optical n_conv=256 noise adc=8
+          0x5f66014de787b40aull, // optical n_conv=48 adc=0
+          0xe53e3f8ca2d79789ull, // optical n_conv=48 noise adc=0
+          0x3a8e2f731f1def4bull, // optical n_conv=48 noise adc=8
+          0xd69f4151e67e23b8ull, // optical n_conv=12 adc=0
+          0xabc6329bb4db5552ull, // optical n_conv=12 noise adc=0
+          0x1db8efd934738912ull, // optical n_conv=12 noise adc=8
+         }},
+        {"avx2/Debug/12.2.0",
+         {
+          0x98da862b65a09181ull, // direct n_conv=256 adc=0
+          0x263fc02e524bd0dcull, // direct n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // direct n_conv=256 noise adc=8
+          0x9f6fe9dbcd9a4b90ull, // direct n_conv=48 adc=0
+          0x54548a9d123fd81aull, // direct n_conv=48 noise adc=0
+          0x51a68c85d046985dull, // direct n_conv=48 noise adc=8
+          0xe89f27caeebfa418ull, // direct n_conv=12 adc=0
+          0x1614c0ea112b5dd1ull, // direct n_conv=12 noise adc=0
+          0xb078c6aad57de42cull, // direct n_conv=12 noise adc=8
+          0xefc4c3291696bcd8ull, // fft n_conv=256 adc=0
+          0xb858343f1fb0be33ull, // fft n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // fft n_conv=256 noise adc=8
+          0x4f0da7f7b9443e68ull, // fft n_conv=48 adc=0
+          0x928738fdb90b333bull, // fft n_conv=48 noise adc=0
+          0x19a425ab47616dbdull, // fft n_conv=48 noise adc=8
+          0x8b6e8740f5583ffdull, // fft n_conv=12 adc=0
+          0x37483d28809320d9ull, // fft n_conv=12 noise adc=0
+          0x7286a76702f4000cull, // fft n_conv=12 noise adc=8
+          0x98da862b65a09181ull, // auto n_conv=256 adc=0
+          0x263fc02e524bd0dcull, // auto n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // auto n_conv=256 noise adc=8
+          0x9f6fe9dbcd9a4b90ull, // auto n_conv=48 adc=0
+          0x54548a9d123fd81aull, // auto n_conv=48 noise adc=0
+          0x51a68c85d046985dull, // auto n_conv=48 noise adc=8
+          0xe89f27caeebfa418ull, // auto n_conv=12 adc=0
+          0x1614c0ea112b5dd1ull, // auto n_conv=12 noise adc=0
+          0xb078c6aad57de42cull, // auto n_conv=12 noise adc=8
+          0xc6be7e67afa2bd93ull, // optical n_conv=256 adc=0
+          0x741d10612a074470ull, // optical n_conv=256 noise adc=0
+          0x45262b47bd068c8eull, // optical n_conv=256 noise adc=8
+          0xff91827ef4af1352ull, // optical n_conv=48 adc=0
+          0x918655eb4a7f8724ull, // optical n_conv=48 noise adc=0
+          0xc2ffaac6128ece38ull, // optical n_conv=48 noise adc=8
+          0xf38bcd8d7c2173b8ull, // optical n_conv=12 adc=0
+          0xd50681d9af6f409eull, // optical n_conv=12 noise adc=0
+          0xd22d26be902d316aull, // optical n_conv=12 noise adc=8
+         }},
+        {"scalar/Debug/12.2.0",
+         {
+          0xe64780c9e0d0be6aull, // direct n_conv=256 adc=0
+          0x887bff25a6ad00baull, // direct n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // direct n_conv=256 noise adc=8
+          0xc67250d4e4e021feull, // direct n_conv=48 adc=0
+          0x1fe8dae58b7e803eull, // direct n_conv=48 noise adc=0
+          0xfb8197bea1d9b454ull, // direct n_conv=48 noise adc=8
+          0x5cb94c58b45f6c1dull, // direct n_conv=12 adc=0
+          0xb7f25323f7b58c6ull, // direct n_conv=12 noise adc=0
+          0xe5a8f0c6942bed54ull, // direct n_conv=12 noise adc=8
+          0xb501d39ac74804ccull, // fft n_conv=256 adc=0
+          0x42796668ba7a67caull, // fft n_conv=256 noise adc=0
+          0x832575352e6fefd5ull, // fft n_conv=256 noise adc=8
+          0x3bb96adc186bbf31ull, // fft n_conv=48 adc=0
+          0x58d4d7bc6d1646fcull, // fft n_conv=48 noise adc=0
+          0x3b9c5656a23a08d4ull, // fft n_conv=48 noise adc=8
+          0xf629f0f13d7193d1ull, // fft n_conv=12 adc=0
+          0xc73fa1a329fd8215ull, // fft n_conv=12 noise adc=0
+          0x75e5290c448ad6a0ull, // fft n_conv=12 noise adc=8
+          0xe64780c9e0d0be6aull, // auto n_conv=256 adc=0
+          0x887bff25a6ad00baull, // auto n_conv=256 noise adc=0
+          0x5e60d16c2a9e89b6ull, // auto n_conv=256 noise adc=8
+          0xc67250d4e4e021feull, // auto n_conv=48 adc=0
+          0x1fe8dae58b7e803eull, // auto n_conv=48 noise adc=0
+          0xfb8197bea1d9b454ull, // auto n_conv=48 noise adc=8
+          0x5cb94c58b45f6c1dull, // auto n_conv=12 adc=0
+          0xb7f25323f7b58c6ull, // auto n_conv=12 noise adc=0
+          0xe5a8f0c6942bed54ull, // auto n_conv=12 noise adc=8
+          0x8199cb9ce9b376adull, // optical n_conv=256 adc=0
+          0x9c433a757c7d81c0ull, // optical n_conv=256 noise adc=0
+          0x85cdce3c913b00f0ull, // optical n_conv=256 noise adc=8
+          0x5f66014de787b40aull, // optical n_conv=48 adc=0
+          0xe53e3f8ca2d79789ull, // optical n_conv=48 noise adc=0
+          0x3a8e2f731f1def4bull, // optical n_conv=48 noise adc=8
+          0xd69f4151e67e23b8ull, // optical n_conv=12 adc=0
+          0xabc6329bb4db5552ull, // optical n_conv=12 noise adc=0
+          0x1db8efd934738912ull, // optical n_conv=12 noise adc=8
+         }},
+    };
+    return table;
+}
+
+} // namespace
+
+TEST(PhotoFourierEngine, OutputBitsMatchRecordedDigests)
+{
+    const std::vector<DigestCase> cases = digestCases();
+    const std::string key = digestKey();
+    std::vector<uint64_t> digests;
+    std::ostringstream listing;
+    for (const DigestCase &c : cases) {
+        digests.push_back(engineDigest(c));
+        listing << "    0x" << std::hex << digests.back() << std::dec
+                << "ull, // " << c.name << " n_conv=" << c.n_conv
+                << (c.noise ? " noise" : "") << " adc=" << c.adc_bits
+                << "\n";
+    }
+
+    const auto recorded = recordedDigests().find(key);
+    if (recorded == recordedDigests().end())
+        GTEST_SKIP() << "no digests recorded for " << key
+                     << "; computed:\n" << listing.str();
+    ASSERT_EQ(recorded->second.size(), cases.size());
+    for (size_t i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(digests[i], recorded->second[i])
+            << cases[i].name << " n_conv=" << cases[i].n_conv
+            << (cases[i].noise ? " noise" : "") << " adc="
+            << cases[i].adc_bits << " under " << key;
 }

@@ -28,6 +28,7 @@
 
 namespace pf = photofourier;
 namespace sig = photofourier::signal;
+namespace jtc = photofourier::jtc;
 namespace tl = photofourier::tiling;
 
 namespace {
@@ -616,4 +617,147 @@ TEST(JtcBackend, SignedKernelSteadyStateIsAllocationFree)
     const uint64_t after = pf_test_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "signed-kernel jtcBackend allocated in steady state";
+}
+
+// ---------------------------------------------------------------------------
+// Tile half x kernel half: one prepared tile read by N prepared kernels
+// must give exactly the windows of N one-kernel calls.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct NamedBackend
+{
+    const char *name;
+    tl::Conv1dBackend backend;
+    bool non_negative_input; ///< optical backends read light amplitudes
+};
+
+std::vector<NamedBackend>
+everyBackend()
+{
+    auto cache = std::make_shared<tl::KernelSpectrumCache>();
+    jtc::JtcConfig noisy;
+    noisy.noise = true;
+    noisy.noise_seed = 5;
+    pf::Rng rng(320);
+    const auto input_gains = randomVector(rng, 4096, 0.9, 1.1);
+    const auto weight_gains = randomVector(rng, 4096, 0.9, 1.1);
+    return {
+        {"cpu", tl::cpuBackend(), false},
+        {"fft", tl::fftBackend(), false},
+        {"fft cached", tl::fftBackend(cache), false},
+        {"auto", tl::autoBackend(cache), false},
+        {"jtc", tl::jtcBackend({}, cache->opticalPlaneCache()), true},
+        {"jtc noisy", tl::jtcBackend(noisy), true},
+        {"varied cpu",
+         tl::variedBackend(tl::cpuBackend(), input_gains, weight_gains),
+         false},
+        {"varied jtc",
+         tl::variedBackend(tl::jtcBackend(), input_gains, weight_gains),
+         true},
+    };
+}
+
+} // namespace
+
+TEST(Conv1dBackendHalves, PreparedTileTimesKernelsMatchesOneKernelCalls)
+{
+    // Shapes on both sides of the Auto crossover (a sparse CIFAR-style
+    // tiled kernel and dense long kernels), windows reaching past both
+    // input ends, signed and non-negative kernels.
+    struct Shape { size_t n, k; long start; size_t count; };
+    const Shape shapes[] = {
+        {256, 67, -1, 192}, {64, 9, -4, 80}, {512, 129, 0, 384},
+        {4096, 511, -7, 4096},
+    };
+    pf::Rng rng(321);
+    for (const NamedBackend &nb : everyBackend()) {
+        for (const Shape &shape : shapes) {
+            const auto s = randomVector(rng, shape.n,
+                                        nb.non_negative_input ? 0.0 : -1.0,
+                                        1.0);
+            std::vector<std::vector<double>> kernels;
+            for (size_t j = 0; j < 4; ++j)
+                kernels.push_back(
+                    randomVector(rng, shape.k, j % 2 ? -0.5 : 0.0, 0.5));
+            // Sparse taps, like a row-tiled kernel's zero spacing.
+            for (auto &k : kernels)
+                for (size_t t = 0; t < k.size(); t += 3)
+                    k[t] = 0.0;
+
+            const size_t counts[] = {shape.count};
+            tl::KernelBank bank;
+            std::vector<size_t> index;
+            for (const auto &k : kernels)
+                index.push_back(
+                    nb.backend.prepareKernel(k, s.size(), counts, bank));
+            tl::PreparedTile tile;
+            tile.samples = s;
+            tile.start = shape.start;
+            tile.count = shape.count;
+            tile.kernel_len = shape.k;
+            nb.backend.prepareTile(tile, bank.needs_tile_spectra);
+
+            std::vector<double> prepared, solo;
+            for (size_t j = 0; j < kernels.size(); ++j) {
+                nb.backend.window(tile, bank, index[j], prepared);
+                nb.backend(s, kernels[j], shape.start, shape.count, solo);
+                ASSERT_EQ(prepared.size(), solo.size());
+                for (size_t i = 0; i < solo.size(); ++i)
+                    ASSERT_EQ(prepared[i], solo[i])
+                        << nb.name << " n=" << shape.n << " k=" << shape.k
+                        << " kernel " << j << " sample " << i;
+            }
+        }
+    }
+}
+
+TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
+{
+    // The engine's loop order: prepare an input plane once, run several
+    // kernel planes against it. Every variant, strides, Same and Valid.
+    struct Geometry { size_t si, sk, n_conv, stride; sig::ConvMode mode; };
+    const Geometry cases[] = {
+        {16, 5, 256, 1, sig::ConvMode::Same},  // row tiling, short last
+        {16, 5, 48, 2, sig::ConvMode::Same},   // partial row tiling
+        {16, 5, 12, 1, sig::ConvMode::Valid},  // row partitioning
+        {14, 3, 256, 1, sig::ConvMode::Same},  // row tiling
+    };
+    pf::Rng rng(322);
+    for (const NamedBackend &nb : everyBackend()) {
+        for (const Geometry &g : cases) {
+            tl::TilingParams p{.input_size = g.si, .kernel_size = g.sk,
+                               .n_conv = g.n_conv, .mode = g.mode,
+                               .stride = g.stride};
+            const tl::TiledConvolution conv(p, nb.backend);
+            const auto input = randomMatrix(
+                rng, g.si, g.si, nb.non_negative_input ? 0.0 : -1.0, 1.0);
+            std::vector<sig::Matrix> kernels;
+            for (size_t j = 0; j < 3; ++j)
+                kernels.push_back(randomMatrix(rng, g.sk, g.sk, -0.5, 0.5));
+
+            tl::KernelBank bank;
+            std::vector<size_t> first;
+            for (const auto &k : kernels)
+                first.push_back(conv.prepareKernel(k, bank));
+            EXPECT_EQ(bank.kernels.size(),
+                      kernels.size() * conv.kernelGroups());
+            tl::TiledInput tiles;
+            conv.prepareInput(input, tiles, bank.needs_tile_spectra);
+
+            tl::ConvWorkspace ws;
+            sig::Matrix prepared;
+            for (size_t j = 0; j < kernels.size(); ++j) {
+                conv.executePrepared(tiles, bank, first[j], prepared, ws);
+                const sig::Matrix solo = conv.execute(input, kernels[j]);
+                ASSERT_EQ(prepared.rows, solo.rows);
+                ASSERT_EQ(prepared.cols, solo.cols);
+                for (size_t i = 0; i < solo.data.size(); ++i)
+                    ASSERT_EQ(prepared.data[i], solo.data[i])
+                        << nb.name << " si=" << g.si << " n_conv="
+                        << g.n_conv << " kernel " << j << " sample " << i;
+            }
+        }
+    }
 }
