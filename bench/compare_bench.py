@@ -120,13 +120,11 @@ def fmt_ns(ns):
     return f"{ns:.3g} ns"
 
 
-# The batched-optics benchmark families whose Arg is a fan-out count
-# k (planes / kernels / requests fused into one pass), not a problem
-# size. For these, per-item amortization vs their own /1 row is the
-# number that matters — see --amortization.
+# The batched serving-path benchmark families whose Arg is the number
+# of requests in one convolveBatch call, not a problem size. For
+# these, per-request amortization vs their own /1 row is the number
+# that matters — see --amortization.
 AMORTIZED_FAMILIES = (
-    "BM_Fft2dRealBatch",
-    "BM_System4fTiled",
     "BM_ConvEngineBatch",
     "BM_ConvEngineBatchPhotoFourier",
     "BM_ConvEngineBatchPhotoFourierOptical",

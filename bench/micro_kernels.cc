@@ -580,53 +580,10 @@ BM_JtcCorrelateCached(benchmark::State &state)
 }
 BENCHMARK(BM_JtcCorrelateCached)->Arg(64)->Arg(256)->Arg(512);
 
-// --- Batched optics (ROADMAP item 2): k planes/kernels fused into one
-// --- Fourier pass. The Arg is k and items = planes (or kernels, or
-// --- requests), so items_per_second is per-kernel throughput — compare
-// --- each row against its own k=1 row for the amortization factor.
-
-static void
-BM_Fft2dRealBatch(benchmark::State &state)
-{
-    const size_t k = static_cast<size_t>(state.range(0));
-    const size_t n = 32;
-    pf::Rng rng(12);
-    const auto planes = rng.uniformVector(k * n * n, -1.0, 1.0);
-    const auto plan = sig::fft2dPlanFor(n, n);
-    sig::ComplexVector half(k * n * plan->halfCols());
-    plan->forwardRealBatchInto(planes.data(), k, half.data()); // warm
-    for (auto _ : state) {
-        plan->forwardRealBatchInto(planes.data(), k, half.data());
-        benchmark::DoNotOptimize(half.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * k));
-}
-BENCHMARK(BM_Fft2dRealBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-static void
-BM_System4fTiled(benchmark::State &state)
-{
-    // One input-lens pass + one cached filter-bank entry for all k
-    // kernels of a conv layer (32x32 activations, 5x5 kernels).
-    const size_t k = static_cast<size_t>(state.range(0));
-    const size_t n = 32;
-    pf::Rng rng(13);
-    sig::Matrix image(n, n);
-    image.data = rng.uniformVector(n * n, 0.0, 1.0);
-    std::vector<sig::Matrix> kernels(k, sig::Matrix(5, 5));
-    for (auto &kern : kernels)
-        kern.data = rng.uniformVector(25, -0.3, 0.3);
-    pf::fourier4f::System4f system;
-    std::vector<sig::Matrix> outs;
-    system.applyBatchInto(image, kernels, outs); // program the bank
-    for (auto _ : state) {
-        system.applyBatchInto(image, kernels, outs);
-        benchmark::DoNotOptimize(outs.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * k));
-}
-BENCHMARK(BM_System4fTiled)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
+// --- Batched serving path: N same-shape requests through one
+// --- convolveBatch call. The Arg is N and items = requests, so
+// --- items_per_second is per-request throughput — compare each row
+// --- against its own N=1 row for the amortization factor.
 
 namespace {
 

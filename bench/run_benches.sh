@@ -45,6 +45,7 @@ fi
 # never corrupt the tracked numbers.
 micro_tmp="$build_dir/BENCH_micro.new.json"
 "$build_dir/micro_kernels" \
+    --benchmark_repetitions=5 \
     --benchmark_out="$micro_tmp" \
     --benchmark_out_format=json \
     "$@"
@@ -65,11 +66,11 @@ if [ -n "$prev_micro" ] && command -v python3 >/dev/null 2>&1; then
         "$prev_micro" "$repo_root/BENCH_micro.json" || true
 fi
 
-# Per-kernel amortization of the batched-optics rows (k planes/kernels
-# fused into one Fourier pass): >1 means fusing beats k solo passes.
+# Per-request amortization of the batched conv-engine rows (N requests
+# in one convolveBatch call): >1 means batching beats N solo calls.
 if command -v python3 >/dev/null 2>&1; then
     echo ""
-    echo "=== batched-optics per-item amortization ==="
+    echo "=== batched conv-engine per-request amortization ==="
     python3 "$repo_root/bench/compare_bench.py" --amortization \
         "$repo_root/BENCH_micro.json" || true
 fi

@@ -373,6 +373,13 @@ ShardServer::registerModel(const RegisterModelMsg &msg,
         *error = "empty model name";
         return false;
     }
+    const std::string invalid =
+        msg.engine_override ? nn::engineConfigError(*msg.engine_override)
+                            : std::string();
+    if (!invalid.empty()) {
+        *error = "bad engine override: " + invalid;
+        return false;
+    }
     if (msg.engine_override)
         registry().add(msg.name, std::move(*network),
                        *msg.engine_override);

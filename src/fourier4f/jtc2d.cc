@@ -43,46 +43,6 @@ Jtc2dLayout::design(size_t signal_rows, size_t signal_cols,
     return layout;
 }
 
-Jtc2dLayout
-Jtc2dLayout::designBatch(size_t signal_rows, size_t signal_cols,
-                         size_t kernel_rows, size_t kernel_cols,
-                         size_t kernel_count)
-{
-    pf_assert(kernel_count >= 1, "designBatch with no kernels");
-    // A batch of one IS the solo layout: bit-identical readout, same
-    // cached block spectrum.
-    if (kernel_count == 1)
-        return design(signal_rows, signal_cols, kernel_rows,
-                      kernel_cols);
-    pf_assert(signal_rows > 0 && kernel_rows > 0, "empty JTC inputs");
-    Jtc2dLayout layout;
-    layout.signal_rows = signal_rows;
-    layout.signal_cols = signal_cols;
-    layout.kernel_rows = kernel_rows;
-    layout.kernel_cols = kernel_cols;
-    layout.kernel_count = kernel_count;
-
-    // Row-axis guard bands: spacing S = Sr + 3*Kr - 2 puts each
-    // signal-kernel cross band (Sr + Kr - 1 rows, centred at q_j)
-    // between the kernel-kernel cross bands (2*Kr - 1 rows, at j*S)
-    // with one clear row each side.
-    const size_t longest = std::max(signal_rows, kernel_rows);
-    layout.kernel_row_step = signal_rows + 3 * kernel_rows - 2;
-    const size_t base = signal_rows + kernel_rows - 1;
-    const size_t need =
-        longest > kernel_rows ? longest - kernel_rows : 0;
-    const size_t lift =
-        (need + layout.kernel_row_step - 1) / layout.kernel_row_step;
-    layout.kernel_row_pos = base + lift * layout.kernel_row_step;
-    const size_t q_last = layout.kernel_row_pos +
-                          (kernel_count - 1) * layout.kernel_row_step;
-    layout.plane_rows =
-        signal::nextPowerOfTwo(2 * q_last + 2 * kernel_rows);
-    layout.plane_cols =
-        signal::nextPowerOfTwo(signal_cols + kernel_cols);
-    return layout;
-}
-
 Jtc2d::Jtc2d(std::shared_ptr<signal::PlaneSpectrumCache> spectra)
     : spectra_(spectra
                    ? std::move(spectra)
@@ -123,56 +83,6 @@ Jtc2d::kernelPlaneSpectrum(const signal::Matrix &k,
                           kern.data.begin() + (r + 1) * kern.cols,
                           padded.begin() +
                               (ctx.layout->kernel_row_pos + r) * cols);
-            plan->forwardReal(padded.data(), out.data());
-        });
-}
-
-std::shared_ptr<const signal::ComplexVector>
-Jtc2d::kernelBankSpectrum(const std::vector<signal::Matrix> &kernels,
-                          const Jtc2dLayout &layout) const
-{
-    // One entry for the whole tiled bank: the salt pins the tiling
-    // geometry, the payload is the concatenated kernel bytes, and the
-    // lens linearity folds every block into one summed spectrum.
-    uint64_t salt = signal::planeSpectrumSalt(layout.plane_rows);
-    salt = signal::planeSpectrumSalt(layout.plane_cols, salt);
-    salt = signal::planeSpectrumSalt(layout.kernel_row_pos, salt);
-    salt = signal::planeSpectrumSalt(layout.kernel_row_step, salt);
-    salt = signal::planeSpectrumSalt(layout.kernel_count, salt);
-    salt = signal::planeSpectrumSalt(kernels[0].cols, salt);
-
-    static thread_local std::vector<double> bank_payload;
-    bank_payload.clear();
-    for (const auto &k : kernels)
-        bank_payload.insert(bank_payload.end(), k.data.begin(),
-                            k.data.end());
-
-    struct Ctx
-    {
-        const std::vector<signal::Matrix> *kernels;
-        const Jtc2dLayout *layout;
-    } ctx{&kernels, &layout};
-    const size_t hc = layout.plane_cols / 2 + 1;
-    return spectra_->spectrum(
-        salt, bank_payload, layout.plane_rows * hc,
-        [&ctx](signal::ComplexVector &out) {
-            const size_t rows = ctx.layout->plane_rows;
-            const size_t cols = ctx.layout->plane_cols;
-            const auto plan = signal::fft2dPlanFor(rows, cols);
-            std::vector<double> &padded =
-                signal::threadFftWorkspace().realBuffer(kSlotJtc2dPad,
-                                                        rows * cols);
-            std::fill(padded.begin(), padded.end(), 0.0);
-            for (size_t j = 0; j < ctx.kernels->size(); ++j) {
-                const signal::Matrix &kern = (*ctx.kernels)[j];
-                const size_t row0 =
-                    ctx.layout->kernel_row_pos +
-                    j * ctx.layout->kernel_row_step;
-                for (size_t r = 0; r < kern.rows; ++r)
-                    for (size_t c = 0; c < kern.cols; ++c)
-                        padded[(row0 + r) * cols + c] +=
-                            kern.at(r, c);
-            }
             plan->forwardReal(padded.data(), out.data());
         });
 }
@@ -245,60 +155,6 @@ Jtc2d::correlateInto(const signal::Matrix &s, const signal::Matrix &k,
             const size_t dc =
                 (layout.plane_cols - j) % layout.plane_cols;
             out.at(i, j) = plane.at(dr, dc);
-        }
-    }
-}
-
-void
-Jtc2d::correlateBatchInto(const signal::Matrix &s,
-                          const std::vector<signal::Matrix> &kernels,
-                          std::vector<signal::Matrix> &outs) const
-{
-    pf_assert(!kernels.empty(), "correlateBatchInto with no kernels");
-    for (const auto &k : kernels)
-        pf_assert(k.rows == kernels[0].rows &&
-                      k.cols == kernels[0].cols,
-                  "tiled kernels must share one shape");
-    pf_assert(s.rows >= kernels[0].rows && s.cols >= kernels[0].cols,
-              "kernel larger than signal");
-    const auto layout = Jtc2dLayout::designBatch(
-        s.rows, s.cols, kernels[0].rows, kernels[0].cols,
-        kernels.size());
-    const size_t rows = layout.plane_rows;
-    const size_t cols = layout.plane_cols;
-    const auto plan = signal::fft2dPlanFor(rows, cols);
-
-    // The whole tiled kernel bank in one cached spectrum; ONE 2D
-    // Fourier pass then serves every kernel.
-    const auto kspec = kernelBankSpectrum(kernels, layout);
-
-    static thread_local signal::Matrix plane;
-    plane.resize(rows, cols);
-    for (size_t r = 0; r < s.rows; ++r)
-        std::copy(s.data.begin() + r * s.cols,
-                  s.data.begin() + (r + 1) * s.cols,
-                  plane.data.begin() + r * cols);
-
-    static thread_local signal::Matrix out_plane;
-    plan->jointAutocorrelationInto(plane, kspec->data(), out_plane);
-
-    // Per-kernel readout at each block's own row displacement; the
-    // designBatch guard bands keep every read row clear of the other
-    // kernels' terms.
-    const size_t out_rows = s.rows - kernels[0].rows + 1;
-    const size_t out_cols = s.cols - kernels[0].cols + 1;
-    outs.resize(kernels.size());
-    for (size_t j = 0; j < kernels.size(); ++j) {
-        const size_t q =
-            layout.kernel_row_pos + j * layout.kernel_row_step;
-        signal::Matrix &out = outs[j];
-        out.resizeNoFill(out_rows, out_cols);
-        for (size_t i = 0; i < out_rows; ++i) {
-            const size_t dr = (q - i) % rows;
-            for (size_t c = 0; c < out_cols; ++c) {
-                const size_t dc = (cols - c) % cols;
-                out.at(i, c) = out_plane.at(dr, dc);
-            }
         }
     }
 }

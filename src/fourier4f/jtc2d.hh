@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "signal/fft2d.hh"
 #include "signal/plane_spectrum_cache.hh"
@@ -39,33 +38,9 @@ struct Jtc2dLayout
     size_t kernel_row_pos; ///< vertical offset of the kernel block
     size_t plane_rows, plane_cols;
 
-    /** Tiled kernel blocks sharing this plane (1 = classic layout). */
-    size_t kernel_count = 1;
-
-    /** Row spacing between consecutive tiled kernel blocks (0 =
-     *  single). Block j starts at kernel_row_pos + j*kernel_row_step. */
-    size_t kernel_row_step = 0;
-
     /** Design a layout separating the three output terms. */
     static Jtc2dLayout design(size_t signal_rows, size_t signal_cols,
                               size_t kernel_rows, size_t kernel_cols);
-
-    /**
-     * Layout tiling `kernel_count` kernel blocks down ONE joint plane
-     * so a single 2D Fourier pass yields every kernel's correlation.
-     * Guard bands along the row axis: blocks at row spacing
-     * S = Sr + 3*Kr - 2 interleave each signal-kernel cross band
-     * between the kernel-kernel bands with one clear row each side;
-     * plane_rows >= 2*q_last + 2*Kr clears the mirrors; columns are
-     * unchanged (all blocks share the column origin).
-     * kernel_count == 1 returns design() exactly (bit-identical
-     * batch-of-1).
-     */
-    static Jtc2dLayout designBatch(size_t signal_rows,
-                                   size_t signal_cols,
-                                   size_t kernel_rows,
-                                   size_t kernel_cols,
-                                   size_t kernel_count);
 };
 
 /** Free-space 2D JTC simulator (noiseless). */
@@ -107,20 +82,6 @@ class Jtc2d
     void correlateInto(const signal::Matrix &s, const signal::Matrix &k,
                        signal::Matrix &out) const;
 
-    /**
-     * Batched correlate: k same-shape kernels tiled down one joint
-     * plane (Jtc2dLayout::designBatch), their summed block spectrum
-     * cached as a single bank entry — one r2c + |.|^2 + c2r on the
-     * tiled plane computes every kernel's 2D correlation, and
-     * outs[j] is read at kernel j's own row displacement. Matches
-     * per-kernel correlateInto within FFT rounding of the larger
-     * plane (bit-identical for kernels.size() == 1). Allocation-free
-     * with a warm bank cache once outs' capacity is warm.
-     */
-    void correlateBatchInto(const signal::Matrix &s,
-                            const std::vector<signal::Matrix> &kernels,
-                            std::vector<signal::Matrix> &outs) const;
-
     /** The kernel-block spectrum cache of this instance. */
     const std::shared_ptr<signal::PlaneSpectrumCache> &
     spectrumCache() const
@@ -133,13 +94,6 @@ class Jtc2d
      *  kernel block placed at (kernel_row_pos, 0). */
     std::shared_ptr<const signal::ComplexVector> kernelPlaneSpectrum(
         const signal::Matrix &k, const Jtc2dLayout &layout) const;
-
-    /** Cached summed half-spectrum of every tiled kernel block
-     *  (block j at row kernel_row_pos + j*kernel_row_step) — one
-     *  bank entry per (kernel bytes, tiling geometry). */
-    std::shared_ptr<const signal::ComplexVector> kernelBankSpectrum(
-        const std::vector<signal::Matrix> &kernels,
-        const Jtc2dLayout &layout) const;
 
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;
 };

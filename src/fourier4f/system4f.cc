@@ -12,13 +12,10 @@ namespace fourier4f {
 
 namespace {
 
-// Workspace slots 24-25 and 27: the fourier4f share of the optical-
-// simulator range (see the slot discipline in fft_plan.hh). 27 holds
-// the batched product planes of applyBatchInto while the shared image
-// spectrum stays live in 25.
+// Workspace slots 24-25: the fourier4f share of the optical-
+// simulator range (see the slot discipline in fft_plan.hh).
 constexpr size_t kSlot4fPad = 24;
 constexpr size_t kSlot4fSpectrum = 25;
-constexpr size_t kSlot4fBatchProducts = 27;
 
 } // namespace
 
@@ -29,8 +26,10 @@ System4f::System4f(System4fConfig config,
                    ? std::move(spectra)
                    : std::make_shared<signal::PlaneSpectrumCache>())
 {
-    pf_assert(config_.amplitude_bits >= 0 && config_.phase_bits >= 0,
-              "negative modulator resolution");
+    pf_assert(photonics::Quantizer::validSetting(config_.amplitude_bits) &&
+                  photonics::Quantizer::validSetting(config_.phase_bits),
+              "modulator resolution out of range: amplitude ",
+              config_.amplitude_bits, ", phase ", config_.phase_bits);
 }
 
 signal::ComplexMatrix
@@ -105,122 +104,6 @@ System4f::filterHalfSpectrum(const signal::Matrix &kernel, size_t rows,
                 for (size_t c = 0; c < hc; ++c)
                     out[r * hc + c] = filter.at(r, c);
         });
-}
-
-std::shared_ptr<const signal::ComplexVector>
-System4f::filterBankHalfSpectrum(
-    const std::vector<signal::Matrix> &kernels, size_t rows,
-    size_t cols) const
-{
-    // One content-addressed entry for the whole bank: the payload is
-    // the concatenated kernel bytes (so any kernel change re-programs
-    // the bank) and the salt carries the tiling geometry — plane
-    // shape, per-kernel shape, bank size, and the modulator bits the
-    // quantization depends on.
-    uint64_t salt = signal::planeSpectrumSalt(rows);
-    salt = signal::planeSpectrumSalt(cols, salt);
-    salt = signal::planeSpectrumSalt(kernels[0].rows, salt);
-    salt = signal::planeSpectrumSalt(kernels[0].cols, salt);
-    salt = signal::planeSpectrumSalt(kernels.size(), salt);
-    salt = signal::planeSpectrumSalt(
-        static_cast<uint64_t>(config_.amplitude_bits), salt);
-    salt = signal::planeSpectrumSalt(
-        static_cast<uint64_t>(config_.phase_bits), salt);
-
-    // Payload scratch is per-thread so warm lookups stay
-    // allocation-free (the cache compares payload bytes on every hit).
-    static thread_local std::vector<double> bank_payload;
-    bank_payload.clear();
-    for (const auto &k : kernels)
-        bank_payload.insert(bank_payload.end(), k.data.begin(),
-                            k.data.end());
-
-    struct Ctx
-    {
-        const System4f *self;
-        const std::vector<signal::Matrix> *kernels;
-        size_t rows, cols;
-    } ctx{this, &kernels, rows, cols};
-    const size_t hc = cols / 2 + 1;
-    return spectra_->spectrum(
-        salt, bank_payload, kernels.size() * rows * hc,
-        [&ctx](signal::ComplexVector &out) {
-            // Program each filter of the bank exactly as the solo path
-            // would (FT + polar quantization), filter j at plane j of
-            // the contiguous bank — batched outputs stay bit-identical
-            // to k solo applies.
-            const size_t hc = ctx.cols / 2 + 1;
-            for (size_t j = 0; j < ctx.kernels->size(); ++j) {
-                const auto filter = ctx.self->programFilter(
-                    (*ctx.kernels)[j], ctx.rows, ctx.cols);
-                signal::Complex *dst = out.data() + j * ctx.rows * hc;
-                for (size_t r = 0; r < ctx.rows; ++r)
-                    for (size_t c = 0; c < hc; ++c)
-                        dst[r * hc + c] = filter.at(r, c);
-            }
-        });
-}
-
-void
-System4f::applyBatchInto(const signal::Matrix &image,
-                         const std::vector<signal::Matrix> &kernels,
-                         std::vector<signal::Matrix> &outs) const
-{
-    pf_assert(!kernels.empty(), "applyBatchInto with no kernels");
-    pf_assert(image.rows > 0 && kernels[0].rows > 0, "empty operands");
-    for (const auto &k : kernels)
-        pf_assert(k.rows == kernels[0].rows &&
-                      k.cols == kernels[0].cols,
-                  "applyBatchInto kernels must share one shape");
-    const size_t count = kernels.size();
-    const size_t rows = image.rows + kernels[0].rows - 1;
-    const size_t cols = image.cols + kernels[0].cols - 1;
-    const auto plan = signal::fft2dPlanFor(rows, cols);
-    const size_t hc = plan->halfCols();
-    const size_t half_plane = rows * hc;
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-
-    // The whole programmed filter bank in one cache lookup.
-    const auto bank = filterBankHalfSpectrum(kernels, rows, cols);
-
-    // Input-side lens ONCE: the input transform is filter-independent,
-    // so its cost is shared by every kernel of the bank.
-    std::vector<double> &padded = ws.realBuffer(kSlot4fPad, rows * cols);
-    std::fill(padded.begin(), padded.end(), 0.0);
-    for (size_t r = 0; r < image.rows; ++r)
-        std::copy(image.data.begin() + r * image.cols,
-                  image.data.begin() + (r + 1) * image.cols,
-                  padded.begin() + r * cols);
-    signal::ComplexVector &spectrum =
-        ws.complexBuffer(kSlot4fSpectrum, half_plane);
-    plan->forwardReal(padded.data(), spectrum.data());
-
-    // Fourier plane: k pointwise products against the bank.
-    signal::ComplexVector &products =
-        ws.complexBuffer(kSlot4fBatchProducts, count * half_plane);
-    for (size_t j = 0; j < count; ++j) {
-        const signal::Complex *h = bank->data() + j * half_plane;
-        signal::Complex *p = products.data() + j * half_plane;
-        for (size_t i = 0; i < half_plane; ++i)
-            p[i] = spectrum[i] * h[i];
-    }
-
-    // Output-side lenses fused: one batched c2r over the k product
-    // planes (shared transpose pair, one column batch), landing in the
-    // padded-image slot — its contents are consumed by now.
-    std::vector<double> &planes =
-        ws.realBuffer(kSlot4fPad, count * rows * cols);
-    plan->inverseRealBatchInto(products.data(), count, planes.data());
-
-    outs.resize(count);
-    for (size_t j = 0; j < count; ++j) {
-        outs[j].resizeNoFill(rows, cols);
-        std::copy(planes.begin() +
-                      static_cast<long>(j * rows * cols),
-                  planes.begin() +
-                      static_cast<long>((j + 1) * rows * cols),
-                  outs[j].data.begin());
-    }
 }
 
 signal::Matrix

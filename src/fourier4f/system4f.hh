@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "signal/fft2d.hh"
 #include "signal/plane_spectrum_cache.hh"
@@ -100,24 +99,6 @@ class System4f
                signal::Matrix &out) const;
 
     /**
-     * Batched apply: convolve one image with k same-shape kernels in
-     * one pass through the optics. The input-side lens runs ONCE (the
-     * 4F input transform does not depend on the filter), the k
-     * programmed filters come from a single cached filter *bank* —
-     * one PlaneSpectrumCache entry holding all k half-spectra
-     * contiguously, the software analogue of programming the Fourier
-     * plane once per filter set — and the k output-side transforms
-     * fuse through Fft2dPlan::inverseRealBatchInto. Per-kernel cost
-     * falls from (2 transforms + products) to (1 + 1/k transforms +
-     * products). outs[j] matches apply(image, kernels[j], .) exactly
-     * (bit-identical: same plan, same per-plane arithmetic).
-     * Allocation-free in steady state once outs' capacity is warm.
-     */
-    void applyBatchInto(const signal::Matrix &image,
-                        const std::vector<signal::Matrix> &kernels,
-                        std::vector<signal::Matrix> &outs) const;
-
-    /**
      * The Fourier-domain filter actually programmed: FT of the
      * zero-padded kernel with amplitude/phase quantization applied.
      */
@@ -144,12 +125,6 @@ class System4f
      *  filter for `kernel` on a rows x cols Fourier plane. */
     std::shared_ptr<const signal::ComplexVector> filterHalfSpectrum(
         const signal::Matrix &kernel, size_t rows, size_t cols) const;
-
-    /** Cached bank of k programmed filter half-spectra (filter j at
-     *  offset j*rows*(cols/2+1)), one cache entry per kernel set. */
-    std::shared_ptr<const signal::ComplexVector> filterBankHalfSpectrum(
-        const std::vector<signal::Matrix> &kernels, size_t rows,
-        size_t cols) const;
 
     System4fConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "arch/simd.hh"
 #include "common/logging.hh"
@@ -407,6 +408,22 @@ selectConvBackend(
 
 } // namespace
 
+std::string
+engineConfigError(const PhotoFourierEngineConfig &config)
+{
+    using photonics::Quantizer;
+    for (const auto &[field, bits] : {std::pair{"dac_bits", config.dac_bits},
+                                      std::pair{"adc_bits", config.adc_bits}})
+        if (!Quantizer::validSetting(bits))
+            return std::string(field) + " = " + std::to_string(bits) +
+                   " must be 0 (ideal) or " +
+                   std::to_string(Quantizer::kMinBits) + "-" +
+                   std::to_string(Quantizer::kMaxBits);
+    if (config.temporal_accumulation_depth < 1)
+        return "temporal_accumulation_depth must be >= 1";
+    return {};
+}
+
 PhotoFourierEngine::PhotoFourierEngine(
     PhotoFourierEngineConfig config,
     std::shared_ptr<tiling::KernelSpectrumCache> spectra)
@@ -416,8 +433,8 @@ PhotoFourierEngine::PhotoFourierEngine(
                    : std::make_shared<tiling::KernelSpectrumCache>()),
       backend_(selectConvBackend(config_, spectra_))
 {
-    pf_assert(config_.temporal_accumulation_depth >= 1,
-              "temporal accumulation depth must be >= 1");
+    const std::string invalid = engineConfigError(config_);
+    pf_assert(invalid.empty(), invalid);
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
     snr_gauge_ = &registry.gauge("pf_photonic_snr_db");
     saturation_gauge_ = &registry.gauge("pf_photonic_saturation");

@@ -198,6 +198,11 @@ struct PhotoFourierEngineConfig
     ConvPath conv_path = ConvPath::Auto;
 };
 
+/** Why `config` cannot build a PhotoFourierEngine, naming the
+ *  field (converter bits outside Quantizer::validSetting, a zero
+ *  accumulation depth); empty when it can. */
+std::string engineConfigError(const PhotoFourierEngineConfig &config);
+
 /**
  * Row-tiled, quantization-aware engine.
  *

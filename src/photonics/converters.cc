@@ -12,8 +12,8 @@ namespace photonics {
 Quantizer::Quantizer(int bits, double range)
     : bits_(bits), range_(range)
 {
-    pf_assert(bits >= 2 && bits <= 32, "quantizer bits out of range: ",
-              bits);
+    pf_assert(bits >= kMinBits && bits <= kMaxBits,
+              "quantizer bits out of range: ", bits);
     pf_assert(range >= 0.0, "quantizer range must be >= 0");
     max_code_ = (int64_t{1} << (bits - 1)) - 1;
     step_ = range > 0.0 ? range / static_cast<double>(max_code_) : 0.0;

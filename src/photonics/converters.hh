@@ -29,8 +29,20 @@ namespace photonics {
 class Quantizer
 {
   public:
+    /** Resolutions the constructor accepts. */
+    static constexpr int kMinBits = 2;
+    static constexpr int kMaxBits = 32;
+
+    /** True when `bits` is a usable converter or modulator setting:
+     *  0 (ideal, no quantization) or kMinBits..kMaxBits. */
+    static constexpr bool
+    validSetting(int bits)
+    {
+        return bits == 0 || (bits >= kMinBits && bits <= kMaxBits);
+    }
+
     /**
-     * @param bits  resolution in bits (>= 2)
+     * @param bits  resolution in bits (kMinBits..kMaxBits)
      * @param range full-scale amplitude; 0 disables quantization
      *              (an "ideal converter" for ablations)
      */

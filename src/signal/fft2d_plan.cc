@@ -180,92 +180,6 @@ Fft2dPlan::inverseReal(const Complex *half, double *out) const
 }
 
 void
-Fft2dPlan::forwardRealBatchInto(const double *in, size_t count,
-                                Complex *half) const
-{
-    pf_assert(in != nullptr && half != nullptr,
-              "Fft2dPlan::forwardRealBatchInto on null data");
-    if (count == 0)
-        return;
-    const size_t hc = halfCols();
-    const size_t plane = rows_ * cols_;
-    const size_t half_plane = rows_ * hc;
-
-    // Fused row pass: one dispatch over every row of every plane.
-    if (count * plane < kParallelDispatchThreshold ||
-        defaultFftThreads() <= 1) {
-        for (size_t r = 0; r < count * rows_; ++r)
-            row_plan_->executeReal(in + r * cols_, half + r * hc);
-    } else {
-        struct Job
-        {
-            const FftPlan *plan;
-            const double *in;
-            Complex *half;
-            size_t cols, hc;
-        } job{row_plan_.get(), in, half, cols_, hc};
-        parallelFor(count * rows_, 0, [&job](size_t r) {
-            job.plan->executeReal(job.in + r * job.cols,
-                                  job.half + r * job.hc);
-        });
-    }
-
-    // Shared column pass: the stacked (count*rows) x hc matrix is the
-    // planes laid end to end, so one blocked transpose makes every
-    // plane's columns contiguous — segment (i, c) of the transposed
-    // matrix holds exactly plane i's half-column c — and one batch of
-    // count*hc length-rows transforms covers all planes.
-    ComplexVector &t = threadFftWorkspace().complexBuffer(
-        kSlotTranspose, count * half_plane);
-    transposeInto(half, count * rows_, hc, t.data());
-    rowBatch(*col_plan_, t.data(), count * hc, /*inverse=*/false);
-    transposeInto(t.data(), hc, count * rows_, half);
-}
-
-void
-Fft2dPlan::inverseRealBatchInto(const Complex *half, size_t count,
-                                double *out) const
-{
-    pf_assert(half != nullptr && out != nullptr,
-              "Fft2dPlan::inverseRealBatchInto on null data");
-    if (count == 0)
-        return;
-    const size_t hc = halfCols();
-    const size_t half_plane = rows_ * hc;
-    FftWorkspace &ws = threadFftWorkspace();
-
-    // Shared column pass (transpose pair + one fused inverse batch),
-    // mirroring forwardRealBatchInto.
-    ComplexVector &t =
-        ws.complexBuffer(kSlotTranspose, count * half_plane);
-    transposeInto(half, count * rows_, hc, t.data());
-    rowBatch(*col_plan_, t.data(), count * hc, /*inverse=*/true);
-    ComplexVector &h2 =
-        ws.complexBuffer(kSlotHalfScratch, count * half_plane);
-    transposeInto(t.data(), hc, count * rows_, h2.data());
-
-    // Fused row pass: one dispatch of count*rows c2r transforms.
-    if (count * rows_ * cols_ < kParallelDispatchThreshold ||
-        defaultFftThreads() <= 1) {
-        for (size_t r = 0; r < count * rows_; ++r)
-            row_plan_->executeRealInverse(h2.data() + r * hc,
-                                          out + r * cols_);
-    } else {
-        struct Job
-        {
-            const FftPlan *plan;
-            const Complex *h2;
-            double *out;
-            size_t cols, hc;
-        } job{row_plan_.get(), h2.data(), out, cols_, hc};
-        parallelFor(count * rows_, 0, [&job](size_t r) {
-            job.plan->executeRealInverse(job.h2 + r * job.hc,
-                                         job.out + r * job.cols);
-        });
-    }
-}
-
-void
 Fft2dPlan::forwardRealInto(const Matrix &in, ComplexMatrix &half) const
 {
     pf_assert(in.rows == rows_ && in.cols == cols_, "Fft2dPlan for ",

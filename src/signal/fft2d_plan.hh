@@ -104,32 +104,6 @@ class Fft2dPlan
      */
     void inverseReal(const Complex *half, double *out) const;
 
-    /**
-     * Batched forwardReal over `count` contiguous planes: plane i
-     * occupies in + i*rows()*cols() and lands at
-     * half + i*rows()*halfCols(). Bit-exact vs `count` forwardReal
-     * calls (the per-plane arithmetic is identical); what the batch
-     * buys is fusion — the row passes of all planes run as one
-     * dispatch, and the column passes of all planes share a single
-     * transpose pair and one rowBatch of count*halfCols() column
-     * transforms (the stacked (count*rows) x halfCols matrix IS the
-     * concatenation of the per-plane half matrices, so one blocked
-     * transpose serves every plane). Allocation-free in steady state;
-     * `in` and `half` must not overlap.
-     */
-    void forwardRealBatchInto(const double *in, size_t count,
-                              Complex *half) const;
-
-    /**
-     * Batched inverseReal over `count` contiguous half-spectra
-     * (layout as in forwardRealBatchInto): one transpose pair and one
-     * fused column batch for all planes, then one row-pass dispatch of
-     * count*rows() c2r transforms. Bit-exact vs `count` inverseReal
-     * calls; allocation-free in steady state.
-     */
-    void inverseRealBatchInto(const Complex *half, size_t count,
-                              double *out) const;
-
     /** Matrix wrapper: `half` is resized to rows() x halfCols(). */
     void forwardRealInto(const Matrix &in, ComplexMatrix &half) const;
 

@@ -65,8 +65,8 @@ fftCorrelationCost(size_t input_len, size_t kernel_len, size_t count)
     // ~8 * n * log2(n) sliding-MAC equivalents (6.9..9.7 across
     // n = 512..8192) — up from 2.0 with the scalar kernels. Re-fit
     // whenever either kernel family changes speed. The batched entry
-    // points (convolveBatch / *BatchInto) reuse this model per
-    // request on the shared shape: fusion amortizes spectrum fetches,
+    // point (convolveBatch) reuses this model per request on the
+    // shared shape: fusion amortizes spectrum fetches,
     // transposes, and pool dispatch — not butterflies or sliding
     // MACs — so the per-MAC ratio the factor captures is unchanged
     // and both paths' per-request costs scale together (re-checked

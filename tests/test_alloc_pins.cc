@@ -332,85 +332,3 @@ TEST(AllocPins, Jtc2dOutputPlaneInto)
         system.outputPlaneInto(s, k, out);
     }), 0u) << "Jtc2d::outputPlaneInto allocated in steady state";
 }
-
-TEST(AllocPins, Fft2dPlanForwardInverseRealBatchInto)
-{
-    pf::Rng rng(78);
-    const size_t rows = 8, cols = 6, count = 3;
-    const auto plan = sig::fft2dPlanFor(rows, cols);
-    const size_t hc = plan->halfCols();
-
-    const std::vector<double> planes =
-        rng.uniformVector(count * rows * cols, -1.0, 1.0);
-    sig::ComplexVector half(count * rows * hc);
-    plan->forwardRealBatchInto(planes.data(), count, half.data());
-
-    // Bit-exact against per-plane forwardReal / inverseReal.
-    sig::ComplexVector solo_half(rows * hc);
-    std::vector<double> batch_out(count * rows * cols);
-    plan->inverseRealBatchInto(half.data(), count, batch_out.data());
-    std::vector<double> solo_out(rows * cols);
-    for (size_t i = 0; i < count; ++i) {
-        plan->forwardReal(&planes[i * rows * cols], solo_half.data());
-        for (size_t j = 0; j < rows * hc; ++j)
-            EXPECT_EQ(half[i * rows * hc + j], solo_half[j]);
-        plan->inverseReal(solo_half.data(), solo_out.data());
-        for (size_t j = 0; j < rows * cols; ++j)
-            EXPECT_EQ(batch_out[i * rows * cols + j], solo_out[j]);
-    }
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        plan->forwardRealBatchInto(planes.data(), count, half.data());
-        plan->inverseRealBatchInto(half.data(), count,
-                                   batch_out.data());
-    }), 0u) << "forwardRealBatchInto/inverseRealBatchInto allocated "
-               "in steady state";
-}
-
-TEST(AllocPins, System4fApplyBatchInto)
-{
-    pf::Rng rng(79);
-    const auto image = randomMatrix(rng, 9, 9);
-    std::vector<sig::Matrix> kernels;
-    for (size_t j = 0; j < 3; ++j)
-        kernels.push_back(randomMatrix(rng, 3, 3, -0.5, 0.5));
-    f4::System4f system;
-
-    std::vector<sig::Matrix> outs;
-    system.applyBatchInto(image, kernels, outs);
-    ASSERT_EQ(outs.size(), kernels.size());
-    sig::Matrix solo;
-    for (size_t j = 0; j < kernels.size(); ++j) {
-        system.apply(image, kernels[j], solo);
-        EXPECT_EQ(matrixMax(outs[j], solo), 0.0)
-            << "batched 4f apply differs from solo for kernel " << j;
-    }
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        system.applyBatchInto(image, kernels, outs);
-    }), 0u) << "System4f::applyBatchInto allocated in steady state";
-}
-
-TEST(AllocPins, Jtc2dCorrelateBatchInto)
-{
-    pf::Rng rng(81);
-    const auto s = randomMatrix(rng, 9, 9);
-    std::vector<sig::Matrix> kernels;
-    for (size_t j = 0; j < 3; ++j)
-        kernels.push_back(randomMatrix(rng, 3, 3));
-    f4::Jtc2d system;
-
-    std::vector<sig::Matrix> outs;
-    system.correlateBatchInto(s, kernels, outs);
-    ASSERT_EQ(outs.size(), kernels.size());
-    sig::Matrix solo;
-    for (size_t j = 0; j < kernels.size(); ++j) {
-        system.correlateInto(s, kernels[j], solo);
-        EXPECT_LT(matrixMax(outs[j], solo), 1e-9)
-            << "batched 2D JTC differs from solo for kernel " << j;
-    }
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        system.correlateBatchInto(s, kernels, outs);
-    }), 0u) << "Jtc2d::correlateBatchInto allocated in steady state";
-}

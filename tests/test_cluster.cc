@@ -703,6 +703,21 @@ TEST(ShardServer, RemoteRegistrationWithWeightsAndOverride)
     EXPECT_FALSE(client.registerModel("bad", "zoo:small-alexnet:2:7",
                                       snapshot.str(), std::nullopt,
                                       &error));
+    // Out-of-range engine overrides are refused by name instead of
+    // aborting the shard when the engine is built or first run.
+    nn::PhotoFourierEngineConfig no_accumulation = engine;
+    no_accumulation.temporal_accumulation_depth = 0;
+    EXPECT_FALSE(client.registerModel("bad", spec, snapshot.str(),
+                                      no_accumulation, &error));
+    EXPECT_NE(error.find("temporal_accumulation_depth"),
+              std::string::npos)
+        << error;
+    nn::PhotoFourierEngineConfig wide_adc = engine;
+    wide_adc.adc_bits = 33;
+    EXPECT_FALSE(client.registerModel("bad", spec, snapshot.str(),
+                                      wide_adc, &error));
+    EXPECT_NE(error.find("adc_bits"), std::string::npos) << error;
+    EXPECT_FALSE(shard.server->registry().has("bad"));
     EXPECT_TRUE(client.ping()); // still serving
 
     shard.server->stop();

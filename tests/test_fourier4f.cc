@@ -223,6 +223,14 @@ TEST(System4f, QuantizedFilterDegradesGracefully)
     EXPECT_LT(pf::relativeRmse(exact.data, out8.data), 0.05);
 }
 
+TEST(System4f, BadModulatorBitsDieAtConstruction)
+{
+    // One bit cannot build a quantizer: refused when the system is
+    // built, not inside the filter cache at the first convolve.
+    EXPECT_DEATH(f4::System4f(f4::System4fConfig{1, 0}),
+                 "modulator resolution");
+}
+
 TEST(System4f, RequirementsQuantifySectionViii)
 {
     // 3x3 kernel on a 32x32 input: the 4F filter needs 1024 complex
@@ -602,201 +610,5 @@ TEST(OpticalSpectrumCache, SharedCacheIsRaceFreeAndExact)
     // Every kernel was transformed at least once; hits dominate.
     const auto stats = shared->stats();
     EXPECT_GE(stats.entries, 2 * kernels.size());
-    EXPECT_GT(stats.hits, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Batched optics: fused multi-plane transforms, filter banks, tiled
-// joint planes (the multi-channel trick — one Fourier pass serves k
-// kernels/planes).
-// ---------------------------------------------------------------------------
-
-TEST(Fft2dPlan, BatchRealMatchesSoloAcrossGeometries)
-{
-    pf::Rng rng(40);
-    for (auto [rows, cols] : kRealPathGeometries) {
-        const auto plan = sig::fft2dPlanFor(rows, cols);
-        const size_t hc = plan->halfCols();
-        for (size_t count : {size_t(1), size_t(3), size_t(4)}) {
-            const std::vector<double> planes =
-                rng.uniformVector(count * rows * cols, -1.0, 1.0);
-            sig::ComplexVector half(count * rows * hc);
-            plan->forwardRealBatchInto(planes.data(), count,
-                                       half.data());
-
-            // Forward: bit-exact per plane vs the solo transform.
-            sig::ComplexVector solo_half(rows * hc);
-            for (size_t i = 0; i < count; ++i) {
-                plan->forwardReal(&planes[i * rows * cols],
-                                  solo_half.data());
-                for (size_t j = 0; j < rows * hc; ++j)
-                    EXPECT_EQ(half[i * rows * hc + j], solo_half[j])
-                        << rows << "x" << cols << " plane " << i
-                        << " bin " << j;
-            }
-
-            // Inverse: bit-exact per plane, and round-trips.
-            std::vector<double> batch_out(count * rows * cols);
-            plan->inverseRealBatchInto(half.data(), count,
-                                       batch_out.data());
-            std::vector<double> solo_out(rows * cols);
-            for (size_t i = 0; i < count; ++i) {
-                plan->inverseReal(&half[i * rows * hc],
-                                  solo_out.data());
-                for (size_t j = 0; j < rows * cols; ++j)
-                    EXPECT_EQ(batch_out[i * rows * cols + j],
-                              solo_out[j])
-                        << rows << "x" << cols << " plane " << i;
-                for (size_t j = 0; j < rows * cols; ++j)
-                    EXPECT_NEAR(batch_out[i * rows * cols + j],
-                                planes[i * rows * cols + j], 1e-9);
-            }
-        }
-    }
-}
-
-TEST(System4f, ApplyBatchMatchesSoloBitExact)
-{
-    pf::Rng rng(41);
-    const auto image = randomMatrix(rng, 12, 12, -1.0, 1.0);
-    // Quantized modulators too: the filter bank must program each
-    // filter exactly as the solo path does.
-    for (const f4::System4fConfig config :
-         {f4::System4fConfig{}, f4::System4fConfig{6, 6}}) {
-        f4::System4f system(config);
-        for (size_t count : {size_t(1), size_t(4)}) {
-            std::vector<sig::Matrix> kernels;
-            for (size_t j = 0; j < count; ++j)
-                kernels.push_back(
-                    randomMatrix(rng, 5, 5, -0.5, 0.5));
-            std::vector<sig::Matrix> outs;
-            system.applyBatchInto(image, kernels, outs);
-            ASSERT_EQ(outs.size(), count);
-            sig::Matrix solo;
-            for (size_t j = 0; j < count; ++j) {
-                system.apply(image, kernels[j], solo);
-                EXPECT_EQ(sig::matrixMaxAbsDiff(outs[j], solo), 0.0)
-                    << "bits=" << config.amplitude_bits << " kernel "
-                    << j;
-            }
-        }
-    }
-}
-
-TEST(System4f, FilterBankIsOneCacheEntry)
-{
-    pf::Rng rng(42);
-    const auto image = randomMatrix(rng, 10, 10);
-    std::vector<sig::Matrix> kernels;
-    for (size_t j = 0; j < 4; ++j)
-        kernels.push_back(randomMatrix(rng, 3, 3, -0.5, 0.5));
-    f4::System4f system;
-
-    std::vector<sig::Matrix> outs;
-    system.applyBatchInto(image, kernels, outs);
-    const auto after_first = system.spectrumCache()->stats();
-    EXPECT_EQ(after_first.entries, 1u)
-        << "k filters should land in ONE bank entry";
-
-    system.applyBatchInto(image, kernels, outs);
-    const auto after_second = system.spectrumCache()->stats();
-    EXPECT_EQ(after_second.entries, 1u);
-    EXPECT_GT(after_second.hits, after_first.hits)
-        << "second batch should hit the cached bank";
-}
-
-TEST(Jtc2d, DesignBatchGeometry)
-{
-    // kernel_count == 1 must be the classic layout (bit-identical
-    // batch-of-1: same plane, same cached spectra).
-    const auto solo = f4::Jtc2dLayout::design(9, 9, 3, 3);
-    const auto batch1 = f4::Jtc2dLayout::designBatch(9, 9, 3, 3, 1);
-    EXPECT_EQ(batch1.kernel_row_pos, solo.kernel_row_pos);
-    EXPECT_EQ(batch1.plane_rows, solo.plane_rows);
-    EXPECT_EQ(batch1.plane_cols, solo.plane_cols);
-    EXPECT_EQ(batch1.kernel_count, 1u);
-
-    // Batched layouts keep every block in bounds and the mirror terms
-    // clear: plane_rows >= 2*q_last + 2*Kr.
-    for (size_t count : {size_t(2), size_t(4), size_t(7)}) {
-        const auto l = f4::Jtc2dLayout::designBatch(9, 9, 3, 3, count);
-        EXPECT_EQ(l.kernel_count, count);
-        EXPECT_EQ(l.kernel_row_step, 9 + 3 * 3 - 2);
-        const size_t q_last =
-            l.kernel_row_pos + (count - 1) * l.kernel_row_step;
-        EXPECT_GE(l.plane_rows, 2 * q_last + 2 * l.kernel_rows);
-        EXPECT_LE(q_last + l.kernel_rows, l.plane_rows);
-    }
-}
-
-TEST(Jtc2d, CorrelateBatchMatchesPerKernel)
-{
-    pf::Rng rng(43);
-    const auto s = randomMatrix(rng, 12, 12);
-    f4::Jtc2d system;
-    for (size_t count : {size_t(1), size_t(3), size_t(5)}) {
-        std::vector<sig::Matrix> kernels;
-        for (size_t j = 0; j < count; ++j)
-            kernels.push_back(randomMatrix(rng, 3, 3));
-        std::vector<sig::Matrix> outs;
-        system.correlateBatchInto(s, kernels, outs);
-        ASSERT_EQ(outs.size(), count);
-        sig::Matrix solo;
-        for (size_t j = 0; j < count; ++j) {
-            system.correlateInto(s, kernels[j], solo);
-            ASSERT_EQ(outs[j].rows, solo.rows);
-            ASSERT_EQ(outs[j].cols, solo.cols);
-            if (count == 1) {
-                // Same layout, same cache entry: bit-identical.
-                EXPECT_EQ(sig::matrixMaxAbsDiff(outs[j], solo), 0.0);
-            } else {
-                // The tiled plane is larger, so FFT rounding differs
-                // (documented tolerance; values are O(10)).
-                EXPECT_LT(sig::matrixMaxAbsDiff(outs[j], solo), 1e-9)
-                    << "count " << count << " kernel " << j;
-            }
-        }
-    }
-}
-
-TEST(Jtc2d, BatchSharedTiledPlaneCacheIsRaceFree)
-{
-    // TSan leg for the tiled-plane bank entries: many threads, one
-    // shared PlaneSpectrumCache, all running batched correlations
-    // with the same kernel set. The batched path is deterministic, so
-    // every thread must reproduce the single-threaded result bit for
-    // bit while hitting one shared bank entry.
-    pf::Rng rng(44);
-    const auto s = randomMatrix(rng, 10, 10);
-    std::vector<sig::Matrix> kernels;
-    for (size_t j = 0; j < 3; ++j)
-        kernels.push_back(randomMatrix(rng, 3, 3));
-
-    auto shared = std::make_shared<sig::PlaneSpectrumCache>();
-    std::vector<sig::Matrix> expected;
-    {
-        f4::Jtc2d warm(shared);
-        warm.correlateBatchInto(s, kernels, expected);
-    }
-
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&] {
-            f4::Jtc2d jtc(shared);
-            std::vector<sig::Matrix> outs;
-            for (int iter = 0; iter < 8; ++iter) {
-                jtc.correlateBatchInto(s, kernels, outs);
-                for (size_t j = 0; j < kernels.size(); ++j)
-                    if (sig::matrixMaxAbsDiff(outs[j], expected[j]) !=
-                        0.0)
-                        mismatches.fetch_add(1);
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    EXPECT_EQ(mismatches.load(), 0);
-    const auto stats = shared->stats();
     EXPECT_GT(stats.hits, 0u);
 }

@@ -31,6 +31,11 @@ hold mechanically for every future PR instead of one test at a time:
                     every other file goes through the dispatched
                     kernel table, so sanitizers, equivalence tests,
                     and future ISAs all face one seam.
+  bench-rows        every benchmark family recorded in BENCH_micro.json
+                    (a row's run_name up to the first `/`) still has a
+                    BENCHMARK(...) registration in
+                    bench/micro_kernels.cc, so deleted code does not
+                    linger in the recorded perf trajectory.
 
 Usage:
     python3 tools/lint_invariants.py [--root DIR] [--rule NAME]...
@@ -42,6 +47,7 @@ mandatory by convention and show up in review.
 """
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -307,6 +313,40 @@ def rule_intrinsics_confined(root, report):
 
 
 # --------------------------------------------------------------------------
+# Rule: recorded benchmark families are still registered
+# --------------------------------------------------------------------------
+
+BENCHMARK_REGISTRATION = re.compile(r'\bBENCHMARK\s*\(\s*(\w+)\s*\)')
+
+
+def rule_bench_rows(root, report):
+    recorded = os.path.join(root, 'BENCH_micro.json')
+    source = os.path.join(root, 'bench', 'micro_kernels.cc')
+    if not os.path.exists(recorded):
+        return
+    registered = set(
+        BENCHMARK_REGISTRATION.findall(strip_comments(read(source))))
+    text = read(recorded)
+    raw = text.splitlines()
+    families = []
+    for row in json.loads(text).get('benchmarks', []):
+        family = row.get('run_name', row.get('name', '')).split('/')[0]
+        if family and family not in families:
+            families.append(family)
+    for family in families:
+        if family in registered:
+            continue
+        needle = '"%s' % family
+        line = next((i for i, text in enumerate(raw, 1)
+                     if needle in text), 1)
+        report.add(
+            recorded, line, 'bench-rows',
+            'benchmark family %s has no BENCHMARK(%s) in '
+            'bench/micro_kernels.cc: re-record with bench/run_benches.sh '
+            'so rows of deleted code drop out' % (family, family), raw)
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -317,6 +357,7 @@ RULES = {
     'cache-lock-order': rule_cache_lock_order,
     'iwyu': rule_iwyu,
     'intrinsics-confined': rule_intrinsics_confined,
+    'bench-rows': rule_bench_rows,
 }
 
 
