@@ -4,10 +4,15 @@
 Usage: compare_bench.py BEFORE.json AFTER.json [--threshold PCT]
 
 Benchmarks are matched by name; the table reports before/after wall
-time and after-vs-before speedup (>1 = AFTER is faster). Benchmarks
-present in only one file are listed separately. Exit code is always 0
-unless an input is unreadable — this is a reporting tool, not a gate
-(use --threshold to flag regressions louder than PCT percent).
+time as mean ± CV (coefficient of variation over the repetitions,
+from the _mean/_cv aggregates of --benchmark_repetitions runs) and
+the after-vs-before speedup (>1 = AFTER is faster). A change whose
+relative size is inside the combined spread (the two CVs added in
+quadrature) is labelled "noise" and never flagged; rows without
+repetitions carry no spread and no label. Benchmarks present in only
+one file are listed separately. Exit code is always 0 unless an
+input is unreadable — this is a reporting tool, not a gate (use
+--threshold to flag regressions louder than PCT percent).
 
 Context sanity: if either run was recorded from a debug build of the
 photofourier library (the "photofourier_build_type" custom context
@@ -25,6 +30,8 @@ point of the tool.
 
 import argparse
 import json
+import math
+import statistics
 import sys
 
 
@@ -37,34 +44,63 @@ def load(path):
 
 
 def benchmarks(doc):
-    """name -> real_time in ns. With --benchmark_repetitions, the
-    per-repetition rows share one name: they are averaged, and a
-    "_mean" aggregate row (keyed back to its run_name) overrides the
-    average, so the table always reports a mean, never whichever
-    repetition happened to parse last."""
-    sums, counts, means = {}, {}, {}
+    """name -> (mean real_time in ns, CV or None). With
+    --benchmark_repetitions, the per-repetition rows share one name:
+    their mean and coefficient of variation (stddev over mean) are
+    computed, and the "_mean" and "_cv" aggregate rows (keyed back to
+    their run_name) override them, so the table always reports a mean,
+    never whichever repetition happened to parse last. A single
+    repetition has no spread (CV None)."""
+    samples, means, cvs = {}, {}, {}
     for row in doc.get("benchmarks", []):
         name = row.get("name")
         if name is None or "real_time" not in row:
             continue
+        if row.get("run_type") == "aggregate":
+            kind = row.get("aggregate_name")
+            if kind not in ("mean", "cv"):
+                continue
+            base = row.get("run_name")
+            if base is None and name.endswith("_" + kind):
+                base = name[: -len(kind) - 1]
+            if kind == "cv":
+                # A ratio, whatever time_unit the row carries.
+                cvs[base or name] = row["real_time"]
+                continue
         unit = row.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
         if scale is None:
             continue
         ns = row["real_time"] * scale
         if row.get("run_type") == "aggregate":
-            if row.get("aggregate_name") != "mean":
-                continue
-            base = row.get("run_name")
-            if base is None and name.endswith("_mean"):
-                base = name[: -len("_mean")]
             means[base or name] = ns
         else:
-            sums[name] = sums.get(name, 0.0) + ns
-            counts[name] = counts.get(name, 0) + 1
-    out = {n: sums[n] / counts[n] for n in sums}
-    out.update(means)
+            samples.setdefault(name, []).append(ns)
+    out = {}
+    for name, values in samples.items():
+        mean = statistics.fmean(values)
+        cv = (statistics.stdev(values) / mean
+              if len(values) > 1 and mean > 0 else None)
+        out[name] = (mean, cv)
+    for name, mean in means.items():
+        out[name] = (mean, out.get(name, (None, None))[1])
+    for name, cv in cvs.items():
+        if name in out:
+            out[name] = (out[name][0], cv)
     return out
+
+
+def combined_spread(cv_before, cv_after):
+    """Relative spread of the after/before ratio (the two CVs added in
+    quadrature), or None when either side has no spread."""
+    if cv_before is None or cv_after is None:
+        return None
+    return math.hypot(cv_before, cv_after)
+
+
+def fmt_mean_cv(mean, cv):
+    text = fmt_ns(mean)
+    return text + (f" ± {100.0 * cv:.1f}%" if cv is not None else "")
 
 
 def provenance(doc):
@@ -140,7 +176,7 @@ def report_amortization(path):
     if build and build != "release":
         print(f"WARNING: '{build}' build — timings are not "
               f"meaningful perf evidence")
-    bench = benchmarks(doc)
+    bench = {name: mean for name, (mean, _) in benchmarks(doc).items()}
     any_family = False
     for family in AMORTIZED_FAMILIES:
         rows = {}
@@ -206,19 +242,23 @@ def main():
         return
 
     width = max(len(n) for n in common)
-    print(f"{'benchmark':<{width}}  {'before':>10}  {'after':>10}  "
-          f"{'speedup':>8}")
+    print(f"{'benchmark':<{width}}  {'before (mean ± CV)':>20}  "
+          f"{'after (mean ± CV)':>20}  {'speedup':>8}")
     flagged = []
     for name in common:
-        ratio = before[name] / after[name] if after[name] > 0 else 0.0
+        (b_mean, b_cv), (a_mean, a_cv) = before[name], after[name]
+        ratio = b_mean / a_mean if a_mean > 0 else 0.0
+        spread = combined_spread(b_cv, a_cv)
         mark = ""
-        if ratio >= 1.0 + args.threshold / 100.0:
+        if spread is not None and abs(a_mean / b_mean - 1.0) <= spread:
+            mark = "  noise"
+        elif ratio >= 1.0 + args.threshold / 100.0:
             mark = "  +"
         elif ratio <= 1.0 - args.threshold / 100.0:
             mark = "  -"
             flagged.append((name, ratio))
-        print(f"{name:<{width}}  {fmt_ns(before[name]):>10}  "
-              f"{fmt_ns(after[name]):>10}  {ratio:>7.2f}x{mark}")
+        print(f"{name:<{width}}  {fmt_mean_cv(b_mean, b_cv):>20}  "
+              f"{fmt_mean_cv(a_mean, a_cv):>20}  {ratio:>7.2f}x{mark}")
 
     only_before = sorted(set(before) - set(after))
     only_after = sorted(set(after) - set(before))

@@ -61,28 +61,22 @@ Jtc2d::kernelPlaneSpectrum(const signal::Matrix &k,
     salt = signal::planeSpectrumSalt(layout.kernel_row_pos, salt);
     salt = signal::planeSpectrumSalt(k.cols, salt);
 
-    struct Ctx
-    {
-        const signal::Matrix *k;
-        const Jtc2dLayout *layout;
-    } ctx{&k, &layout};
     const size_t hc = layout.plane_cols / 2 + 1;
     return spectra_->spectrum(
         salt, k.data, layout.plane_rows * hc,
-        [&ctx](signal::ComplexVector &out) {
-            const size_t rows = ctx.layout->plane_rows;
-            const size_t cols = ctx.layout->plane_cols;
+        [&](signal::ComplexVector &out) {
+            const size_t rows = layout.plane_rows;
+            const size_t cols = layout.plane_cols;
             const auto plan = signal::fft2dPlanFor(rows, cols);
             std::vector<double> &padded =
                 signal::threadFftWorkspace().realBuffer(kSlotJtc2dPad,
                                                         rows * cols);
             std::fill(padded.begin(), padded.end(), 0.0);
-            const signal::Matrix &kern = *ctx.k;
-            for (size_t r = 0; r < kern.rows; ++r)
-                std::copy(kern.data.begin() + r * kern.cols,
-                          kern.data.begin() + (r + 1) * kern.cols,
+            for (size_t r = 0; r < k.rows; ++r)
+                std::copy(k.data.begin() + r * k.cols,
+                          k.data.begin() + (r + 1) * k.cols,
                           padded.begin() +
-                              (ctx.layout->kernel_row_pos + r) * cols);
+                              (layout.kernel_row_pos + r) * cols);
             plan->forwardReal(padded.data(), out.data());
         });
 }

@@ -83,24 +83,15 @@ System4f::filterHalfSpectrum(const signal::Matrix &kernel, size_t rows,
     salt = signal::planeSpectrumSalt(
         static_cast<uint64_t>(config_.phase_bits), salt);
 
-    struct Ctx
-    {
-        const System4f *self;
-        const signal::Matrix *kernel;
-        size_t rows, cols;
-    } ctx{this, &kernel, rows, cols};
     const size_t hc = cols / 2 + 1;
     return spectra_->spectrum(
-        salt, kernel.data, rows * hc,
-        [&ctx](signal::ComplexVector &out) {
+        salt, kernel.data, rows * hc, [&](signal::ComplexVector &out) {
             // Program the full filter (FT + polar quantization), then
             // keep the Hermitian half. The quantizer is symmetric
             // (q(-x) == -q(x)), so the programmed filter stays
             // Hermitian and the half representation is lossless.
-            const auto filter = ctx.self->programFilter(
-                *ctx.kernel, ctx.rows, ctx.cols);
-            const size_t hc = ctx.cols / 2 + 1;
-            for (size_t r = 0; r < ctx.rows; ++r)
+            const auto filter = programFilter(kernel, rows, cols);
+            for (size_t r = 0; r < rows; ++r)
                 for (size_t c = 0; c < hc; ++c)
                     out[r * hc + c] = filter.at(r, c);
         });

@@ -64,25 +64,18 @@ JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
     uint64_t salt = signal::planeSpectrumSalt(layout.plane_size);
     salt = signal::planeSpectrumSalt(layout.kernel_pos, salt);
 
-    struct Ctx
-    {
-        const std::vector<double> *k;
-        const JtcPlaneLayout *layout;
-    } ctx{&k, &layout};
-    // Single-reference capture: the Compute stays in std::function's
-    // small-buffer storage, so cache hits never allocate.
     return spectra_->spectrum(
         salt, k, layout.plane_size / 2 + 1,
-        [&ctx](signal::ComplexVector &out) {
-            const size_t n = ctx.layout->plane_size;
+        [&](signal::ComplexVector &out) {
+            const size_t n = layout.plane_size;
             const auto plan = signal::fftPlanFor(n);
             std::vector<double> &padded =
                 signal::threadFftWorkspace().realBuffer(kSlotJtcPlane,
                                                         n);
             std::fill(padded.begin(), padded.end(), 0.0);
-            std::copy(ctx.k->begin(), ctx.k->end(),
+            std::copy(k.begin(), k.end(),
                       padded.begin() +
-                          static_cast<long>(ctx.layout->kernel_pos));
+                          static_cast<long>(layout.kernel_pos));
             plan->executeReal(padded.data(), out.data());
         });
 }

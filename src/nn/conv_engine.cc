@@ -46,6 +46,9 @@ struct EngineScratch
     std::vector<double> charges;
     /** PhotoFourierEngine: per-output-channel peak charge. */
     std::vector<double> oc_calib;
+    /** PhotoFourierEngine: the prepared-layer store key's payload,
+     *  one span per filter of the layer's weights. */
+    std::vector<std::span<const double>> weight_segments;
 };
 
 EngineScratch &
@@ -289,6 +292,22 @@ convolveEach(const ConvEngine &engine, std::span<const Tensor> inputs,
 
 } // namespace
 
+std::string
+ConvEngine::shapeError(const Shape &input, size_t kernel, size_t stride,
+                       signal::ConvMode mode) const
+{
+    if (input.channels == 0 || input.height == 0 || input.width == 0)
+        return "empty input " + toString(input);
+    if (kernel == 0 || stride == 0)
+        return "degenerate conv layer (kernel " + std::to_string(kernel) +
+               ", stride " + std::to_string(stride) + ")";
+    if (mode == signal::ConvMode::Valid &&
+        (input.height < kernel || input.width < kernel))
+        return "conv2d valid: kernel " + std::to_string(kernel) +
+               " larger than input " + toString(input);
+    return {};
+}
+
 Tensor
 ConvEngine::convolve(const Tensor &input,
                      const std::vector<Tensor> &weights,
@@ -324,13 +343,12 @@ DirectEngine::convolveBatch(std::span<const Tensor> inputs,
     const Tensor &first = inputs[0];
     checkConvShapes(first, weights, bias);
     const size_t k = weights[0].height();
-    // Catch the degenerate shape before outputDim's size_t arithmetic
+    // Catch a degenerate shape before outputDim's size_t arithmetic
     // wraps: the sliding path would hit conv2dInto's assert anyway,
     // but the FFT row path must not get as far as allocating a
     // wrapped-size output.
-    pf_assert(mode != signal::ConvMode::Valid ||
-                  (first.height() >= k && first.width() >= k),
-              "conv2d valid: kernel larger than input");
+    const std::string invalid = shapeError(first.shape(), k, stride, mode);
+    pf_assert(invalid.empty(), invalid);
     const size_t n_in = first.channels();
     const size_t n_out = weights.size();
     const size_t oh = outputDim(first.height(), k, stride, mode);
@@ -440,46 +458,51 @@ PhotoFourierEngine::PhotoFourierEngine(
     saturation_gauge_ = &registry.gauge("pf_photonic_saturation");
 }
 
-/** Input-independent half of PhotoFourierEngine::convolveBatch. */
-struct PhotoFourierEngine::PreparedLayer
+std::string
+PhotoFourierEngine::shapeError(const Shape &input, size_t kernel,
+                               size_t stride, signal::ConvMode mode) const
 {
-    /** The layer's weights and their DAC (the noise key hashes the
-     *  quantized weights). */
-    const std::vector<Tensor> *weights = nullptr;
-    photonics::Quantizer w_dac{2, 0.0};
-    /** Every (output channel, input channel, polarity) kernel plane
-     *  of the pseudo-negative split, resolved once through the 1D
-     *  backend: tiled taps, Auto choices, cached spectrum handles. */
-    tiling::KernelBank kernels;
-    /** Prepared kernels per kernel plane (TiledConvolution::
-     *  kernelGroups()). */
-    size_t groups = 1;
-    size_t n_in = 0;
+    std::string invalid = ConvEngine::shapeError(input, kernel, stride, mode);
+    if (!invalid.empty())
+        return invalid;
+    if (input.height != input.width)
+        return "PhotoFourier engine expects square feature maps, got " +
+               toString(input);
+    return tiling::TilingPlan::paramsError(
+        tilingParams(input.height, kernel, stride, mode));
+}
 
-    /** Index of kernel plane (oc, ic, polarity 0 = p, 1 = n). */
-    size_t
-    kernel(size_t oc, size_t ic, size_t polarity) const
-    {
-        return ((oc * n_in + ic) * 2 + polarity) * groups;
-    }
+tiling::TilingParams
+PhotoFourierEngine::tilingParams(size_t input_size, size_t kernel,
+                                 size_t stride, signal::ConvMode mode) const
+{
+    return {
+        .input_size = input_size,
+        .kernel_size = kernel,
+        .n_conv = config_.n_conv,
+        .mode = mode,
+        .stride = stride,
+        .zero_pad_rows = config_.zero_pad_rows,
+    };
+}
 
-    /** Scratch of the (p, n) split of one weight channel. */
-    signal::Matrix w_ch, w_pos, w_neg;
-};
+photonics::Quantizer
+PhotoFourierEngine::weightDac(const std::vector<Tensor> &weights) const
+{
+    double w_range = 0.0;
+    for (const auto &w : weights)
+        w_range = std::max(w_range, w.maxAbs());
+    return photonics::Quantizer(config_.dac_bits > 0 ? config_.dac_bits : 2,
+                                config_.dac_bits > 0 ? w_range : 0.0);
+}
 
 void
 PhotoFourierEngine::prepareLayer(const std::vector<Tensor> &weights,
                                  const tiling::TiledConvolution &tiled,
-                                 PreparedLayer &prep) const
+                                 tiling::KernelBank &bank) const
 {
     // --- weight DAC quantization (per-layer symmetric range) ---
-    double w_range = 0.0;
-    for (const auto &w : weights)
-        w_range = std::max(w_range, w.maxAbs());
-    prep.weights = &weights;
-    prep.w_dac = photonics::Quantizer(
-        config_.dac_bits > 0 ? config_.dac_bits : 2,
-        config_.dac_bits > 0 ? w_range : 0.0);
+    const photonics::Quantizer w_dac = weightDac(weights);
 
     // Pseudo-negative execution [13]: each filter runs as a (p, n)
     // pair of non-negative filters whose photodetector charges are
@@ -488,25 +511,59 @@ PhotoFourierEngine::prepareLayer(const std::vector<Tensor> &weights,
     // scale — that fixed grid is why fewer readouts (deeper temporal
     // accumulation) mean less total quantization error (Section V-C1:
     // "8-bit precision is not enough for partial sums").
-    prep.n_in = weights[0].channels();
-    prep.groups = tiled.kernelGroups();
-    prep.kernels.clear();
-    for (size_t oc = 0; oc < weights.size(); ++oc) {
-        for (size_t ic = 0; ic < prep.n_in; ++ic) {
-            weights[oc].channelMatrixInto(ic, prep.w_ch);
-            for (auto &v : prep.w_ch.data)
-                v = prep.w_dac.quantize(v);
-            prep.w_pos = prep.w_ch;
-            prep.w_neg = prep.w_ch;
-            for (size_t i = 0; i < prep.w_ch.data.size(); ++i) {
-                const double w = prep.w_ch.data[i];
-                prep.w_pos.data[i] = w >= 0.0 ? w : 0.0;
-                prep.w_neg.data[i] = w < 0.0 ? -w : 0.0;
+    signal::Matrix w_ch, w_pos, w_neg;
+    for (const Tensor &filter : weights) {
+        for (size_t ic = 0; ic < filter.channels(); ++ic) {
+            filter.channelMatrixInto(ic, w_ch);
+            w_pos.resize(w_ch.rows, w_ch.cols);
+            w_neg.resize(w_ch.rows, w_ch.cols);
+            for (size_t i = 0; i < w_ch.data.size(); ++i) {
+                const double w = w_dac.quantize(w_ch.data[i]);
+                w_pos.data[i] = w >= 0.0 ? w : 0.0;
+                w_neg.data[i] = w < 0.0 ? -w : 0.0;
             }
-            tiled.prepareKernel(prep.w_pos, prep.kernels);
-            tiled.prepareKernel(prep.w_neg, prep.kernels);
+            tiled.prepareKernel(w_pos, bank);
+            tiled.prepareKernel(w_neg, bank);
         }
     }
+    // The bank is immutable from here on and may be held for the
+    // cache's lifetime: keep no slack.
+    bank.kernels.shrink_to_fit();
+    bank.tap_idx.shrink_to_fit();
+    bank.tap_val.shrink_to_fit();
+}
+
+std::shared_ptr<const tiling::KernelBank>
+PhotoFourierEngine::preparedLayer(const std::vector<Tensor> &weights,
+                                  const tiling::TiledConvolution &tiled) const
+{
+    // The salt carries every input of prepareLayer() but the weight
+    // bytes: the filter shape, the tiling problem, the DAC and the
+    // backend. Engines of different configs may share one cache.
+    const tiling::TilingParams &params = tiled.params();
+    uint64_t salt = signal::planeSpectrumSalt(weights.size());
+    for (uint64_t field :
+         {uint64_t{weights[0].channels()}, uint64_t{weights[0].height()},
+          uint64_t{weights[0].width()}, uint64_t{params.input_size},
+          uint64_t{params.kernel_size}, uint64_t{params.n_conv},
+          static_cast<uint64_t>(params.mode), uint64_t{params.stride},
+          uint64_t{params.zero_pad_rows},
+          static_cast<uint64_t>(config_.dac_bits),
+          uint64_t{config_.optical_backend},
+          static_cast<uint64_t>(config_.conv_path)})
+        salt = signal::planeSpectrumSalt(field, salt);
+
+    // The payload is the weight bytes, read in place: one segment per
+    // filter, listed in per-thread scratch so a hit allocates nothing.
+    std::vector<std::span<const double>> &segments =
+        threadEngineScratch().weight_segments;
+    segments.clear();
+    for (const Tensor &filter : weights)
+        segments.emplace_back(filter.data());
+    return spectra_->preparedLayers().get(
+        salt, segments, [&](tiling::KernelBank &bank) {
+            prepareLayer(weights, tiled, bank);
+        });
 }
 
 std::vector<Tensor>
@@ -525,45 +582,44 @@ PhotoFourierEngine::convolveBatch(std::span<const Tensor> inputs,
         return convolveEach(*this, inputs, weights, bias, stride, mode);
     obs::ScopedSpan span("photonic_conv");
     checkConvShapes(inputs[0], weights, bias);
-    pf_assert(inputs[0].height() == inputs[0].width(),
-              "PhotoFourier engine expects square feature maps");
-    // Weight quantization, the (p, n) split, the tiling plan and every
-    // prepared kernel plane are input-independent: build them once,
-    // share them read-only across the batch. Everything per-input runs
-    // in convolvePrepared. The prepared layer is per-thread scratch,
-    // so steady-state calls reuse its buffers.
-    tiling::TilingParams params{
-        .input_size = inputs[0].height(),
-        .kernel_size = weights[0].height(),
-        .n_conv = config_.n_conv,
-        .mode = mode,
-        .stride = stride,
-        .zero_pad_rows = config_.zero_pad_rows,
-    };
-    const tiling::TiledConvolution tiled(params, backend_);
-    static thread_local PreparedLayer prep;
-    prepareLayer(weights, tiled, prep);
+    const size_t k = weights[0].height();
+    const std::string invalid =
+        shapeError(inputs[0].shape(), k, stride, mode);
+    pf_assert(invalid.empty(), invalid);
+    const tiling::TiledConvolution tiled(
+        tilingParams(inputs[0].height(), k, stride, mode), backend_);
+    // Weight quantization, the (p, n) split and every prepared kernel
+    // plane are input-independent: built once per cache, shared
+    // read-only by every input of every call. Everything per-input
+    // runs in convolvePrepared. The noise key alone re-reads the
+    // weights per input.
+    const std::shared_ptr<const tiling::KernelBank> kernels =
+        preparedLayer(weights, tiled);
+    const photonics::Quantizer w_dac =
+        config_.noise ? weightDac(weights) : photonics::Quantizer(2, 0.0);
     std::vector<Tensor> outs;
     outs.reserve(inputs.size());
     for (const Tensor &input : inputs)
-        outs.push_back(
-            convolvePrepared(input, prep, tiled, bias, stride, mode));
+        outs.push_back(convolvePrepared(input, weights, w_dac, *kernels,
+                                        tiled, bias, stride, mode));
     return outs;
 }
 
 Tensor
 PhotoFourierEngine::convolvePrepared(const Tensor &input,
-                                     const PreparedLayer &prep,
+                                     const std::vector<Tensor> &weights,
+                                     const photonics::Quantizer &w_dac,
+                                     const tiling::KernelBank &kernels,
                                      const tiling::TiledConvolution &tiled,
                                      const std::vector<double> &bias,
                                      size_t stride,
                                      signal::ConvMode mode) const
 {
-    const std::vector<Tensor> &weights = *prep.weights;
     const size_t k = weights[0].height();
     const size_t n_in = input.channels();
     const size_t n_out = weights.size();
     const size_t nta = config_.temporal_accumulation_depth;
+    const size_t kernel_groups = tiled.kernelGroups();
     EngineScratch &sc = threadEngineScratch();
 
     // --- activation DAC quantization (per-call symmetric range) ---
@@ -588,7 +644,7 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
         uint64_t h = hashBits(config_.noise_seed, n_out);
         h = hashQuantized(h, input, act_dac);
         for (const auto &w : weights)
-            h = hashQuantized(h, w, prep.w_dac);
+            h = hashQuantized(h, w, w_dac);
         noise_key = h;
     }
 
@@ -618,23 +674,17 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
         input.channelMatrixInto(ic, sc.in_ch);
         for (auto &v : sc.in_ch.data)
             v = act_dac.quantize(v);
-        tiled.prepareInput(sc.in_ch, sc.tiles,
-                           prep.kernels.needs_tile_spectra);
+        tiled.prepareInput(sc.in_ch, sc.tiles, kernels.needs_tile_spectra);
         const size_t g = ic / nta;
         signal::parallelForEach(n_out, oc_workers, [&](size_t oc) {
-            EngineScratch &js = threadEngineScratch();
-            tiled.executePrepared(sc.tiles, prep.kernels,
-                                  prep.kernel(oc, ic, 0), js.part_p,
-                                  js.conv);
-            tiled.executePrepared(sc.tiles, prep.kernels,
-                                  prep.kernel(oc, ic, 1), js.part_n,
-                                  js.conv);
-            double *acc_p = charge(oc, g, 0);
-            double *acc_n = charge(oc, g, 1);
-            for (size_t i = 0; i < plane; ++i) {
-                acc_p[i] += js.part_p.data[i];
-                acc_n[i] += js.part_n.data[i];
-            }
+            tiling::ConvWorkspace &ws = threadEngineScratch().conv;
+            // Each kernel plane's rows land straight in its charge
+            // plane: no partial plane in between.
+            for (size_t polarity = 0; polarity < 2; ++polarity)
+                tiled.executePrepared(
+                    sc.tiles, kernels,
+                    ((oc * n_in + ic) * 2 + polarity) * kernel_groups,
+                    {charge(oc, g, polarity), plane}, ws);
         });
     }
 

@@ -27,9 +27,11 @@
 #include "common/rng.hh"
 #include "nn/tensor.hh"
 #include "obs/metrics.hh"
+#include "photonics/converters.hh"
 #include "signal/convolution.hh"
 #include "tiling/backends.hh"
 #include "tiling/spectrum_cache.hh"
+#include "tiling/tiling_plan.hh"
 
 namespace photofourier {
 namespace tiling {
@@ -97,6 +99,19 @@ class ConvEngine
                   const std::vector<Tensor> &weights,
                   const std::vector<double> &bias, size_t stride,
                   signal::ConvMode mode) const = 0;
+
+    /**
+     * Why this engine cannot run a conv layer of kernel x kernel
+     * filters at `stride` and `mode` on inputs of shape `input`;
+     * empty when it can. convolveBatch() asserts exactly this (next to
+     * the weight/input channel match), so a shape walk that passes it
+     * (Network::shapeError) guarantees the engine will not panic on
+     * the shape. The base check covers empty maps, a zero stride and
+     * a Valid kernel larger than the map.
+     */
+    virtual std::string shapeError(const Shape &input, size_t kernel,
+                                   size_t stride,
+                                   signal::ConvMode mode) const;
 
     /** One input: convolveBatch over a batch of one. */
     Tensor convolve(const Tensor &input,
@@ -235,19 +250,27 @@ class PhotoFourierEngine : public ConvEngine
         std::shared_ptr<tiling::KernelSpectrumCache> spectra = nullptr);
 
     /** The input-independent mixed-signal prep — weight DAC
-     *  quantization, the pseudo-negative (p, n) split, the tiling plan,
-     *  and every kernel plane prepared through the 1D backend (tiled
-     *  taps, Auto choices, spectrum handles) — runs once for all N
-     *  inputs. Per-input numerics (activation quantization, the
-     *  per-input noise key, ADC calibration) stay per input, so
-     *  outs[i] does not depend on the rest of the batch, even with
-     *  sensing noise on. In steady state the call allocates only the
-     *  tensors it returns. */
+     *  quantization, the pseudo-negative (p, n) split, and every kernel
+     *  plane prepared through the 1D backend (tiled taps, Auto choices,
+     *  spectrum handles) — is looked up in the spectrum cache's
+     *  prepared-layer store, so it runs once per distinct (weights,
+     *  geometry, config) for the cache's lifetime, not once per call.
+     *  Per-input numerics (activation quantization, the per-input noise
+     *  key, ADC calibration) stay per input, so outs[i] does not depend
+     *  on the rest of the batch, even with sensing noise on. In steady
+     *  state the call allocates only the tensors it returns. */
     std::vector<Tensor>
     convolveBatch(std::span<const Tensor> inputs,
                   const std::vector<Tensor> &weights,
                   const std::vector<double> &bias, size_t stride,
                   signal::ConvMode mode) const override;
+
+    /** The base limits plus the tiled executor's: square maps and
+     *  TilingPlan::paramsError (n_conv against the kernel row and the
+     *  padded row). */
+    std::string shapeError(const Shape &input, size_t kernel,
+                           size_t stride,
+                           signal::ConvMode mode) const override;
 
     std::string name() const override { return "photofourier"; }
 
@@ -262,28 +285,48 @@ class PhotoFourierEngine : public ConvEngine
     }
 
   private:
-    /** Everything input-independent that convolveBatch() sets up
-     *  before touching activations: the weight DAC and every (output
-     *  channel, input channel, polarity) kernel plane of the quantized
-     *  weights' pseudo-negative split, prepared through the 1D backend —
-     *  tiled taps, Auto choices and cached spectrum handles resolved
-     *  once per call. Shared read-only by every input; per-thread
-     *  scratch across calls. */
-    struct PreparedLayer;
+    /** The tiling problem of one layer call under this config. */
+    tiling::TilingParams tilingParams(size_t input_size, size_t kernel,
+                                      size_t stride,
+                                      signal::ConvMode mode) const;
+
+    /**
+     * The layer's kernel half: every (output channel, input channel,
+     * polarity) kernel plane of the DAC-quantized weights' pseudo-
+     * negative split, prepared through the 1D backend (tiled taps,
+     * Auto choices, cached spectrum handles), plane (oc, ic, polarity)
+     * at index ((oc * n_in + ic) * 2 + polarity) *
+     * tiled.kernelGroups(). Looked up in spectra_->preparedLayers() by
+     * the exact weight bytes and every other input of the prep, so a
+     * weight edited in place is a new entry, never a stale hit; built
+     * by prepareLayer() on the first call that misses, single-flight
+     * across threads, and shared read-only by every engine on the
+     * cache.
+     */
+    std::shared_ptr<const tiling::KernelBank>
+    preparedLayer(const std::vector<Tensor> &weights,
+                  const tiling::TiledConvolution &tiled) const;
 
     /** Quantize `weights` through the layer-range DAC, split the
      *  result into the pseudo-negative (p, n) pair, and prepare every
-     *  kernel plane of the split on `tiled` into `prep`. */
+     *  kernel plane of the split on `tiled` into `bank`. */
     void prepareLayer(const std::vector<Tensor> &weights,
                       const tiling::TiledConvolution &tiled,
-                      PreparedLayer &prep) const;
+                      tiling::KernelBank &bank) const;
+
+    /** The weight DAC: symmetric, ranged to the layer's largest
+     *  |weight|. */
+    photonics::Quantizer weightDac(const std::vector<Tensor> &weights) const;
 
     /** The per-input tail of convolveBatch(): activation
-     *  quantization, per-input noise key, the input-broadcast charge
-     *  pass, ADC readout. Pure function of (input, prepared state), so
-     *  an input's output does not depend on its batch. */
+     *  quantization, per-input noise key (over the activations and the
+     *  weights as `w_dac` quantizes them), the input-broadcast charge
+     *  pass, ADC readout. Pure function of (input, weights, prepared
+     *  kernels), so an input's output does not depend on its batch. */
     Tensor convolvePrepared(const Tensor &input,
-                            const PreparedLayer &prep,
+                            const std::vector<Tensor> &weights,
+                            const photonics::Quantizer &w_dac,
+                            const tiling::KernelBank &kernels,
                             const tiling::TiledConvolution &tiled,
                             const std::vector<double> &bias,
                             size_t stride,

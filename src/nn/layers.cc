@@ -44,6 +44,26 @@ Layer::loadParams(std::istream &in)
            static_cast<bool>(in >> word) && word == name();
 }
 
+std::string
+Layer::walkShape(Shape &, const ConvEngine *) const
+{
+    return {};
+}
+
+namespace {
+
+/** Assert that `input` walks clean through `layer` (its forward
+ *  precondition, shared with the shape walk). */
+void
+assertWalks(const Layer &layer, const Tensor &input)
+{
+    Shape shape = input.shape();
+    const std::string invalid = layer.walkShape(shape, nullptr);
+    pf_assert(invalid.empty(), layer.name(), ": ", invalid);
+}
+
+} // namespace
+
 std::vector<Tensor>
 Layer::forwardBatch(const std::vector<Tensor> &inputs)
 {
@@ -100,9 +120,7 @@ Conv2d::forwardBatch(const std::vector<Tensor> &inputs)
     if (inputs.empty())
         return {};
     for (const Tensor &input : inputs)
-        pf_assert(input.channels() == in_channels_,
-                  "conv2d input channels ", input.channels(), " != ",
-                  in_channels_);
+        assertWalks(*this, input);
     cached_input_ = inputs.back();
     return engine_->convolveBatch(inputs, weights_, bias_, stride_,
                                   mode_);
@@ -173,6 +191,21 @@ Conv2d::zeroGradients()
     for (auto &g : grad_weights_)
         g.fill(0.0);
     std::fill(grad_bias_.begin(), grad_bias_.end(), 0.0);
+}
+
+std::string
+Conv2d::walkShape(Shape &shape, const ConvEngine *engine) const
+{
+    if (shape.channels != in_channels_)
+        return "input channels " + std::to_string(shape.channels) +
+               " != " + std::to_string(in_channels_);
+    std::string invalid = (engine != nullptr ? *engine : *engine_)
+                              .shapeError(shape, kernel_, stride_, mode_);
+    if (!invalid.empty())
+        return invalid;
+    shape = {out_channels_, outputDim(shape.height, kernel_, stride_, mode_),
+             outputDim(shape.width, kernel_, stride_, mode_)};
+    return {};
 }
 
 double
@@ -260,10 +293,10 @@ ReLU::clone() const
 Tensor
 MaxPool2d::forward(const Tensor &input)
 {
+    assertWalks(*this, input);
     cached_input_ = input;
     const size_t oh = input.height() / 2;
     const size_t ow = input.width() / 2;
-    pf_assert(oh >= 1 && ow >= 1, "maxpool input too small");
     Tensor out(input.channels(), oh, ow);
     argmax_.assign(input.channels() * oh * ow, 0);
     size_t idx = 0;
@@ -303,6 +336,16 @@ MaxPool2d::backward(const Tensor &grad_out)
     return grad_in;
 }
 
+std::string
+MaxPool2d::walkShape(Shape &shape, const ConvEngine *) const
+{
+    if (shape.height < 2 || shape.width < 2)
+        return "maxpool input too small: " + toString(shape);
+    shape.height /= 2;
+    shape.width /= 2;
+    return {};
+}
+
 std::unique_ptr<Layer>
 MaxPool2d::clone() const
 {
@@ -313,9 +356,20 @@ MaxPool2d::clone() const
 // GlobalAvgPool
 // --------------------------------------------------------------------
 
+std::string
+GlobalAvgPool::walkShape(Shape &shape, const ConvEngine *) const
+{
+    if (shape.height == 0 || shape.width == 0)
+        return "global pooling of an empty map: " + toString(shape);
+    shape.height = 1;
+    shape.width = 1;
+    return {};
+}
+
 Tensor
 GlobalAvgPool::forward(const Tensor &input)
 {
+    assertWalks(*this, input);
     cached_h_ = input.height();
     cached_w_ = input.width();
     Tensor out(input.channels(), 1, 1);
@@ -369,8 +423,7 @@ Linear::Linear(size_t in_features, size_t out_features, Rng &rng)
 Tensor
 Linear::forward(const Tensor &input)
 {
-    pf_assert(input.size() == in_features_, "linear input size ",
-              input.size(), " != ", in_features_);
+    assertWalks(*this, input);
     cached_input_ = input;
     Tensor out(out_features_, 1, 1);
     for (size_t o = 0; o < out_features_; ++o) {
@@ -381,6 +434,17 @@ Linear::forward(const Tensor &input)
         out.at(o, 0, 0) = acc;
     }
     return out;
+}
+
+std::string
+Linear::walkShape(Shape &shape, const ConvEngine *) const
+{
+    const size_t size = shape.channels * shape.height * shape.width;
+    if (size != in_features_)
+        return "input size " + std::to_string(size) + " (" +
+               toString(shape) + ") != " + std::to_string(in_features_);
+    shape = {out_features_, 1, 1};
+    return {};
 }
 
 Tensor
@@ -493,6 +557,28 @@ Residual::forwardBatch(const std::vector<Tensor> &inputs)
     for (size_t i = 0; i < main_out.size(); ++i)
         main_out[i].add(short_out[i]);
     return main_out;
+}
+
+std::string
+Residual::walkShape(Shape &shape, const ConvEngine *engine) const
+{
+    Shape main_shape = shape;
+    for (const auto &layer : main_path_) {
+        std::string invalid = layer->walkShape(main_shape, engine);
+        if (!invalid.empty())
+            return layer->name() + ": " + invalid;
+    }
+    Shape short_shape = shape;
+    for (const auto &layer : shortcut_) {
+        std::string invalid = layer->walkShape(short_shape, engine);
+        if (!invalid.empty())
+            return "shortcut " + layer->name() + ": " + invalid;
+    }
+    if (main_shape != short_shape)
+        return "main path output " + toString(main_shape) +
+               " != shortcut output " + toString(short_shape);
+    shape = main_shape;
+    return {};
 }
 
 Tensor

@@ -51,6 +51,18 @@ class Layer
     /** Propagate gradients; accumulates parameter gradients. */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
+    /**
+     * Shape walk: the shape this layer outputs for an input of
+     * `shape` (written back into it), or why the layer cannot take
+     * that input — the very check forward() asserts, so an input that
+     * walks clean never panics a forward pass. `engine`, when set,
+     * stands in for the conv layers' own engines (the engine a server
+     * will bind to its replicas). The default passes the shape
+     * through (elementwise layers).
+     */
+    virtual std::string walkShape(Shape &shape,
+                                  const ConvEngine *engine) const;
+
     /** SGD step on any parameters (no-op for stateless layers). */
     virtual void applyGradients(double lr) { (void)lr; }
 
@@ -115,6 +127,9 @@ class Conv2d : public Layer
     std::vector<Tensor>
     forwardBatch(const std::vector<Tensor> &inputs) override;
     Tensor backward(const Tensor &grad_out) override;
+    /** Input channels, then the engine's shapeError. */
+    std::string walkShape(Shape &shape,
+                          const ConvEngine *engine) const override;
     void applyGradients(double lr) override;
     void zeroGradients() override;
     void setConvEngine(std::shared_ptr<const ConvEngine> engine) override;
@@ -164,6 +179,8 @@ class MaxPool2d : public Layer
   public:
     Tensor forward(const Tensor &input) override;
     Tensor backward(const Tensor &grad_out) override;
+    std::string walkShape(Shape &shape,
+                          const ConvEngine *engine) const override;
     std::unique_ptr<Layer> clone() const override;
     std::string name() const override { return "maxpool2"; }
 
@@ -178,6 +195,8 @@ class GlobalAvgPool : public Layer
   public:
     Tensor forward(const Tensor &input) override;
     Tensor backward(const Tensor &grad_out) override;
+    std::string walkShape(Shape &shape,
+                          const ConvEngine *engine) const override;
     std::unique_ptr<Layer> clone() const override;
     std::string name() const override { return "gap"; }
 
@@ -193,6 +212,8 @@ class Linear : public Layer
 
     Tensor forward(const Tensor &input) override;
     Tensor backward(const Tensor &grad_out) override;
+    std::string walkShape(Shape &shape,
+                          const ConvEngine *engine) const override;
     void applyGradients(double lr) override;
     void zeroGradients() override;
     double macCount(const Tensor &input) const override;
@@ -229,6 +250,9 @@ class Residual : public Layer
     std::vector<Tensor>
     forwardBatch(const std::vector<Tensor> &inputs) override;
     Tensor backward(const Tensor &grad_out) override;
+    /** Both paths, which must end in one shape. */
+    std::string walkShape(Shape &shape,
+                          const ConvEngine *engine) const override;
     void applyGradients(double lr) override;
     void zeroGradients() override;
     void setConvEngine(std::shared_ptr<const ConvEngine> engine) override;

@@ -88,6 +88,21 @@ Network::clone() const
     return copy;
 }
 
+std::string
+Network::shapeError(const Shape &input, const ConvEngine *engine) const
+{
+    if (input.channels == 0 || input.height == 0 || input.width == 0)
+        return "empty input " + toString(input);
+    Shape shape = input;
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        const std::string invalid = layers_[i]->walkShape(shape, engine);
+        if (!invalid.empty())
+            return "layer " + std::to_string(i) + " (" +
+                   layers_[i]->name() + "): " + invalid;
+    }
+    return {};
+}
+
 double
 Network::macCount(const Tensor &input)
 {

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/layers.hh"
@@ -66,6 +67,16 @@ class Network
      * not shared. Replica networks for serving workers come from here.
      */
     Network clone() const;
+
+    /**
+     * Why an input of `input`'s shape cannot run through the network,
+     * naming the layer that refuses it; empty when it can. A walk over
+     * Layer::walkShape — the same checks the forward pass asserts, so
+     * an input that passes never panics it. `engine`, when set, is the
+     * engine the conv layers will run on (null = their own).
+     */
+    std::string shapeError(const Shape &input,
+                           const ConvEngine *engine = nullptr) const;
 
     /** Total MACs of a forward pass at the given input shape. */
     double macCount(const Tensor &input);

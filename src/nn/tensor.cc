@@ -8,6 +8,14 @@
 namespace photofourier {
 namespace nn {
 
+std::string
+toString(const Shape &shape)
+{
+    return std::to_string(shape.channels) + "x" +
+           std::to_string(shape.height) + "x" +
+           std::to_string(shape.width);
+}
+
 Tensor::Tensor(size_t channels, size_t height, size_t width)
     : channels_(channels), height_(height), width_(width),
       data_(channels * height * width, 0.0)

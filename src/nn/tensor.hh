@@ -12,12 +12,26 @@
 #define PHOTOFOURIER_NN_TENSOR_HH
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "signal/convolution.hh"
 
 namespace photofourier {
 namespace nn {
+
+/** An activation's channels x height x width, without its data. */
+struct Shape
+{
+    size_t channels = 0;
+    size_t height = 0;
+    size_t width = 0;
+
+    bool operator==(const Shape &) const = default;
+};
+
+/** "CxHxW", for messages. */
+std::string toString(const Shape &shape);
 
 /** Dense channels x height x width tensor. */
 class Tensor
@@ -33,6 +47,7 @@ class Tensor
     size_t height() const { return height_; }
     size_t width() const { return width_; }
     size_t size() const { return data_.size(); }
+    Shape shape() const { return {channels_, height_, width_}; }
 
     /** Element access. */
     double &at(size_t c, size_t h, size_t w);

@@ -19,30 +19,6 @@ Quantizer::Quantizer(int bits, double range)
     step_ = range > 0.0 ? range / static_cast<double>(max_code_) : 0.0;
 }
 
-int64_t
-Quantizer::code(double value) const
-{
-    if (ideal())
-        return 0;
-    const double scaled = value / step_;
-    const int64_t c = static_cast<int64_t>(std::llround(scaled));
-    return std::clamp(c, -max_code_, max_code_);
-}
-
-double
-Quantizer::dequantize(int64_t c) const
-{
-    return static_cast<double>(c) * step_;
-}
-
-double
-Quantizer::quantize(double value) const
-{
-    if (ideal())
-        return value;
-    return dequantize(code(value));
-}
-
 std::vector<double>
 Quantizer::quantize(const std::vector<double> &values) const
 {

@@ -14,6 +14,8 @@
 #ifndef PHOTOFOURIER_PHOTONICS_CONVERTERS_HH
 #define PHOTOFOURIER_PHOTONICS_CONVERTERS_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -49,16 +51,49 @@ class Quantizer
     Quantizer(int bits, double range);
 
     /** Quantize one value (returns the reconstructed analog level). */
-    double quantize(double value) const;
+    double
+    quantize(double value) const
+    {
+        return ideal() ? value : dequantize(code(value));
+    }
 
     /** Quantize a vector elementwise. */
     std::vector<double> quantize(const std::vector<double> &values) const;
 
-    /** Integer code for a value, in [-(2^(b-1)-1), 2^(b-1)-1]. */
-    int64_t code(double value) const;
+    /** Integer code for a value, in [-(2^(b-1)-1), 2^(b-1)-1]:
+     *  the nearest level, ties away from zero (llround); values past
+     *  full scale, infinities included, saturate to the rail of their
+     *  sign, and NaN gives code 0. Inline: the engines quantize every
+     *  activation and every ADC readout. */
+    int64_t
+    code(double value) const
+    {
+        if (ideal())
+            return 0;
+        // Saturate in double, before the integer conversion: an
+        // integer conversion of a value past the int64 range (or of
+        // inf/NaN) is unspecified and in practice LLONG_MIN, which
+        // would pin +huge to the negative rail. NaN (no light to
+        // compare) reads as code 0.
+        const double scaled = value / step_;
+        if (std::isnan(scaled))
+            return 0;
+        const double rail = static_cast<double>(max_code_);
+        const double clamped = std::clamp(scaled, -rail, rail);
+        // llround(clamped), without the libm call: truncate (exact,
+        // |clamped| <= 2^31), then round on the fractional part, which
+        // the subtraction gives exactly.
+        const int64_t whole = static_cast<int64_t>(clamped);
+        const double frac = clamped - static_cast<double>(whole);
+        return whole + (frac >= 0.5) - (frac <= -0.5);
+    }
 
     /** Reconstruction level for an integer code. */
-    double dequantize(int64_t code) const;
+    double
+    dequantize(int64_t code) const
+    {
+        return static_cast<double>(code) * step_;
+    }
 
     /** Quantization step size (0 when disabled). */
     double step() const { return step_; }

@@ -59,6 +59,10 @@ InferenceServer::InferenceServer(ServerConfig config)
                          : signal::defaultFftThreads()),
       started_at_(Clock::now())
 {
+    worker_engines_.resize(worker_target_);
+    if (config_.engine_factory)
+        for (size_t id = 0; id < worker_target_; ++id)
+            worker_engines_[id] = config_.engine_factory(id);
     bindMetrics();
     if (config_.start_workers)
         start();
@@ -103,6 +107,7 @@ InferenceServer::bindMetrics()
     cache_collector_id_ = r.addCollector([this](obs::MetricsRegistry &reg) {
         tiling::KernelSpectrumCache::Stats kernel;
         signal::PlaneSpectrumCache::Stats optical;
+        signal::ContentCache<tiling::KernelBank>::Stats prepared;
         for (const std::string &name : registry_.names()) {
             auto cache = registry_.spectrumCache(name);
             if (!cache)
@@ -117,6 +122,11 @@ InferenceServer::bindMetrics()
             optical.misses += o.misses;
             optical.entries += o.entries;
             optical.bytes += o.bytes;
+            const auto p = cache->preparedLayers().stats();
+            prepared.hits += p.hits;
+            prepared.misses += p.misses;
+            prepared.entries += p.entries;
+            prepared.bytes += p.bytes;
         }
         reg.gauge("pf_cache_kernel_hits").set(double(kernel.hits));
         reg.gauge("pf_cache_kernel_misses").set(double(kernel.misses));
@@ -127,6 +137,11 @@ InferenceServer::bindMetrics()
         reg.gauge("pf_cache_optical_entries")
             .set(double(optical.entries));
         reg.gauge("pf_cache_optical_bytes").set(double(optical.bytes));
+        reg.gauge("pf_cache_prepared_hits").set(double(prepared.hits));
+        reg.gauge("pf_cache_prepared_misses").set(double(prepared.misses));
+        reg.gauge("pf_cache_prepared_entries")
+            .set(double(prepared.entries));
+        reg.gauge("pf_cache_prepared_bytes").set(double(prepared.bytes));
         reg.gauge("pf_signal_fft_plans")
             .set(double(signal::fftPlanCacheSize()));
         reg.gauge("pf_signal_fft2d_plans")
@@ -171,6 +186,19 @@ InferenceServer::submit(const std::string &model, nn::Tensor input,
         return handle;
     }
 
+    // A shape the model cannot take fails here, before it is queued:
+    // the same walk the layers assert, against the engine the
+    // replicas will bind, so a request off the wire can never panic a
+    // worker.
+    const std::string invalid = registry_.inputError(
+        model, input.shape(), worker_engines_.front().get());
+    if (!invalid.empty()) {
+        state->fulfill(RequestStatus::Failed, {}, invalid);
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_[model].failed;
+        return handle;
+    }
+
     // Count the acceptance before the push makes the request visible
     // to workers: a report() racing the delivery must never observe
     // completed > accepted. A failed push takes the reservation back.
@@ -198,12 +226,13 @@ void
 InferenceServer::workerLoop(size_t id)
 {
     // The worker's private engine (when configured) and replicas: no
-    // network or engine instance is ever shared between workers, so
-    // stateful layer caches cannot race and photonic noise streams
-    // stay per-request-deterministic.
-    std::shared_ptr<const nn::ConvEngine> engine;
-    if (config_.engine_factory)
-        engine = config_.engine_factory(id);
+    // network is ever shared between workers, so stateful layer caches
+    // cannot race. Engines are const and thread-safe, and photonic
+    // noise streams derive from each request's data, so sharing a
+    // registration's override engine keeps them per-request-
+    // deterministic.
+    const std::shared_ptr<const nn::ConvEngine> &engine =
+        worker_engines_[id];
     std::map<std::string, ModelRegistry::Replica> replicas;
 
     for (;;) {
@@ -223,16 +252,14 @@ InferenceServer::workerLoop(size_t id)
         if (it == replicas.end() ||
             it->second.version != registry_.version(model)) {
             auto replica = registry_.instantiateReplica(model);
-            if (replica.engine_override) {
+            if (replica.override_engine) {
                 // Per-model override wins over the worker's factory
-                // engine; each worker builds its own instance, but
-                // all instances of one (model, version) share the
-                // registry's kernel-spectrum cache — static weights
-                // are transformed once per registration, not once per
-                // worker, and a version bump swaps the cache.
-                replica.network.setConvEngine(
-                    std::make_shared<nn::PhotoFourierEngine>(
-                        *replica.engine_override, replica.spectra));
+                // engine. Every worker binds the registration's one
+                // engine, on the registry's kernel-spectrum cache —
+                // static weights are transformed and layers prepared
+                // once per registration, not once per worker, and a
+                // version bump swaps both.
+                replica.network.setConvEngine(replica.override_engine);
             } else if (engine) {
                 replica.network.setConvEngine(engine);
             }

@@ -78,7 +78,8 @@ struct ServerConfig
     /** Spawn workers in the constructor; false = call start(). */
     bool start_workers = true;
 
-    /** Per-worker conv-engine factory (may be null). */
+    /** Per-worker conv-engine factory (may be null), called once per
+     *  worker id when the server is constructed. */
     EngineFactory engine_factory;
 
     /**
@@ -235,6 +236,12 @@ class InferenceServer
     std::map<std::string, ModelStats> stats_;
     std::atomic<uint64_t> unknown_model_failures_{0};
     std::chrono::steady_clock::time_point started_at_;
+
+    /** Worker id -> the engine config_.engine_factory built for it
+     *  (all null without a factory). Built at construction, so
+     *  submit() can check shapes against the engine workers will
+     *  bind. */
+    std::vector<std::shared_ptr<const nn::ConvEngine>> worker_engines_;
 
     std::mutex lifecycle_mutex_;
     std::vector<std::thread> workers_;

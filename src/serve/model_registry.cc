@@ -9,6 +9,21 @@
 namespace photofourier {
 namespace serve {
 
+namespace {
+
+/** The engine a registration's override runs on (null without one). */
+std::shared_ptr<const nn::ConvEngine>
+overrideEngine(const std::optional<nn::PhotoFourierEngineConfig> &config,
+               std::shared_ptr<tiling::KernelSpectrumCache> spectra)
+{
+    if (!config)
+        return nullptr;
+    return std::make_shared<nn::PhotoFourierEngine>(*config,
+                                                    std::move(spectra));
+}
+
+} // namespace
+
 void
 ModelRegistry::addEntry(
     const std::string &name, nn::Network prototype,
@@ -22,12 +37,14 @@ ModelRegistry::addEntry(
     // replicas of the previous version keep their old one alive until
     // they re-clone.
     auto spectra = std::make_shared<tiling::KernelSpectrumCache>();
+    auto override_engine = overrideEngine(engine, spectra);
     std::lock_guard<std::mutex> lock(mutex_);
     Entry &entry = models_[name];
     entry.prototype = std::move(prototype);
     ++entry.version;
     entry.engine_override = std::move(engine);
     entry.spectra = std::move(spectra);
+    entry.override_engine = std::move(override_engine);
 }
 
 void
@@ -59,15 +76,18 @@ ModelRegistry::setEngineOverride(
     const std::string &name,
     std::optional<nn::PhotoFourierEngineConfig> engine_override)
 {
+    // Version bumps always swap the cache so workers rebinding their
+    // engines never mix spectra across registrations.
+    auto spectra = std::make_shared<tiling::KernelSpectrumCache>();
+    auto override_engine = overrideEngine(engine_override, spectra);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = models_.find(name);
     pf_assert(it != models_.end(),
               "engine override for unknown model '", name, "'");
     it->second.engine_override = std::move(engine_override);
     ++it->second.version;
-    // Version bumps always swap the cache so workers rebinding their
-    // engines never mix spectra across registrations.
-    it->second.spectra = std::make_shared<tiling::KernelSpectrumCache>();
+    it->second.spectra = std::move(spectra);
+    it->second.override_engine = std::move(override_engine);
 }
 
 std::shared_ptr<tiling::KernelSpectrumCache>
@@ -85,6 +105,23 @@ ModelRegistry::engineOverride(const std::string &name) const
     auto it = models_.find(name);
     return it != models_.end() ? it->second.engine_override
                                : std::nullopt;
+}
+
+std::string
+ModelRegistry::inputError(const std::string &name, const nn::Shape &shape,
+                          const nn::ConvEngine *engine) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = models_.find(name);
+    if (it == models_.end())
+        return "unknown model '" + name + "'";
+    const Entry &entry = it->second;
+    const std::string invalid = entry.prototype.shapeError(
+        shape, entry.override_engine ? entry.override_engine.get() : engine);
+    if (invalid.empty())
+        return {};
+    return "input " + nn::toString(shape) + " does not fit model '" + name +
+           "': " + invalid;
 }
 
 bool
@@ -149,6 +186,7 @@ ModelRegistry::instantiateReplica(const std::string &name) const
     replica.version = it->second.version;
     replica.engine_override = it->second.engine_override;
     replica.spectra = it->second.spectra;
+    replica.override_engine = it->second.override_engine;
     return replica;
 }
 

@@ -66,6 +66,13 @@ class ModelRegistry
          * bounds memory).
          */
         std::shared_ptr<tiling::KernelSpectrumCache> spectra;
+
+        /**
+         * The engine built from engine_override on `spectra` (null
+         * without an override), one per registration: engines are
+         * const and thread-safe, so every replica shares it.
+         */
+        std::shared_ptr<const nn::ConvEngine> override_engine;
     };
 
     /**
@@ -113,6 +120,17 @@ class ModelRegistry
     std::shared_ptr<tiling::KernelSpectrumCache> spectrumCache(
         const std::string &name) const;
 
+    /**
+     * Why an input of `shape` cannot run on `name`'s current
+     * registration, naming the model and the refusing layer; empty
+     * when it can (nn::Network::shapeError). The conv layers are
+     * checked against the registration's override engine, else
+     * `engine` (the engine replicas will bind; null = the
+     * prototype's own).
+     */
+    std::string inputError(const std::string &name, const nn::Shape &shape,
+                           const nn::ConvEngine *engine) const;
+
     /** True when `name` has a prototype. */
     bool has(const std::string &name) const;
 
@@ -155,6 +173,7 @@ class ModelRegistry
         uint64_t version = 0;
         std::optional<nn::PhotoFourierEngineConfig> engine_override;
         std::shared_ptr<tiling::KernelSpectrumCache> spectra;
+        std::shared_ptr<const nn::ConvEngine> override_engine;
     };
 
     /** add() body; caller composes the override. */

@@ -1,10 +1,7 @@
 #include "signal/plane_spectrum_cache.hh"
 
 #include <bit>
-#include <mutex>
-#include <utility>
-
-#include "common/logging.hh"
+#include <cstring>
 
 namespace photofourier {
 namespace signal {
@@ -21,17 +18,13 @@ mixBytes(uint64_t h, uint64_t v)
     return h;
 }
 
-/** FNV-1a over salt, spectrum size, and the payload bytes. */
+/** Fold one payload word into a content key: a multiply-xorshift step
+ *  per word, so keying a layer's weights costs one multiply each. */
 uint64_t
-entryKey(uint64_t salt, const std::vector<double> &payload,
-         size_t spectrum_size)
+mixWord(uint64_t h, uint64_t v)
 {
-    uint64_t h = mixBytes(0xcbf29ce484222325ull, salt);
-    h = mixBytes(h, spectrum_size);
-    h = mixBytes(h, payload.size());
-    for (double v : payload)
-        h = mixBytes(h, std::bit_cast<uint64_t>(v));
-    return h;
+    h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 32);
 }
 
 } // namespace
@@ -42,123 +35,33 @@ planeSpectrumSalt(uint64_t value, uint64_t seed)
     return mixBytes(seed, value);
 }
 
-PlaneSpectrumCache::Entry *
-PlaneSpectrumCache::find(uint64_t key, uint64_t salt,
-                         const std::vector<double> &payload,
-                         size_t spectrum_size)
+uint64_t
+contentKey(uint64_t salt, Payload payload)
 {
-    auto [it, end] = entries_.equal_range(key);
-    for (; it != end; ++it) {
-        Entry &e = it->second;
-        if (e.salt == salt && e.spectrum_size == spectrum_size &&
-            e.payload == payload)
-            return &e;
+    uint64_t h = mixBytes(0xcbf29ce484222325ull, salt);
+    size_t length = 0;
+    for (std::span<const double> segment : payload) {
+        length += segment.size();
+        for (double v : segment)
+            h = mixWord(h, std::bit_cast<uint64_t>(v));
     }
-    return nullptr;
+    return mixWord(h, length);
 }
 
-std::shared_ptr<const ComplexVector>
-PlaneSpectrumCache::spectrum(uint64_t salt,
-                             const std::vector<double> &payload,
-                             size_t spectrum_size,
-                             const Compute &compute)
+bool
+samePayload(const std::vector<double> &stored, Payload payload)
 {
-    pf_assert(spectrum_size > 0, "empty plane spectrum");
-    pf_assert(compute, "null plane-spectrum compute");
-    const uint64_t key = entryKey(salt, payload, spectrum_size);
-
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        const Entry *e = find(key, salt, payload, spectrum_size);
-        if (e != nullptr && e->spectrum) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return e->spectrum;
-        }
+    size_t offset = 0;
+    for (std::span<const double> segment : payload) {
+        if (segment.size() > stored.size() - offset)
+            return false;
+        if (!segment.empty() &&
+            std::memcmp(stored.data() + offset, segment.data(),
+                        segment.size() * sizeof(double)) != 0)
+            return false;
+        offset += segment.size();
     }
-
-    {
-        // Single flight: wait out another thread's computation of this
-        // entry instead of repeating it. An entry dropped mid-flight
-        // (clear(), or a throwing compute) sends the waiter round
-        // again, to compute it itself.
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        for (;;) {
-            const Entry *e = find(key, salt, payload, spectrum_size);
-            if (e == nullptr)
-                break;
-            if (e->spectrum) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                return e->spectrum;
-            }
-            computed_.wait(lock);
-        }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        entries_.emplace(key, Entry{salt, spectrum_size, payload, nullptr});
-    }
-
-    // Compute outside any lock: `compute` is a pure function of
-    // (salt-encoded geometry, payload).
-    auto spectrum = std::make_shared<ComplexVector>(spectrum_size);
-    try {
-        compute(*spectrum);
-        pf_assert(spectrum->size() == spectrum_size,
-                  "plane-spectrum compute resized its output");
-    } catch (...) {
-        {
-            std::unique_lock<std::shared_mutex> lock(mutex_);
-            auto [it, end] = entries_.equal_range(key);
-            for (; it != end; ++it) {
-                const Entry &e = it->second;
-                if (!e.spectrum && e.salt == salt &&
-                    e.spectrum_size == spectrum_size &&
-                    e.payload == payload) {
-                    entries_.erase(it);
-                    break;
-                }
-            }
-        }
-        computed_.notify_all();
-        throw;
-    }
-
-    std::shared_ptr<const ComplexVector> result;
-    {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        Entry *e = find(key, salt, payload, spectrum_size);
-        if (e == nullptr) // cleared mid-flight
-            e = &entries_
-                     .emplace(key, Entry{salt, spectrum_size, payload,
-                                         nullptr})
-                     ->second;
-        if (!e->spectrum)
-            e->spectrum = std::move(spectrum);
-        result = e->spectrum;
-    }
-    computed_.notify_all();
-    return result;
-}
-
-PlaneSpectrumCache::Stats
-PlaneSpectrumCache::stats() const
-{
-    Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    s.entries = entries_.size();
-    for (const auto &kv : entries_) {
-        s.bytes += kv.second.payload.size() * sizeof(double);
-        if (kv.second.spectrum)
-            s.bytes += kv.second.spectrum->size() * sizeof(Complex);
-    }
-    return s;
-}
-
-void
-PlaneSpectrumCache::clear()
-{
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    entries_.clear();
+    return offset == stored.size();
 }
 
 } // namespace signal

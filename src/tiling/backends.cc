@@ -252,6 +252,16 @@ KernelBank::clear()
     needs_tile_spectra = false;
 }
 
+size_t
+cachedBytes(const KernelBank &bank)
+{
+    // The spectra the kernels point at are the spectrum cache's
+    // entries and count there.
+    return bank.kernels.capacity() * sizeof(PreparedKernel) +
+           bank.tap_idx.capacity() * sizeof(size_t) +
+           bank.tap_val.capacity() * sizeof(double);
+}
+
 /** A backend's two halves (one subclass per backend kind). */
 class Conv1dBackend::Impl
 {

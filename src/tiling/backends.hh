@@ -120,6 +120,10 @@ struct KernelBank
     void clear();
 };
 
+/** Bytes a bank's own storage holds (a prepared-layer store entry's
+ *  share of KernelSpectrumCache::preparedLayers() stats). */
+size_t cachedBytes(const KernelBank &bank);
+
 /**
  * A 1D sliding-correlation engine, split into a tile half and a kernel
  * half (see the file comment).

@@ -34,19 +34,11 @@ KernelSpectrumCache::correlationSpectrum(
     pf_assert(fft_n >= kernel.size(),
               "FFT size ", fft_n, " shorter than kernel ", kernel.size());
     // fft_n is the whole keying beyond the kernel bytes (which the
-    // store verifies itself). Single-reference capture keeps the
-    // Compute in std::function's small-buffer storage — hits on the
-    // serving hot path never allocate.
-    struct Ctx
-    {
-        const std::vector<double> *kernel;
-        size_t fft_n;
-    } ctx{&kernel, fft_n};
+    // store verifies itself).
     return digital_.spectrum(
         signal::planeSpectrumSalt(fft_n), kernel, fft_n / 2 + 1,
-        [&ctx](signal::ComplexVector &out) {
-            computeCorrelationSpectrum(*ctx.kernel, ctx.fft_n,
-                                       out.data());
+        [&](signal::ComplexVector &out) {
+            computeCorrelationSpectrum(kernel, fft_n, out.data());
         });
 }
 
@@ -67,6 +59,7 @@ KernelSpectrumCache::clear()
 {
     digital_.clear();
     optical_->clear();
+    prepared_.clear();
 }
 
 } // namespace tiling

@@ -17,10 +17,11 @@
  *
  * Thread-safety: lookups take a shared lock and insertions a unique
  * lock; the returned spectra are immutable and shared_ptr-owned, so
- * readers are never invalidated. Hits are the steady state — the
- * serving hot path takes the shared lock only. The store itself is
- * the generic signal::PlaneSpectrumCache; this class contributes the
- * correlation-spectrum compute and the fft_n keying.
+ * readers are never invalidated. The stores are the generic
+ * signal::ContentCache; this class contributes the correlation-
+ * spectrum compute and the fft_n keying, and composes two more stores
+ * that share its lifetime: the optical plane spectra and the prepared
+ * conv layers.
  */
 
 #ifndef PHOTOFOURIER_TILING_SPECTRUM_CACHE_HH
@@ -35,6 +36,8 @@
 
 namespace photofourier {
 namespace tiling {
+
+struct KernelBank;
 
 /**
  * Compute the correlation operand the cache stores: the half-spectrum
@@ -74,7 +77,7 @@ class KernelSpectrumCache
     Stats stats() const;
 
     /** Drop every entry (counters keep running; the composed optical
-     *  plane cache is cleared too). */
+     *  plane cache and prepared-layer store are cleared too). */
     void clear();
 
     /**
@@ -94,6 +97,24 @@ class KernelSpectrumCache
         return optical_;
     }
 
+    /**
+     * The prepared-layer store riding along with this cache: a conv
+     * layer's kernel half (every kernel plane of its weights, prepared
+     * through the 1D backend into a KernelBank), keyed by the layer's
+     * exact weight bytes plus a salt the caller builds from every
+     * other input of the prep (geometry, converter bits, backend).
+     * A layer's weights are quantized and placed once per cache, and
+     * every request after that only streams its inputs — the paper's
+     * dataflow. Same lifetime as the spectra its banks point at:
+     * cleared by clear(), swapped with the cache on a registry
+     * version bump, and otherwise growing with the distinct weights
+     * served through it.
+     */
+    signal::ContentCache<KernelBank> &preparedLayers()
+    {
+        return prepared_;
+    }
+
   private:
     /** The digital entries, stored and synchronized by the generic
      *  content-addressed cache (salt = fft_n); this class adds only
@@ -101,6 +122,9 @@ class KernelSpectrumCache
     signal::PlaneSpectrumCache digital_;
     std::shared_ptr<signal::PlaneSpectrumCache> optical_ =
         std::make_shared<signal::PlaneSpectrumCache>();
+    /** Holds banks by shared_ptr, so KernelBank may stay incomplete
+     *  here (tiling/backends.hh includes this header). */
+    signal::ContentCache<KernelBank> prepared_;
 };
 
 } // namespace tiling

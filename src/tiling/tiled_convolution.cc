@@ -144,17 +144,6 @@ TiledConvolution::tileCount() const
     return 0;
 }
 
-void
-TiledConvolution::applyStride(const signal::Matrix &full,
-                              signal::Matrix &out) const
-{
-    const size_t s = params_.stride;
-    out.resizeNoFill(ceilDiv(full.rows, s), ceilDiv(full.cols, s));
-    for (size_t r = 0; r < out.rows; ++r)
-        for (size_t c = 0; c < out.cols; ++c)
-            out.at(r, c) = full.at(r * s, c * s);
-}
-
 signal::Matrix
 TiledConvolution::execute(const signal::Matrix &input,
                           const signal::Matrix &kernel) const
@@ -172,7 +161,8 @@ TiledConvolution::execute(const signal::Matrix &input,
     ws.bank.clear();
     const size_t k = prepareKernel(kernel, ws.bank);
     prepareInput(input, ws.input, ws.bank.needs_tile_spectra);
-    executePrepared(ws.input, ws.bank, k, out, ws);
+    out.resize(plan_.output_rows, plan_.output_cols);
+    executePrepared(ws.input, ws.bank, k, out.data, ws);
 }
 
 size_t
@@ -308,82 +298,101 @@ TiledConvolution::prepareInput(const signal::Matrix &input,
 void
 TiledConvolution::executePrepared(const TiledInput &tiles,
                                   const KernelBank &bank, size_t kernel,
-                                  signal::Matrix &out,
+                                  std::span<double> acc,
                                   ConvWorkspace &ws) const
 {
     pf_assert(tiles.count == tileCount(),
               "input prepared for another plan");
     pf_assert(kernel + kernelGroups() <= bank.kernels.size(),
               "kernel plane not in the bank");
+    pf_assert(acc.size() == plan_.output_rows * plan_.output_cols,
+              "accumulator holds ", acc.size(), " samples, the plane ",
+              plan_.output_rows * plan_.output_cols);
     const OutputGeometry g(params_);
     const size_t sk = params_.kernel_size;
     const size_t sp = plan_.row_stride;
+    const size_t s = params_.stride;
+    const size_t ow = plan_.output_cols;
     const size_t workers = effectiveWorkers();
-    // Unit stride writes straight into the caller's matrix; otherwise
-    // the full plane lands in workspace and is subsampled out.
-    signal::Matrix &full = params_.stride == 1 ? out : ws.full;
 
-    // Every job writes a disjoint block of output rows, so the fan-out
-    // is bit-exact regardless of scheduling. Sequential runs draw
-    // scratch from the caller's workspace (allocation-free); parallel
-    // jobs use their worker thread's own.
+    // Add unit-stride output row `row` (a kept row: a multiple of the
+    // stride; its samples at src[c]) into acc, keeping the strided
+    // columns only.
+    auto addRow = [&](size_t row, const double *src) {
+        double *dst = acc.data() + (row / s) * ow;
+        if (s == 1) {
+            for (size_t c = 0; c < ow; ++c)
+                dst[c] += src[c];
+        } else {
+            for (size_t c = 0; c < ow; ++c)
+                dst[c] += src[c * s];
+        }
+    };
+
+    // Every job adds into a disjoint block of output rows, so the
+    // fan-out is bit-exact regardless of scheduling. Sequential runs
+    // draw scratch from the caller's workspace (allocation-free);
+    // parallel jobs use their worker thread's own.
     switch (plan_.variant) {
       case Variant::RowTiling: {
+        // Tiles hold disjoint row blocks, and each output sample has
+        // one window sample: add it straight in.
         const size_t nor = plan_.valid_rows_per_op;
-        full.resizeNoFill(g.rows, g.cols);
         signal::parallelForEach(tiles.count, workers, [&](size_t t) {
             ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
             const size_t r0 = t * nor;
-            const size_t rows_this = std::min(nor, g.rows - r0);
+            const size_t r_end = std::min(r0 + nor, g.rows);
             backend_.window(tiles.tiles[t], bank, kernel, j.window);
-            for (size_t r = 0; r < rows_this; ++r)
-                for (size_t c = 0; c < g.cols; ++c)
-                    full.at(r0 + r, c) = j.window[r * sp + c];
+            for (size_t r = ceilDiv(r0, s) * s; r < r_end; r += s)
+                addRow(r, j.window.data() + (r - r0) * sp);
         });
         last_ops_ = tiles.count;
         break;
       }
       case Variant::PartialRowTiling: {
-        // Each output row accumulates its kernel-row groups
-        // sequentially (fixed order), rows fan out across the pool.
+        // Each kept output row sums its kernel-row groups into a row
+        // buffer in ascending order, then adds the row; rows fan out
+        // across the pool, and rows the stride drops are never run.
         const size_t groups = kernelGroups();
-        full.resize(g.rows, g.cols);
-        signal::parallelForEach(g.rows, workers, [&](size_t r0) {
+        signal::parallelForEach(plan_.output_rows, workers, [&](size_t o) {
             ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            const size_t r0 = o * s;
+            j.row.assign(g.cols, 0.0);
             for (size_t grp = 0; grp < groups; ++grp) {
                 backend_.window(tiles.tiles[r0 * groups + grp], bank,
                                 kernel + grp, j.window);
                 for (size_t c = 0; c < g.cols; ++c)
-                    full.at(r0, c) += j.window[c];
+                    j.row[c] += j.window[c];
             }
+            addRow(r0, j.row.data());
         });
-        last_ops_ = g.rows * groups;
+        last_ops_ = plan_.output_rows * groups;
         break;
       }
       case Variant::RowPartitioning: {
-        // Rows fan out; within a row the (kernel row x partition)
-        // accumulation keeps its sequential order.
+        // As partial row tiling, over (kernel row x partition) in
+        // sequential order.
         const size_t step = params_.n_conv - sk + 1;
         const size_t partitions = ceilDiv(g.cols, step);
-        full.resize(g.rows, g.cols);
-        signal::parallelForEach(g.rows, workers, [&](size_t r0) {
+        signal::parallelForEach(plan_.output_rows, workers, [&](size_t o) {
             ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            const size_t r0 = o * s;
+            j.row.assign(g.cols, 0.0);
             for (size_t kr = 0; kr < sk; ++kr) {
                 for (size_t p = 0; p < partitions; ++p) {
                     const PreparedTile &tile =
                         tiles.tiles[(r0 + kr) * partitions + p];
                     backend_.window(tile, bank, kernel + kr, j.window);
                     for (size_t i = 0; i < tile.count; ++i)
-                        full.at(r0, p * step + i) += j.window[i];
+                        j.row[p * step + i] += j.window[i];
                 }
             }
+            addRow(r0, j.row.data());
         });
-        last_ops_ = g.rows * sk * partitions;
+        last_ops_ = plan_.output_rows * sk * partitions;
         break;
       }
     }
-    if (params_.stride != 1)
-        applyStride(full, out);
 }
 
 } // namespace tiling

@@ -4,9 +4,11 @@
  *
  * Flattens 2D inputs/kernels row-wise per the plan, runs them through
  * a 1D convolution backend (digital reference or optical JTC), and
- * scatters the valid window samples into the 2D output. Strided
- * convolutions are executed at unit stride and subsampled, matching
- * the hardware's unit-stride-only JTC operation (Section VI-E).
+ * scatters the valid window samples into the 2D output. A strided
+ * convolution is the unit-stride one subsampled, matching the
+ * hardware's unit-stride-only JTC operation (Section VI-E); the
+ * executor skips only the 1D operations whose every output the stride
+ * drops.
  *
  * The executor is split like its backends (tiling/backends.hh):
  *
@@ -19,12 +21,13 @@
  *    kernel-row groups and resolves each through the backend once:
  *    taps, Auto choice, cached spectrum handle. It is amortized over
  *    every tile of every input that meets the kernel plane.
- *  - executePrepared combines one prepared kernel plane with one
- *    prepared input plane. It computes exactly the arithmetic of
- *    execute(), in the same order, so the two are bit-identical.
+ *  - executePrepared adds one prepared kernel plane's convolution of
+ *    one prepared input plane into a caller-owned accumulator plane,
+ *    such as a photodetector charge plane: strided output positions
+ *    only, with no intermediate output plane.
  *
  * execute() is the one-kernel call: both halves back to back on
- * workspace scratch.
+ * workspace scratch, accumulated into a zero-filled output.
  */
 
 #ifndef PHOTOFOURIER_TILING_TILED_CONVOLUTION_HH
@@ -32,6 +35,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "signal/convolution.hh"
@@ -64,9 +68,9 @@ struct TiledInput
 struct ConvWorkspace
 {
     std::vector<double> window; ///< backend output window
+    std::vector<double> row;    ///< one output row's summed groups
     KernelBank bank;            ///< execute()'s prepared kernel plane
     TiledInput input;           ///< execute()'s prepared input plane
-    signal::Matrix full;        ///< pre-stride output plane
 };
 
 /** Executes 2D convolutions through 1D tiling on a chosen backend. */
@@ -120,12 +124,19 @@ class TiledConvolution
                       bool spectra) const;
 
     /**
-     * The convolution of a prepared input plane with the prepared
-     * kernel plane starting at bank.kernels[kernel], into `out`:
-     * bit-identical to execute() on the original operands.
+     * Add the convolution of a prepared input plane with the prepared
+     * kernel plane starting at bank.kernels[kernel] into `acc`, a
+     * row-major plan().output_rows x plan().output_cols plane (the
+     * strided output; rows the stride drops are not computed where a
+     * backend call serves one output row). Row tiling adds each
+     * window sample straight in; partial row tiling and row
+     * partitioning first sum an output row's kernel-row groups into a
+     * zeroed row buffer in ascending order, then add the row. So `acc`
+     * gains exactly the values execute() writes, bit for bit, and
+     * callers accumulating several planes keep every sum's order.
      */
     void executePrepared(const TiledInput &tiles, const KernelBank &bank,
-                         size_t kernel, signal::Matrix &out,
+                         size_t kernel, std::span<double> acc,
                          ConvWorkspace &ws) const;
 
     /** Prepared kernels per kernel plane: 1 for row tiling, the
@@ -135,6 +146,9 @@ class TiledConvolution
 
     /** 1D backend invocations made by the most recent execute(). */
     size_t lastOpCount() const { return last_ops_.load(); }
+
+    /** The problem this executor was built for. */
+    const TilingParams &params() const { return params_; }
 
     /** The derived plan (shapes, cycles, utilization). */
     const TilingPlan &plan() const { return plan_; }
@@ -156,10 +170,6 @@ class TiledConvolution
 
     /** Number of tiles prepareInput() produces. */
     size_t tileCount() const;
-
-    /** Subsample the unit-stride plane in ws.full into out. */
-    void applyStride(const signal::Matrix &full,
-                     signal::Matrix &out) const;
 };
 
 } // namespace tiling

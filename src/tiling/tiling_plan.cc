@@ -32,17 +32,40 @@ variantName(Variant variant)
     pf_panic("unknown tiling variant");
 }
 
-TilingPlan
-TilingPlan::design(const TilingParams &params)
+std::string
+TilingPlan::paramsError(const TilingParams &params)
 {
     const size_t si = params.input_size;
     const size_t sk = params.kernel_size;
     const size_t n_conv = params.n_conv;
-    pf_assert(si >= 1 && sk >= 1, "degenerate convolution shape");
-    pf_assert(sk <= si, "kernel larger than input: ", sk, " > ", si);
-    pf_assert(n_conv >= sk, "hardware 1D size ", n_conv,
-              " smaller than a kernel row ", sk);
-    pf_assert(params.stride >= 1, "stride must be >= 1");
+    if (si < 1 || sk < 1)
+        return "degenerate convolution shape";
+    if (sk > si)
+        return detail::buildMessage("kernel larger than input: ", sk,
+                                    " > ", si);
+    if (n_conv < sk)
+        return detail::buildMessage("hardware 1D size ", n_conv,
+                                    " smaller than a kernel row ", sk);
+    if (params.stride < 1)
+        return "stride must be >= 1";
+    // Rows are tiled (not partitioned) once one fits, and then the
+    // padded row must fit too.
+    const size_t row_stride = params.zero_pad_rows ? si + sk - 1 : si;
+    if (n_conv >= si && n_conv < row_stride)
+        return detail::buildMessage("padded row (", row_stride,
+                                    ") does not fit in n_conv (", n_conv,
+                                    ")");
+    return {};
+}
+
+TilingPlan
+TilingPlan::design(const TilingParams &params)
+{
+    const std::string invalid = paramsError(params);
+    pf_assert(invalid.empty(), invalid);
+    const size_t si = params.input_size;
+    const size_t sk = params.kernel_size;
+    const size_t n_conv = params.n_conv;
 
     TilingPlan plan{};
     const bool same = params.mode == signal::ConvMode::Same;
@@ -74,8 +97,6 @@ TilingPlan::design(const TilingParams &params)
     }
 
     const size_t rows_fit = n_conv / plan.row_stride;
-    pf_assert(rows_fit >= 1, "padded row (", plan.row_stride,
-              ") does not fit in n_conv (", n_conv, ")");
 
     if (rows_fit >= sk) {
         // Row tiling: a full kernel-height window fits.

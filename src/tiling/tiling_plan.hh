@@ -96,7 +96,15 @@ struct TilingPlan
     /** Fraction of 1D output samples that are valid results. */
     double utilization;
 
-    /** Compute the plan; panics on degenerate shapes. */
+    /**
+     * Why `params` has no plan, naming the limit it breaks (a
+     * degenerate shape or stride, a kernel larger than the input, a
+     * kernel row or padded row longer than n_conv); empty when it has
+     * one. design() asserts exactly this.
+     */
+    static std::string paramsError(const TilingParams &params);
+
+    /** Compute the plan; panics where paramsError() is nonempty. */
     static TilingPlan design(const TilingParams &params);
 };
 

@@ -758,6 +758,59 @@ TEST(ShardServer, GarbageFramesDropOnlyTheOffendingConnection)
     shard.server->stop();
 }
 
+TEST(ShardServer, HostilePeerMisshapenTensorsFailCleanly)
+{
+    // A peer may put any tensor shape in a well-formed InferRequest.
+    // Shapes the model cannot take come back Failed, naming the shape,
+    // instead of panicking the shard: it still answers ping() and
+    // serves good requests afterwards.
+    TestShard shard("s0", 1);
+    net::TcpConnection hostile = net::TcpConnection::connectTo(
+        "127.0.0.1", shard.server->port(),
+        std::chrono::milliseconds(2000));
+    ASSERT_TRUE(hostile.valid());
+    cluster::HelloMsg hello;
+    hello.client_name = "hostile";
+    ASSERT_TRUE(hostile.sendFrame(cluster::encodeHello(hello)));
+    std::string frame;
+    ASSERT_TRUE(hostile.recvFrame(&frame)); // HelloAck
+
+    // tiny-a takes nonempty 1 x H x W maps of any size (global
+    // pooling feeds its classifier): wrong channel counts and an empty
+    // map.
+    const nn::Shape shapes[] = {{3, 8, 8}, {1, 0, 8}, {2, 1, 1}};
+    uint64_t seq = 1;
+    for (const nn::Shape &shape : shapes) {
+        cluster::InferRequestMsg request;
+        request.seq = seq;
+        request.model = "tiny-a";
+        request.channels = static_cast<uint32_t>(shape.channels);
+        request.height = static_cast<uint32_t>(shape.height);
+        request.width = static_cast<uint32_t>(shape.width);
+        request.data.assign(shape.channels * shape.height * shape.width,
+                            0.5);
+        ASSERT_TRUE(hostile.sendFrame(cluster::encodeInferRequest(request)));
+        ASSERT_TRUE(hostile.recvFrame(&frame)) << nn::toString(shape);
+        cluster::InferResponseMsg response;
+        ASSERT_TRUE(cluster::decodeInferResponse(frame, &response));
+        EXPECT_EQ(response.seq, seq);
+        EXPECT_EQ(response.status, serve::RequestStatus::Failed);
+        EXPECT_NE(response.error.find(nn::toString(shape)),
+                  std::string::npos)
+            << response.error;
+        ++seq;
+    }
+
+    cluster::ClusterClient client("127.0.0.1", shard.server->port());
+    ASSERT_TRUE(client.connect());
+    EXPECT_TRUE(client.ping());
+    const auto inputs = tinyInputs(1);
+    auto handle = client.submit("tiny-a", inputs[0]);
+    ASSERT_EQ(handle.wait(), serve::RequestStatus::Done);
+    EXPECT_EQ(handle.logits(), tinyNet(1, 3).logits(inputs[0]));
+    shard.server->stop();
+}
+
 // ---------------------------------------------------------------------------
 // router: placement, spillover, failover, aggregation
 // ---------------------------------------------------------------------------

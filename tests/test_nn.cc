@@ -25,6 +25,7 @@
 #include "nn/network.hh"
 #include "nn/serialization.hh"
 #include "nn/training.hh"
+#include "tiling/spectrum_cache.hh"
 
 namespace pf = photofourier;
 namespace nn = photofourier::nn;
@@ -863,6 +864,146 @@ TEST(ConvEngineBatch, PhotoFourierBitIdenticalIncludingNoise)
                                sig::ConvMode::Same,
                                noise ? "pf noisy" : "pf clean");
     }
+}
+
+namespace {
+
+/** True when two tensors hold the same bits. */
+void
+expectSameBits(const nn::Tensor &a, const nn::Tensor &b, const char *label)
+{
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.data()[i]),
+                  std::bit_cast<uint64_t>(b.data()[i]))
+            << label << " element " << i;
+}
+
+} // namespace
+
+TEST(PreparedLayerStore, InPlaceWeightEditsAreNeverServedStale)
+{
+    // The store is keyed by the weight bytes, so a layer whose weights
+    // change in place between calls misses and re-prepares: its output
+    // equals a fresh engine's, for every backend kind.
+    pf::Rng rng(210);
+    const auto input = randomTensor(rng, 3, 12, 12, 0.0, 1.0);
+    nn::Conv2d conv(3, 4, 3, 1, sig::ConvMode::Same, rng);
+    for (auto path : {nn::ConvPath::Auto, nn::ConvPath::Direct,
+                      nn::ConvPath::Fft}) {
+        nn::PhotoFourierEngineConfig config;
+        config.n_conv = 64;
+        config.conv_path = path;
+        auto engine = std::make_shared<nn::PhotoFourierEngine>(config);
+        conv.setConvEngine(engine);
+        for (int edit = 0; edit < 3; ++edit) {
+            const nn::Tensor served = conv.forward(input);
+            nn::PhotoFourierEngine fresh(config);
+            expectSameBits(served,
+                           fresh.convolve(input, conv.weights(),
+                                          conv.bias(), 1,
+                                          sig::ConvMode::Same),
+                           "after an in-place edit");
+            conv.weights()[edit % 4].data()[edit] += 0.25;
+        }
+        const auto stats = engine->spectrumCache()->preparedLayers().stats();
+        EXPECT_EQ(stats.misses, 3u) << "one entry per distinct weights";
+        EXPECT_EQ(stats.entries, 3u);
+    }
+}
+
+TEST(PreparedLayerStore, EnginesOfDifferentConfigsShareOneCache)
+{
+    // Engines whose configs differ in an input of the layer prep (DAC
+    // bits, n_conv and so the tiling variant, the backend) may share a
+    // cache: each reads its own entries and matches a private-cache
+    // engine bit for bit.
+    pf::Rng rng(211);
+    std::vector<nn::Tensor> weights;
+    for (size_t oc = 0; oc < 4; ++oc)
+        weights.push_back(randomTensor(rng, 3, 3, 3, -0.5, 0.5));
+    const std::vector<double> bias = {0.05, -0.1, 0.0, 0.2};
+    const auto inputs = randomBatch(rng, 2, 3, 16, 16);
+
+    std::vector<nn::PhotoFourierEngineConfig> configs(5);
+    configs[1].dac_bits = 4;
+    configs[2].n_conv = 40;  // partial row tiling
+    configs[3].n_conv = 12;  // row partitioning
+    configs[4].conv_path = nn::ConvPath::Fft;
+    auto shared = std::make_shared<pf::tiling::KernelSpectrumCache>();
+    for (int round = 0; round < 2; ++round) {
+        for (const auto &config : configs) {
+            const nn::PhotoFourierEngine on_shared(config, shared);
+            const nn::PhotoFourierEngine on_private(config);
+            for (const auto &input : inputs)
+                expectSameBits(
+                    on_shared.convolve(input, weights, bias, 1,
+                                       sig::ConvMode::Same),
+                    on_private.convolve(input, weights, bias, 1,
+                                        sig::ConvMode::Same),
+                    "shared vs private cache");
+        }
+    }
+    const auto stats = shared->preparedLayers().stats();
+    EXPECT_EQ(stats.entries, configs.size());
+    EXPECT_EQ(stats.misses, configs.size());
+    EXPECT_EQ(stats.hits, 2 * configs.size() * inputs.size() -
+                              configs.size());
+}
+
+TEST(PreparedLayerStore, StridedPlanesMatchTheUnitStrideSubsample)
+{
+    // The charge planes keep strided positions only (rows the stride
+    // drops are never run on the per-row variants): the output is the
+    // unit-stride output subsampled, for every tiling variant.
+    pf::Rng rng(212);
+    std::vector<nn::Tensor> weights;
+    for (size_t oc = 0; oc < 3; ++oc)
+        weights.push_back(randomTensor(rng, 2, 3, 3, -0.5, 0.5));
+    const auto input = randomTensor(rng, 2, 15, 15, 0.0, 1.0);
+    for (size_t n_conv : {256u, 40u, 10u}) {
+        nn::PhotoFourierEngineConfig config;
+        config.n_conv = n_conv;
+        config.adc_bits = 0; // one ADC range for both strides
+        const nn::PhotoFourierEngine engine(config);
+        const auto full =
+            engine.convolve(input, weights, {}, 1, sig::ConvMode::Same);
+        const auto strided =
+            engine.convolve(input, weights, {}, 2, sig::ConvMode::Same);
+        ASSERT_EQ(strided.height(), 8u);
+        for (size_t oc = 0; oc < 3; ++oc)
+            for (size_t r = 0; r < strided.height(); ++r)
+                for (size_t c = 0; c < strided.width(); ++c)
+                    ASSERT_EQ(strided.at(oc, r, c),
+                              full.at(oc, 2 * r, 2 * c))
+                        << "n_conv " << n_conv;
+    }
+}
+
+TEST(Network, ShapeWalkNamesTheRefusingLayer)
+{
+    // The walk runs the checks the forward pass asserts: channels,
+    // engine limits, the Linear size.
+    pf::Rng rng(213);
+    nn::Network net = nn::buildSmallVgg(10, rng);
+    EXPECT_EQ(net.shapeError({3, 32, 32}), "");
+    EXPECT_NE(net.shapeError({5, 32, 32}).find("layer 0 (conv2d)"),
+              std::string::npos);
+    EXPECT_NE(net.shapeError({3, 16, 16}).find("linear"),
+              std::string::npos);
+    EXPECT_NE(net.shapeError({3, 0, 32}).find("empty"), std::string::npos);
+    // The direct engine takes rectangular maps; the photonic one does
+    // not, and a walk against it says so.
+    nn::PhotoFourierEngineConfig config;
+    const nn::PhotoFourierEngine photonic(config);
+    EXPECT_NE(net.shapeError({3, 16, 32}).find("linear"),
+              std::string::npos);
+    EXPECT_NE(net.shapeError({3, 16, 32}, &photonic).find("square"),
+              std::string::npos);
+    config.n_conv = 2;
+    const nn::PhotoFourierEngine narrow(config);
+    EXPECT_NE(net.shapeError({3, 32, 32}, &narrow).find("kernel row"),
+              std::string::npos);
 }
 
 TEST(ConvEngineBatch, NetworkLogitsBatchMatchesSolo)

@@ -773,6 +773,10 @@ TEST(ObsServing, ServerRecordsStageMetricsAndSpans)
     }
     // The snapshot collector pulled cache + FFT plan gauges.
     EXPECT_NE(snap.find("pf_cache_kernel_hits"), nullptr);
+    for (const char *name :
+         {"pf_cache_prepared_hits", "pf_cache_prepared_misses",
+          "pf_cache_prepared_entries", "pf_cache_prepared_bytes"})
+        EXPECT_NE(snap.find(name), nullptr) << name;
     EXPECT_NE(snap.find("pf_signal_fft_plans"), nullptr);
 
     // Every traced request recorded its stage spans (5 per request:

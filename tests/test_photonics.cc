@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "common/rng.hh"
 #include "common/units.hh"
 #include "photonics/component_catalog.hh"
 #include "photonics/converters.hh"
 #include "photonics/optical_link.hh"
 #include "photonics/photodetector.hh"
 
+namespace pf = photofourier;
 namespace ph = photofourier::photonics;
 namespace units = photofourier::units;
 
@@ -86,6 +89,56 @@ TEST(Quantizer, SaturatesOutOfRange)
     ph::Quantizer q(8, 1.0);
     EXPECT_DOUBLE_EQ(q.quantize(5.0), 1.0);
     EXPECT_DOUBLE_EQ(q.quantize(-5.0), -1.0);
+}
+
+TEST(Quantizer, SaturatesHugeAndInfiniteToTheirOwnRail)
+{
+    // Past the int64 range the code must still saturate by sign, not
+    // wrap to the negative rail through an overflowing conversion.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (int bits : {2, 8, 32}) {
+        ph::Quantizer q(bits, 1.0);
+        for (double x : {1e300, 1e19, 9.3e18, inf}) {
+            EXPECT_DOUBLE_EQ(q.quantize(x), 1.0) << bits << " bits, " << x;
+            EXPECT_DOUBLE_EQ(q.quantize(-x), -1.0)
+                << bits << " bits, " << -x;
+        }
+        EXPECT_DOUBLE_EQ(q.quantize(std::numeric_limits<double>::max()),
+                         1.0);
+    }
+    // A tiny step turns a modest value into an enormous code.
+    ph::Quantizer tiny(8, 1e-300);
+    EXPECT_DOUBLE_EQ(tiny.quantize(1.0), 1e-300);
+    EXPECT_DOUBLE_EQ(tiny.quantize(-1.0), -1e-300);
+}
+
+TEST(Quantizer, CodeRoundsLikeLlroundInRange)
+{
+    // With range == max code the step is 1, so the scaled value is the
+    // input itself: ties, near-ties and random values all round as
+    // llround does (half away from zero).
+    ph::Quantizer q(8, 127.0);
+    ASSERT_EQ(q.step(), 1.0);
+    const double near_half = std::nextafter(0.5, 0.0);
+    for (double x : {0.5, 1.5, 2.5, 126.5, near_half, 1.0 + near_half,
+                     0.0, -0.0, 3.0, 126.99999999999999}) {
+        EXPECT_EQ(q.code(x), std::llround(x)) << x;
+        EXPECT_EQ(q.code(-x), std::llround(-x)) << -x;
+    }
+    pf::Rng rng(97);
+    for (int i = 0; i < 10000; ++i) {
+        const double x = rng.uniform(-127.4, 127.4);
+        ASSERT_EQ(q.code(x), std::llround(x)) << x;
+    }
+}
+
+TEST(Quantizer, NanReadsAsZero)
+{
+    ph::Quantizer q(8, 1.0);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(q.code(nan), 0);
+    EXPECT_EQ(q.quantize(nan), 0.0);
+    EXPECT_EQ(q.quantize(-nan), 0.0);
 }
 
 TEST(Quantizer, StepMatchesBits)

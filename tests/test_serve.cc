@@ -17,6 +17,7 @@
 #include "common/rng.hh"
 #include "core/photofourier.hh"
 #include "nn/layers.hh"
+#include "nn/model_zoo.hh"
 #include "nn/network.hh"
 #include "nn/serialization.hh"
 #include "serve/inference_server.hh"
@@ -682,10 +683,119 @@ TEST(InferenceServer, OverrideReplicasPopulateTheSharedCache)
 
     const auto stats = cache->stats();
     EXPECT_GT(stats.entries, 0u) << "serving never reached the cache";
-    // Entries are per distinct (kernel, fft size); concurrent first
-    // touches may each count a miss, but the steady state is hits.
-    EXPECT_GE(stats.misses, stats.entries);
-    EXPECT_GT(stats.hits, stats.misses);
+    // Entries are per distinct (kernel, fft size), each transformed
+    // once across both workers (single-flight misses).
+    EXPECT_EQ(stats.misses, stats.entries);
+    // Warm requests do not look spectra up at all: the layer's
+    // prepared kernel planes hold the spectrum handles, built on one
+    // store miss per conv layer (tinyNet has one) and hit by every
+    // later batch.
+    const auto prepared = cache->preparedLayers().stats();
+    EXPECT_EQ(prepared.misses, 1u);
+    EXPECT_EQ(prepared.entries, 1u);
+    const auto report = server.report();
+    ASSERT_EQ(report.models.size(), 1u);
+    EXPECT_EQ(prepared.hits + prepared.misses, report.models[0].batches);
+    EXPECT_GT(prepared.hits, 0u);
+}
+
+TEST(PreparedLayerStoreTsan, ColdLayerIsPreparedOnceAcrossThreads)
+{
+    // Aimed at the TSan CI job: threads reaching one cold layer
+    // together through one shared cache run the layer prep once
+    // (single-flight), and all read the same prepared planes.
+    pf::Rng rng(405);
+    std::vector<nn::Tensor> weights;
+    for (size_t oc = 0; oc < 6; ++oc) {
+        nn::Tensor w(3, 3, 3);
+        w.data() = rng.uniformVector(27, -0.5, 0.5);
+        weights.push_back(std::move(w));
+    }
+    nn::Tensor input(3, 16, 16);
+    input.data() = rng.uniformVector(3 * 16 * 16, 0.0, 1.0);
+    nn::PhotoFourierEngineConfig config;
+    config.n_conv = 64;
+    const auto expected = nn::PhotoFourierEngine(config).convolve(
+        input, weights, {}, 1, sig::ConvMode::Same);
+
+    auto cache = std::make_shared<pf::tiling::KernelSpectrumCache>();
+    const nn::PhotoFourierEngine engine(config, cache);
+    constexpr size_t kThreads = 8;
+    std::atomic<size_t> ready{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            const auto out = engine.convolve(input, weights, {}, 1,
+                                             sig::ConvMode::Same);
+            if (out.data() != expected.data())
+                mismatches.fetch_add(1);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    const auto stats = cache->preparedLayers().stats();
+    EXPECT_EQ(stats.misses, 1u) << "the layer was prepared more than once";
+    EXPECT_EQ(stats.hits, kThreads - 1);
+    EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(InferenceServer, MisshapenRequestsFailWithoutKillingTheServer)
+{
+    // Shapes the model cannot take fail at submit, naming the shape,
+    // instead of panicking a worker: a rectangular map (the photonic
+    // engine's square-map limit), the wrong channel count, a map that
+    // reaches the classifier at the wrong size, and an override whose
+    // n_conv is shorter than a kernel row.
+    const pf::PhotoFourierAccelerator accel(
+        pf::arch::AcceleratorConfig::currentGen());
+    serve::ServerConfig cfg = accel.servingConfig({}, false);
+    cfg.workers = 2;
+    serve::InferenceServer server(cfg);
+    pf::Rng rng(31);
+    server.registry().add("vgg", nn::buildSmallVgg(10, rng));
+    nn::PhotoFourierEngineConfig narrow = accel.engineConfig(false);
+    narrow.n_conv = 2;
+    pf::Rng rng2(31);
+    server.registry().add("narrow", nn::buildSmallVgg(10, rng2), narrow);
+
+    struct Case
+    {
+        const char *model;
+        nn::Shape shape;
+        const char *reason;
+    };
+    const Case cases[] = {
+        {"vgg", {3, 16, 32}, "square"},
+        {"vgg", {5, 32, 32}, "channels"},
+        {"vgg", {3, 16, 16}, "linear"},
+        {"narrow", {3, 32, 32}, "kernel row"},
+    };
+    for (const Case &c : cases) {
+        auto handle = server.submit(
+            c.model, nn::Tensor(c.shape.channels, c.shape.height,
+                                c.shape.width));
+        ASSERT_EQ(handle.status(), serve::RequestStatus::Failed)
+            << nn::toString(c.shape);
+        EXPECT_NE(handle.error().find(nn::toString(c.shape)),
+                  std::string::npos)
+            << handle.error();
+        EXPECT_NE(handle.error().find(c.reason), std::string::npos)
+            << handle.error();
+    }
+    // The server still serves well-formed requests.
+    auto ok = server.submit("vgg", nn::Tensor(3, 32, 32));
+    ASSERT_EQ(ok.wait(), serve::RequestStatus::Done);
+    EXPECT_EQ(ok.logits().size(), 10u);
+    server.shutdown();
+    uint64_t failed = 0;
+    for (const auto &m : server.report().models)
+        failed += m.failed;
+    EXPECT_EQ(failed, 4u);
 }
 
 TEST(InferenceServer, FftPathServesBitExactAcrossWorkerCounts)

@@ -746,10 +746,15 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
             tl::TiledInput tiles;
             conv.prepareInput(input, tiles, bank.needs_tile_spectra);
 
+            // executePrepared accumulates: onto zeros it writes what
+            // execute() returns, and a second pass adds it again.
             tl::ConvWorkspace ws;
             sig::Matrix prepared;
             for (size_t j = 0; j < kernels.size(); ++j) {
-                conv.executePrepared(tiles, bank, first[j], prepared, ws);
+                prepared.resize(conv.plan().output_rows,
+                                conv.plan().output_cols);
+                conv.executePrepared(tiles, bank, first[j], prepared.data,
+                                     ws);
                 const sig::Matrix solo = conv.execute(input, kernels[j]);
                 ASSERT_EQ(prepared.rows, solo.rows);
                 ASSERT_EQ(prepared.cols, solo.cols);
@@ -757,6 +762,12 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
                     ASSERT_EQ(prepared.data[i], solo.data[i])
                         << nb.name << " si=" << g.si << " n_conv="
                         << g.n_conv << " kernel " << j << " sample " << i;
+                conv.executePrepared(tiles, bank, first[j], prepared.data,
+                                     ws);
+                for (size_t i = 0; i < solo.data.size(); ++i)
+                    ASSERT_EQ(prepared.data[i], 2.0 * solo.data[i])
+                        << nb.name << " second pass, kernel " << j
+                        << " sample " << i;
             }
         }
     }
