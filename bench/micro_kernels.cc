@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the computational kernels the
- * simulator is built on: FFTs (radix-2 and Bluestein), the field-level
- * JTC evaluation, direct vs FFT 1D convolution, row-tiled 2D
- * convolution on both backends, and both conv engines.
+ * simulator is built on: cached FFT plans (radix-2 and Bluestein,
+ * complex and real), the field-level JTC evaluation, the 1D conv
+ * backends, row-tiled 2D convolution on both backends, the 2D plans
+ * and optical comparators, and both conv engines.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,8 +27,6 @@
 #include "jtc/jtc_system.hh"
 #include "nn/conv_engine.hh"
 #include "signal/convolution.hh"
-#include "signal/fft.hh"
-#include "signal/fft2d.hh"
 #include "signal/fft2d_plan.hh"
 #include "signal/fft_plan.hh"
 #include "tiling/spectrum_cache.hh"
@@ -51,32 +50,6 @@ randomComplex(size_t n)
 }
 
 } // namespace
-
-static void
-BM_FftRadix2(benchmark::State &state)
-{
-    auto data = randomComplex(static_cast<size_t>(state.range(0)));
-    for (auto _ : state) {
-        auto copy = data;
-        sig::fftRadix2(copy, false);
-        benchmark::DoNotOptimize(copy.data());
-    }
-    state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_FftRadix2)->RangeMultiplier(4)->Range(64, 16384)
-    ->Complexity(benchmark::oNLogN);
-
-static void
-BM_FftBluestein(benchmark::State &state)
-{
-    // Non-power-of-two sizes exercise the chirp-z path.
-    auto data = randomComplex(static_cast<size_t>(state.range(0)));
-    for (auto _ : state) {
-        auto out = sig::fft(data);
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_FftBluestein)->Arg(63)->Arg(257)->Arg(1000)->Arg(4093);
 
 // --- Plan cache: repeated same-size FFTs with a cached plan vs paying
 // --- plan construction (twiddle tables, chirp spectra) on every call.
@@ -111,54 +84,6 @@ BM_FftPlanConstructEachCall(benchmark::State &state)
 }
 BENCHMARK(BM_FftPlanConstructEachCall)
     ->Arg(256)->Arg(1024)->Arg(4096)->Arg(1000)->Arg(4093);
-
-// --- batchFft scaling: 64 rows of 1024 fanned across the worker pool.
-// --- Thread counts 1/2/4 chart the scaling curve (bounded by the
-// --- machine's available cores).
-
-static void
-BM_BatchFft(benchmark::State &state)
-{
-    const size_t threads = static_cast<size_t>(state.range(0));
-    const size_t batch = 64, n = 1024;
-    const auto input = randomComplex(batch * n);
-    for (auto _ : state) {
-        auto copy = input;
-        sig::batchFft(copy.data(), batch, n, false, threads);
-        benchmark::DoNotOptimize(copy.data());
-    }
-    state.counters["threads"] =
-        static_cast<double>(std::min<size_t>(threads, batch));
-}
-BENCHMARK(BM_BatchFft)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-static void
-BM_Convolve1dDirect(benchmark::State &state)
-{
-    pf::Rng rng(1);
-    const auto a =
-        rng.uniformVector(static_cast<size_t>(state.range(0)), -1, 1);
-    const auto b = rng.uniformVector(25, -1, 1);
-    for (auto _ : state) {
-        auto out = sig::convolve1d(a, b);
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_Convolve1dDirect)->Arg(256)->Arg(1024)->Arg(4096);
-
-static void
-BM_Convolve1dFft(benchmark::State &state)
-{
-    pf::Rng rng(2);
-    const auto a =
-        rng.uniformVector(static_cast<size_t>(state.range(0)), -1, 1);
-    const auto b = rng.uniformVector(25, -1, 1);
-    for (auto _ : state) {
-        auto out = sig::convolve1dFft(a, b);
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_Convolve1dFft)->Arg(256)->Arg(1024)->Arg(4096);
 
 static void
 BM_JtcCorrelationWindow(benchmark::State &state)
@@ -251,7 +176,7 @@ static void
 BM_FftRealOnComplexPlan(benchmark::State &state)
 {
     // The pre-r2c way to transform real data: zero imaginary parts and
-    // run the full complex plan (what signal::fftReal used to do).
+    // run the full complex plan.
     const size_t n = static_cast<size_t>(state.range(0));
     pf::Rng rng(7);
     const auto input = rng.uniformVector(n, -1.0, 1.0);
@@ -485,54 +410,43 @@ BM_DirectEngineFftRows(benchmark::State &state)
 }
 BENCHMARK(BM_DirectEngineFftRows)->Arg(3)->Arg(7)->Arg(13);
 
-// --- 2D transforms: the seed complex path (full complex plane, two
-// --- allocating transposes) vs the real half-spectrum path, and the
-// --- allocation-free plan Into form — the optical comparators' hot
+// --- 2D transforms: the complex plan (full complex plane) vs the
+// --- real half-spectrum plan path — the optical comparators' hot
 // --- loop. BM_Fft2dRealInto vs BM_Fft2dComplex is the recorded
 // --- optical fast-path speedup.
 
 static void
 BM_Fft2dComplex(benchmark::State &state)
 {
+    // The 4F filter path (System4f::programFilter): copy the field
+    // into the transform buffer, one in-place complex transform.
     const size_t n = static_cast<size_t>(state.range(0));
     pf::Rng rng(10);
-    sig::Matrix m(n, n);
-    m.data = rng.uniformVector(n * n, -1.0, 1.0);
-    const auto field = sig::toComplex(m);
+    sig::ComplexMatrix field(n, n);
+    for (auto &v : field.data)
+        v = sig::Complex(rng.uniform(-1.0, 1.0), 0.0);
+    const auto plan = sig::fft2dPlanFor(n, n);
+    sig::ComplexMatrix out = field;
     for (auto _ : state) {
-        auto out = sig::fft2d(field);
+        std::copy(field.data.begin(), field.data.end(), out.data.begin());
+        plan->execute(out, false);
         benchmark::DoNotOptimize(out.data.data());
     }
 }
 BENCHMARK(BM_Fft2dComplex)->Arg(28)->Arg(64)->Arg(256);
 
 static void
-BM_Fft2dReal(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    pf::Rng rng(10);
-    sig::Matrix m(n, n);
-    m.data = rng.uniformVector(n * n, -1.0, 1.0);
-    for (auto _ : state) {
-        auto half = sig::forward2dReal(m);
-        benchmark::DoNotOptimize(half.data.data());
-    }
-}
-BENCHMARK(BM_Fft2dReal)->Arg(28)->Arg(64)->Arg(256);
-
-static void
 BM_Fft2dRealInto(benchmark::State &state)
 {
     const size_t n = static_cast<size_t>(state.range(0));
     pf::Rng rng(10);
-    sig::Matrix m(n, n);
-    m.data = rng.uniformVector(n * n, -1.0, 1.0);
+    const auto input = rng.uniformVector(n * n, -1.0, 1.0);
     const auto plan = sig::fft2dPlanFor(n, n);
-    sig::ComplexMatrix half;
-    plan->forwardRealInto(m, half); // warm plan tables + scratch
+    sig::ComplexVector half(n * plan->halfCols());
+    plan->forwardReal(input.data(), half.data()); // warm plan + scratch
     for (auto _ : state) {
-        plan->forwardRealInto(m, half);
-        benchmark::DoNotOptimize(half.data.data());
+        plan->forwardReal(input.data(), half.data());
+        benchmark::DoNotOptimize(half.data());
     }
 }
 BENCHMARK(BM_Fft2dRealInto)->Arg(28)->Arg(64)->Arg(256);

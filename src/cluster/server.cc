@@ -2,14 +2,45 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
 #include "nn/serialization.hh"
 #include "obs/log.hh"
+#include "tiling/tiling_plan.hh"
 
 namespace photofourier {
 namespace cluster {
+
+namespace {
+
+/**
+ * Why an engine with 1D size `n_conv` can run no input through some
+ * conv layer of `network`: TilingPlan::paramsError's kernel-row check,
+ * probed with a kernel-sized unpadded input so that no input-dependent
+ * check can fire. Empty when every kernel row fits.
+ */
+std::string
+kernelRowError(const nn::Network &network, size_t n_conv)
+{
+    for (size_t i = 0; i < network.layerCount(); ++i) {
+        const auto *conv =
+            dynamic_cast<const nn::Conv2d *>(&network.layer(i));
+        if (conv == nullptr)
+            continue;
+        const std::string invalid = tiling::TilingPlan::paramsError(
+            {.input_size = conv->kernel(),
+             .kernel_size = conv->kernel(),
+             .n_conv = n_conv});
+        if (!invalid.empty())
+            return "n_conv too small for layer " + std::to_string(i) +
+                   ": " + invalid;
+    }
+    return {};
+}
+
+} // namespace
 
 ProtocolServer::ProtocolServer(ServingBackend &backend,
                                ProtocolServerConfig config)
@@ -373,9 +404,12 @@ ShardServer::registerModel(const RegisterModelMsg &msg,
         *error = "empty model name";
         return false;
     }
-    const std::string invalid =
-        msg.engine_override ? nn::engineConfigError(*msg.engine_override)
-                            : std::string();
+    std::string invalid;
+    if (msg.engine_override) {
+        invalid = nn::engineConfigError(*msg.engine_override);
+        if (invalid.empty())
+            invalid = kernelRowError(*network, msg.engine_override->n_conv);
+    }
     if (!invalid.empty()) {
         *error = "bad engine override: " + invalid;
         return false;

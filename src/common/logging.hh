@@ -91,8 +91,8 @@ buildMessage(Args &&...args)
  * Assert an invariant with a formatted message.
  *
  * Deliberately NOT gated on NDEBUG: unlike <cassert>, this macro stays
- * active in Release builds. The FFT entry points (fftRadix2, fft,
- * FftPlan::execute) rely on it for input validation — a silent
+ * active in Release builds. The FFT entry points (FftPlan::execute,
+ * the Fft2dPlan passes) rely on it for input validation — a silent
  * out-of-contract call there corrupts results instead of trapping, and
  * the checks are O(1) against O(n log n) work. The Release leg of the
  * CI matrix runs the death tests that pin this behaviour.

@@ -41,7 +41,6 @@
 #include "arch/parallelization.hh"
 #include "baselines/baselines.hh"
 #include "jtc/jtc_system.hh"
-#include "jtc/pfcu.hh"
 #include "nn/conv_engine.hh"
 #include "nn/datasets.hh"
 #include "nn/model_zoo.hh"

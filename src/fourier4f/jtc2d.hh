@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "signal/convolution.hh"
 #include "signal/fft2d.hh"
 #include "signal/plane_spectrum_cache.hh"
 

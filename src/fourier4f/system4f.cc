@@ -38,11 +38,11 @@ System4f::programFilter(const signal::Matrix &kernel, size_t rows,
 {
     pf_assert(kernel.rows <= rows && kernel.cols <= cols,
               "kernel larger than the Fourier plane");
-    signal::ComplexMatrix padded(rows, cols);
+    signal::ComplexMatrix filter(rows, cols);
     for (size_t r = 0; r < kernel.rows; ++r)
         for (size_t c = 0; c < kernel.cols; ++c)
-            padded.at(r, c) = signal::Complex(kernel.at(r, c), 0.0);
-    auto filter = signal::fft2d(padded);
+            filter.at(r, c) = signal::Complex(kernel.at(r, c), 0.0);
+    signal::fft2dPlanFor(rows, cols)->execute(filter, /*inverse=*/false);
 
     if (config_.amplitude_bits == 0 && config_.phase_bits == 0)
         return filter;

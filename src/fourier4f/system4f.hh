@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "signal/convolution.hh"
 #include "signal/fft2d.hh"
 #include "signal/plane_spectrum_cache.hh"
 
@@ -83,7 +84,8 @@ class System4f
     /**
      * Convolve image with kernel through the 4F path. Returns the
      * full linear convolution (rows+krows-1 x cols+kcols-1), matching
-     * signal::convolve2dFft up to modulator quantization.
+     * the direct full-support 2D convolution up to modulator
+     * quantization.
      */
     signal::Matrix convolve(const signal::Matrix &image,
                             const signal::Matrix &kernel) const;

@@ -136,9 +136,7 @@ fftRowPathProfitable(size_t in_rows, size_t in_cols, size_t k,
     const double direct_flops =
         4.0 * static_cast<double>(n_out * n_in * oh) *
         static_cast<double>(ow * k * k);
-    return tiling::fftCrossoverScale() *
-               (transform_flops + product_flops) <
-           direct_flops;
+    return transform_flops + product_flops < direct_flops;
 }
 
 /**

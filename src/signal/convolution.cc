@@ -4,95 +4,9 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "signal/fft_plan.hh"
 
 namespace photofourier {
 namespace signal {
-
-namespace {
-
-// Workspace slots 4-7 are reserved for the signal-level convolution
-// helpers (see FftWorkspace's slot discipline).
-constexpr size_t kSlotConvReal = 4;
-constexpr size_t kSlotConvSpecA = 5;
-constexpr size_t kSlotConvSpecB = 6;
-
-} // namespace
-
-std::vector<double>
-convolve1d(const std::vector<double> &a, const std::vector<double> &b)
-{
-    pf_assert(!a.empty() && !b.empty(), "convolve1d with empty input");
-    std::vector<double> out(a.size() + b.size() - 1, 0.0);
-    for (size_t i = 0; i < a.size(); ++i)
-        for (size_t j = 0; j < b.size(); ++j)
-            out[i + j] += a[i] * b[j];
-    return out;
-}
-
-std::vector<double>
-correlate1d(const std::vector<double> &a, const std::vector<double> &b)
-{
-    std::vector<double> reversed(b.rbegin(), b.rend());
-    return convolve1d(a, reversed);
-}
-
-std::vector<double>
-convolve1dFft(const std::vector<double> &a, const std::vector<double> &b)
-{
-    pf_assert(!a.empty() && !b.empty(), "convolve1dFft with empty input");
-    const size_t out_size = a.size() + b.size() - 1;
-    const size_t n = nextPowerOfTwo(out_size);
-    const auto plan = fftPlanFor(n);
-    const size_t half = plan->halfSpectrumSize();
-
-    // Real inputs cost half a complex FFT each (r2c packing), and the
-    // product of the two half-spectra is the half-spectrum of the
-    // (real) convolution, so one c2r finishes the job. All scratch
-    // lives in the per-thread workspace — steady state allocates only
-    // the returned vector.
-    FftWorkspace &ws = threadFftWorkspace();
-    std::vector<double> &padded = ws.realBuffer(kSlotConvReal, n);
-    ComplexVector &fa = ws.complexBuffer(kSlotConvSpecA, half);
-    ComplexVector &fb = ws.complexBuffer(kSlotConvSpecB, half);
-
-    std::copy(a.begin(), a.end(), padded.begin());
-    std::fill(padded.begin() + a.size(), padded.end(), 0.0);
-    plan->executeReal(padded.data(), fa.data());
-
-    std::copy(b.begin(), b.end(), padded.begin());
-    std::fill(padded.begin() + b.size(), padded.end(), 0.0);
-    plan->executeReal(padded.data(), fb.data());
-
-    for (size_t i = 0; i < half; ++i)
-        fa[i] *= fb[i];
-    plan->executeRealInverse(fa.data(), padded.data());
-
-    return std::vector<double>(padded.begin(),
-                               padded.begin() + out_size);
-}
-
-std::vector<double>
-convolveCircular(const std::vector<double> &a, const std::vector<double> &b)
-{
-    pf_assert(a.size() == b.size() && !a.empty(),
-              "convolveCircular needs equal non-empty sizes");
-    const size_t n = a.size();
-    const auto plan = fftPlanFor(n);
-    const size_t half = plan->halfSpectrumSize();
-
-    FftWorkspace &ws = threadFftWorkspace();
-    ComplexVector &fa = ws.complexBuffer(kSlotConvSpecA, half);
-    ComplexVector &fb = ws.complexBuffer(kSlotConvSpecB, half);
-    std::vector<double> &time = ws.realBuffer(kSlotConvReal, n);
-
-    plan->executeReal(a.data(), fa.data());
-    plan->executeReal(b.data(), fb.data());
-    for (size_t i = 0; i < half; ++i)
-        fa[i] *= fb[i];
-    plan->executeRealInverse(fa.data(), time.data());
-    return std::vector<double>(time.begin(), time.end());
-}
 
 Matrix
 conv2d(const Matrix &input, const Matrix &kernel, ConvMode mode,

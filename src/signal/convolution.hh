@@ -1,14 +1,11 @@
 /**
  * @file
- * Reference convolution/correlation kernels.
+ * The dense real matrix and the direct 2D convolution.
  *
- * These are the golden-model implementations that the JTC optics and the
- * row-tiling algorithm are validated against:
- *
- *  - direct 1D convolution and cross-correlation ("full" support),
- *  - FFT-based circular and linear 1D convolution,
- *  - direct 2D convolution in `valid` and `same` modes (the two modes the
- *    paper's Section III distinguishes).
+ * conv2d is the golden model the JTC optics and the row-tiling
+ * algorithm are validated against, in `valid` and `same` modes (the
+ * two modes the paper's Section III distinguishes); the digital conv
+ * engines run its Into form.
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_CONVOLUTION_HH
@@ -16,8 +13,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "signal/fft.hh"
 
 namespace photofourier {
 namespace signal {
@@ -71,32 +66,6 @@ struct Matrix
     /** Const element access. */
     double at(size_t r, size_t c) const { return data[r * cols + c]; }
 };
-
-/**
- * Direct linear 1D convolution with full support:
- * out[n] = sum_k a[k] * b[n - k], size = |a| + |b| - 1.
- */
-std::vector<double> convolve1d(const std::vector<double> &a,
-                               const std::vector<double> &b);
-
-/**
- * Direct 1D cross-correlation with full support:
- * out[n] = sum_k a[k] * b[k + n - (|b| - 1)], size = |a| + |b| - 1.
- * Equals convolve1d(a, reverse(b)).
- */
-std::vector<double> correlate1d(const std::vector<double> &a,
-                                const std::vector<double> &b);
-
-/**
- * FFT-based linear 1D convolution (zero-pads to the next power of two).
- * Matches convolve1d up to floating-point error.
- */
-std::vector<double> convolve1dFft(const std::vector<double> &a,
-                                  const std::vector<double> &b);
-
-/** Circular convolution of two equal-length signals via FFT. */
-std::vector<double> convolveCircular(const std::vector<double> &a,
-                                     const std::vector<double> &b);
 
 /**
  * Direct 2D cross-correlation (the CNN "convolution") of input with

@@ -1,15 +1,13 @@
 /**
  * @file
- * Self-contained FFT implementation.
+ * Complex sample types and power-of-two helpers for the transforms.
  *
  * The JTC optical path is modelled with discrete Fourier transforms (an
  * ideal 1D lens performs a continuous FT; on a sampled field that is a
- * DFT). We implement our own transforms instead of depending on FFTW so
- * the repository builds offline:
- *
- *  - iterative radix-2 Cooley-Tukey for power-of-two sizes,
- *  - Bluestein's chirp-z algorithm for arbitrary sizes (used when a tiled
- *    JTC input is not a power of two).
+ * DFT). The transforms themselves are the cached plans of
+ * fft_plan.hh (radix-2 Cooley-Tukey for power-of-two sizes, Bluestein
+ * chirp-z otherwise) and fft2d_plan.hh; we implement them ourselves
+ * instead of depending on FFTW so the repository builds offline.
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_FFT_HH
@@ -26,51 +24,21 @@ using Complex = std::complex<double>;
 using ComplexVector = std::vector<Complex>;
 
 /** True when n is a power of two (n >= 1). */
-bool isPowerOfTwo(size_t n);
+inline bool
+isPowerOfTwo(size_t n)
+{
+    return n >= 1 && (n & (n - 1)) == 0;
+}
 
 /** Smallest power of two >= n. */
-size_t nextPowerOfTwo(size_t n);
-
-/**
- * In-place forward/inverse FFT for power-of-two sizes.
- *
- * The inverse transform includes the 1/N normalization so that
- * ifft(fft(x)) == x.
- *
- * @param data    signal; size must be a power of two
- * @param inverse true to compute the inverse transform
- */
-void fftRadix2(ComplexVector &data, bool inverse);
-
-/**
- * Forward DFT of arbitrary size (Bluestein for non-powers of two).
- * Returns a new vector; the input is untouched.
- */
-ComplexVector fft(const ComplexVector &input);
-
-/** Inverse DFT of arbitrary size, normalized by 1/N. */
-ComplexVector ifft(const ComplexVector &input);
-
-/**
- * Forward DFT of a real signal (returns the full complex spectrum).
- * Runs the half-cost real-to-complex path and mirrors the Hermitian
- * upper half; prefer fftRealHalf when the n/2+1 half-spectrum is
- * enough (it skips the mirror copy).
- */
-ComplexVector fftReal(const std::vector<double> &input);
-
-/**
- * Forward DFT of a real signal, returned as the n/2+1 Hermitian
- * half-spectrum (bins 0..n/2); bin n-k equals conj(bin k). Costs half
- * a complex FFT for even sizes (two-for-one packing).
- */
-ComplexVector fftRealHalf(const std::vector<double> &input);
-
-/** Naive O(N^2) DFT used as a test oracle. */
-ComplexVector dftNaive(const ComplexVector &input, bool inverse);
-
-/** Squared magnitudes of a spectrum (the power spectrum). */
-std::vector<double> powerSpectrum(const ComplexVector &spectrum);
+inline size_t
+nextPowerOfTwo(size_t n)
+{
+    size_t p = 1;
+    while (p < n)
+        p <<= 1;
+    return p;
+}
 
 } // namespace signal
 } // namespace photofourier

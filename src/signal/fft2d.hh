@@ -1,17 +1,13 @@
 /**
  * @file
- * 2D discrete Fourier transforms.
+ * The dense complex matrix the 2D transforms operate on.
  *
  * Used by the free-space comparators: a conventional 2D lens performs
  * a 2D Fourier transform, which a free-space 4F system and a
  * free-space 2D JTC both exploit. The on-chip system of the paper is
- * restricted to 1D transforms; these routines exist so the row-tiling
- * approximation can be validated against native 2D Fourier optics.
- *
- * The value-returning functions here are a thin facade over the
- * cached Fft2dPlan subsystem (fft2d_plan.hh), which also provides the
- * allocation-free Into forms and the real-input half-spectrum
- * transforms the optical hot paths run on.
+ * restricted to 1D transforms; the 2D transforms (Fft2dPlan,
+ * fft2d_plan.hh) exist so the row-tiling approximation can be
+ * validated against native 2D Fourier optics.
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_FFT2D_HH
@@ -19,7 +15,6 @@
 
 #include <cstddef>
 
-#include "signal/convolution.hh"
 #include "signal/fft.hh"
 
 namespace photofourier {
@@ -54,55 +49,6 @@ struct ComplexMatrix
     Complex &at(size_t r, size_t c) { return data[r * cols + c]; }
     Complex at(size_t r, size_t c) const { return data[r * cols + c]; }
 };
-
-/** Forward 2D DFT (row FFTs then column FFTs); any size. */
-ComplexMatrix fft2d(const ComplexMatrix &input);
-
-/** Inverse 2D DFT with the 1/(rows*cols) normalization. */
-ComplexMatrix ifft2d(const ComplexMatrix &input);
-
-/**
- * Forward 2D DFT of a real matrix, returned as the
- * rows x (cols/2 + 1) Hermitian half-spectrum (see
- * Fft2dPlan::forwardReal): bins kc <= cols/2 are stored; the full
- * spectrum is F[kr][cols-kc] = conj(F[(rows-kr) % rows][kc]). Costs
- * about half the complex transform.
- */
-ComplexMatrix forward2dReal(const Matrix &input);
-
-/**
- * Inverse of forward2dReal: consume a rows x (cols/2 + 1)
- * half-spectrum and produce the rows x cols real matrix,
- * 1/(rows*cols)-normalized. `cols` must be passed because the stored
- * width cols/2 + 1 does not determine the parity of the full width.
- */
-Matrix inverse2dReal(const ComplexMatrix &half, size_t cols);
-
-/** Promote a real matrix to complex. */
-ComplexMatrix toComplex(const Matrix &input);
-
-/** toComplex writing into `out` (resized, capacity reused). */
-void toComplexInto(const Matrix &input, ComplexMatrix &out);
-
-/** Real parts of a complex matrix. */
-Matrix realPart(const ComplexMatrix &input);
-
-/** realPart writing into `out` (resized, capacity reused). */
-void realPartInto(const ComplexMatrix &input, Matrix &out);
-
-/** Elementwise squared magnitude (the detected intensity pattern). */
-Matrix intensity(const ComplexMatrix &field);
-
-/** intensity writing into `out` (resized, capacity reused). */
-void intensityInto(const ComplexMatrix &field, Matrix &out);
-
-/**
- * Linear 2D convolution via the convolution theorem: zero-pad both
- * operands to (ra+rb-1) x (ca+cb-1), multiply spectra, inverse
- * transform. Matches conv2d(...) full support. Both operands are
- * real, so this runs on the half-spectrum real path.
- */
-Matrix convolve2dFft(const Matrix &a, const Matrix &b);
 
 } // namespace signal
 } // namespace photofourier

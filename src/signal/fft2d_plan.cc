@@ -18,9 +18,8 @@ namespace {
 // recurse into FftPlan's own slots 0-1.
 constexpr size_t kSlotTranspose = 2;
 constexpr size_t kSlotHalfScratch = 3;
-// Slot 7 (signal-level helper range): the autocorrelation half-
-// spectrum, live across a forwardReal + inverseReal pair that uses
-// slots 2-3 internally.
+// Slot 7: the autocorrelation half-spectrum, live across a
+// forwardReal + inverseReal pair that uses slots 2-3 internally.
 constexpr size_t kSlotAutoCorrHalf = 7;
 
 } // namespace
@@ -52,7 +51,7 @@ Fft2dPlan::rowBatch(const FftPlan &plan, Complex *data, size_t count,
     const size_t n = plan.size();
     if (count == 0)
         return;
-    // Small batches run inline (same amortization bound as batchFft);
+    // Small batches run inline (kParallelDispatchThreshold);
     // the plain loop also keeps the path allocation-free — no
     // std::function is materialized at all.
     if (count * n < kParallelDispatchThreshold ||
@@ -91,18 +90,6 @@ Fft2dPlan::execute(ComplexMatrix &m, bool inverse) const
     transposeInto(m.data.data(), rows_, cols_, t.data());
     rowBatch(*col_plan_, t.data(), cols_, inverse);
     transposeInto(t.data(), cols_, rows_, m.data.data());
-}
-
-void
-Fft2dPlan::executeInto(const ComplexMatrix &in, ComplexMatrix &out,
-                       bool inverse) const
-{
-    pf_assert(in.rows == rows_ && in.cols == cols_, "Fft2dPlan for ",
-              rows_, "x", cols_, " executed on ", in.rows, "x",
-              in.cols);
-    out.resizeNoFill(rows_, cols_);
-    std::copy(in.data.begin(), in.data.end(), out.data.begin());
-    execute(out, inverse);
 }
 
 void
@@ -180,33 +167,6 @@ Fft2dPlan::inverseReal(const Complex *half, double *out) const
 }
 
 void
-Fft2dPlan::forwardRealInto(const Matrix &in, ComplexMatrix &half) const
-{
-    pf_assert(in.rows == rows_ && in.cols == cols_, "Fft2dPlan for ",
-              rows_, "x", cols_, " executed on ", in.rows, "x",
-              in.cols);
-    half.resizeNoFill(rows_, halfCols());
-    forwardReal(in.data.data(), half.data.data());
-}
-
-void
-Fft2dPlan::inverseRealInto(const ComplexMatrix &half, Matrix &out) const
-{
-    pf_assert(half.rows == rows_ && half.cols == halfCols(),
-              "half-spectrum shape ", half.rows, "x", half.cols,
-              " does not match plan ", rows_, "x", halfCols());
-    out.resizeNoFill(rows_, cols_);
-    inverseReal(half.data.data(), out.data.data());
-}
-
-void
-Fft2dPlan::circularAutocorrelationInto(const Matrix &plane,
-                                       Matrix &out) const
-{
-    jointAutocorrelationInto(plane, nullptr, out);
-}
-
-void
 Fft2dPlan::jointAutocorrelationInto(const Matrix &plane,
                                     const Complex *static_half,
                                     Matrix &out) const
@@ -221,13 +181,8 @@ Fft2dPlan::jointAutocorrelationInto(const Matrix &plane,
     forwardReal(plane.data.data(), half.data());
     // |F|^2 of a real joint plane is centro-symmetric, so its stored
     // half is exactly the half-spectrum of the (real) autocorrelation.
-    if (static_half != nullptr) {
-        for (size_t i = 0; i < half.size(); ++i)
-            half[i] = Complex(std::norm(half[i] + static_half[i]), 0.0);
-    } else {
-        for (auto &v : half)
-            v = Complex(std::norm(v), 0.0);
-    }
+    for (size_t i = 0; i < half.size(); ++i)
+        half[i] = Complex(std::norm(half[i] + static_half[i]), 0.0);
     out.resizeNoFill(rows_, cols_);
     inverseReal(half.data(), out.data.data());
 }

@@ -16,7 +16,7 @@
  *    only the cols/2+1 Hermitian half-columns through the column
  *    pass — half the butterflies and half the transpose traffic of
  *    the complex transform,
- *  - every Into entry point draws scratch from the per-thread
+ *  - every entry point draws scratch from the per-thread
  *    FftWorkspace, so steady-state callers never allocate,
  *  - row/column batches fan across the shared worker pool when the
  *    plane is large enough to amortize a dispatch
@@ -24,11 +24,12 @@
  *
  * The optical layers are the customers: a free-space lens performs a
  * 2D Fourier transform, so the 4F comparator and the 2D JTC are
- * back-to-back invocations of this plan, and
- * jointAutocorrelationInto — ifft2d(|fft2d(E)|^2) with the cached
- * static-field spectrum added between the lenses — is the whole 2D
- * JTC optical path fused into one allocation-free call (Jtc2d routes
- * through it).
+ * back-to-back invocations of this plan (System4f programs its filter
+ * with execute() and convolves with forwardReal/inverseReal), and
+ * jointAutocorrelationInto — the inverse transform of |F(E)|^2 with
+ * the cached static-field spectrum added between the lenses — is the
+ * whole 2D JTC optical path fused into one allocation-free call
+ * (Jtc2d routes through it).
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_FFT2D_PLAN_HH
@@ -37,6 +38,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "signal/convolution.hh"
 #include "signal/fft2d.hh"
 #include "signal/fft_plan.hh"
 
@@ -81,10 +83,6 @@ class Fft2dPlan
      */
     void execute(ComplexMatrix &m, bool inverse) const;
 
-    /** Out-of-place form; `out` is resized (capacity reused). */
-    void executeInto(const ComplexMatrix &in, ComplexMatrix &out,
-                     bool inverse) const;
-
     /**
      * Forward 2D DFT of rows() x cols() real samples into the
      * rows() x halfCols() Hermitian half-spectrum: out[kr][kc] =
@@ -104,31 +102,17 @@ class Fft2dPlan
      */
     void inverseReal(const Complex *half, double *out) const;
 
-    /** Matrix wrapper: `half` is resized to rows() x halfCols(). */
-    void forwardRealInto(const Matrix &in, ComplexMatrix &half) const;
-
-    /** Matrix wrapper: `out` is resized to rows() x cols(). */
-    void inverseRealInto(const ComplexMatrix &half, Matrix &out) const;
-
     /**
-     * out = ifft2d(|fft2d(plane)|^2): the circular 2D autocorrelation
-     * of the (real) plane. The intensity |F|^2 of a real plane is
-     * itself the half-spectrum of a real field, so the whole pipeline
-     * runs r2c -> |.|^2 -> c2r without ever materializing a full
-     * complex plane. Zero allocations in steady state.
-     */
-    void circularAutocorrelationInto(const Matrix &plane,
-                                     Matrix &out) const;
-
-    /**
-     * The JTC optical path in one call:
-     * out = ifft2d(|fft2d(plane) + static_half|^2) — `plane` carries
-     * the streamed (real) signal field and `static_half` a cached
-     * rows() x halfCols() half-spectrum of the static field sharing
-     * the plane (the kernel block, transformed once; the lens is
-     * linear, so adding spectra equals transforming the joint plane).
-     * Null `static_half` degenerates to circularAutocorrelationInto.
-     * `out` is resized; zero allocations in steady state.
+     * The JTC optical path in one call: out = the inverse 2D DFT of
+     * |F(plane) + static_half|^2, the circular 2D autocorrelation of
+     * the joint plane. `plane` carries the streamed (real) signal
+     * field and `static_half` (non-null) a cached rows() x halfCols()
+     * half-spectrum of the static field sharing the plane (the kernel
+     * block, transformed once; the lens is linear, so adding spectra
+     * equals transforming the joint plane). |F|^2 of a real plane is
+     * itself the half-spectrum of a real field, so the pipeline runs
+     * r2c -> |.|^2 -> c2r without ever materializing a full complex
+     * plane. `out` is resized; zero allocations in steady state.
      */
     void jointAutocorrelationInto(const Matrix &plane,
                                   const Complex *static_half,

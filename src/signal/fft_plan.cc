@@ -440,8 +440,6 @@ fftPlanCacheSize()
 
 namespace {
 
-std::atomic<size_t> thread_override{0};
-
 /**
  * True on any thread currently executing pool work: the pool's worker
  * threads (always) and a dispatching thread while it participates in
@@ -666,9 +664,6 @@ class WorkerPool
 size_t
 defaultFftThreads()
 {
-    const size_t overridden = thread_override.load(std::memory_order_relaxed);
-    if (overridden > 0)
-        return overridden;
     if (const char *env = std::getenv("PHOTOFOURIER_THREADS")) {
         const long parsed = std::atol(env);
         if (parsed > 0)
@@ -679,64 +674,10 @@ defaultFftThreads()
 }
 
 void
-setDefaultFftThreads(size_t threads)
-{
-    thread_override.store(threads, std::memory_order_relaxed);
-}
-
-void
 parallelFor(size_t jobs, size_t threads,
             const std::function<void(size_t)> &fn)
 {
     WorkerPool::instance().parallelFor(jobs, threads, fn);
-}
-
-// ---------------------------------------------------------------------------
-// Batched transforms
-// ---------------------------------------------------------------------------
-
-// Small auto-threaded (threads == 0) batches — e.g. the row passes of
-// a 28x28 comparator transform — run inline per
-// kParallelDispatchThreshold. An explicit thread count is always
-// honored (tests and scaling benches rely on that).
-
-void
-batchFft(Complex *data, size_t batch, size_t n, bool inverse,
-         size_t threads)
-{
-    if (batch == 0)
-        return;
-    pf_assert(data != nullptr, "batchFft on null data");
-    const auto plan = fftPlanFor(n);
-    if (threads == 0 && batch * n < kParallelDispatchThreshold)
-        threads = 1;
-    // One-reference capture keeps the std::function inside its
-    // small-buffer storage, so a steady-state batch never allocates.
-    struct Job
-    {
-        const FftPlan *plan;
-        Complex *data;
-        size_t n;
-        bool inverse;
-    } job{plan.get(), data, n, inverse};
-    parallelFor(batch, threads, [&job](size_t row) {
-        job.plan->execute(job.data + row * job.n, job.inverse);
-    });
-}
-
-void
-batchFft(std::vector<ComplexVector> &rows, bool inverse, size_t threads)
-{
-    if (rows.empty())
-        return;
-    const size_t n = rows.front().size();
-    for (const auto &row : rows)
-        pf_assert(row.size() == n, "batchFft rows must share one length");
-    const auto plan = fftPlanFor(n);
-    if (threads == 0 && rows.size() * n < kParallelDispatchThreshold)
-        threads = 1;
-    parallelFor(rows.size(), threads,
-                [&](size_t row) { plan->execute(rows[row], inverse); });
 }
 
 } // namespace signal

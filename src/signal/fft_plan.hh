@@ -1,13 +1,12 @@
 /**
  * @file
- * Cached FFT plans and a batched, multithreaded execution API.
+ * Cached FFT plans and the shared worker pool.
  *
  * Every JTC correlation in the simulator funnels through a handful of
  * transform sizes (the plane sizes chosen by JtcPlaneLayout and the
  * Bluestein padding sizes). Recomputing twiddle factors and
- * reallocating chirp/scratch buffers per call — as the free functions
- * in fft.hh originally did — dominates the cost of small transforms.
- * An FftPlan precomputes, per size:
+ * reallocating chirp/scratch buffers per call dominates the cost of
+ * small transforms. An FftPlan precomputes, per size:
  *
  *  - the bit-reversal permutation and twiddle tables (radix-2 path),
  *  - the chirp sequence and its padded spectra (Bluestein path),
@@ -15,10 +14,11 @@
  * and exposes an in-place execute() that is safe to call concurrently
  * from many threads (per-thread scratch, immutable tables).
  *
- * fftPlanFor(n) memoizes plans in a process-wide cache, and batchFft()
- * fans a batch of independent rows across a lazily started std::thread
- * worker pool — mirroring in software the multi-channel parallelism
- * that multi-lens diffraction accelerators exploit in hardware.
+ * fftPlanFor(n) memoizes plans in a process-wide cache, and
+ * parallelFor() fans independent jobs (rows of a 2D transform, tiles,
+ * output channels) across a lazily started std::thread worker pool —
+ * mirroring in software the multi-channel parallelism that multi-lens
+ * diffraction accelerators exploit in hardware.
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_FFT_PLAN_HH
@@ -50,10 +50,10 @@ namespace signal {
  * chain that can be live at once on a thread. The library reserves
  * complex slots 0-1 for FftPlan internals (Bluestein and
  * real-transform scratch), 2-3 for Fft2dPlan internals (transpose and
- * inverse-real scratch), 4-7 for signal-level convolution helpers (7
- * doubles as the 2D autocorrelation half-spectrum), 8-15 for the
- * tiling backends, 16-19 for the nn engines, and 20-27 for the
- * optical simulators (jtc/fourier4f). Real slots 0-1 belong to the
+ * inverse-real scratch), 7 for the Fft2dPlan joint-autocorrelation
+ * half-spectrum (4-6 are free), 8-15 for the tiling backends, 16-19
+ * for the nn engines, and 20-27 for the optical simulators
+ * (jtc/fourier4f). Real slots 0-1 belong to the
  * FftPlan radix-2 SIMD path (split-complex re/im staging — radix-2
  * executes never nest inside each other, so one pair suffices per
  * thread); external callers of threadFftWorkspace() should use slots
@@ -191,23 +191,20 @@ std::shared_ptr<const FftPlan> fftPlanFor(size_t n);
 size_t fftPlanCacheSize();
 
 /**
- * Default worker count used by batchFft/parallelFor when `threads` is
- * 0: the PHOTOFOURIER_THREADS environment variable if set, else
+ * Default worker count used by parallelFor when `threads` is 0: the
+ * PHOTOFOURIER_THREADS environment variable if set, else
  * std::thread::hardware_concurrency(), else 1.
  */
 size_t defaultFftThreads();
-
-/** Override defaultFftThreads() for this process (0 = back to auto). */
-void setDefaultFftThreads(size_t threads);
 
 /**
  * Amortization bound for auto-threaded fan-outs, in elementary
  * operations (complex butterflies, MACs): below this much total work a
  * pool dispatch (publish, notify, per-worker check-in) costs more than
  * it buys, so callers in auto mode (threads == 0) should run
- * sequentially. One constant, shared by batchFft, the tiled-convolution
- * executor, and the nn engines, so retuning it moves every cutoff
- * together.
+ * sequentially. One constant, shared by the 2D plan passes, the
+ * tiled-convolution executor, and the nn engines, so retuning it
+ * moves every cutoff together.
  */
 constexpr size_t kParallelDispatchThreshold = 1 << 15;
 
@@ -233,19 +230,6 @@ parallelForEach(size_t jobs, size_t threads, const Fn &fn)
 {
     parallelFor(jobs, threads, [&fn](size_t i) { fn(i); });
 }
-
-/**
- * Batched in-place DFT: transform `batch` contiguous rows of length n
- * starting at data, fanned across the worker pool. Equivalent to
- * calling fftPlanFor(n)->execute(...) on each row sequentially —
- * bit-exact, since rows never share state.
- */
-void batchFft(Complex *data, size_t batch, size_t n, bool inverse,
-              size_t threads = 0);
-
-/** Batched DFT over separately allocated rows, all of length n. */
-void batchFft(std::vector<ComplexVector> &rows, bool inverse,
-              size_t threads = 0);
 
 } // namespace signal
 } // namespace photofourier

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "arch/simd.hh"
@@ -76,8 +75,8 @@ fftCorrelationCost(size_t input_len, size_t kernel_len, size_t count)
     const size_t blocks = (count + (n - kernel_len)) / (n - kernel_len + 1);
     const double log2n = std::log2(static_cast<double>(n));
     constexpr double kFftMacFactor = 8.0;
-    return fftCrossoverScale() * kFftMacFactor *
-           static_cast<double>(blocks) * static_cast<double>(n) * log2n;
+    return kFftMacFactor * static_cast<double>(blocks) *
+           static_cast<double>(n) * log2n;
 }
 
 /** The sliding path's cost: one MAC per window sample per tap. */
@@ -607,20 +606,6 @@ fftConvProfitable(size_t input_len, size_t kernel_len,
 {
     return fftCorrelationCost(input_len, kernel_len, count) <
            slidingCost(count, active_taps);
-}
-
-double
-fftCrossoverScale()
-{
-    static const double scale = [] {
-        if (const char *env = std::getenv("PHOTOFOURIER_FFT_CROSSOVER")) {
-            const double parsed = std::atof(env);
-            if (parsed > 0.0)
-                return parsed;
-        }
-        return 1.0;
-    }();
-    return scale;
 }
 
 Conv1dBackend

@@ -207,10 +207,7 @@ Conv1dBackend autoBackend(
  * The sliding path costs ~count * active_taps MACs; the FFT path costs
  * one r2c + pointwise product + c2r at the padded size regardless of
  * tap count. The crossover constant is measured in Release on the
- * bench host (see BM_Conv1dBackend* in bench/micro_kernels.cc) and
- * can be rescaled with PHOTOFOURIER_FFT_CROSSOVER (default 1.0;
- * larger values favor the sliding path). The env var is read once per
- * process, so the choice stays deterministic within a run.
+ * bench host (see BM_Conv1dBackend* in bench/micro_kernels.cc).
  *
  * @param input_len   samples in the (tiled) input vector
  * @param kernel_len  full kernel length including zero padding (sets
@@ -221,14 +218,6 @@ Conv1dBackend autoBackend(
  */
 bool fftConvProfitable(size_t input_len, size_t kernel_len,
                        size_t active_taps, size_t count);
-
-/**
- * The PHOTOFOURIER_FFT_CROSSOVER scale factor (default 1.0; larger
- * values make every Auto crossover favor the sliding path). Read once
- * per process so decisions stay deterministic within a run; shared by
- * fftConvProfitable and the nn engines' layer-level crossover.
- */
-double fftCrossoverScale();
 
 /**
  * Optical JTC backend. Inputs must be non-negative (they are light

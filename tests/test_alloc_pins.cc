@@ -27,7 +27,6 @@
 #include "nn/conv_engine.hh"
 #include "nn/tensor.hh"
 #include "signal/convolution.hh"
-#include "signal/fft2d.hh"
 #include "signal/fft2d_plan.hh"
 #include "tiling/backends.hh"
 
@@ -106,49 +105,22 @@ TEST(AllocPins, Conv2dInto)
     }
 }
 
-TEST(AllocPins, ToComplexRealPartIntensityInto)
-{
-    pf::Rng rng(72);
-    const auto plane = randomMatrix(rng, 7, 9, -1.0, 1.0);
-
-    sig::ComplexMatrix complex_out;
-    sig::toComplexInto(plane, complex_out);
-    const auto complex_ref = sig::toComplex(plane);
-    ASSERT_EQ(complex_out.rows, complex_ref.rows);
-    for (size_t i = 0; i < complex_out.data.size(); ++i)
-        EXPECT_EQ(complex_out.data[i], complex_ref.data[i]);
-
-    sig::Matrix real_out, intensity_out;
-    sig::realPartInto(complex_out, real_out);
-    EXPECT_EQ(matrixMax(real_out, sig::realPart(complex_out)), 0.0);
-    sig::intensityInto(complex_out, intensity_out);
-    EXPECT_EQ(matrixMax(intensity_out, sig::intensity(complex_out)), 0.0);
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        sig::toComplexInto(plane, complex_out);
-        sig::realPartInto(complex_out, real_out);
-        sig::intensityInto(complex_out, intensity_out);
-    }), 0u) << "fft2d facade Into forms allocated in steady state";
-}
-
 TEST(AllocPins, Fft2dPlanForwardInverseRealInto)
 {
     pf::Rng rng(73);
     const auto plane = randomMatrix(rng, 8, 6, -1.0, 1.0);
     const auto plan = sig::fft2dPlanFor(plane.rows, plane.cols);
 
-    sig::ComplexMatrix half;
-    sig::Matrix recovered;
-    plan->forwardRealInto(plane, half);
-    ASSERT_EQ(half.rows, plane.rows);
-    ASSERT_EQ(half.cols, plan->halfCols());
-    plan->inverseRealInto(half, recovered);
+    sig::ComplexVector half(plane.rows * plan->halfCols());
+    sig::Matrix recovered(plane.rows, plane.cols);
+    plan->forwardReal(plane.data.data(), half.data());
+    plan->inverseReal(half.data(), recovered.data.data());
     EXPECT_LT(matrixMax(recovered, plane), 1e-10);
 
     EXPECT_EQ(steadyStateAllocations([&] {
-        plan->forwardRealInto(plane, half);
-        plan->inverseRealInto(half, recovered);
-    }), 0u) << "forwardRealInto/inverseRealInto allocated in steady state";
+        plan->forwardReal(plane.data.data(), half.data());
+        plan->inverseReal(half.data(), recovered.data.data());
+    }), 0u) << "forwardReal/inverseReal allocated in steady state";
 }
 
 TEST(AllocPins, Fft2dPlanJointAutocorrelationInto)
@@ -160,19 +132,12 @@ TEST(AllocPins, Fft2dPlanJointAutocorrelationInto)
 
     // The cached static-field half-spectrum a JTC adds between the
     // lenses (here computed once, outside the pinned loop).
-    sig::ComplexMatrix static_half;
-    plan->forwardRealInto(kernel_plane, static_half);
-
-    // Null static spectrum degenerates to the plain autocorrelation.
-    sig::Matrix joint_null, circular;
-    plan->jointAutocorrelationInto(plane, nullptr, joint_null);
-    plan->circularAutocorrelationInto(plane, circular);
-    EXPECT_EQ(matrixMax(joint_null, circular), 0.0);
+    sig::ComplexVector static_half(8 * plan->halfCols());
+    plan->forwardReal(kernel_plane.data.data(), static_half.data());
 
     sig::Matrix out;
     EXPECT_EQ(steadyStateAllocations([&] {
-        plan->jointAutocorrelationInto(plane, static_half.data.data(),
-                                       out);
+        plan->jointAutocorrelationInto(plane, static_half.data(), out);
     }), 0u) << "jointAutocorrelationInto allocated in steady state";
 }
 

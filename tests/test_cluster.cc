@@ -717,6 +717,18 @@ TEST(ShardServer, RemoteRegistrationWithWeightsAndOverride)
     EXPECT_FALSE(client.registerModel("bad", spec, snapshot.str(),
                                       wide_adc, &error));
     EXPECT_NE(error.find("adc_bits"), std::string::npos) << error;
+    // An n_conv below a kernel row (small-vgg's are 3 wide) fails
+    // TilingPlan::paramsError for every input, so it is refused here
+    // instead of ACKed to fail every request.
+    for (size_t n_conv : {size_t{0}, size_t{2}}) {
+        nn::PhotoFourierEngineConfig narrow = engine;
+        narrow.n_conv = n_conv;
+        EXPECT_FALSE(client.registerModel("bad", spec, snapshot.str(),
+                                          narrow, &error));
+        EXPECT_NE(error.find("smaller than a kernel row"),
+                  std::string::npos)
+            << error;
+    }
     EXPECT_FALSE(shard.server->registry().has("bad"));
     EXPECT_TRUE(client.ping()); // still serving
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the FftPlan subsystem: plan-vs-oracle equivalence on both
- * the radix-2 and Bluestein paths, plan cache reuse, bit-exactness of
- * the batch API against the sequential loop, determinism of the worker
- * pool under repeated runs, and the always-on pf_assert contract that
- * the Release leg of the CI matrix depends on.
+ * the radix-2 and Bluestein paths, plan cache reuse, determinism of
+ * row transforms fanned across the worker pool (bit-exact against the
+ * sequential loop under repeated runs), and the always-on pf_assert
+ * contract that the Release leg of the CI matrix depends on.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +14,11 @@
 
 #include "common/rng.hh"
 #include "signal/fft_plan.hh"
+#include "signal_oracles.hh"
 
 namespace pf = photofourier;
 namespace sig = photofourier::signal;
+namespace oracle = photofourier::oracle;
 
 namespace {
 
@@ -46,13 +48,13 @@ TEST(FftPlan, MatchesNaiveDftPowerOfTwo)
     pf::Rng rng(11);
     for (size_t n : {1u, 2u, 8u, 64u, 256u}) {
         const auto input = randomComplex(rng, n);
-        const auto oracle = sig::dftNaive(input, false);
+        const auto expected = oracle::dftNaive(input, false);
 
         sig::FftPlan plan(n);
         EXPECT_TRUE(plan.radix2());
         auto data = input;
         plan.execute(data, false);
-        EXPECT_LT(maxAbsDiff(data, oracle), 1e-9) << "n=" << n;
+        EXPECT_LT(maxAbsDiff(data, expected), 1e-9) << "n=" << n;
     }
 }
 
@@ -61,13 +63,13 @@ TEST(FftPlan, MatchesNaiveDftArbitrarySize)
     pf::Rng rng(12);
     for (size_t n : {3u, 5u, 12u, 63u, 100u, 257u}) {
         const auto input = randomComplex(rng, n);
-        const auto oracle = sig::dftNaive(input, false);
+        const auto expected = oracle::dftNaive(input, false);
 
         sig::FftPlan plan(n);
         EXPECT_FALSE(plan.radix2());
         auto data = input;
         plan.execute(data, false);
-        EXPECT_LT(maxAbsDiff(data, oracle), 1e-9) << "n=" << n;
+        EXPECT_LT(maxAbsDiff(data, expected), 1e-9) << "n=" << n;
     }
 }
 
@@ -80,7 +82,7 @@ TEST(FftPlan, InverseMatchesNaiveAndRoundTrips)
 
         auto inv = input;
         plan.execute(inv, true);
-        EXPECT_LT(maxAbsDiff(inv, sig::dftNaive(input, true)), 1e-9)
+        EXPECT_LT(maxAbsDiff(inv, oracle::dftNaive(input, true)), 1e-9)
             << "n=" << n;
 
         auto round = input;
@@ -117,76 +119,28 @@ TEST(FftPlan, CacheGrowsOncePerNewSize)
         << "repeated lookups of one size must not duplicate plans";
 }
 
-TEST(FftPlan, FreeFunctionsAgreeWithPlans)
-{
-    pf::Rng rng(14);
-    for (size_t n : {64u, 100u}) {
-        const auto input = randomComplex(rng, n);
-        auto planned = input;
-        sig::fftPlanFor(n)->execute(planned, false);
-        const auto freefn = sig::fft(input);
-        // Identical code path underneath: bit-exact, not just close.
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(planned[i], freefn[i]);
-    }
-}
-
-TEST(BatchFft, ContiguousMatchesSequentialBitExact)
-{
-    pf::Rng rng(15);
-    const size_t batch = 17, n = 128;
-    sig::ComplexVector data(batch * n);
-    for (auto &c : data)
-        c = sig::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-
-    auto sequential = data;
-    const auto plan = sig::fftPlanFor(n);
-    for (size_t r = 0; r < batch; ++r)
-        plan->execute(sequential.data() + r * n, false);
-
-    auto batched = data;
-    sig::batchFft(batched.data(), batch, n, false, 4);
-
-    for (size_t i = 0; i < data.size(); ++i)
-        EXPECT_EQ(batched[i], sequential[i]) << "index " << i;
-}
-
-TEST(BatchFft, RowVectorOverloadMatchesSequentialBitExact)
-{
-    pf::Rng rng(16);
-    const size_t batch = 9, n = 100; // Bluestein path
-    std::vector<sig::ComplexVector> rows(batch);
-    for (auto &row : rows)
-        row = randomComplex(rng, n);
-
-    auto sequential = rows;
-    const auto plan = sig::fftPlanFor(n);
-    for (auto &row : sequential)
-        plan->execute(row, true);
-
-    auto batched = rows;
-    sig::batchFft(batched, true, 3);
-
-    for (size_t r = 0; r < batch; ++r)
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(batched[r][i], sequential[r][i]);
-}
-
 TEST(BatchFft, DeterministicAcrossRepeatedThreadedRuns)
 {
+    // A batch of row transforms fanned across the worker pool — the
+    // pattern Fft2dPlan's row and column passes run — must be
+    // bit-exact against the sequential loop: rows never share state.
     pf::Rng rng(17);
     const size_t batch = 32, n = 256;
     sig::ComplexVector input(batch * n);
     for (auto &c : input)
         c = sig::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    const auto plan = sig::fftPlanFor(n);
 
     auto reference = input;
-    sig::batchFft(reference.data(), batch, n, false, 1);
+    for (size_t r = 0; r < batch; ++r)
+        plan->execute(reference.data() + r * n, false);
 
     // Scheduling varies run to run; the output must not.
     for (int run = 0; run < 8; ++run) {
         auto data = input;
-        sig::batchFft(data.data(), batch, n, false, 4);
+        sig::parallelFor(batch, 4, [&](size_t r) {
+            plan->execute(data.data() + r * n, false);
+        });
         for (size_t i = 0; i < data.size(); ++i)
             ASSERT_EQ(data[i], reference[i])
                 << "run " << run << " index " << i;
@@ -301,22 +255,6 @@ TEST(FftPlanReal, HalfSpectrumSizeConvention)
     EXPECT_EQ(sig::fftPlanFor(64)->halfSpectrumSize(), 33u);
 }
 
-TEST(FftPlanReal, FreeFunctionMirrorsHermitianHalf)
-{
-    pf::Rng rng(23);
-    for (size_t n : {8u, 100u, 63u}) {
-        const auto x = randomReal(rng, n);
-        const auto full = sig::fftReal(x);
-        const auto half = sig::fftRealHalf(x);
-        ASSERT_EQ(half.size(), n / 2 + 1);
-        for (size_t k = 0; k < half.size(); ++k)
-            EXPECT_LT(std::abs(full[k] - half[k]), 1e-12);
-        for (size_t k = 1; k < n - n / 2; ++k)
-            EXPECT_LT(std::abs(full[n - k] - std::conj(half[k])), 1e-12)
-                << "n=" << n << " k=" << k;
-    }
-}
-
 TEST(FftWorkspace, BuffersKeepIdentityAcrossCallsAndSlots)
 {
     sig::FftWorkspace ws;
@@ -335,17 +273,11 @@ TEST(FftWorkspace, BuffersKeepIdentityAcrossCallsAndSlots)
     EXPECT_EQ(r0_again.data(), r0.data());
 }
 
-// pf_assert must stay active regardless of NDEBUG: these death tests
-// run identically in the Debug and Release legs of the CI matrix.
+// pf_assert must stay active regardless of NDEBUG: this death test
+// runs identically in the Debug and Release legs of the CI matrix.
 TEST(FftPlanValidation, WrongSizeExecutePanicsInEveryBuildType)
 {
     sig::FftPlan plan(64);
     sig::ComplexVector wrong(32);
     EXPECT_DEATH(plan.execute(wrong, false), "executed on");
-}
-
-TEST(FftPlanValidation, NonPowerOfTwoRadix2PanicsInEveryBuildType)
-{
-    sig::ComplexVector data(100);
-    EXPECT_DEATH(sig::fftRadix2(data, false), "power-of-two");
 }

@@ -23,12 +23,14 @@
 #include "fourier4f/system4f.hh"
 #include "signal/fft2d.hh"
 #include "signal/fft2d_plan.hh"
+#include "signal_oracles.hh"
 #include "tiling/backends.hh"
 #include "tiling/tiled_convolution.hh"
 
 namespace pf = photofourier;
 namespace sig = photofourier::signal;
 namespace f4 = photofourier::fourier4f;
+namespace oracle = photofourier::oracle;
 
 namespace {
 
@@ -41,10 +43,56 @@ randomMatrix(pf::Rng &rng, size_t rows, size_t cols, double lo = 0.0,
     return m;
 }
 
+/** The complex 2D DFT of `m` through the cached plan of its shape. */
+sig::ComplexMatrix
+planFft2d(sig::ComplexMatrix m, bool inverse = false)
+{
+    sig::fft2dPlanFor(m.rows, m.cols)->execute(m, inverse);
+    return m;
+}
+
+sig::ComplexMatrix
+toComplex(const sig::Matrix &m)
+{
+    sig::ComplexMatrix out(m.rows, m.cols);
+    for (size_t i = 0; i < m.data.size(); ++i)
+        out.data[i] = sig::Complex(m.data[i], 0.0);
+    return out;
+}
+
+sig::Matrix
+realPart(const sig::ComplexMatrix &m)
+{
+    sig::Matrix out(m.rows, m.cols);
+    for (size_t i = 0; i < m.data.size(); ++i)
+        out.data[i] = m.data[i].real();
+    return out;
+}
+
+/** Fft2dPlan::forwardReal of `m` as a rows x halfCols matrix. */
+sig::ComplexMatrix
+forwardReal(const sig::Matrix &m)
+{
+    const auto plan = sig::fft2dPlanFor(m.rows, m.cols);
+    sig::ComplexMatrix half(m.rows, plan->halfCols());
+    plan->forwardReal(m.data.data(), half.data.data());
+    return half;
+}
+
+/** Fft2dPlan::inverseReal of a rows x (cols/2 + 1) half-spectrum. */
+sig::Matrix
+inverseReal(const sig::ComplexMatrix &half, size_t cols)
+{
+    sig::Matrix out(half.rows, cols);
+    sig::fft2dPlanFor(half.rows, cols)
+        ->inverseReal(half.data.data(), out.data.data());
+    return out;
+}
+
 // ---------------------------------------------------------------------------
 // Pre-refactor references: the seed complex-path implementations of
 // the optical comparators, kept verbatim (over the complex
-// fft2d/ifft2d facade) so the real-path rewrite stays pinned to them.
+// Fft2dPlan::execute) so the real-path rewrite stays pinned to them.
 // ---------------------------------------------------------------------------
 
 sig::Matrix
@@ -57,11 +105,11 @@ reference4fConvolve(const f4::System4f &system, const sig::Matrix &image,
     for (size_t r = 0; r < image.rows; ++r)
         for (size_t c = 0; c < image.cols; ++c)
             field.at(r, c) = sig::Complex(image.at(r, c), 0.0);
-    auto spectrum = sig::fft2d(field);
+    auto spectrum = planFft2d(field);
     const auto filter = system.programFilter(kernel, rows, cols);
     for (size_t i = 0; i < spectrum.data.size(); ++i)
         spectrum.data[i] *= filter.data[i];
-    return sig::realPart(sig::ifft2d(spectrum));
+    return realPart(planFft2d(spectrum, true));
 }
 
 sig::Matrix
@@ -77,10 +125,10 @@ referenceJtc2dOutputPlane(const sig::Matrix &s, const sig::Matrix &k)
         for (size_t c = 0; c < k.cols; ++c)
             plane.at(layout.kernel_row_pos + r, c) =
                 sig::Complex(k.at(r, c), 0.0);
-    auto spectrum = sig::fft2d(plane);
+    auto spectrum = planFft2d(plane);
     for (auto &value : spectrum.data)
         value = sig::Complex(std::norm(value), 0.0);
-    return sig::realPart(sig::ifft2d(spectrum));
+    return realPart(planFft2d(spectrum, true));
 }
 
 } // namespace
@@ -91,7 +139,7 @@ TEST(Fft2d, InverseRecoversInput)
     sig::ComplexMatrix m(6, 10);
     for (auto &v : m.data)
         v = sig::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    const auto roundtrip = sig::ifft2d(sig::fft2d(m));
+    const auto roundtrip = planFft2d(planFft2d(m), true);
     for (size_t i = 0; i < m.data.size(); ++i)
         EXPECT_LT(std::abs(roundtrip.data[i] - m.data[i]), 1e-9);
 }
@@ -103,7 +151,7 @@ TEST(Fft2d, SeparableAgainstNaiveDft)
     sig::ComplexMatrix m(4, 5);
     for (auto &v : m.data)
         v = sig::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    const auto fast = sig::fft2d(m);
+    const auto fast = planFft2d(m);
     for (size_t kr = 0; kr < 4; ++kr) {
         for (size_t kc = 0; kc < 5; ++kc) {
             sig::Complex acc(0, 0);
@@ -128,7 +176,7 @@ TEST(Fft2d, ParsevalHolds)
     sig::ComplexMatrix m(8, 12);
     for (auto &v : m.data)
         v = sig::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    const auto spectrum = sig::fft2d(m);
+    const auto spectrum = planFft2d(m);
     double et = 0.0, ef = 0.0;
     for (const auto &v : m.data)
         et += std::norm(v);
@@ -139,31 +187,29 @@ TEST(Fft2d, ParsevalHolds)
 
 TEST(Fft2d, Convolve2dFftMatchesDirectFull)
 {
+    // The convolution theorem on the real plan path: zero-pad both
+    // operands to the full support, multiply half-spectra, one c2r.
     pf::Rng rng(4);
     const auto a = randomMatrix(rng, 7, 9, -1, 1);
     const auto b = randomMatrix(rng, 3, 4, -1, 1);
-    const auto fast = sig::convolve2dFft(a, b);
+    const size_t rows = a.rows + b.rows - 1;
+    const size_t cols = a.cols + b.cols - 1;
+    sig::Matrix pa(rows, cols), pb(rows, cols);
+    for (size_t r = 0; r < a.rows; ++r)
+        for (size_t c = 0; c < a.cols; ++c)
+            pa.at(r, c) = a.at(r, c);
+    for (size_t r = 0; r < b.rows; ++r)
+        for (size_t c = 0; c < b.cols; ++c)
+            pb.at(r, c) = b.at(r, c);
+    auto spectrum = forwardReal(pa);
+    const auto sb = forwardReal(pb);
+    for (size_t i = 0; i < spectrum.data.size(); ++i)
+        spectrum.data[i] *= sb.data[i];
+    const auto fast = inverseReal(spectrum, cols);
     ASSERT_EQ(fast.rows, 9u);
     ASSERT_EQ(fast.cols, 12u);
-    // Direct full 2D convolution.
-    for (size_t r = 0; r < fast.rows; ++r) {
-        for (size_t c = 0; c < fast.cols; ++c) {
-            double acc = 0.0;
-            for (size_t i = 0; i < a.rows; ++i)
-                for (size_t j = 0; j < a.cols; ++j) {
-                    const long kr = static_cast<long>(r) -
-                                    static_cast<long>(i);
-                    const long kc = static_cast<long>(c) -
-                                    static_cast<long>(j);
-                    if (kr >= 0 && kr < static_cast<long>(b.rows) &&
-                        kc >= 0 && kc < static_cast<long>(b.cols))
-                        acc += a.at(i, j) *
-                               b.at(static_cast<size_t>(kr),
-                                    static_cast<size_t>(kc));
-                }
-            EXPECT_NEAR(fast.at(r, c), acc, 1e-9);
-        }
-    }
+    EXPECT_LT(sig::matrixMaxAbsDiff(fast, oracle::convolve2dFull(a, b)),
+              1e-9);
 }
 
 TEST(System4f, IdealFilterMatchesFftConvolution)
@@ -173,7 +219,7 @@ TEST(System4f, IdealFilterMatchesFftConvolution)
     const auto kernel = randomMatrix(rng, 3, 3, -0.5, 0.5);
     f4::System4f system;
     const auto out = system.convolve(image, kernel);
-    const auto ref = sig::convolve2dFft(image, kernel);
+    const auto ref = oracle::convolve2dFull(image, kernel);
     EXPECT_LT(sig::matrixMaxAbsDiff(out, ref), 1e-9);
 }
 
@@ -202,7 +248,7 @@ TEST(System4f, QuantizedFilterDegradesGracefully)
     pf::Rng rng(7);
     const auto image = randomMatrix(rng, 16, 16);
     const auto kernel = randomMatrix(rng, 3, 3, -0.5, 0.5);
-    const auto exact = sig::convolve2dFft(image, kernel);
+    const auto exact = oracle::convolve2dFull(image, kernel);
 
     double prev = 1e300;
     for (int bits : {4, 6, 8, 10}) {
@@ -313,8 +359,8 @@ TEST(Fft2dPlan, RealForwardMatchesComplexAcrossGeometries)
         sig::Matrix m(rows, cols);
         m.data = rng.uniformVector(rows * cols, -1.0, 1.0);
 
-        const auto half = sig::forward2dReal(m);
-        const auto full = sig::fft2d(sig::toComplex(m));
+        const auto half = forwardReal(m);
+        const auto full = planFft2d(toComplex(m));
         ASSERT_EQ(half.rows, rows);
         ASSERT_EQ(half.cols, cols / 2 + 1);
 
@@ -344,8 +390,7 @@ TEST(Fft2dPlan, RealInverseRoundTripsAcrossGeometries)
     for (auto [rows, cols] : kRealPathGeometries) {
         sig::Matrix m(rows, cols);
         m.data = rng.uniformVector(rows * cols, -1.0, 1.0);
-        const auto roundtrip =
-            sig::inverse2dReal(sig::forward2dReal(m), cols);
+        const auto roundtrip = inverseReal(forwardReal(m), cols);
         ASSERT_EQ(roundtrip.rows, rows);
         ASSERT_EQ(roundtrip.cols, cols);
         EXPECT_LT(sig::matrixMaxAbsDiff(roundtrip, m), 1e-9)
@@ -355,20 +400,27 @@ TEST(Fft2dPlan, RealInverseRoundTripsAcrossGeometries)
 
 TEST(Fft2dPlan, CircularAutocorrelationMatchesComplexPipeline)
 {
+    // jointAutocorrelationInto, with the static field's half-spectrum
+    // added between the lenses, against the complex pipeline on the
+    // joint plane: ifft2d(|fft2d(plane + static)|^2).
     pf::Rng rng(33);
     for (auto [rows, cols] : {std::pair<size_t, size_t>{16, 16},
                               {12, 10}, {9, 15}}) {
-        sig::Matrix plane(rows, cols);
-        plane.data = rng.uniformVector(rows * cols, 0.0, 1.0);
+        const auto plane = randomMatrix(rng, rows, cols);
+        const auto static_plane = randomMatrix(rng, rows, cols);
 
         const auto plan = sig::fft2dPlanFor(rows, cols);
         sig::Matrix fast;
-        plan->circularAutocorrelationInto(plane, fast);
+        plan->jointAutocorrelationInto(
+            plane, forwardReal(static_plane).data.data(), fast);
 
-        auto spectrum = sig::fft2d(sig::toComplex(plane));
+        sig::Matrix joint = plane;
+        for (size_t i = 0; i < joint.data.size(); ++i)
+            joint.data[i] += static_plane.data[i];
+        auto spectrum = planFft2d(toComplex(joint));
         for (auto &v : spectrum.data)
             v = sig::Complex(std::norm(v), 0.0);
-        const auto ref = sig::realPart(sig::ifft2d(spectrum));
+        const auto ref = realPart(planFft2d(spectrum, true));
         EXPECT_LT(sig::matrixMaxAbsDiff(fast, ref), 1e-7)
             << rows << "x" << cols;
     }
@@ -399,23 +451,6 @@ TEST(Fft2dPlan, PlanCacheReturnsSharedInstances)
     EXPECT_EQ(a.get(), b.get());
     EXPECT_NE(a.get(), sig::fft2dPlanFor(18, 24).get());
     EXPECT_GE(sig::fft2dPlanCacheSize(), 2u);
-}
-
-TEST(Fft2d, ComplexFacadeStillExact)
-{
-    // The complex facade (now a thin wrapper over the plan) keeps its
-    // contract: executeInto == execute-on-copy, any geometry.
-    pf::Rng rng(35);
-    sig::ComplexMatrix m(11, 6);
-    for (auto &v : m.data)
-        v = sig::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    const auto plan = sig::fft2dPlanFor(11, 6);
-    auto in_place = m;
-    plan->execute(in_place, false);
-    sig::ComplexMatrix out;
-    plan->executeInto(m, out, false);
-    for (size_t i = 0; i < m.data.size(); ++i)
-        EXPECT_EQ(in_place.data[i], out.data[i]);
 }
 
 // ---------------------------------------------------------------------------

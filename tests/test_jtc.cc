@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the JTC optical simulation and the PFCU functional model.
+ * Tests for the JTC optical simulation.
  *
  * The central property: the optically computed correlation equals the
  * direct sliding dot product (the convolution the CNN needs), and the
@@ -20,7 +20,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "jtc/jtc_system.hh"
-#include "jtc/pfcu.hh"
 #include "signal/fft_plan.hh"
 #include "signal/plane_spectrum_cache.hh"
 
@@ -410,145 +409,3 @@ TEST(JtcSystem, NoiseIsDeterministicPerSeed)
     EXPECT_EQ(a.correlationWindow(s, k, 32),
               b.correlationWindow(s, k, 32));
 }
-
-TEST(Pfcu, OpticalCorrelationMatchesReferenceIdealDacs)
-{
-    jtc::PfcuConfig cfg;
-    cfg.n_input_waveguides = 64;
-    cfg.dac_range = 0.0; // ideal DACs
-    jtc::Pfcu pfcu(cfg);
-
-    pf::Rng rng(19);
-    const auto in = rng.uniformVector(64, 0.0, 1.0);
-    const auto w = rng.uniformVector(9, -0.5, 0.5);
-
-    const auto optical = pfcu.opticalCorrelation(in, w);
-    const auto reference = jtc::slidingCorrelationReference(in, w, 64);
-    EXPECT_LT(pf::maxAbsDiff(optical, reference), 1e-8);
-}
-
-TEST(Pfcu, PseudoNegativeHandlesSignedWeights)
-{
-    jtc::PfcuConfig cfg;
-    cfg.n_input_waveguides = 32;
-    cfg.dac_range = 0.0;
-    jtc::Pfcu pfcu(cfg);
-
-    const std::vector<double> in{1, 2, 3, 4, 5, 6, 7, 8};
-    const std::vector<double> w{1, -1, 2};
-    const auto out = pfcu.opticalCorrelation(in, w);
-    // out[0] = 1*1 + 2*(-1) + 3*2 = 5; out[5] = 6 - 7 + 16 = 15.
-    EXPECT_NEAR(out[0], 5.0, 1e-8);
-    EXPECT_NEAR(out[5], 15.0, 1e-8);
-}
-
-TEST(Pfcu, DacQuantizationBoundsError)
-{
-    jtc::PfcuConfig cfg;
-    cfg.n_input_waveguides = 32;
-    cfg.dac_bits = 8;
-    cfg.dac_range = 1.0;
-    jtc::Pfcu pfcu(cfg);
-
-    pf::Rng rng(23);
-    const auto in = rng.uniformVector(32, 0.0, 1.0);
-    const auto w = rng.uniformVector(5, 0.0, 1.0);
-
-    const auto out = pfcu.opticalCorrelation(in, w);
-    const auto ref = jtc::slidingCorrelationReference(in, w, 32);
-    // Each product has relative quantization error ~2^-7 on each
-    // operand; a 5-tap sum stays well within 5%.
-    EXPECT_LT(pf::relativeRmse(ref, out), 0.05);
-}
-
-TEST(Pfcu, TemporalAccumulationIsFullPrecision)
-{
-    // Accumulating N channels then quantizing once must beat
-    // quantizing each channel separately (the Section V-C claim).
-    jtc::PfcuConfig accum_cfg;
-    accum_cfg.n_input_waveguides = 32;
-    accum_cfg.dac_range = 0.0;         // isolate ADC effects
-    accum_cfg.adc_bits = 8;
-    accum_cfg.adc_range = 16.0;        // full-scale of the 16-ch sum
-    accum_cfg.temporal_accumulation_depth = 16;
-    accum_cfg.pseudo_negative = false;
-    jtc::Pfcu accum_pfcu(accum_cfg);
-
-    pf::Rng rng(29);
-    std::vector<std::vector<double>> ins, ws;
-    for (int ch = 0; ch < 16; ++ch) {
-        ins.push_back(rng.uniformVector(32, 0.0, 1.0));
-        ws.push_back(rng.uniformVector(3, 0.0, 0.3));
-    }
-
-    // Exact accumulation reference.
-    std::vector<double> exact(32, 0.0);
-    for (int ch = 0; ch < 16; ++ch) {
-        const auto p =
-            jtc::slidingCorrelationReference(ins[ch], ws[ch], 32);
-        for (size_t i = 0; i < 32; ++i)
-            exact[i] += p[i];
-    }
-
-    const auto readout = accum_pfcu.runChannelGroup(ins, ws);
-    const double accum_err = pf::rmse(exact, readout.values);
-
-    // Per-channel quantization alternative: quantize each partial with
-    // the same ADC, then sum digitally.
-    photofourier::photonics::Quantizer adc(8, 16.0);
-    std::vector<double> per_channel(32, 0.0);
-    for (int ch = 0; ch < 16; ++ch) {
-        const auto p =
-            jtc::slidingCorrelationReference(ins[ch], ws[ch], 32);
-        for (size_t i = 0; i < 32; ++i)
-            per_channel[i] += adc.quantize(p[i]);
-    }
-    const double per_channel_err = pf::rmse(exact, per_channel);
-
-    EXPECT_LT(accum_err, per_channel_err);
-    EXPECT_EQ(readout.optical_cycles, 16u);
-    EXPECT_EQ(readout.adc_reads, 32u);
-}
-
-TEST(Pfcu, GroupLargerThanDepthPanics)
-{
-    jtc::PfcuConfig cfg;
-    cfg.n_input_waveguides = 8;
-    cfg.temporal_accumulation_depth = 2;
-    jtc::Pfcu pfcu(cfg);
-    std::vector<std::vector<double>> ins(3, std::vector<double>(8, 0.5));
-    std::vector<std::vector<double>> ws(3, std::vector<double>(3, 0.5));
-    EXPECT_DEATH((void)pfcu.runChannelGroup(ins, ws), "exceeds");
-}
-
-TEST(Pfcu, CycleAccounting)
-{
-    jtc::PfcuConfig cfg;
-    cfg.pseudo_negative = true;
-    cfg.pipelined = true;
-    jtc::Pfcu p1(cfg);
-    EXPECT_EQ(p1.cyclesPerConvolution(), 2u);
-    EXPECT_DOUBLE_EQ(p1.convolutionsPerCycle(), 0.5);
-    EXPECT_EQ(p1.pipelineLatencyCycles(), 2u);
-
-    cfg.pseudo_negative = false;
-    cfg.pipelined = false;
-    jtc::Pfcu p2(cfg);
-    EXPECT_EQ(p2.cyclesPerConvolution(), 1u);
-    EXPECT_DOUBLE_EQ(p2.convolutionsPerCycle(), 0.5);
-
-    cfg.pipelined = true;
-    jtc::Pfcu p3(cfg);
-    EXPECT_DOUBLE_EQ(p3.convolutionsPerCycle(), 1.0);
-}
-
-TEST(Pfcu, InputLargerThanWaveguidesPanics)
-{
-    jtc::PfcuConfig cfg;
-    cfg.n_input_waveguides = 8;
-    jtc::Pfcu pfcu(cfg);
-    const std::vector<double> in(9, 0.5);
-    const std::vector<double> w(3, 0.5);
-    EXPECT_DEATH((void)pfcu.opticalCorrelation(in, w), "exceeds");
-}
-
