@@ -170,8 +170,6 @@ JtcSystem::detectPlane(signal::ComplexVector &field,
     const size_t half_n = plan->halfSpectrumSize();
     signal::FftWorkspace &ws = signal::threadFftWorkspace();
 
-    photonics::Photodetector out_pd(config_.detector,
-                                    config_.noise_seed + 1);
     if (!config_.noise) {
         // Fourier plane intensity |F|^2 of a real plane is even-
         // symmetric, so its stored half is the half-spectrum of the
@@ -180,8 +178,13 @@ JtcSystem::detectPlane(signal::ComplexVector &field,
             field[i] = signal::Complex(std::norm(field[i]), 0.0);
         out.resize(n);
         plan->executeRealInverse(field.data(), out.data());
-        for (size_t i = 0; i < n; ++i)
-            out[i] = readOut(out[i], out[i], out_pd);
+        // The noiseless Linear readout records R itself.
+        if (config_.readout == ReadoutModel::SquareLaw) {
+            photonics::Photodetector out_pd(config_.detector,
+                                            config_.noise_seed + 1);
+            for (size_t i = 0; i < n; ++i)
+                out[i] = readOut(out[i], out[i], out_pd);
+        }
         return;
     }
 
@@ -194,6 +197,8 @@ JtcSystem::detectPlane(signal::ComplexVector &field,
     // (not the plane peak — the DC term would otherwise drown the
     // correlation terms).
     photonics::Photodetector mid_pd(config_.detector, config_.noise_seed);
+    photonics::Photodetector out_pd(config_.detector,
+                                    config_.noise_seed + 1);
     std::vector<double> &intensity = ws.realBuffer(kSlotJtcPlane, n);
     for (size_t i = 0; i < half_n; ++i)
         intensity[i] = std::norm(field[i]);
@@ -297,6 +302,45 @@ JtcSystem::correlationWindowFromSpectraInto(
     std::vector<double> &plane =
         ws.realBuffer(kSlotJtcOutPlane, layout.plane_size);
     detectPlane(field, layout, plane);
+    readWindow(plane, layout, count, start, out);
+}
+
+void
+JtcSystem::accumulatedWindowFromSpectraInto(
+    std::span<const signal::ComplexVector *const> signal_spectra,
+    std::span<const signal::ComplexVector *const> kernel_spectra,
+    const JtcPlaneLayout &layout, size_t count, long start,
+    std::vector<double> &out) const
+{
+    pf_assert(config_.readout == ReadoutModel::Linear && !config_.noise,
+              "Fourier-plane accumulation needs the noiseless Linear "
+              "readout");
+    pf_assert(!signal_spectra.empty() &&
+                  signal_spectra.size() == kernel_spectra.size(),
+              "a group of ", signal_spectra.size(), " signals and ",
+              kernel_spectra.size(), " kernels");
+    const size_t n = layout.plane_size;
+    const auto plan = signal::fftPlanFor(n);
+    const size_t half_n = plan->halfSpectrumSize();
+    signal::FftWorkspace &ws = signal::threadFftWorkspace();
+    // The integrated intensity, real and even-symmetric: its stored
+    // half is the output plane's half-spectrum, as in detectPlane.
+    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
+    for (size_t c = 0; c < signal_spectra.size(); ++c) {
+        const signal::ComplexVector &s = *signal_spectra[c];
+        const signal::ComplexVector &k = *kernel_spectra[c];
+        pf_assert(s.size() == half_n && k.size() == half_n,
+                  "spectra do not match the ", n, "-sample plane");
+        if (c == 0) {
+            for (size_t i = 0; i < half_n; ++i)
+                field[i] = signal::Complex(std::norm(s[i] + k[i]), 0.0);
+        } else {
+            for (size_t i = 0; i < half_n; ++i)
+                field[i] += std::norm(s[i] + k[i]);
+        }
+    }
+    std::vector<double> &plane = ws.realBuffer(kSlotJtcOutPlane, n);
+    plan->executeRealInverse(field.data(), plane.data());
     readWindow(plane, layout, count, start, out);
 }
 

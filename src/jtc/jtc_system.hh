@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "photonics/photodetector.hh"
@@ -210,6 +211,25 @@ class JtcSystem
     void correlationWindowFromSpectraInto(
         const signal::ComplexVector &signal_spectrum,
         const signal::ComplexVector &kernel_spectrum,
+        const JtcPlaneLayout &layout, size_t count, long start,
+        std::vector<double> &out) const;
+
+    /**
+     * The window a group of joint fields leaves on one integrating
+     * output photodetector row (temporal accumulation, Section V-C):
+     * the Fourier-plane intensities |signal_spectra[i] +
+     * kernel_spectra[i]|^2 summed over the group, then one second lens
+     * and the window read off the output plane. The second lens and
+     * the Linear readout are linear in the intensity, so this is the
+     * sum of the group's correlationWindowFromSpectraInto windows up to
+     * rounding, for one inverse transform instead of one per field; a
+     * group of one is bit-identical to it. Linear readout with noise
+     * off only: sensing noise and the square law act per field.
+     * Allocation-free in steady state.
+     */
+    void accumulatedWindowFromSpectraInto(
+        std::span<const signal::ComplexVector *const> signal_spectra,
+        std::span<const signal::ComplexVector *const> kernel_spectra,
         const JtcPlaneLayout &layout, size_t count, long start,
         std::vector<double> &out) const;
 

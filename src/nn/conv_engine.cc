@@ -38,9 +38,10 @@ struct EngineScratch
     signal::ComplexVector acc_spec;
     std::vector<double> row_time;
 
-    /** PhotoFourierEngine: one input channel's prepared tiles, read by
-     *  every output-channel job. */
-    tiling::TiledInput tiles;
+    /** PhotoFourierEngine: the prepared tiles of the input channels run
+     *  together (one, or a temporal-accumulation group), read by every
+     *  output-channel job. Grow-only. */
+    std::vector<tiling::TiledInput> group_tiles;
     /** PhotoFourierEngine: photodetector charges, plane-sized blocks
      *  indexed ((oc * groups + g) * 2 + polarity). */
     std::vector<double> charges;
@@ -648,12 +649,17 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
 
     // First pass: per-group photodetector charges (full precision,
     // plus optional sensing noise), p and n separately. The loop runs
-    // input channel first, as the hardware does (Section V-F2: one
-    // input-channel tile is broadcast to every PFCU's filters in the
-    // same cycle): each input channel's tiles are prepared once and
-    // every (output channel, polarity) kernel plane runs against them.
-    // Per (oc, group) the charges still accumulate in ascending input
-    // channel order, so the sums are those of a per-kernel loop.
+    // temporal-accumulation group first and input channel inside it, as
+    // the hardware does (Section V-F2: one input-channel tile is
+    // broadcast to every PFCU's filters in the same cycle; Section V-C:
+    // the output photodetector integrates the group's N_TA cycles
+    // before one readout). The channels run together are prepared
+    // once, and every (output channel, polarity) kernel plane runs
+    // against them. Where the backend sums in the Fourier plane
+    // (groupChannels) that is the whole group: one inverse transform
+    // per tile, kernel plane and group. Otherwise it is one channel at
+    // a time, and per (oc, group) the charges accumulate in ascending
+    // input channel order, the sums of a per-kernel loop.
     sc.charges.assign(n_out * groups * 2 * plane, 0.0);
     double *const charges = sc.charges.data();
     auto charge = [&](size_t oc, size_t g, size_t polarity) {
@@ -668,21 +674,33 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
     const size_t total_macs = n_out * n_in * oh * ow * k * k;
     const size_t oc_workers =
         total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
-    for (size_t ic = 0; ic < n_in; ++ic) {
-        input.channelMatrixInto(ic, sc.in_ch);
-        for (auto &v : sc.in_ch.data)
-            v = act_dac.quantize(v);
-        tiled.prepareInput(sc.in_ch, sc.tiles, kernels.needs_tile_spectra);
-        const size_t g = ic / nta;
+    // A width of N_TA or 1, so a run never straddles two groups.
+    const size_t width = tiled.groupChannels(kernels, nta);
+    if (sc.group_tiles.size() < width)
+        sc.group_tiles.resize(width);
+    for (size_t ic0 = 0; ic0 < n_in; ic0 += width) {
+        const size_t channels = std::min(width, n_in - ic0);
+        for (size_t c = 0; c < channels; ++c) {
+            input.channelMatrixInto(ic0 + c, sc.in_ch);
+            for (auto &v : sc.in_ch.data)
+                v = act_dac.quantize(v);
+            tiled.prepareInput(sc.in_ch, sc.group_tiles[c],
+                               kernels.needs_tile_spectra);
+        }
+        const std::span<const tiling::TiledInput> run(sc.group_tiles.data(),
+                                                      channels);
+        const size_t g = ic0 / nta;
         signal::parallelForEach(n_out, oc_workers, [&](size_t oc) {
             tiling::ConvWorkspace &ws = threadEngineScratch().conv;
             // Each kernel plane's rows land straight in its charge
-            // plane: no partial plane in between.
+            // plane: no partial plane in between. Consecutive input
+            // channels' planes sit 2 * kernel_groups apart in the bank.
             for (size_t polarity = 0; polarity < 2; ++polarity)
                 tiled.executePrepared(
-                    sc.tiles, kernels,
-                    ((oc * n_in + ic) * 2 + polarity) * kernel_groups,
-                    {charge(oc, g, polarity), plane}, ws);
+                    run, kernels,
+                    ((oc * n_in + ic0) * 2 + polarity) * kernel_groups,
+                    2 * kernel_groups, {charge(oc, g, polarity), plane},
+                    ws);
         });
     }
 

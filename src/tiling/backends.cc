@@ -186,34 +186,57 @@ fftPrepareTile(PreparedTile &tile)
     }
 }
 
-/** Kernel half of the FFT path: pointwise product with the kernel's
- *  correlation spectrum and one c2r per block. */
+/**
+ * Kernel half of the FFT path over one channel group: per overlap-save
+ * block, the products of each channel's block spectrum with its
+ * kernel's correlation spectrum summed in the Fourier plane, then one
+ * c2r. The first product is formed in place, so a group of one runs
+ * exactly the one-channel arithmetic.
+ */
 void
-fftWindow(const PreparedTile &tile, const PreparedKernel &k,
+fftWindow(std::span<const ChannelTerm> group, const KernelBank &bank,
           std::vector<double> &out)
 {
-    const size_t n_k = k.length;
+    const PreparedTile &tile = *group[0].tile;
+    const size_t n_k = tile.kernel_len;
     out.assign(tile.count, 0.0);
     const FftWindow w(tile.samples.size(), n_k, tile.start, tile.count);
     if (w.empty())
         return;
-    pf_assert(tile.plan && tile.plan->size() == w.n && k.spectrum,
-              "FFT window on a tile or kernel prepared without its "
-              "spectrum");
-    const size_t half = tile.plan->halfSpectrumSize();
-    pf_assert(k.spectrum->size() == half,
-              "kernel spectrum prepared for another input length");
+    const size_t half = w.n / 2 + 1;
+    for (const ChannelTerm &term : group) {
+        const PreparedKernel &k = bank.kernels[term.kernel];
+        pf_assert(term.tile->plan && term.tile->plan->size() == w.n &&
+                      k.spectrum,
+                  "FFT window on a tile or kernel prepared without its "
+                  "spectrum");
+        pf_assert(k.spectrum->size() == half,
+                  "kernel spectrum prepared for another input length");
+    }
     signal::FftWorkspace &ws = signal::threadFftWorkspace();
     signal::ComplexVector &spec =
         ws.complexBuffer(kSlotBlockSpectrum, half);
     std::vector<double> &time = ws.realBuffer(kSlotBlockOutput, w.n);
+    const simd::Kernels &simd_kernels = simd::kernels();
     for (size_t b = w.b_first; b <= w.b_last; ++b) {
-        const signal::Complex *block =
-            tile.spectrum.data() + (b - w.b_first) * half;
-        std::copy(block, block + half, spec.begin());
-        simd::kernels().complexMulInPlace(
-            reinterpret_cast<double *>(spec.data()),
-            reinterpret_cast<const double *>(k.spectrum->data()), half);
+        const size_t offset = (b - w.b_first) * half;
+        for (size_t c = 0; c < group.size(); ++c) {
+            const signal::Complex *block =
+                group[c].tile->spectrum.data() + offset;
+            const double *kernel = reinterpret_cast<const double *>(
+                bank.kernels[group[c].kernel].spectrum->data());
+            if (c == 0) {
+                std::copy(block, block + half, spec.begin());
+                simd_kernels.complexMulInPlace(
+                    reinterpret_cast<double *>(spec.data()), kernel,
+                    half);
+            } else {
+                simd_kernels.complexMacInto(
+                    reinterpret_cast<double *>(spec.data()),
+                    reinterpret_cast<const double *>(block), kernel,
+                    half);
+            }
+        }
         tile.plan->executeRealInverse(spec.data(), time.data());
 
         const long seg_lo =
@@ -223,6 +246,27 @@ fftWindow(const PreparedTile &tile, const PreparedKernel &k,
         for (long m = seg_lo; m <= seg_hi; ++m)
             out[static_cast<size_t>(m - w.m_base)] =
                 time[static_cast<size_t>(m) - b * w.L + n_k - 1];
+    }
+}
+
+/**
+ * out = the group's per-channel windows summed in ascending channel
+ * order; `one(term, window)` writes one channel's window. A group of
+ * one is that channel's window itself.
+ */
+template <typename OneWindow>
+void
+sumChannelWindows(std::span<const ChannelTerm> group,
+                  std::vector<double> &out, OneWindow &&one)
+{
+    one(group[0], out);
+    if (group.size() == 1)
+        return;
+    static thread_local std::vector<double> term_window;
+    for (size_t c = 1; c < group.size(); ++c) {
+        one(group[c], term_window);
+        for (size_t i = 0; i < out.size(); ++i)
+            out[i] += term_window[i];
     }
 }
 
@@ -249,6 +293,7 @@ KernelBank::clear()
     tap_idx.clear();
     tap_val.clear();
     needs_tile_spectra = false;
+    fourier_sum = false;
 }
 
 size_t
@@ -274,8 +319,9 @@ class Conv1dBackend::Impl
 
     virtual void prepareTile(PreparedTile &tile, bool spectrum) const = 0;
 
-    virtual void window(const PreparedTile &tile, const KernelBank &bank,
-                        size_t kernel, std::vector<double> &out) const = 0;
+    virtual void window(std::span<const ChannelTerm> group,
+                        const KernelBank &bank,
+                        std::vector<double> &out) const = 0;
 };
 
 namespace {
@@ -294,10 +340,14 @@ class CpuImpl final : public Conv1dBackend::Impl
     void prepareTile(PreparedTile &, bool) const override {}
 
     void
-    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+    window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        slidingWindow(tile, bank, bank.kernels[kernel], out);
+        sumChannelWindows(group, out, [&](const ChannelTerm &term,
+                                          std::vector<double> &window) {
+            slidingWindow(*term.tile, bank, bank.kernels[term.kernel],
+                          window);
+        });
     }
 };
 
@@ -319,6 +369,7 @@ class FftImpl final : public Conv1dBackend::Impl
             k.spectrum =
                 correlationSpectrumFor(kernel, input_len, cache_.get());
         bank.needs_tile_spectra = true;
+        bank.fourier_sum = true;
         return bank.kernels.size() - 1;
     }
 
@@ -329,10 +380,10 @@ class FftImpl final : public Conv1dBackend::Impl
     }
 
     void
-    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+    window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        fftWindow(tile, bank.kernels[kernel], out);
+        fftWindow(group, bank, out);
     }
 
   private:
@@ -381,16 +432,20 @@ class AutoImpl final : public Conv1dBackend::Impl
     }
 
     void
-    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+    window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        const PreparedKernel &k = bank.kernels[kernel];
-        // fftConvProfitable, split across the halves: the FFT cost is
-        // the tile's, the sliding cost the kernel's tap count.
-        if (tile.fft_cost < slidingCost(tile.count, k.tap_count))
-            fftWindow(tile, k, out);
-        else
-            slidingWindow(tile, bank, k, out);
+        sumChannelWindows(group, out, [&](const ChannelTerm &term,
+                                          std::vector<double> &window) {
+            const PreparedTile &tile = *term.tile;
+            const PreparedKernel &k = bank.kernels[term.kernel];
+            // fftConvProfitable, split across the halves: the FFT cost
+            // is the tile's, the sliding cost the kernel's tap count.
+            if (tile.fft_cost < slidingCost(tile.count, k.tap_count))
+                fftWindow({&term, 1}, bank, window);
+            else
+                slidingWindow(tile, bank, k, window);
+        });
     }
 
   private:
@@ -402,7 +457,9 @@ class JtcImpl final : public Conv1dBackend::Impl
   public:
     JtcImpl(jtc::JtcConfig config,
             std::shared_ptr<signal::PlaneSpectrumCache> spectra)
-        : optics_(config, std::move(spectra))
+        : optics_(config, std::move(spectra)),
+          fourier_sum_(config.readout == jtc::ReadoutModel::Linear &&
+                       !config.noise)
     {
     }
 
@@ -418,6 +475,7 @@ class JtcImpl final : public Conv1dBackend::Impl
         PreparedKernel &k = bank.kernels.emplace_back();
         k.length = kernel.size();
         bank.needs_tile_spectra = true;
+        bank.fourier_sum = fourier_sum_;
         const bool any_negative =
             std::any_of(kernel.begin(), kernel.end(),
                         [](double w) { return w < 0.0; });
@@ -461,27 +519,67 @@ class JtcImpl final : public Conv1dBackend::Impl
     }
 
     void
-    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+    window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        const PreparedKernel &k = bank.kernels[kernel];
-        const jtc::JtcPlaneLayout layout =
-            jtc::JtcPlaneLayout::design(tile.samples.size(), k.length);
-        optics_.correlationWindowFromSpectraInto(
-            tile.spectrum, *k.spectrum, layout, tile.count, tile.start,
-            out);
-        if (!k.negative)
-            return;
+        const PreparedTile &tile = *group[0].tile;
+        const jtc::JtcPlaneLayout layout = jtc::JtcPlaneLayout::design(
+            tile.samples.size(), tile.kernel_len);
         static thread_local std::vector<double> out_n;
-        optics_.correlationWindowFromSpectraInto(
-            tile.spectrum, *k.negative, layout, tile.count, tile.start,
-            out_n);
+        if (!fourier_sum_) {
+            // Noise and the square law act per field: one second lens
+            // per channel.
+            sumChannelWindows(group, out, [&](const ChannelTerm &term,
+                                              std::vector<double> &window) {
+                const PreparedKernel &k = bank.kernels[term.kernel];
+                optics_.correlationWindowFromSpectraInto(
+                    term.tile->spectrum, *k.spectrum, layout, tile.count,
+                    tile.start, window);
+                if (!k.negative)
+                    return;
+                optics_.correlationWindowFromSpectraInto(
+                    term.tile->spectrum, *k.negative, layout, tile.count,
+                    tile.start, out_n);
+                for (size_t i = 0; i < window.size(); ++i)
+                    window[i] -= out_n[i];
+            });
+            return;
+        }
+
+        // The output photodetector integrates the group's Fourier-plane
+        // intensities: one second lens per polarity. Signed kernels'
+        // negative parts integrate on their own detector, read out
+        // and subtracted digitally (pseudo-negative decomposition).
+        static thread_local std::vector<const signal::ComplexVector *>
+            signals, kernels;
+        auto integrate = [&](bool negative, std::vector<double> &window) {
+            signals.clear();
+            kernels.clear();
+            for (const ChannelTerm &term : group) {
+                const PreparedKernel &k = bank.kernels[term.kernel];
+                const auto &spectrum = negative ? k.negative : k.spectrum;
+                if (spectrum) {
+                    signals.push_back(&term.tile->spectrum);
+                    kernels.push_back(spectrum.get());
+                }
+            }
+            if (signals.empty())
+                return false;
+            optics_.accumulatedWindowFromSpectraInto(
+                signals, kernels, layout, tile.count, tile.start, window);
+            return true;
+        };
+        integrate(false, out);
+        if (!integrate(true, out_n))
+            return;
         for (size_t i = 0; i < out.size(); ++i)
             out[i] -= out_n[i];
     }
 
   private:
     jtc::JtcSystem optics_;
+    /** Linear readout, noise off: the group sums in the Fourier plane. */
+    bool fourier_sum_;
 };
 
 class VariedImpl final : public Conv1dBackend::Impl
@@ -520,10 +618,10 @@ class VariedImpl final : public Conv1dBackend::Impl
     }
 
     void
-    window(const PreparedTile &tile, const KernelBank &bank, size_t kernel,
+    window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        base_.window(tile, bank, kernel, out);
+        base_.window(group, bank, out);
     }
 
   private:
@@ -555,13 +653,22 @@ Conv1dBackend::prepareTile(PreparedTile &tile, bool spectrum) const
 }
 
 void
-Conv1dBackend::window(const PreparedTile &tile, const KernelBank &bank,
-                      size_t kernel, std::vector<double> &out) const
+Conv1dBackend::window(std::span<const ChannelTerm> group,
+                      const KernelBank &bank, std::vector<double> &out) const
 {
-    pf_assert(bank.kernels[kernel].length == tile.kernel_len,
-              "kernel of ", bank.kernels[kernel].length,
-              " samples on a tile prepared for ", tile.kernel_len);
-    impl_->window(tile, bank, kernel, out);
+    pf_assert(!group.empty(), "window of an empty channel group");
+    const PreparedTile &first = *group[0].tile;
+    for (const ChannelTerm &term : group)
+        pf_assert(bank.kernels[term.kernel].length == first.kernel_len,
+                  "kernel of ", bank.kernels[term.kernel].length,
+                  " samples on a tile prepared for ", first.kernel_len);
+    for (const ChannelTerm &term : group.subspan(1))
+        pf_assert(term.tile->samples.size() == first.samples.size() &&
+                      term.tile->start == first.start &&
+                      term.tile->count == first.count &&
+                      term.tile->kernel_len == first.kernel_len,
+                  "the tiles of one channel group differ in geometry");
+    impl_->window(group, bank, out);
 }
 
 void
@@ -585,7 +692,8 @@ Conv1dBackend::operator()(const std::vector<double> &input,
     tile.count = count;
     tile.kernel_len = kernel.size();
     prepareTile(tile, scratch.bank.needs_tile_spectra);
-    window(tile, scratch.bank, k, out);
+    const ChannelTerm term{&tile, k};
+    window({&term, 1}, scratch.bank, out);
 }
 
 Conv1dBackend

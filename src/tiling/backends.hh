@@ -18,10 +18,20 @@
  *  - The kernel half is resolved once per kernel (prepareKernel): its
  *    nonzero taps for the sliding path, the Auto choice, and its
  *    cached spectrum handle. That cost is amortized over every tile
- *    the kernel meets. window() then runs one prepared kernel against
- *    one prepared tile: the sliding dot, the pointwise product and c2r
- *    of the FFT path, or the JTC's Fourier-plane detection and second
- *    lens.
+ *    the kernel meets. window() then runs one channel group: each
+ *    channel's prepared kernel against that channel's prepared tile,
+ *    the windows summed over the group. A single channel is a group of
+ *    one.
+ *
+ * The group sum is the photodetector's temporal accumulation (paper
+ * Section V-C): the charges of N_TA input channels integrate before one
+ * readout. Backends whose second transform is linear in the Fourier
+ * plane sum there and run one inverse transform per group: the FFT
+ * path sums the block products S_i * K_i, the noiseless Linear-readout
+ * JTC sums the detected intensities |S_i + K_i|^2 (KernelBank::
+ * fourier_sum). The sliding paths, Auto, and the JTC with noise or the
+ * SquareLaw readout sum the per-channel windows in ascending channel
+ * order.
  *
  * The one-kernel call backend(input, kernel, start, count, out) runs
  * the same halves back to back, so a prepared tile read by N prepared
@@ -44,7 +54,8 @@
  * jtc::JtcSystem. A backend holds no mutable per-call state beyond the
  * thread-safe spectrum caches, so it is safe to invoke concurrently;
  * prepared tiles and kernels are read-only inputs to window(), so
- * several threads may run kernels against one prepared tile.
+ * several threads may run kernels against one prepared tile (or one
+ * prepared channel group).
  */
 
 #ifndef PHOTOFOURIER_TILING_BACKENDS_HH
@@ -115,9 +126,21 @@ struct KernelBank
     /** Some kernel runs in the frequency domain, so tiles need their
      *  spectrum (pass to Conv1dBackend::prepareTile). */
     bool needs_tile_spectra = false;
+    /** The backend sums a channel group's windows in the Fourier plane,
+     *  one inverse transform per group: callers gain from handing
+     *  window() whole groups rather than single channels. */
+    bool fourier_sum = false;
 
     /** Drop every kernel, keeping capacity. */
     void clear();
+};
+
+/** One input channel's term of a group window: its prepared tile and
+ *  the bank index of the prepared kernel that meets it. */
+struct ChannelTerm
+{
+    const PreparedTile *tile = nullptr;
+    size_t kernel = 0;
 };
 
 /** Bytes a bank's own storage holds (a prepared-layer store entry's
@@ -157,9 +180,14 @@ class Conv1dBackend
      */
     void prepareTile(PreparedTile &tile, bool spectrum) const;
 
-    /** Kernel half: bank.kernels[kernel] against a prepared tile. */
-    void window(const PreparedTile &tile, const KernelBank &bank,
-                size_t kernel, std::vector<double> &out) const;
+    /**
+     * Kernel half over one channel group: out = sum over the terms of
+     * the window of bank.kernels[term.kernel] against *term.tile. The
+     * tiles of a group share one geometry (length, start, count and
+     * kernel length). A single channel is a group of one.
+     */
+    void window(std::span<const ChannelTerm> group, const KernelBank &bank,
+                std::vector<double> &out) const;
 
     /** One-kernel call through both halves (per-thread scratch;
      *  allocation-free in steady state). */

@@ -162,7 +162,15 @@ TiledConvolution::execute(const signal::Matrix &input,
     const size_t k = prepareKernel(kernel, ws.bank);
     prepareInput(input, ws.input, ws.bank.needs_tile_spectra);
     out.resize(plan_.output_rows, plan_.output_cols);
-    executePrepared(ws.input, ws.bank, k, out.data, ws);
+    executePrepared({&ws.input, 1}, ws.bank, k, 0, out.data, ws);
+}
+
+size_t
+TiledConvolution::groupChannels(const KernelBank &bank, size_t depth) const
+{
+    const bool grouped =
+        plan_.variant == Variant::RowTiling && bank.fourier_sum;
+    return grouped ? depth : 1;
 }
 
 size_t
@@ -296,14 +304,27 @@ TiledConvolution::prepareInput(const signal::Matrix &input,
 }
 
 void
-TiledConvolution::executePrepared(const TiledInput &tiles,
+TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
                                   const KernelBank &bank, size_t kernel,
+                                  size_t kernel_stride,
                                   std::span<double> acc,
                                   ConvWorkspace &ws) const
 {
-    pf_assert(tiles.count == tileCount(),
-              "input prepared for another plan");
-    pf_assert(kernel + kernelGroups() <= bank.kernels.size(),
+    pf_assert(!inputs.empty(), "no input plane to convolve");
+    if (inputs.size() > 1 && plan_.variant != Variant::RowTiling) {
+        // One channel at a time, in ascending order: a kernel-row group
+        // sum across channels would reorder the sliding backends' sums.
+        for (size_t c = 0; c < inputs.size(); ++c)
+            executePrepared(inputs.subspan(c, 1), bank,
+                            kernel + c * kernel_stride, 0, acc, ws);
+        return;
+    }
+    for (const TiledInput &tiles : inputs)
+        pf_assert(tiles.count == tileCount(),
+                  "input prepared for another plan");
+    pf_assert(kernel + (inputs.size() - 1) * kernel_stride +
+                      kernelGroups() <=
+                  bank.kernels.size(),
               "kernel plane not in the bank");
     pf_assert(acc.size() == plan_.output_rows * plan_.output_cols,
               "accumulator holds ", acc.size(), " samples, the plane ",
@@ -314,6 +335,7 @@ TiledConvolution::executePrepared(const TiledInput &tiles,
     const size_t s = params_.stride;
     const size_t ow = plan_.output_cols;
     const size_t workers = effectiveWorkers();
+    const TiledInput &tiles = inputs[0];
 
     // Add unit-stride output row `row` (a kept row: a multiple of the
     // stride; its samples at src[c]) into acc, keeping the strided
@@ -336,13 +358,18 @@ TiledConvolution::executePrepared(const TiledInput &tiles,
     switch (plan_.variant) {
       case Variant::RowTiling: {
         // Tiles hold disjoint row blocks, and each output sample has
-        // one window sample: add it straight in.
+        // one window sample: add the channel group's summed window
+        // straight in.
         const size_t nor = plan_.valid_rows_per_op;
         signal::parallelForEach(tiles.count, workers, [&](size_t t) {
             ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
             const size_t r0 = t * nor;
             const size_t r_end = std::min(r0 + nor, g.rows);
-            backend_.window(tiles.tiles[t], bank, kernel, j.window);
+            j.group.resize(inputs.size());
+            for (size_t c = 0; c < inputs.size(); ++c)
+                j.group[c] = {&inputs[c].tiles[t],
+                              kernel + c * kernel_stride};
+            backend_.window(j.group, bank, j.window);
             for (size_t r = ceilDiv(r0, s) * s; r < r_end; r += s)
                 addRow(r, j.window.data() + (r - r0) * sp);
         });
@@ -359,8 +386,9 @@ TiledConvolution::executePrepared(const TiledInput &tiles,
             const size_t r0 = o * s;
             j.row.assign(g.cols, 0.0);
             for (size_t grp = 0; grp < groups; ++grp) {
-                backend_.window(tiles.tiles[r0 * groups + grp], bank,
-                                kernel + grp, j.window);
+                const ChannelTerm term{&tiles.tiles[r0 * groups + grp],
+                                       kernel + grp};
+                backend_.window({&term, 1}, bank, j.window);
                 for (size_t c = 0; c < g.cols; ++c)
                     j.row[c] += j.window[c];
             }
@@ -380,10 +408,11 @@ TiledConvolution::executePrepared(const TiledInput &tiles,
             j.row.assign(g.cols, 0.0);
             for (size_t kr = 0; kr < sk; ++kr) {
                 for (size_t p = 0; p < partitions; ++p) {
-                    const PreparedTile &tile =
-                        tiles.tiles[(r0 + kr) * partitions + p];
-                    backend_.window(tile, bank, kernel + kr, j.window);
-                    for (size_t i = 0; i < tile.count; ++i)
+                    const ChannelTerm term{
+                        &tiles.tiles[(r0 + kr) * partitions + p],
+                        kernel + kr};
+                    backend_.window({&term, 1}, bank, j.window);
+                    for (size_t i = 0; i < term.tile->count; ++i)
                         j.row[p * step + i] += j.window[i];
                 }
             }

@@ -21,10 +21,14 @@
  *    kernel-row groups and resolves each through the backend once:
  *    taps, Auto choice, cached spectrum handle. It is amortized over
  *    every tile of every input that meets the kernel plane.
- *  - executePrepared adds one prepared kernel plane's convolution of
- *    one prepared input plane into a caller-owned accumulator plane,
- *    such as a photodetector charge plane: strided output positions
- *    only, with no intermediate output plane.
+ *  - executePrepared adds the convolutions of one or more prepared
+ *    input planes (the input channels of one temporal-accumulation
+ *    group), each with its own prepared kernel plane, into a
+ *    caller-owned accumulator plane, such as a photodetector charge
+ *    plane: strided output positions only, with no intermediate output
+ *    plane. Row tiling hands the backend each tile's whole channel
+ *    group in one window() call, so a backend that sums in the Fourier
+ *    plane runs one inverse transform per (tile, group).
  *
  * execute() is the one-kernel call: both halves back to back on
  * workspace scratch, accumulated into a zero-filled output.
@@ -69,6 +73,7 @@ struct ConvWorkspace
 {
     std::vector<double> window; ///< backend output window
     std::vector<double> row;    ///< one output row's summed groups
+    std::vector<ChannelTerm> group; ///< one tile's channel group
     KernelBank bank;            ///< execute()'s prepared kernel plane
     TiledInput input;           ///< execute()'s prepared input plane
 };
@@ -124,20 +129,35 @@ class TiledConvolution
                       bool spectra) const;
 
     /**
-     * Add the convolution of a prepared input plane with the prepared
-     * kernel plane starting at bank.kernels[kernel] into `acc`, a
-     * row-major plan().output_rows x plan().output_cols plane (the
-     * strided output; rows the stride drops are not computed where a
-     * backend call serves one output row). Row tiling adds each
-     * window sample straight in; partial row tiling and row
-     * partitioning first sum an output row's kernel-row groups into a
-     * zeroed row buffer in ascending order, then add the row. So `acc`
-     * gains exactly the values execute() writes, bit for bit, and
-     * callers accumulating several planes keep every sum's order.
+     * Add the convolutions of prepared input planes with their prepared
+     * kernel planes into `acc`, a row-major plan().output_rows x
+     * plan().output_cols plane (the strided output; rows the stride
+     * drops are not computed where a backend call serves one output
+     * row). Input plane c meets the kernel plane starting at
+     * bank.kernels[kernel + c * kernel_stride].
+     *
+     * Row tiling sums each tile's channel windows in one backend call
+     * (Conv1dBackend::window) and adds each window sample straight in.
+     * Partial row tiling and row partitioning run the input planes one
+     * at a time in ascending order: each sums an output row's
+     * kernel-row groups into a zeroed row buffer in ascending order,
+     * then adds the row. For one input plane `acc` gains exactly the
+     * values execute() writes, bit for bit, and callers accumulating
+     * several planes keep every sum's order.
      */
-    void executePrepared(const TiledInput &tiles, const KernelBank &bank,
-                         size_t kernel, std::span<double> acc,
+    void executePrepared(std::span<const TiledInput> inputs,
+                         const KernelBank &bank, size_t kernel,
+                         size_t kernel_stride, std::span<double> acc,
                          ConvWorkspace &ws) const;
+
+    /**
+     * Input planes to hand executePrepared at once for a temporal-
+     * accumulation depth (>= 1): the whole group where row tiling
+     * meets a bank whose backend sums in the Fourier plane
+     * (KernelBank::fourier_sum), else one. Sliding backends gain
+     * nothing from a group, so their callers hold one plane's tiles.
+     */
+    size_t groupChannels(const KernelBank &bank, size_t depth) const;
 
     /** Prepared kernels per kernel plane: 1 for row tiling, the
      *  kernel-row groups for partial row tiling, Sk for row

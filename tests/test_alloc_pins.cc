@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "counting_alloc.hh"
@@ -227,21 +229,28 @@ TEST(AllocPins, VariedBackendOneKernelCall)
     }
 }
 
-TEST(AllocPins, PhotoFourierEngineOpticalConvolveBatch)
+namespace {
+
+/**
+ * Allocations of `iterations` warm optical convolveBatch calls of a
+ * batch of three over `in_channels` input channels, read out every
+ * `depth` channels. `outs` receives the last call's result.
+ */
+uint64_t
+warmOpticalConvolveBatchAllocations(size_t in_channels, size_t depth,
+                                    int iterations,
+                                    std::vector<nn::Tensor> &outs)
 {
-    // A warm optical convolveBatch allocates only what it returns: the
-    // output vector and one buffer per output tensor. Prepared kernels,
-    // prepared tiles, charges and windows are per-thread scratch.
     pf::Rng rng(84);
     std::vector<nn::Tensor> weights;
     for (size_t oc = 0; oc < 3; ++oc) {
-        nn::Tensor w(2, 3, 3);
+        nn::Tensor w(in_channels, 3, 3);
         w.data() = rng.uniformVector(w.size(), -0.5, 0.5);
         weights.push_back(std::move(w));
     }
     std::vector<nn::Tensor> inputs;
     for (size_t b = 0; b < 3; ++b) {
-        nn::Tensor x(2, 12, 12);
+        nn::Tensor x(in_channels, 12, 12);
         x.data() = rng.uniformVector(x.size(), 0.0, 1.0);
         inputs.push_back(std::move(x));
     }
@@ -249,19 +258,80 @@ TEST(AllocPins, PhotoFourierEngineOpticalConvolveBatch)
     nn::PhotoFourierEngineConfig config;
     config.optical_backend = true;
     config.n_conv = 64;
-    config.temporal_accumulation_depth = 1;
+    config.temporal_accumulation_depth = depth;
     config.noise = true;
     const nn::PhotoFourierEngine engine(config);
-
-    std::vector<nn::Tensor> outs;
-    const int iterations = 16;
-    const uint64_t allocations = steadyStateAllocations([&] {
+    return steadyStateAllocations([&] {
         outs = engine.convolveBatch(inputs, weights, bias, 1,
                                     sig::ConvMode::Same);
     }, iterations);
-    ASSERT_EQ(outs.size(), inputs.size());
-    EXPECT_EQ(allocations, iterations * (inputs.size() + 1))
+}
+
+} // namespace
+
+TEST(AllocPins, PhotoFourierEngineOpticalConvolveBatch)
+{
+    // A warm optical convolveBatch allocates only what it returns: the
+    // output vector and one buffer per output tensor. Prepared kernels,
+    // prepared tiles, charges and windows are per-thread scratch.
+    std::vector<nn::Tensor> outs;
+    const int iterations = 16;
+    const uint64_t allocations =
+        warmOpticalConvolveBatchAllocations(2, 1, iterations, outs);
+    ASSERT_EQ(outs.size(), 3u);
+    EXPECT_EQ(allocations, iterations * (outs.size() + 1))
         << "PhotoFourierEngine::convolveBatch allocated beyond its result";
+}
+
+TEST(AllocPins, PhotoFourierEngineOpticalChannelGroupsOfTwo)
+{
+    // N_TA = 2 over four input channels: each group's two channels are
+    // prepared together and summed in the Fourier plane (one group
+    // window per tile), still from per-thread scratch only.
+    std::vector<nn::Tensor> outs;
+    const int iterations = 16;
+    const uint64_t allocations =
+        warmOpticalConvolveBatchAllocations(4, 2, iterations, outs);
+    ASSERT_EQ(outs.size(), 3u);
+    EXPECT_EQ(allocations, iterations * (outs.size() + 1))
+        << "PhotoFourierEngine::convolveBatch allocated beyond its result "
+           "with channel groups of two";
+}
+
+TEST(AllocPins, JtcSystemAccumulatedWindowFromSpectraInto)
+{
+    // One second lens for a group of joint fields: a group of one reads
+    // exactly correlationWindowFromSpectraInto, and a group of three
+    // allocates nothing once warm.
+    pf::Rng rng(85);
+    const jtc::JtcSystem sys;
+    const auto layout = jtc::JtcPlaneLayout::design(48, 7);
+    std::vector<sig::ComplexVector> sspec(3);
+    std::vector<std::shared_ptr<const sig::ComplexVector>> kspec;
+    std::vector<const sig::ComplexVector *> signals, kernels;
+    for (size_t c = 0; c < 3; ++c) {
+        sys.signalSpectrumInto(rng.uniformVector(48, 0.0, 1.0), layout,
+                               sspec[c]);
+        kspec.push_back(sys.kernelPlaneSpectrum(
+            rng.uniformVector(7, 0.0, 1.0), layout));
+        signals.push_back(&sspec[c]);
+        kernels.push_back(kspec.back().get());
+    }
+    std::vector<double> out, ref;
+    sys.accumulatedWindowFromSpectraInto(
+        std::span(signals).first(1), std::span(kernels).first(1), layout,
+        44, -2, out);
+    sys.correlationWindowFromSpectraInto(sspec[0], *kspec[0], layout, 44,
+                                         -2, ref);
+    ASSERT_EQ(out.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(out[i], ref[i]) << "shift " << i;
+
+    EXPECT_EQ(steadyStateAllocations([&] {
+        sys.accumulatedWindowFromSpectraInto(signals, kernels, layout, 44,
+                                             -2, out);
+    }), 0u) << "JtcSystem::accumulatedWindowFromSpectraInto allocated in "
+               "steady state";
 }
 
 TEST(AllocPins, SlidingCorrelationInto)

@@ -232,6 +232,43 @@ TEST(PhotoFourierEngine, DeeperTemporalAccumulationBeatsShallow)
     EXPECT_LT(rmse_at_depth(16), rmse_at_depth(1));
 }
 
+TEST(PhotoFourierEngine, FourierPlaneGroupsMatchPerChannelReadout)
+{
+    // The FFT and optical backends sum each temporal-accumulation
+    // group's channels in the Fourier plane, one inverse transform per
+    // (tile, output channel, polarity, group). With ideal converters
+    // and no noise the readout is linear, so N_TA = 4 (groups of four)
+    // must match N_TA = 1 (every channel read on its own) up to the
+    // rounding of the reordered sums: within 1e-12 of the output peak.
+    // Four output channels put the layer above the parallel dispatch
+    // threshold, so output-channel jobs read one group's tiles at once.
+    pf::Rng rng(7);
+    const auto input = randomTensor(rng, 8, 12, 12, 0.0, 1.0);
+    std::vector<nn::Tensor> weights;
+    for (int oc = 0; oc < 4; ++oc)
+        weights.push_back(randomTensor(rng, 8, 3, 3, -0.5, 0.5));
+    const std::vector<double> bias{0.1, -0.2, 0.0, 0.3};
+    for (bool optical : {false, true}) {
+        auto convolveAt = [&](size_t depth) {
+            nn::PhotoFourierEngineConfig cfg;
+            cfg.dac_bits = 0;
+            cfg.adc_bits = 0;
+            cfg.temporal_accumulation_depth = depth;
+            cfg.optical_backend = optical;
+            cfg.conv_path = nn::ConvPath::Fft;
+            return nn::PhotoFourierEngine(cfg).convolve(
+                input, weights, bias, 1, sig::ConvMode::Same);
+        };
+        const nn::Tensor grouped = convolveAt(4);
+        const nn::Tensor each = convolveAt(1);
+        ASSERT_EQ(grouped.size(), each.size());
+        const double bound = 1e-12 * each.maxAbs();
+        for (size_t i = 0; i < each.size(); ++i)
+            ASSERT_NEAR(grouped.data()[i], each.data()[i], bound)
+                << (optical ? "optical" : "fft") << " output " << i;
+    }
+}
+
 TEST(Conv2d, GradientCheckWeightsAndInput)
 {
     pf::Rng rng(7);
@@ -1187,9 +1224,9 @@ recordedDigests()
           0xe89f27caeebfa418ull, // direct n_conv=12 adc=0
           0x1614c0ea112b5dd1ull, // direct n_conv=12 noise adc=0
           0xb078c6aad57de42cull, // direct n_conv=12 noise adc=8
-          0x9cd97299768ef796ull, // fft n_conv=256 adc=0
-          0xa9c1ff880ade0f80ull, // fft n_conv=256 noise adc=0
-          0x5e60d16c2a9e89b6ull, // fft n_conv=256 noise adc=8
+          0x97211385e2ccc07aull, // fft n_conv=256 adc=0
+          0x353ccd689b722669ull, // fft n_conv=256 noise adc=0
+          0x815cdd95269433f6ull, // fft n_conv=256 noise adc=8
           0x8e2319ff2b8a4827ull, // fft n_conv=48 adc=0
           0x50f88a32d46d75deull, // fft n_conv=48 noise adc=0
           0x19a425ab47616dbdull, // fft n_conv=48 noise adc=8
@@ -1205,9 +1242,9 @@ recordedDigests()
           0xe89f27caeebfa418ull, // auto n_conv=12 adc=0
           0x1614c0ea112b5dd1ull, // auto n_conv=12 noise adc=0
           0xb078c6aad57de42cull, // auto n_conv=12 noise adc=8
-          0xb87b1183bef7218cull, // optical n_conv=256 adc=0
-          0xd0757499586b87c7ull, // optical n_conv=256 noise adc=0
-          0x45262b47bd068c8eull, // optical n_conv=256 noise adc=8
+          0x5ae8d4a0f65b28edull, // optical n_conv=256 adc=0
+          0x1099e8f1598d990full, // optical n_conv=256 noise adc=0
+          0xf537e24a7e4f3333ull, // optical n_conv=256 noise adc=8
           0x274a537782e2c7d9ull, // optical n_conv=48 adc=0
           0xfac4eeee4319b479ull, // optical n_conv=48 noise adc=0
           0x54bb263080983c35ull, // optical n_conv=48 noise adc=8
@@ -1226,9 +1263,9 @@ recordedDigests()
           0x5cb94c58b45f6c1dull, // direct n_conv=12 adc=0
           0xb7f25323f7b58c6ull, // direct n_conv=12 noise adc=0
           0xe5a8f0c6942bed54ull, // direct n_conv=12 noise adc=8
-          0xb501d39ac74804ccull, // fft n_conv=256 adc=0
-          0x42796668ba7a67caull, // fft n_conv=256 noise adc=0
-          0x832575352e6fefd5ull, // fft n_conv=256 noise adc=8
+          0x50d36079b311ad2cull, // fft n_conv=256 adc=0
+          0xa4444f66679ba558ull, // fft n_conv=256 noise adc=0
+          0xd96986952cff6ecdull, // fft n_conv=256 noise adc=8
           0x3bb96adc186bbf31ull, // fft n_conv=48 adc=0
           0x58d4d7bc6d1646fcull, // fft n_conv=48 noise adc=0
           0x3b9c5656a23a08d4ull, // fft n_conv=48 noise adc=8
@@ -1244,9 +1281,9 @@ recordedDigests()
           0x5cb94c58b45f6c1dull, // auto n_conv=12 adc=0
           0xb7f25323f7b58c6ull, // auto n_conv=12 noise adc=0
           0xe5a8f0c6942bed54ull, // auto n_conv=12 noise adc=8
-          0x8199cb9ce9b376adull, // optical n_conv=256 adc=0
-          0x9c433a757c7d81c0ull, // optical n_conv=256 noise adc=0
-          0x85cdce3c913b00f0ull, // optical n_conv=256 noise adc=8
+          0x35db6e1d1095c870ull, // optical n_conv=256 adc=0
+          0x37b1d4d8c61155c6ull, // optical n_conv=256 noise adc=0
+          0x36f7e8d2a697d0b8ull, // optical n_conv=256 noise adc=8
           0x5f66014de787b40aull, // optical n_conv=48 adc=0
           0xe53e3f8ca2d79789ull, // optical n_conv=48 noise adc=0
           0x3a8e2f731f1def4bull, // optical n_conv=48 noise adc=8
@@ -1265,9 +1302,9 @@ recordedDigests()
           0xe89f27caeebfa418ull, // direct n_conv=12 adc=0
           0x1614c0ea112b5dd1ull, // direct n_conv=12 noise adc=0
           0xb078c6aad57de42cull, // direct n_conv=12 noise adc=8
-          0x9cd97299768ef796ull, // fft n_conv=256 adc=0
-          0xa9c1ff880ade0f80ull, // fft n_conv=256 noise adc=0
-          0x5e60d16c2a9e89b6ull, // fft n_conv=256 noise adc=8
+          0x97211385e2ccc07aull, // fft n_conv=256 adc=0
+          0x353ccd689b722669ull, // fft n_conv=256 noise adc=0
+          0x815cdd95269433f6ull, // fft n_conv=256 noise adc=8
           0x8e2319ff2b8a4827ull, // fft n_conv=48 adc=0
           0x50f88a32d46d75deull, // fft n_conv=48 noise adc=0
           0x19a425ab47616dbdull, // fft n_conv=48 noise adc=8
@@ -1283,9 +1320,9 @@ recordedDigests()
           0xe89f27caeebfa418ull, // auto n_conv=12 adc=0
           0x1614c0ea112b5dd1ull, // auto n_conv=12 noise adc=0
           0xb078c6aad57de42cull, // auto n_conv=12 noise adc=8
-          0xb87b1183bef7218cull, // optical n_conv=256 adc=0
-          0xd0757499586b87c7ull, // optical n_conv=256 noise adc=0
-          0x45262b47bd068c8eull, // optical n_conv=256 noise adc=8
+          0x5ae8d4a0f65b28edull, // optical n_conv=256 adc=0
+          0x1099e8f1598d990full, // optical n_conv=256 noise adc=0
+          0xf537e24a7e4f3333ull, // optical n_conv=256 noise adc=8
           0x274a537782e2c7d9ull, // optical n_conv=48 adc=0
           0xfac4eeee4319b479ull, // optical n_conv=48 noise adc=0
           0x54bb263080983c35ull, // optical n_conv=48 noise adc=8
@@ -1304,9 +1341,9 @@ recordedDigests()
           0x5cb94c58b45f6c1dull, // direct n_conv=12 adc=0
           0xb7f25323f7b58c6ull, // direct n_conv=12 noise adc=0
           0xe5a8f0c6942bed54ull, // direct n_conv=12 noise adc=8
-          0xb501d39ac74804ccull, // fft n_conv=256 adc=0
-          0x42796668ba7a67caull, // fft n_conv=256 noise adc=0
-          0x832575352e6fefd5ull, // fft n_conv=256 noise adc=8
+          0x50d36079b311ad2cull, // fft n_conv=256 adc=0
+          0xa4444f66679ba558ull, // fft n_conv=256 noise adc=0
+          0xd96986952cff6ecdull, // fft n_conv=256 noise adc=8
           0x3bb96adc186bbf31ull, // fft n_conv=48 adc=0
           0x58d4d7bc6d1646fcull, // fft n_conv=48 noise adc=0
           0x3b9c5656a23a08d4ull, // fft n_conv=48 noise adc=8
@@ -1322,9 +1359,9 @@ recordedDigests()
           0x5cb94c58b45f6c1dull, // auto n_conv=12 adc=0
           0xb7f25323f7b58c6ull, // auto n_conv=12 noise adc=0
           0xe5a8f0c6942bed54ull, // auto n_conv=12 noise adc=8
-          0x8199cb9ce9b376adull, // optical n_conv=256 adc=0
-          0x9c433a757c7d81c0ull, // optical n_conv=256 noise adc=0
-          0x85cdce3c913b00f0ull, // optical n_conv=256 noise adc=8
+          0x35db6e1d1095c870ull, // optical n_conv=256 adc=0
+          0x37b1d4d8c61155c6ull, // optical n_conv=256 noise adc=0
+          0x36f7e8d2a697d0b8ull, // optical n_conv=256 noise adc=8
           0x5f66014de787b40aull, // optical n_conv=48 adc=0
           0xe53e3f8ca2d79789ull, // optical n_conv=48 noise adc=0
           0x3a8e2f731f1def4bull, // optical n_conv=48 noise adc=8
@@ -1343,9 +1380,9 @@ recordedDigests()
           0xe89f27caeebfa418ull, // direct n_conv=12 adc=0
           0x1614c0ea112b5dd1ull, // direct n_conv=12 noise adc=0
           0xb078c6aad57de42cull, // direct n_conv=12 noise adc=8
-          0xefc4c3291696bcd8ull, // fft n_conv=256 adc=0
-          0xb858343f1fb0be33ull, // fft n_conv=256 noise adc=0
-          0x5e60d16c2a9e89b6ull, // fft n_conv=256 noise adc=8
+          0x39f2a9790c33a3f0ull, // fft n_conv=256 adc=0
+          0xdd31c32ed55b6becull, // fft n_conv=256 noise adc=0
+          0x815cdd95269433f6ull, // fft n_conv=256 noise adc=8
           0x4f0da7f7b9443e68ull, // fft n_conv=48 adc=0
           0x928738fdb90b333bull, // fft n_conv=48 noise adc=0
           0x19a425ab47616dbdull, // fft n_conv=48 noise adc=8
@@ -1361,9 +1398,9 @@ recordedDigests()
           0xe89f27caeebfa418ull, // auto n_conv=12 adc=0
           0x1614c0ea112b5dd1ull, // auto n_conv=12 noise adc=0
           0xb078c6aad57de42cull, // auto n_conv=12 noise adc=8
-          0xc6be7e67afa2bd93ull, // optical n_conv=256 adc=0
-          0x741d10612a074470ull, // optical n_conv=256 noise adc=0
-          0x45262b47bd068c8eull, // optical n_conv=256 noise adc=8
+          0x5ae8d4a0f65b28edull, // optical n_conv=256 adc=0
+          0x1099e8f1598d990full, // optical n_conv=256 noise adc=0
+          0xf537e24a7e4f3333ull, // optical n_conv=256 noise adc=8
           0xff91827ef4af1352ull, // optical n_conv=48 adc=0
           0x918655eb4a7f8724ull, // optical n_conv=48 noise adc=0
           0xc2ffaac6128ece38ull, // optical n_conv=48 noise adc=8
@@ -1382,9 +1419,9 @@ recordedDigests()
           0x5cb94c58b45f6c1dull, // direct n_conv=12 adc=0
           0xb7f25323f7b58c6ull, // direct n_conv=12 noise adc=0
           0xe5a8f0c6942bed54ull, // direct n_conv=12 noise adc=8
-          0xb501d39ac74804ccull, // fft n_conv=256 adc=0
-          0x42796668ba7a67caull, // fft n_conv=256 noise adc=0
-          0x832575352e6fefd5ull, // fft n_conv=256 noise adc=8
+          0x50d36079b311ad2cull, // fft n_conv=256 adc=0
+          0xa4444f66679ba558ull, // fft n_conv=256 noise adc=0
+          0xd96986952cff6ecdull, // fft n_conv=256 noise adc=8
           0x3bb96adc186bbf31ull, // fft n_conv=48 adc=0
           0x58d4d7bc6d1646fcull, // fft n_conv=48 noise adc=0
           0x3b9c5656a23a08d4ull, // fft n_conv=48 noise adc=8
@@ -1400,9 +1437,9 @@ recordedDigests()
           0x5cb94c58b45f6c1dull, // auto n_conv=12 adc=0
           0xb7f25323f7b58c6ull, // auto n_conv=12 noise adc=0
           0xe5a8f0c6942bed54ull, // auto n_conv=12 noise adc=8
-          0x8199cb9ce9b376adull, // optical n_conv=256 adc=0
-          0x9c433a757c7d81c0ull, // optical n_conv=256 noise adc=0
-          0x85cdce3c913b00f0ull, // optical n_conv=256 noise adc=8
+          0x35db6e1d1095c870ull, // optical n_conv=256 adc=0
+          0x37b1d4d8c61155c6ull, // optical n_conv=256 noise adc=0
+          0x36f7e8d2a697d0b8ull, // optical n_conv=256 noise adc=8
           0x5f66014de787b40aull, // optical n_conv=48 adc=0
           0xe53e3f8ca2d79789ull, // optical n_conv=48 noise adc=0
           0x3a8e2f731f1def4bull, // optical n_conv=48 noise adc=8

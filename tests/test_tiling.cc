@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 
 #include "counting_alloc.hh"
 
@@ -701,7 +702,8 @@ TEST(Conv1dBackendHalves, PreparedTileTimesKernelsMatchesOneKernelCalls)
 
             std::vector<double> prepared, solo;
             for (size_t j = 0; j < kernels.size(); ++j) {
-                nb.backend.window(tile, bank, index[j], prepared);
+                const tl::ChannelTerm term{&tile, index[j]};
+                nb.backend.window({&term, 1}, bank, prepared);
                 nb.backend(s, kernels[j], shape.start, shape.count, solo);
                 ASSERT_EQ(prepared.size(), solo.size());
                 for (size_t i = 0; i < solo.size(); ++i)
@@ -753,8 +755,8 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
             for (size_t j = 0; j < kernels.size(); ++j) {
                 prepared.resize(conv.plan().output_rows,
                                 conv.plan().output_cols);
-                conv.executePrepared(tiles, bank, first[j], prepared.data,
-                                     ws);
+                conv.executePrepared({&tiles, 1}, bank, first[j], 0,
+                                     prepared.data, ws);
                 const sig::Matrix solo = conv.execute(input, kernels[j]);
                 ASSERT_EQ(prepared.rows, solo.rows);
                 ASSERT_EQ(prepared.cols, solo.cols);
@@ -762,11 +764,257 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
                     ASSERT_EQ(prepared.data[i], solo.data[i])
                         << nb.name << " si=" << g.si << " n_conv="
                         << g.n_conv << " kernel " << j << " sample " << i;
-                conv.executePrepared(tiles, bank, first[j], prepared.data,
-                                     ws);
+                conv.executePrepared({&tiles, 1}, bank, first[j], 0,
+                                     prepared.data, ws);
                 for (size_t i = 0; i < solo.data.size(); ++i)
                     ASSERT_EQ(prepared.data[i], 2.0 * solo.data[i])
                         << nb.name << " second pass, kernel " << j
+                        << " sample " << i;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Channel groups: window() over a temporal-accumulation group is the sum
+// of the channels' windows. The sliding paths (and the noisy JTC) add
+// the per-channel windows in ascending order, bit for bit; the FFT path
+// and the noiseless Linear JTC sum in the Fourier plane, one inverse
+// transform per group, which moves only the rounding.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Bound on a Fourier-plane group sum against the per-channel sum:
+ * max |difference| <= kGroupSumRelTol * max |per-channel sum|. The
+ * group sum reorders additions inside one inverse transform, so the
+ * difference is a few ulps of the transform's largest term: about
+ * 1e-14 of the window peak on the JTC (whose DC-dominated intensities
+ * sum over the group) and 1e-15 on the FFT path.
+ */
+constexpr double kGroupSumRelTol = 1e-12;
+
+double
+maxAbsOf(const std::vector<double> &v)
+{
+    double m = 0.0;
+    for (double x : v)
+        m = std::max(m, std::abs(x));
+    return m;
+}
+
+/** A channel group's operands, prepared through one backend. */
+struct PreparedGroup
+{
+    std::vector<std::vector<double>> signals;
+    std::vector<std::vector<double>> kernels;
+    tl::KernelBank bank;
+    std::vector<tl::PreparedTile> tiles;
+    std::vector<tl::ChannelTerm> terms;
+
+    PreparedGroup(const tl::Conv1dBackend &backend, pf::Rng &rng,
+                  size_t channels, size_t n, size_t k, long start,
+                  size_t count, bool non_negative_input)
+        : tiles(channels)
+    {
+        const size_t counts[] = {count};
+        for (size_t c = 0; c < channels; ++c) {
+            signals.push_back(rng.uniformVector(
+                n, non_negative_input ? 0.0 : -1.0, 1.0));
+            // Signed and non-negative kernels, with tiled-kernel gaps.
+            kernels.push_back(
+                rng.uniformVector(k, c % 2 ? -0.5 : 0.0, 0.5));
+            for (size_t t = 0; t < k; t += 3)
+                kernels.back()[t] = 0.0;
+        }
+        for (size_t c = 0; c < channels; ++c)
+            backend.prepareKernel(kernels[c], n, counts, bank);
+        for (size_t c = 0; c < channels; ++c) {
+            tl::PreparedTile &tile = tiles[c];
+            tile.samples = signals[c];
+            tile.start = start;
+            tile.count = count;
+            tile.kernel_len = k;
+            backend.prepareTile(tile, bank.needs_tile_spectra);
+            terms.push_back({&tile, c});
+        }
+    }
+};
+
+struct GroupShape
+{
+    size_t n, k;
+    long start;
+    size_t count;
+};
+
+const GroupShape kGroupShapes[] = {
+    {256, 67, -1, 192}, {64, 9, -4, 80}, {512, 129, 0, 384},
+};
+
+} // namespace
+
+TEST(Conv1dBackendGroups, JtcGroupSumMatchesSummedCorrelationWindows)
+{
+    // The engine's optics: Linear readout, noise off. Each channel's
+    // reference window is JtcSystem::correlationWindowInto, signed
+    // kernels as a pseudo-negative pair.
+    const tl::Conv1dBackend backend = tl::jtcBackend();
+    const jtc::JtcSystem optics;
+    pf::Rng rng(330);
+    for (const GroupShape &shape : kGroupShapes) {
+        for (size_t channels : {1, 2, 4, 16}) {
+            PreparedGroup group(backend, rng, channels, shape.n, shape.k,
+                                shape.start, shape.count, true);
+            ASSERT_TRUE(group.bank.fourier_sum);
+            std::vector<double> out;
+            backend.window(group.terms, group.bank, out);
+
+            std::vector<double> ref(shape.count, 0.0), window, negative;
+            for (size_t c = 0; c < channels; ++c) {
+                std::vector<double> pos = group.kernels[c];
+                std::vector<double> neg(pos.size(), 0.0);
+                bool signed_kernel = false;
+                for (size_t t = 0; t < pos.size(); ++t) {
+                    if (pos[t] < 0.0) {
+                        neg[t] = -pos[t];
+                        pos[t] = 0.0;
+                        signed_kernel = true;
+                    }
+                }
+                optics.correlationWindowInto(group.signals[c], pos,
+                                             shape.count, shape.start,
+                                             window);
+                if (signed_kernel) {
+                    optics.correlationWindowInto(group.signals[c], neg,
+                                                 shape.count, shape.start,
+                                                 negative);
+                    for (size_t i = 0; i < window.size(); ++i)
+                        window[i] -= negative[i];
+                }
+                for (size_t i = 0; i < ref.size(); ++i)
+                    ref[i] += window[i];
+            }
+            ASSERT_EQ(out.size(), ref.size());
+            const double bound = kGroupSumRelTol * maxAbsOf(ref);
+            for (size_t i = 0; i < ref.size(); ++i) {
+                // A group of one is the one-channel readout itself.
+                if (channels == 1)
+                    ASSERT_EQ(out[i], ref[i]) << "n=" << shape.n
+                                              << " sample " << i;
+                else
+                    ASSERT_NEAR(out[i], ref[i], bound)
+                        << "n=" << shape.n << " channels " << channels
+                        << " sample " << i;
+            }
+        }
+    }
+}
+
+TEST(Conv1dBackendGroups, GroupWindowsMatchPerChannelSums)
+{
+    // Per channel, window() over a group of one; the group's window
+    // against their ascending sum. CPU, Auto, the noisy JTC and the
+    // varied CPU sum those windows themselves (bit-identical); the FFT
+    // paths and the noiseless JTC sum in the Fourier plane (bounded).
+    pf::Rng rng(331);
+    for (const NamedBackend &nb : everyBackend()) {
+        const bool fourier = nb.name == std::string("fft") ||
+                             nb.name == std::string("fft cached") ||
+                             nb.name == std::string("jtc") ||
+                             nb.name == std::string("varied jtc");
+        for (const GroupShape &shape : kGroupShapes) {
+            for (size_t channels : {2, 5}) {
+                PreparedGroup group(nb.backend, rng, channels, shape.n,
+                                    shape.k, shape.start, shape.count,
+                                    nb.non_negative_input);
+                EXPECT_EQ(group.bank.fourier_sum, fourier) << nb.name;
+                std::vector<double> out, ref, window;
+                nb.backend.window(group.terms, group.bank, out);
+                for (size_t c = 0; c < channels; ++c) {
+                    nb.backend.window({&group.terms[c], 1}, group.bank,
+                                      window);
+                    if (c == 0) {
+                        ref = window;
+                        continue;
+                    }
+                    for (size_t i = 0; i < ref.size(); ++i)
+                        ref[i] += window[i];
+                }
+                ASSERT_EQ(out.size(), ref.size());
+                const double bound = kGroupSumRelTol * maxAbsOf(ref);
+                for (size_t i = 0; i < ref.size(); ++i) {
+                    if (fourier)
+                        ASSERT_NEAR(out[i], ref[i], bound)
+                            << nb.name << " n=" << shape.n << " channels "
+                            << channels << " sample " << i;
+                    else
+                        ASSERT_EQ(out[i], ref[i])
+                            << nb.name << " n=" << shape.n << " channels "
+                            << channels << " sample " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(TiledConvolutionHalves, InputPlaneGroupsMatchPerPlaneAccumulation)
+{
+    // executePrepared over several input planes (the engine's channel
+    // group) against one call per plane in ascending order. Row tiling
+    // hands the backend whole groups; the per-row variants run plane by
+    // plane, so only row tiling on a Fourier-summing backend moves.
+    struct Geometry { size_t si, sk, n_conv, stride; sig::ConvMode mode; };
+    const Geometry cases[] = {
+        {16, 5, 256, 1, sig::ConvMode::Same},  // row tiling, short last
+        {16, 5, 48, 2, sig::ConvMode::Same},   // partial row tiling
+        {16, 5, 12, 1, sig::ConvMode::Valid},  // row partitioning
+    };
+    const size_t planes = 3;
+    pf::Rng rng(332);
+    for (const NamedBackend &nb : everyBackend()) {
+        for (const Geometry &g : cases) {
+            tl::TilingParams p{.input_size = g.si, .kernel_size = g.sk,
+                               .n_conv = g.n_conv, .mode = g.mode,
+                               .stride = g.stride};
+            const tl::TiledConvolution conv(p, nb.backend);
+            tl::KernelBank bank;
+            std::vector<tl::TiledInput> inputs(planes);
+            for (size_t c = 0; c < planes; ++c)
+                conv.prepareKernel(randomMatrix(rng, g.sk, g.sk, -0.5, 0.5),
+                                   bank);
+            for (size_t c = 0; c < planes; ++c)
+                conv.prepareInput(
+                    randomMatrix(rng, g.si, g.si,
+                                 nb.non_negative_input ? 0.0 : -1.0, 1.0),
+                    inputs[c], bank.needs_tile_spectra);
+            const bool row_tiling =
+                conv.plan().variant == tl::Variant::RowTiling;
+            const bool grouped = row_tiling && bank.fourier_sum;
+            EXPECT_EQ(conv.groupChannels(bank, 4), grouped ? 4u : 1u)
+                << nb.name << " n_conv=" << g.n_conv;
+
+            const size_t stride = conv.kernelGroups();
+            tl::ConvWorkspace ws;
+            sig::Matrix group, each;
+            group.resize(conv.plan().output_rows, conv.plan().output_cols);
+            each.resize(conv.plan().output_rows, conv.plan().output_cols);
+            conv.executePrepared(inputs, bank, 0, stride, group.data, ws);
+            for (size_t c = 0; c < planes; ++c)
+                conv.executePrepared({&inputs[c], 1}, bank, c * stride, 0,
+                                     each.data, ws);
+            double peak = 0.0;
+            for (double v : each.data)
+                peak = std::max(peak, std::abs(v));
+            for (size_t i = 0; i < each.data.size(); ++i) {
+                if (grouped)
+                    ASSERT_NEAR(group.data[i], each.data[i],
+                                kGroupSumRelTol * peak)
+                        << nb.name << " sample " << i;
+                else
+                    ASSERT_EQ(group.data[i], each.data[i])
+                        << nb.name << " n_conv=" << g.n_conv
                         << " sample " << i;
             }
         }
