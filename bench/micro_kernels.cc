@@ -841,6 +841,35 @@ BM_TransposeIntoVector(benchmark::State &state)
 }
 BENCHMARK(BM_TransposeIntoVector)->Arg(64)->Arg(256);
 
+static void
+BM_JointIntensitySum(benchmark::State &state)
+{
+    // The optical path's group intensity sum at the active level:
+    // range(0) channels of range(1)-bin joint-field half-spectra (1025
+    // bins: a 2048-sample JTC plane), summed into one half-spectrum.
+    const size_t channels = static_cast<size_t>(state.range(0));
+    const size_t n = static_cast<size_t>(state.range(1));
+    std::vector<sig::ComplexVector> s, k;
+    std::vector<const double *> sp, kp;
+    for (size_t c = 0; c < channels; ++c) {
+        s.push_back(randomComplex(n));
+        k.push_back(randomComplex(n));
+    }
+    for (size_t c = 0; c < channels; ++c) {
+        sp.push_back(reinterpret_cast<const double *>(s[c].data()));
+        kp.push_back(reinterpret_cast<const double *>(k[c].data()));
+    }
+    sig::ComplexVector out(n);
+    const pf::simd::Kernels &kern = pf::simd::kernels();
+    for (auto _ : state) {
+        kern.jointIntensitySum(sp.data(), kp.data(), channels, n,
+                               reinterpret_cast<double *>(out.data()));
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_JointIntensitySum)->Args({1, 1025})->Args({16, 1025});
+
 int
 main(int argc, char **argv)
 {

@@ -228,12 +228,29 @@ transposeComplexScalar(const double *in, size_t rows, size_t cols,
     }
 }
 
+void
+jointIntensitySumScalar(const double *const *s, const double *const *k,
+                        size_t channels, size_t n, double *out)
+{
+    for (size_t i = 0; i < n; ++i) {
+        double acc = 0.0;
+        for (size_t c = 0; c < channels; ++c) {
+            const double re = s[c][2 * i] + k[c][2 * i];
+            const double im = s[c][2 * i + 1] + k[c][2 * i + 1];
+            acc += re * re + im * im;
+        }
+        out[2 * i] = acc;
+        out[2 * i + 1] = 0.0;
+    }
+}
+
 constexpr Kernels kScalarKernels = {
     butterflyStageScalar,     deinterleaveScalar,
     interleaveScalar,         scaleInPlaceScalar,
     realUntangleForwardScalar, realUntangleInverseScalar,
     complexMulInPlaceScalar,  complexMacIntoScalar,
     slidingDotScalar,         transposeComplexScalar,
+    jointIntensitySumScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -246,14 +263,101 @@ constexpr Kernels kScalarKernels = {
 
 #define PF_AVX2 __attribute__((target("avx2,fma")))
 
+/**
+ * AVX2 without FMA, never inlined: with no FMA instruction to target,
+ * the compiler cannot fuse a kernel's separate multiplies and adds, so
+ * its results are the scalar kernel's bit for bit. (Intrinsic mul and
+ * add are plain vector arithmetic to GCC, which contracts them in an
+ * FMA-enabled function.)
+ */
+#define PF_AVX2_EXACT __attribute__((target("avx2"), noinline))
+
+/**
+ * One radix-2 butterfly on four lanes, in place: v = x * w, then
+ * (u, x) = (u + v, u - v), the scalar stage's arithmetic.
+ */
+__attribute__((target("avx2"))) inline void
+butterflyLanesAvx2(__m256d &ur, __m256d &ui, __m256d &xr, __m256d &xi,
+                   __m256d wr, __m256d wi)
+{
+    const __m256d vr =
+        _mm256_sub_pd(_mm256_mul_pd(xr, wr), _mm256_mul_pd(xi, wi));
+    const __m256d vi =
+        _mm256_add_pd(_mm256_mul_pd(xr, wi), _mm256_mul_pd(xi, wr));
+    xr = _mm256_sub_pd(ur, vr);
+    xi = _mm256_sub_pd(ui, vi);
+    ur = _mm256_add_pd(ur, vr);
+    ui = _mm256_add_pd(ui, vi);
+}
+
+/** The half = 1 stage, n a multiple of 8. Blocks (0 1) (2 3) (4 5)
+ *  (6 7) of one step: u = 0 4 2 6, x = 1 5 3 7. */
+PF_AVX2_EXACT void
+butterflyHalf1Avx2(double *re, double *im, size_t n, const double *twre,
+                   const double *twim)
+{
+    const __m256d wr = _mm256_set1_pd(twre[0]);
+    const __m256d wi = _mm256_set1_pd(twim[0]);
+    for (size_t i = 0; i < n; i += 8) {
+        const __m256d r0 = _mm256_loadu_pd(re + i);
+        const __m256d r1 = _mm256_loadu_pd(re + i + 4);
+        const __m256d i0 = _mm256_loadu_pd(im + i);
+        const __m256d i1 = _mm256_loadu_pd(im + i + 4);
+        __m256d ur = _mm256_unpacklo_pd(r0, r1);
+        __m256d xr = _mm256_unpackhi_pd(r0, r1);
+        __m256d ui = _mm256_unpacklo_pd(i0, i1);
+        __m256d xi = _mm256_unpackhi_pd(i0, i1);
+        butterflyLanesAvx2(ur, ui, xr, xi, wr, wi);
+        _mm256_storeu_pd(re + i, _mm256_unpacklo_pd(ur, xr));
+        _mm256_storeu_pd(re + i + 4, _mm256_unpackhi_pd(ur, xr));
+        _mm256_storeu_pd(im + i, _mm256_unpacklo_pd(ui, xi));
+        _mm256_storeu_pd(im + i + 4, _mm256_unpackhi_pd(ui, xi));
+    }
+}
+
+/** The half = 2 stage, n a multiple of 8. Blocks (0 1 2 3) (4 5 6 7)
+ *  of one step: u = 0 1 4 5, x = 2 3 6 7. */
+PF_AVX2_EXACT void
+butterflyHalf2Avx2(double *re, double *im, size_t n, const double *twre,
+                   const double *twim)
+{
+    const __m256d wr = _mm256_setr_pd(twre[0], twre[1], twre[0], twre[1]);
+    const __m256d wi = _mm256_setr_pd(twim[0], twim[1], twim[0], twim[1]);
+    for (size_t i = 0; i < n; i += 8) {
+        const __m256d r0 = _mm256_loadu_pd(re + i);
+        const __m256d r1 = _mm256_loadu_pd(re + i + 4);
+        const __m256d i0 = _mm256_loadu_pd(im + i);
+        const __m256d i1 = _mm256_loadu_pd(im + i + 4);
+        __m256d ur = _mm256_permute2f128_pd(r0, r1, 0x20);
+        __m256d xr = _mm256_permute2f128_pd(r0, r1, 0x31);
+        __m256d ui = _mm256_permute2f128_pd(i0, i1, 0x20);
+        __m256d xi = _mm256_permute2f128_pd(i0, i1, 0x31);
+        butterflyLanesAvx2(ur, ui, xr, xi, wr, wi);
+        _mm256_storeu_pd(re + i, _mm256_permute2f128_pd(ur, xr, 0x20));
+        _mm256_storeu_pd(re + i + 4, _mm256_permute2f128_pd(ur, xr, 0x31));
+        _mm256_storeu_pd(im + i, _mm256_permute2f128_pd(ui, xi, 0x20));
+        _mm256_storeu_pd(im + i + 4, _mm256_permute2f128_pd(ui, xi, 0x31));
+    }
+}
+
 PF_AVX2 void
 butterflyStageAvx2(double *re, double *im, size_t n, size_t half,
                    const double *twre, const double *twim)
 {
-    // half is a power of two: below the vector width the scalar loop
-    // handles the whole (tiny) stage, at or above it divides evenly.
-    if (half < 4) {
+    // half is a power of two. Stages narrower than the vector width
+    // shuffle whole blocks into the lanes, eight elements per step;
+    // the scalar loop takes them when n is not a multiple of 8. From
+    // half = 4 up, each block divides into vectors evenly.
+    if (half < 4 && n % 8 != 0) {
         butterflyStageScalar(re, im, n, half, twre, twim);
+        return;
+    }
+    if (half == 1) {
+        butterflyHalf1Avx2(re, im, n, twre, twim);
+        return;
+    }
+    if (half == 2) {
+        butterflyHalf2Avx2(re, im, n, twre, twim);
         return;
     }
     const size_t len = 2 * half;
@@ -561,6 +665,51 @@ transposeComplexAvx2(const double *in, size_t rows, size_t cols,
     }
 }
 
+PF_AVX2_EXACT void
+jointIntensitySumAvx2(const double *const *s, const double *const *k,
+                      size_t channels, size_t n, double *out)
+{
+    // Eight bins per step, the channels inside it, so the sums stay in
+    // two registers and `out` is written once. hadd adds each bin's
+    // re^2 and im^2 (lanes: bins 0 2 1 3); the unpacks against zero
+    // restore bin order and write the zero imaginary parts.
+    const __m256d zero = _mm256_setzero_pd();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m256d acc0 = zero;
+        __m256d acc1 = zero;
+        for (size_t c = 0; c < channels; ++c) {
+            const double *sc = s[c] + 2 * i;
+            const double *kc = k[c] + 2 * i;
+            __m256d f[4];
+            for (size_t v = 0; v < 4; ++v) {
+                f[v] = _mm256_add_pd(_mm256_loadu_pd(sc + 4 * v),
+                                     _mm256_loadu_pd(kc + 4 * v));
+                f[v] = _mm256_mul_pd(f[v], f[v]);
+            }
+            acc0 = _mm256_add_pd(acc0, _mm256_hadd_pd(f[0], f[1]));
+            acc1 = _mm256_add_pd(acc1, _mm256_hadd_pd(f[2], f[3]));
+        }
+        _mm256_storeu_pd(out + 2 * i, _mm256_unpacklo_pd(acc0, zero));
+        _mm256_storeu_pd(out + 2 * i + 4, _mm256_unpackhi_pd(acc0, zero));
+        _mm256_storeu_pd(out + 2 * i + 8, _mm256_unpacklo_pd(acc1, zero));
+        _mm256_storeu_pd(out + 2 * i + 12,
+                         _mm256_unpackhi_pd(acc1, zero));
+    }
+    // Leftover bins one at a time, in the same operations.
+    for (; i < n; ++i) {
+        __m128d acc = _mm_setzero_pd();
+        for (size_t c = 0; c < channels; ++c) {
+            __m128d f = _mm_add_pd(_mm_loadu_pd(s[c] + 2 * i),
+                                   _mm_loadu_pd(k[c] + 2 * i));
+            f = _mm_mul_pd(f, f);
+            acc = _mm_add_sd(acc, _mm_hadd_pd(f, f));
+        }
+        _mm_storeu_pd(out + 2 * i, _mm_unpacklo_pd(acc, _mm_setzero_pd()));
+    }
+}
+
+#undef PF_AVX2_EXACT
 #undef PF_AVX2
 
 constexpr Kernels kAvx2Kernels = {
@@ -569,6 +718,7 @@ constexpr Kernels kAvx2Kernels = {
     realUntangleForwardAvx2, realUntangleInverseAvx2,
     complexMulInPlaceAvx2,  complexMacIntoAvx2,
     slidingDotAvx2,         transposeComplexAvx2,
+    jointIntensitySumAvx2,
 };
 
 #endif // PF_SIMD_X86
@@ -840,6 +990,9 @@ constexpr Kernels kNeonKernels = {
     realUntangleForwardNeon, realUntangleInverseNeon,
     complexMulInPlaceNeon,  complexMacIntoNeon,
     slidingDotNeon,         transposeComplexNeon,
+    // No AArch64 host has verified a vector version of this exact
+    // loop; the scalar one is the reference either way.
+    jointIntensitySumScalar,
 };
 
 #endif // PF_SIMD_NEON

@@ -5,7 +5,8 @@
  * Every digital and optical path in the simulator funnels through a
  * handful of inner loops — the radix-2 butterfly passes, the r2c/c2r
  * Hermitian untangle, the sliding dot product, the cache-blocked
- * complex transpose, and the pointwise spectral multiplies. This
+ * complex transpose, the pointwise spectral multiplies, and the JTC's
+ * Fourier-plane intensity summed over a channel group. This
  * module provides those loops in three flavors behind one function-
  * pointer table:
  *
@@ -41,6 +42,11 @@
  * untangle, spectral multiplies) and 8 * eps * n_taps * max|s|*max|k|
  * for the sliding dot product. Exact zeros (untouched taps, padding)
  * stay exact zeros at every level.
+ *
+ * Exact kernels, pinned bit for bit by the same suite: the interleave
+ * round trip (pure data movement), jointIntensitySum at every level
+ * (separate multiplies and adds, channels summed in ascending order),
+ * and the AVX2 butterfly stages with half = 1 and half = 2.
  */
 
 #ifndef PHOTOFOURIER_ARCH_SIMD_HH
@@ -182,6 +188,22 @@ struct Kernels
      */
     void (*transposeComplex)(const double *in, size_t rows,
                              size_t cols, double *out);
+
+    /**
+     * The Fourier-plane intensity a group of joint fields integrates
+     * on one photodetector row (JTC temporal accumulation):
+     *
+     *   out[i] = (sum_c |s[c][i] + k[c][i]|^2, 0)
+     *
+     * for i in [0, n). s and k each hold `channels` (>= 1) pointers to
+     * n interleaved complexes. Channels are summed in ascending order
+     * and each term is re*re + im*im, never fused into an FMA, so
+     * every level is bit-identical to the scalar loop. out (n
+     * complexes) aliases no input.
+     */
+    void (*jointIntensitySum)(const double *const *s,
+                              const double *const *k, size_t channels,
+                              size_t n, double *out);
 };
 
 /**

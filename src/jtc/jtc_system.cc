@@ -309,8 +309,8 @@ void
 JtcSystem::accumulatedWindowFromSpectraInto(
     std::span<const signal::ComplexVector *const> signal_spectra,
     std::span<const signal::ComplexVector *const> kernel_spectra,
-    const JtcPlaneLayout &layout, size_t count, long start,
-    std::vector<double> &out) const
+    const JtcPlaneLayout &layout, const signal::FftPlan &plan,
+    size_t count, long start, std::vector<double> &out) const
 {
     pf_assert(config_.readout == ReadoutModel::Linear && !config_.noise,
               "Fourier-plane accumulation needs the noiseless Linear "
@@ -320,27 +320,31 @@ JtcSystem::accumulatedWindowFromSpectraInto(
               "a group of ", signal_spectra.size(), " signals and ",
               kernel_spectra.size(), " kernels");
     const size_t n = layout.plane_size;
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half_n = plan->halfSpectrumSize();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-    // The integrated intensity, real and even-symmetric: its stored
-    // half is the output plane's half-spectrum, as in detectPlane.
-    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
+    pf_assert(plan.size() == n, "a ", plan.size(), "-point plan for the ",
+              n, "-sample plane");
+    const size_t half_n = plan.halfSpectrumSize();
+    // The kernel reads each channel's spectra through raw pointers,
+    // per-thread scratch that keeps its capacity.
+    static thread_local std::vector<const double *> signals, kernels;
+    signals.clear();
+    kernels.clear();
     for (size_t c = 0; c < signal_spectra.size(); ++c) {
         const signal::ComplexVector &s = *signal_spectra[c];
         const signal::ComplexVector &k = *kernel_spectra[c];
         pf_assert(s.size() == half_n && k.size() == half_n,
                   "spectra do not match the ", n, "-sample plane");
-        if (c == 0) {
-            for (size_t i = 0; i < half_n; ++i)
-                field[i] = signal::Complex(std::norm(s[i] + k[i]), 0.0);
-        } else {
-            for (size_t i = 0; i < half_n; ++i)
-                field[i] += std::norm(s[i] + k[i]);
-        }
+        signals.push_back(reinterpret_cast<const double *>(s.data()));
+        kernels.push_back(reinterpret_cast<const double *>(k.data()));
     }
+    signal::FftWorkspace &ws = signal::threadFftWorkspace();
+    // The integrated intensity, real and even-symmetric: its stored
+    // half is the output plane's half-spectrum, as in detectPlane.
+    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
+    simd::kernels().jointIntensitySum(
+        signals.data(), kernels.data(), signals.size(), half_n,
+        reinterpret_cast<double *>(field.data()));
     std::vector<double> &plane = ws.realBuffer(kSlotJtcOutPlane, n);
-    plan->executeRealInverse(field.data(), plane.data());
+    plan.executeRealInverse(field.data(), plane.data());
     readWindow(plane, layout, count, start, out);
 }
 

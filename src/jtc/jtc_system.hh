@@ -37,6 +37,7 @@
 
 #include "photonics/photodetector.hh"
 #include "signal/fft.hh"
+#include "signal/fft_plan.hh"
 #include "signal/plane_spectrum_cache.hh"
 
 namespace photofourier {
@@ -225,15 +226,19 @@ class JtcSystem
      * rounding, for one inverse transform instead of one per field; a
      * group of one is bit-identical to it. Linear readout with noise
      * off only: sensing noise and the square law act per field.
-     * Allocation-free in steady state.
+     * `plan` is fftPlanFor(layout.plane_size), resolved by the caller
+     * once for every window on the layout. The intensity sum runs in
+     * simd::Kernels::jointIntensitySum, exact at every dispatch
+     * level. Allocation-free in steady state.
      */
     void accumulatedWindowFromSpectraInto(
         std::span<const signal::ComplexVector *const> signal_spectra,
         std::span<const signal::ComplexVector *const> kernel_spectra,
-        const JtcPlaneLayout &layout, size_t count, long start,
-        std::vector<double> &out) const;
+        const JtcPlaneLayout &layout, const signal::FftPlan &plan,
+        size_t count, long start, std::vector<double> &out) const;
 
-    /** Layout used for the most recent evaluation sizes. */
+    /** The non-aliasing layout for correlating `s` with `k`:
+     *  JtcPlaneLayout::design(s.size(), k.size()). */
     static JtcPlaneLayout layoutFor(const std::vector<double> &s,
                                     const std::vector<double> &k);
 

@@ -510,12 +510,13 @@ class JtcImpl final : public Conv1dBackend::Impl
                       "optical backend requires non-negative inputs "
                       "(got ", v, ")");
         }
-        // The signal-plane lens transform, once for every kernel.
-        optics_.signalSpectrumInto(
-            tile.samples,
-            jtc::JtcPlaneLayout::design(tile.samples.size(),
-                                        tile.kernel_len),
-            tile.spectrum);
+        // The plane geometry, its plan and the signal-plane lens
+        // transform, once for every kernel and window.
+        tile.jtc_layout = jtc::JtcPlaneLayout::design(tile.samples.size(),
+                                                      tile.kernel_len);
+        tile.plan = signal::fftPlanFor(tile.jtc_layout.plane_size);
+        optics_.signalSpectrumInto(tile.samples, tile.jtc_layout,
+                                   tile.spectrum);
     }
 
     void
@@ -523,8 +524,7 @@ class JtcImpl final : public Conv1dBackend::Impl
            std::vector<double> &out) const override
     {
         const PreparedTile &tile = *group[0].tile;
-        const jtc::JtcPlaneLayout layout = jtc::JtcPlaneLayout::design(
-            tile.samples.size(), tile.kernel_len);
+        const jtc::JtcPlaneLayout &layout = tile.jtc_layout;
         static thread_local std::vector<double> out_n;
         if (!fourier_sum_) {
             // Noise and the square law act per field: one second lens
@@ -566,7 +566,8 @@ class JtcImpl final : public Conv1dBackend::Impl
             if (signals.empty())
                 return false;
             optics_.accumulatedWindowFromSpectraInto(
-                signals, kernels, layout, tile.count, tile.start, window);
+                signals, kernels, layout, *tile.plan, tile.count,
+                tile.start, window);
             return true;
         };
         integrate(false, out);

@@ -91,8 +91,11 @@ struct PreparedTile
      *  half-spectra back to back, or the JTC signal-plane
      *  half-spectrum. Empty when no kernel needs it. */
     signal::ComplexVector spectrum;
-    /** The plan `spectrum` was computed with (null when empty). */
+    /** The plan `spectrum` was computed with (null when empty); it
+     *  also runs every window's inverse transform. */
     std::shared_ptr<const signal::FftPlan> plan;
+    /** JTC: the joint-plane geometry of the tile's windows. */
+    jtc::JtcPlaneLayout jtc_layout{};
     /** Auto: the FFT path's cost for this window shape, in sliding-MAC
      *  units (fftConvProfitable's left-hand side). */
     double fft_cost = 0.0;

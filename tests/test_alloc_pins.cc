@@ -317,10 +317,11 @@ TEST(AllocPins, JtcSystemAccumulatedWindowFromSpectraInto)
         signals.push_back(&sspec[c]);
         kernels.push_back(kspec.back().get());
     }
+    const auto plan = sig::fftPlanFor(layout.plane_size);
     std::vector<double> out, ref;
     sys.accumulatedWindowFromSpectraInto(
         std::span(signals).first(1), std::span(kernels).first(1), layout,
-        44, -2, out);
+        *plan, 44, -2, out);
     sys.correlationWindowFromSpectraInto(sspec[0], *kspec[0], layout, 44,
                                          -2, ref);
     ASSERT_EQ(out.size(), ref.size());
@@ -328,8 +329,8 @@ TEST(AllocPins, JtcSystemAccumulatedWindowFromSpectraInto)
         EXPECT_EQ(out[i], ref[i]) << "shift " << i;
 
     EXPECT_EQ(steadyStateAllocations([&] {
-        sys.accumulatedWindowFromSpectraInto(signals, kernels, layout, 44,
-                                             -2, out);
+        sys.accumulatedWindowFromSpectraInto(signals, kernels, layout,
+                                             *plan, 44, -2, out);
     }), 0u) << "JtcSystem::accumulatedWindowFromSpectraInto allocated in "
                "steady state";
 }

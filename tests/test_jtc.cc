@@ -11,12 +11,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "counting_alloc.hh"
 
+#include "arch/simd.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "jtc/jtc_system.hh"
@@ -231,6 +234,77 @@ TEST(JtcSystem, OutputPlaneMatchesPreRefactorReference)
         EXPECT_LT(pf::maxAbsDiff(fast, ref), 1e-8)
             << "ls=" << ls << " lk=" << lk;
     }
+}
+
+TEST(JtcSystem, AccumulatedWindowMatchesStdNormLoop)
+{
+    // The group intensity sum, now a SIMD kernel, against the plain
+    // loop it replaced: |S_c + K_c|^2 by std::norm, summed channel
+    // after channel into the half-spectrum, then the same c2r and the
+    // same window read. Bit for bit, at every dispatch level.
+    pf::Rng rng(97);
+    const size_t ls = 200, lk = 9, group = 16, count = 212;
+    const long start = -4;
+    const jtc::JtcSystem sys;
+    const auto layout = jtc::JtcPlaneLayout::design(ls, lk);
+    const auto plan = sig::fftPlanFor(layout.plane_size);
+    std::vector<sig::ComplexVector> sspec(group);
+    std::vector<std::shared_ptr<const sig::ComplexVector>> kspec;
+    std::vector<const sig::ComplexVector *> signals, kernels;
+    for (size_t c = 0; c < group; ++c) {
+        sys.signalSpectrumInto(randomNonNegative(rng, ls), layout,
+                               sspec[c]);
+        kspec.push_back(
+            sys.kernelPlaneSpectrum(randomNonNegative(rng, lk), layout));
+        signals.push_back(&sspec[c]);
+        kernels.push_back(kspec.back().get());
+    }
+
+    const size_t half_n = plan->halfSpectrumSize();
+    sig::ComplexVector field(half_n);
+    for (size_t c = 0; c < group; ++c) {
+        const sig::ComplexVector &sc = sspec[c];
+        const sig::ComplexVector &kc = *kspec[c];
+        if (c == 0) {
+            for (size_t i = 0; i < half_n; ++i)
+                field[i] = sig::Complex(std::norm(sc[i] + kc[i]), 0.0);
+        } else {
+            for (size_t i = 0; i < half_n; ++i)
+                field[i] += std::norm(sc[i] + kc[i]);
+        }
+    }
+    // out[i] = c[-(start + i)], c[m + ls - 1] = R[(q + m) mod n].
+    const long n = static_cast<long>(layout.plane_size);
+    const long q = static_cast<long>(layout.kernel_pos);
+
+    const pf::simd::Level previous = pf::simd::activeLevel();
+    for (pf::simd::Level level :
+         {pf::simd::Level::Scalar, pf::simd::Level::Avx2,
+          pf::simd::Level::Neon}) {
+        if (!pf::simd::forceLevel(level))
+            continue;
+        // The c2r runs at the level under test on both sides.
+        sig::ComplexVector intensity = field;
+        std::vector<double> plane(layout.plane_size);
+        plan->executeRealInverse(intensity.data(), plane.data());
+        std::vector<double> expected(count, 0.0);
+        for (size_t i = 0; i < count; ++i) {
+            const long m = -(start + static_cast<long>(i));
+            if (m > -static_cast<long>(ls) && m < static_cast<long>(lk))
+                expected[i] =
+                    plane[static_cast<size_t>(((q + m) % n + n) % n)];
+        }
+
+        std::vector<double> out;
+        sys.accumulatedWindowFromSpectraInto(signals, kernels, layout,
+                                             *plan, count, start, out);
+        ASSERT_EQ(out.size(), count);
+        for (size_t i = 0; i < count; ++i)
+            EXPECT_EQ(std::bit_cast<uint64_t>(out[i]),
+                      std::bit_cast<uint64_t>(expected[i]))
+                << pf::simd::levelName(level) << " shift " << i;
+    }
+    pf::simd::forceLevel(previous);
 }
 
 TEST(JtcSystem, KernelPlaneSpectrumIsCachedPerKernelAndLayout)

@@ -889,17 +889,23 @@ TEST(ConvEngineBatch, PhotoFourierBitIdenticalIncludingNoise)
     // Quantized + noisy: the batched path shares only weight prep and
     // the tiling plan; activation quantization, the noise key, and
     // ADC calibration stay per input, so even the noise streams must
-    // be bit-identical to solo calls.
-    for (bool noise : {false, true}) {
-        nn::PhotoFourierEngineConfig config;
-        config.n_conv = 64;
-        config.noise = noise;
-        config.snr_db = 20.0;
-        config.noise_seed = 11;
-        nn::PhotoFourierEngine engine(config);
-        expectBatchMatchesSolo(engine, inputs, weights, bias, 1,
-                               sig::ConvMode::Same,
-                               noise ? "pf noisy" : "pf clean");
+    // be bit-identical to solo calls. The optical backend runs the
+    // same fused batch through the field-level JTC.
+    for (bool optical : {false, true}) {
+        for (bool noise : {false, true}) {
+            nn::PhotoFourierEngineConfig config;
+            config.n_conv = 64;
+            config.noise = noise;
+            config.snr_db = 20.0;
+            config.noise_seed = 11;
+            config.optical_backend = optical;
+            nn::PhotoFourierEngine engine(config);
+            const std::string label =
+                std::string(optical ? "optical " : "pf ") +
+                (noise ? "noisy" : "clean");
+            expectBatchMatchesSolo(engine, inputs, weights, bias, 1,
+                                   sig::ConvMode::Same, label.c_str());
+        }
     }
 }
 

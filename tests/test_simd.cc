@@ -4,10 +4,11 @@
  *
  * Every kernel family (butterfly stages, interleave round trip,
  * Hermitian untangle, spectral multiplies, sliding dot, blocked
- * transpose) and every transform path built on top of them (radix-2,
- * Bluestein, r2c/c2r, odd sizes) is compared between the scalar
- * reference table and every level this host supports, at the
- * tolerance documented in arch/simd.hh:
+ * transpose, joint intensity sum) and every transform path built on
+ * top of them (radix-2, Bluestein, r2c/c2r, odd sizes) is compared
+ * between the scalar reference table and every level this host
+ * supports, at the tolerance documented in arch/simd.hh (bit for bit
+ * for the kernels it lists as exact):
  *
  *     |vector - scalar| <= 8 * eps * (1 + log2(n)) * max|input|
  *
@@ -22,7 +23,9 @@
  * and only the dispatch/reference tests execute.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <vector>
@@ -306,6 +309,74 @@ TEST_P(SimdKernelEquivalence, TransposeIncludingDegenerate)
         // Data movement only: bit-exact.
         EXPECT_EQ(maxAbsDiff(o1, o2), 0.0)
             << rows << "x" << cols;
+    }
+}
+
+/** Bit patterns of a buffer, so -0.0 and +0.0 (and NaN payloads)
+ *  compare as different. */
+std::vector<uint64_t>
+bits(const std::vector<double> &x)
+{
+    std::vector<uint64_t> out(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+        out[i] = std::bit_cast<uint64_t>(x[i]);
+    return out;
+}
+
+TEST_P(SimdKernelEquivalence, NarrowButterflyStagesAreExact)
+{
+    // Only the AVX2 table shuffles half = 1 and 2 into the lanes with
+    // separate multiplies and adds; other levels make no such promise.
+    if (GetParam() != simd::Level::Avx2)
+        GTEST_SKIP() << "exact narrow stages are an AVX2 property";
+    ScopedLevel force(GetParam());
+    const simd::Kernels &vec = simd::kernels();
+    const simd::Kernels &ref = simd::scalarKernels();
+    for (size_t n : {8u, 16u, 32u}) {
+        for (size_t half : {1u, 2u}) {
+            auto re = randomVector(n, 31), im = randomVector(n, 32);
+            auto twre = randomVector(half, 33),
+                 twim = randomVector(half, 34);
+            auto re2 = re, im2 = im;
+            ref.butterflyStage(re.data(), im.data(), n, half,
+                               twre.data(), twim.data());
+            vec.butterflyStage(re2.data(), im2.data(), n, half,
+                               twre.data(), twim.data());
+            EXPECT_EQ(bits(re), bits(re2)) << "n=" << n << " half=" << half;
+            EXPECT_EQ(bits(im), bits(im2)) << "n=" << n << " half=" << half;
+        }
+    }
+}
+
+TEST_P(SimdKernelEquivalence, JointIntensitySum)
+{
+    ScopedLevel force(GetParam());
+    const simd::Kernels &vec = simd::kernels();
+    const simd::Kernels &ref = simd::scalarKernels();
+    for (size_t channels : {1u, 2u, 3u, 16u}) {
+        for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 257u, 1025u}) {
+            std::vector<std::vector<double>> s, k;
+            std::vector<const double *> sp, kp;
+            for (size_t c = 0; c < channels; ++c) {
+                s.push_back(randomVector(2 * n, 40 + 2 * c));
+                k.push_back(randomVector(2 * n, 41 + 2 * c));
+            }
+            for (size_t c = 0; c < channels; ++c) {
+                sp.push_back(s[c].data());
+                kp.push_back(k[c].data());
+            }
+            // Stale imaginary parts must be overwritten with zeros.
+            std::vector<double> o1(2 * n, 7.0), o2(2 * n, -7.0);
+            ref.jointIntensitySum(sp.data(), kp.data(), channels, n,
+                                  o1.data());
+            vec.jointIntensitySum(sp.data(), kp.data(), channels, n,
+                                  o2.data());
+            EXPECT_EQ(bits(o1), bits(o2))
+                << "channels=" << channels << " n=" << n;
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(std::bit_cast<uint64_t>(o2[2 * i + 1]), 0u)
+                    << "channels=" << channels << " bin " << i;
+        }
     }
 }
 
