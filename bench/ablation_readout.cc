@@ -41,15 +41,15 @@ main()
     // R_i^2 vs R_i.
     TextTable table({"depth", "rel. error accumulate(R) [linear]",
                      "rel. error sqrt(accumulate(R^2)) [square]"});
-    std::vector<double> l, q; // reused across channels (Into API)
+    const tiling::Conv1dBackend direct = tiling::cpuBackend();
+    std::vector<double> ref, l, q; // reused across channels (Into API)
     for (size_t depth : {2u, 4u, 8u, 16u}) {
         std::vector<double> exact(64, 0.0), acc_lin(64, 0.0),
             acc_sq(64, 0.0);
         for (size_t ch = 0; ch < depth; ++ch) {
             const auto sc = rng.uniformVector(64, 0.0, 1.0);
             const auto kc = rng.uniformVector(9, 0.0, 0.5);
-            const auto ref =
-                jtc::slidingCorrelationReference(sc, kc, 64);
+            direct(sc, kc, 0, 64, ref);
             linear.correlationWindowInto(sc, kc, 64, 0, l);
             square.correlationWindowInto(sc, kc, 64, 0, q);
             for (size_t i = 0; i < 64; ++i) {

@@ -2,6 +2,8 @@
 """Diff two google-benchmark JSON files and print per-benchmark speedups.
 
 Usage: compare_bench.py BEFORE.json AFTER.json [--threshold PCT]
+       compare_bench.py --amortization RUN.json
+       compare_bench.py --contention RUN.json
 
 Benchmarks are matched by name; the table reports before/after wall
 time as mean ± CV (coefficient of variation over the repetitions,
@@ -200,6 +202,37 @@ def report_amortization(path):
               f"in {path!r}")
 
 
+# A repetition whose wall time exceeds its CPU time by more than this
+# factor waited on something other than its own work: a contended host
+# (steal, other tenants) rather than the code under test.
+CONTENTION_FACTOR = 1.5
+
+
+def report_contention(path):
+    """Every repetition row of one benchmark JSON whose real_time
+    exceeds CONTENTION_FACTOR x its cpu_time. Such a sitting is not
+    perf evidence for those rows: re-record them."""
+    rows = [row for row in load(path).get("benchmarks", [])
+            if row.get("run_type") != "aggregate"
+            and row.get("cpu_time", 0) > 0
+            and row.get("real_time", 0) >
+            CONTENTION_FACTOR * row["cpu_time"]]
+    if not rows:
+        print(f"no row's real_time exceeds {CONTENTION_FACTOR:g}x "
+              f"its cpu_time")
+        return
+    print(f"{len(rows)} row(s) with real_time > "
+          f"{CONTENTION_FACTOR:g}x cpu_time (contended sitting?):")
+    width = max(len(row["name"]) for row in rows)
+    for row in rows:
+        unit = row.get("time_unit", "ns")
+        print(f"  {row['name']:<{width}}  "
+              f"rep {row.get('repetition_index', 0)}  "
+              f"real {row['real_time']:.4g} {unit}  "
+              f"cpu {row['cpu_time']:.4g} {unit}  "
+              f"{row['real_time'] / row['cpu_time']:.1f}x")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("before")
@@ -214,8 +247,17 @@ def main():
                         help="report per-item amortization of the "
                              "batched families in ONE file instead "
                              "of diffing two")
+    parser.add_argument("--contention", action="store_true",
+                        help="list the rows of ONE file whose real "
+                             f"time exceeds {CONTENTION_FACTOR:g}x "
+                             "their CPU time")
     args = parser.parse_args()
 
+    if args.contention:
+        if args.after is not None:
+            sys.exit("error: --contention takes one file")
+        report_contention(args.before)
+        return
     if args.amortization:
         if args.after is not None:
             sys.exit("error: --amortization takes one file")

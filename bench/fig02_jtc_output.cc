@@ -36,8 +36,8 @@ main()
             tiled_kernel[kr * 32 + kc] = rng.uniform(0.0, 0.3);
 
     jtc::JtcSystem optics;
-    const auto layout =
-        jtc::JtcSystem::layoutFor(tiled_input, tiled_kernel);
+    const auto layout = jtc::JtcPlaneLayout::design(tiled_input.size(),
+                                                    tiled_kernel.size());
     std::vector<double> plane;
     optics.outputPlaneInto(tiled_input, tiled_kernel, plane);
 
@@ -88,11 +88,11 @@ main()
 
     // Cross-check: the extracted correlation equals the direct one
     // (the kernel field comes from the now-warm spectrum cache).
-    std::vector<double> window;
+    std::vector<double> window, exact;
     optics.correlationWindowInto(tiled_input, tiled_kernel,
                                  tiled_input.size(), 0, window);
-    const auto exact = jtc::slidingCorrelationReference(
-        tiled_input, tiled_kernel, tiled_input.size());
+    tiling::cpuBackend()(tiled_input, tiled_kernel, 0,
+                         tiled_input.size(), exact);
     std::printf("extracted correlation vs direct: max |diff| = %.2e\n",
                 maxAbsDiff(window, exact));
     return 0;

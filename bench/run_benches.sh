@@ -14,7 +14,10 @@ build_dir="$repo_root/build-bench"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
     -DPHOTOFOURIER_BUILD_TESTS=OFF
-cmake --build "$build_dir" -j --target micro_kernels serve_loadgen \
+# One compile job per core: an unbounded -j oversubscribes a shared
+# host and can exhaust its memory.
+jobs=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)
+cmake --build "$build_dir" -j "$jobs" --target micro_kernels serve_loadgen \
     cluster_shard cluster_router trace_dump
 
 # Refuse to record numbers from anything but a Release library build:
@@ -64,6 +67,15 @@ if [ -n "$prev_micro" ] && command -v python3 >/dev/null 2>&1; then
     echo "=== micro-kernel speedups vs previous BENCH_micro.json ==="
     python3 "$repo_root/bench/compare_bench.py" \
         "$prev_micro" "$repo_root/BENCH_micro.json" || true
+fi
+
+# Rows whose wall time far exceeds their CPU time were recorded on a
+# contended host (other tenants, steal): they are not perf evidence.
+if command -v python3 >/dev/null 2>&1; then
+    echo ""
+    echo "=== rows with real_time > 1.5x cpu_time ==="
+    python3 "$repo_root/bench/compare_bench.py" --contention \
+        "$repo_root/BENCH_micro.json" || true
 fi
 
 # Per-request amortization of the batched conv-engine rows (N requests

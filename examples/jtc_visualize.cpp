@@ -33,8 +33,8 @@ main()
             tiled_kernel[kr * 32 + kc] = 1.0 / 9.0;
 
     jtc::JtcSystem optics;
-    const auto layout =
-        jtc::JtcSystem::layoutFor(tiled_input, tiled_kernel);
+    const auto layout = jtc::JtcPlaneLayout::design(tiled_input.size(),
+                                                    tiled_kernel.size());
     const auto plane = optics.outputPlane(tiled_input, tiled_kernel);
 
     std::printf("JTC output plane (%zu samples) for a 256-element "

@@ -30,8 +30,8 @@ main()
     jtc::JtcSystem optics;
     const auto optical =
         optics.correlationWindow(signal_in, kernel, signal_in.size());
-    const auto exact = jtc::slidingCorrelationReference(
-        signal_in, kernel, signal_in.size());
+    std::vector<double> exact;
+    tiling::cpuBackend()(signal_in, kernel, 0, signal_in.size(), exact);
 
     std::printf("1) optical vs exact 1D correlation\n");
     std::printf("   idx  optical   exact\n");

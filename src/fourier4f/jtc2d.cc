@@ -134,8 +134,8 @@ Jtc2d::correlateInto(const signal::Matrix &s, const signal::Matrix &k,
               "kernel larger than signal");
     const auto layout =
         Jtc2dLayout::design(s.rows, s.cols, k.rows, k.cols);
-    // The full plane is per-thread scratch (same idiom as the tap
-    // list in slidingCorrelationInto): steady state never allocates.
+    // The full plane is per-thread scratch: steady state never
+    // allocates.
     static thread_local signal::Matrix plane;
     outputPlaneInto(s, k, plane);
 

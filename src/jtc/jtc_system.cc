@@ -15,12 +15,53 @@ namespace {
 // Workspace slots 20-23: the optical-simulator range reserved for the
 // 1D JTC (see the slot discipline in fft_plan.hh). The plane buffer
 // doubles as the kernel-padding scratch on cache misses (the miss
-// computes before the signal plane is built) and as the intensity
-// buffer on the noise path (the plane is consumed by then).
+// computes before the signal plane is built). The full buffer holds
+// the one-call path's signal spectrum until detection consumes it,
+// then the noise path's n-point spectrum.
 constexpr size_t kSlotJtcPlane = 20;
 constexpr size_t kSlotJtcHalf = 21;
 constexpr size_t kSlotJtcFull = 22;
 constexpr size_t kSlotJtcOutPlane = 23;
+
+/**
+ * Fourier-plane detection of a group of joint fields: the intensities
+ * |S_c + K_c|^2 summed over the group, as the half-spectrum (I, 0) in
+ * per-thread scratch. The intensity of a real plane is even-symmetric,
+ * so its stored half is the half-spectrum of the (real) output plane:
+ * one c2r finishes the noiseless second lens.
+ */
+const signal::ComplexVector &
+fourierIntensity(
+    std::span<const signal::ComplexVector *const> signal_spectra,
+    std::span<const signal::ComplexVector *const> kernel_spectra,
+    const signal::FftPlan &plan)
+{
+    pf_assert(!signal_spectra.empty() &&
+                  signal_spectra.size() == kernel_spectra.size(),
+              "a group of ", signal_spectra.size(), " signals and ",
+              kernel_spectra.size(), " kernels");
+    const size_t half_n = plan.halfSpectrumSize();
+    // The kernel reads each channel's spectra through raw pointers,
+    // per-thread scratch that keeps its capacity.
+    static thread_local std::vector<const double *> signals, kernels;
+    signals.clear();
+    kernels.clear();
+    for (size_t c = 0; c < signal_spectra.size(); ++c) {
+        const signal::ComplexVector &s = *signal_spectra[c];
+        const signal::ComplexVector &k = *kernel_spectra[c];
+        pf_assert(s.size() == half_n && k.size() == half_n,
+                  "spectra do not match the ", plan.size(),
+                  "-sample plane");
+        signals.push_back(reinterpret_cast<const double *>(s.data()));
+        kernels.push_back(reinterpret_cast<const double *>(k.data()));
+    }
+    signal::ComplexVector &intensity =
+        signal::threadFftWorkspace().complexBuffer(kSlotJtcHalf, half_n);
+    simd::kernels().jointIntensitySum(
+        signals.data(), kernels.data(), signals.size(), half_n,
+        reinterpret_cast<double *>(intensity.data()));
+    return intensity;
+}
 
 } // namespace
 
@@ -59,6 +100,8 @@ std::shared_ptr<const signal::ComplexVector>
 JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
                                const JtcPlaneLayout &layout) const
 {
+    pf_assert(k.size() == layout.kernel_len, "kernel of ", k.size(),
+              " samples on a layout for ", layout.kernel_len);
     // The salt pins the placement geometry; the cache verifies the
     // kernel bytes. Together they content-address the static field.
     uint64_t salt = signal::planeSpectrumSalt(layout.plane_size);
@@ -78,13 +121,6 @@ JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
                           static_cast<long>(layout.kernel_pos));
             plan->executeReal(padded.data(), out.data());
         });
-}
-
-JtcPlaneLayout
-JtcSystem::layoutFor(const std::vector<double> &s,
-                     const std::vector<double> &k)
-{
-    return JtcPlaneLayout::design(s.size(), k.size());
 }
 
 double
@@ -117,15 +153,14 @@ JtcSystem::outputPlane(const std::vector<double> &s,
 void
 JtcSystem::signalSpectrumInto(const std::vector<double> &s,
                               const JtcPlaneLayout &layout,
+                              const signal::FftPlan &plan,
                               signal::ComplexVector &out) const
 {
     pf_assert(s.size() == layout.signal_len, "signal of ", s.size(),
               " samples on a layout for ", layout.signal_len);
     const size_t n = layout.plane_size;
-    // Both lens transforms reuse one cached plan for the plane size; a
-    // CNN layer evaluates thousands of same-geometry JTC passes, so the
-    // twiddle/bit-reversal tables are built exactly once per layout.
-    const auto plan = signal::fftPlanFor(n);
+    pf_assert(plan.size() == n, "a ", plan.size(), "-point plan for the ",
+              n, "-sample plane");
 
     // Signal field on the joint plane (the kernel block stays zero:
     // its contribution is the cached spectrum, added after the lens —
@@ -137,8 +172,8 @@ JtcSystem::signalSpectrumInto(const std::vector<double> &s,
               plane.begin() + static_cast<long>(layout.signal_pos));
 
     // First lens: E -> F(u), on the r2c path (the plane is real).
-    out.resize(plan->halfSpectrumSize());
-    plan->executeReal(plane.data(), out.data());
+    out.resize(plan.halfSpectrumSize());
+    plan.executeReal(plane.data(), out.data());
 }
 
 void
@@ -146,115 +181,75 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
                            const std::vector<double> &k,
                            std::vector<double> &out) const
 {
-    const JtcPlaneLayout layout = layoutFor(s, k);
+    const JtcPlaneLayout layout =
+        JtcPlaneLayout::design(s.size(), k.size());
+    // Both lens transforms run one cached plan for the plane size,
+    // resolved once per call.
+    const auto plan = signal::fftPlanFor(layout.plane_size);
     // Static kernel field: transformed once per (kernel, layout) and
     // cached. Fetched before the signal plane is built — the miss
     // path borrows the plane slot for its padding scratch.
     const auto kspec = kernelPlaneSpectrum(k, layout);
 
-    signal::ComplexVector &field = signal::threadFftWorkspace().complexBuffer(
-        kSlotJtcHalf, layout.plane_size / 2 + 1);
-    signalSpectrumInto(s, layout, field);
-    for (size_t i = 0; i < field.size(); ++i)
-        field[i] += (*kspec)[i];
-    detectPlane(field, layout, out);
+    signal::ComplexVector &sspec = signal::threadFftWorkspace().complexBuffer(
+        kSlotJtcFull, plan->halfSpectrumSize());
+    signalSpectrumInto(s, layout, *plan, sspec);
+    // Detection of the joint field, a group of one.
+    const signal::ComplexVector *signals[] = {&sspec};
+    const signal::ComplexVector *kernels[] = {kspec.get()};
+    const signal::ComplexVector &intensity =
+        fourierIntensity(signals, kernels, *plan);
+    if (config_.noise) {
+        detectPlane(intensity, *plan, out);
+        return;
+    }
+    out.resize(layout.plane_size);
+    plan->executeRealInverse(intensity.data(), out.data());
+    // The noiseless Linear readout records R itself.
+    if (config_.readout == ReadoutModel::SquareLaw) {
+        photonics::Photodetector out_pd(config_.detector,
+                                        config_.noise_seed + 1);
+        for (double &value : out)
+            value = readOut(value, value, out_pd);
+    }
 }
 
 void
-JtcSystem::detectPlane(signal::ComplexVector &field,
-                      const JtcPlaneLayout &layout,
-                      std::vector<double> &out) const
+JtcSystem::detectPlane(const signal::ComplexVector &intensity,
+                       const signal::FftPlan &plan,
+                       std::vector<double> &out) const
 {
-    const size_t n = layout.plane_size;
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half_n = plan->halfSpectrumSize();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-
-    if (!config_.noise) {
-        // Fourier plane intensity |F|^2 of a real plane is even-
-        // symmetric, so its stored half is the half-spectrum of the
-        // (real) output plane: one c2r finishes the second lens.
-        for (size_t i = 0; i < half_n; ++i)
-            field[i] = signal::Complex(std::norm(field[i]), 0.0);
-        out.resize(n);
-        plan->executeRealInverse(field.data(), out.data());
-        // The noiseless Linear readout records R itself.
-        if (config_.readout == ReadoutModel::SquareLaw) {
-            photonics::Photodetector out_pd(config_.detector,
-                                            config_.noise_seed + 1);
-            for (size_t i = 0; i < n; ++i)
-                out[i] = readOut(out[i], out[i], out_pd);
-        }
-        return;
-    }
-
-    // Noise path: every one of the n Fourier-plane photodetectors
-    // draws its own sensing noise, which breaks the Hermitian
-    // symmetry — expand to the full intensity pattern and run the
-    // full inverse transform, exactly as the noiseless math would
-    // without the symmetry shortcut. The SNR target applies per
-    // detector, i.e. noise scales with each detector's own signal
-    // (not the plane peak — the DC term would otherwise drown the
-    // correlation terms).
+    // Every one of the n Fourier-plane photodetectors draws its own
+    // sensing noise, which breaks the Hermitian symmetry — expand to
+    // the full intensity pattern and run the full inverse transform,
+    // exactly as the noiseless math would without the symmetry
+    // shortcut. The SNR target applies per detector, i.e. noise scales
+    // with each detector's own signal (not the plane peak — the DC
+    // term would otherwise drown the correlation terms).
+    const size_t n = plan.size();
+    const size_t half_n = plan.halfSpectrumSize();
     photonics::Photodetector mid_pd(config_.detector, config_.noise_seed);
     photonics::Photodetector out_pd(config_.detector,
                                     config_.noise_seed + 1);
-    std::vector<double> &intensity = ws.realBuffer(kSlotJtcPlane, n);
-    for (size_t i = 0; i < half_n; ++i)
-        intensity[i] = std::norm(field[i]);
-    for (size_t i = half_n; i < n; ++i)
-        intensity[i] = intensity[n - i];
-    for (auto &value : intensity)
-        value = std::max(0.0, mid_pd.addSensingNoise(value, value));
 
     // Second lens: I(u) -> R(x). The inverse DFT (with its 1/n) is the
     // correlation theorem: ifft(|fft(E)|^2)[d] = sum_x E[x] E[(x+d)%n],
     // exactly the circular autocorrelation of the joint plane. A
     // forward DFT would yield the mirrored plane; physical lenses
     // differ only by that reflection.
-    signal::ComplexVector &spectrum = ws.complexBuffer(kSlotJtcFull, n);
-    for (size_t i = 0; i < n; ++i)
-        spectrum[i] = signal::Complex(intensity[i], 0.0);
-    plan->execute(spectrum.data(), true);
+    signal::ComplexVector &spectrum =
+        signal::threadFftWorkspace().complexBuffer(kSlotJtcFull, n);
+    for (size_t i = 0; i < n; ++i) {
+        const double value = intensity[i < half_n ? i : n - i].real();
+        spectrum[i] = signal::Complex(
+            std::max(0.0, mid_pd.addSensingNoise(value, value)), 0.0);
+    }
+    plan.execute(spectrum.data(), true);
 
     out.resize(n);
     for (size_t i = 0; i < n; ++i) {
         const double r = spectrum[i].real();
         out[i] = readOut(r, r, out_pd);
-    }
-}
-
-std::vector<double>
-JtcSystem::fullCorrelation(const std::vector<double> &s,
-                           const std::vector<double> &k) const
-{
-    std::vector<double> out;
-    fullCorrelationInto(s, k, out);
-    return out;
-}
-
-void
-JtcSystem::fullCorrelationInto(const std::vector<double> &s,
-                               const std::vector<double> &k,
-                               std::vector<double> &out) const
-{
-    const JtcPlaneLayout layout = layoutFor(s, k);
-    std::vector<double> &plane = signal::threadFftWorkspace().realBuffer(
-        kSlotJtcOutPlane, layout.plane_size);
-    outputPlaneInto(s, k, plane);
-
-    // c[m] = R[q + m] for m in [-(Ls-1), Lk-1].
-    const size_t n = layout.plane_size;
-    const long q = static_cast<long>(layout.kernel_pos);
-    const long m_lo = -static_cast<long>(s.size()) + 1;
-    const long m_hi = static_cast<long>(k.size()) - 1;
-
-    out.resize(static_cast<size_t>(m_hi - m_lo + 1));
-    for (long m = m_lo; m <= m_hi; ++m) {
-        const size_t idx = static_cast<size_t>(
-            ((q + m) % static_cast<long>(n) + static_cast<long>(n)) %
-            static_cast<long>(n));
-        out[static_cast<size_t>(m - m_lo)] = plane[idx];
     }
 }
 
@@ -274,34 +269,11 @@ JtcSystem::correlationWindowInto(const std::vector<double> &s,
                                  size_t count, long start,
                                  std::vector<double> &out) const
 {
-    const JtcPlaneLayout layout = layoutFor(s, k);
+    const JtcPlaneLayout layout =
+        JtcPlaneLayout::design(s.size(), k.size());
     std::vector<double> &plane = signal::threadFftWorkspace().realBuffer(
         kSlotJtcOutPlane, layout.plane_size);
     outputPlaneInto(s, k, plane);
-    readWindow(plane, layout, count, start, out);
-}
-
-void
-JtcSystem::correlationWindowFromSpectraInto(
-    const signal::ComplexVector &signal_spectrum,
-    const signal::ComplexVector &kernel_spectrum,
-    const JtcPlaneLayout &layout, size_t count, long start,
-    std::vector<double> &out) const
-{
-    const size_t half_n = layout.plane_size / 2 + 1;
-    pf_assert(signal_spectrum.size() == half_n &&
-                  kernel_spectrum.size() == half_n,
-              "spectra do not match the ", layout.plane_size,
-              "-sample plane");
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-    // The joint field: the same sum outputPlaneInto forms, so the
-    // readout is bit-identical to the one-call path.
-    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
-    for (size_t i = 0; i < half_n; ++i)
-        field[i] = signal_spectrum[i] + kernel_spectrum[i];
-    std::vector<double> &plane =
-        ws.realBuffer(kSlotJtcOutPlane, layout.plane_size);
-    detectPlane(field, layout, plane);
     readWindow(plane, layout, count, start, out);
 }
 
@@ -315,36 +287,14 @@ JtcSystem::accumulatedWindowFromSpectraInto(
     pf_assert(config_.readout == ReadoutModel::Linear && !config_.noise,
               "Fourier-plane accumulation needs the noiseless Linear "
               "readout");
-    pf_assert(!signal_spectra.empty() &&
-                  signal_spectra.size() == kernel_spectra.size(),
-              "a group of ", signal_spectra.size(), " signals and ",
-              kernel_spectra.size(), " kernels");
     const size_t n = layout.plane_size;
     pf_assert(plan.size() == n, "a ", plan.size(), "-point plan for the ",
               n, "-sample plane");
-    const size_t half_n = plan.halfSpectrumSize();
-    // The kernel reads each channel's spectra through raw pointers,
-    // per-thread scratch that keeps its capacity.
-    static thread_local std::vector<const double *> signals, kernels;
-    signals.clear();
-    kernels.clear();
-    for (size_t c = 0; c < signal_spectra.size(); ++c) {
-        const signal::ComplexVector &s = *signal_spectra[c];
-        const signal::ComplexVector &k = *kernel_spectra[c];
-        pf_assert(s.size() == half_n && k.size() == half_n,
-                  "spectra do not match the ", n, "-sample plane");
-        signals.push_back(reinterpret_cast<const double *>(s.data()));
-        kernels.push_back(reinterpret_cast<const double *>(k.data()));
-    }
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-    // The integrated intensity, real and even-symmetric: its stored
-    // half is the output plane's half-spectrum, as in detectPlane.
-    signal::ComplexVector &field = ws.complexBuffer(kSlotJtcHalf, half_n);
-    simd::kernels().jointIntensitySum(
-        signals.data(), kernels.data(), signals.size(), half_n,
-        reinterpret_cast<double *>(field.data()));
-    std::vector<double> &plane = ws.realBuffer(kSlotJtcOutPlane, n);
-    plan.executeRealInverse(field.data(), plane.data());
+    const signal::ComplexVector &intensity =
+        fourierIntensity(signal_spectra, kernel_spectra, plan);
+    std::vector<double> &plane =
+        signal::threadFftWorkspace().realBuffer(kSlotJtcOutPlane, n);
+    plan.executeRealInverse(intensity.data(), plane.data());
     readWindow(plane, layout, count, start, out);
 }
 
@@ -373,44 +323,6 @@ JtcSystem::readWindow(const std::vector<double> &plane,
             out[i] = 0.0;
         }
     }
-}
-
-std::vector<double>
-slidingCorrelationReference(const std::vector<double> &s,
-                            const std::vector<double> &k, size_t count,
-                            long start)
-{
-    std::vector<double> out;
-    slidingCorrelationInto(s, k, count, start, out);
-    return out;
-}
-
-void
-slidingCorrelationInto(const std::vector<double> &s,
-                       const std::vector<double> &k, size_t count,
-                       long start, std::vector<double> &out)
-{
-    out.resize(count);
-    // Tiled kernels are mostly zero padding (rows separated by
-    // Si - Sk zeros); skipping zero taps keeps this exact and fast.
-    // The split index/value tap lists are what the SIMD sliding-dot
-    // kernel broadcasts from, and they are per-thread scratch so the
-    // hot path never allocates in steady state. Ascending tap order
-    // (required by the kernel's safe-range computation) falls out of
-    // the scan.
-    static thread_local std::vector<size_t> tap_idx;
-    static thread_local std::vector<double> tap_val;
-    tap_idx.clear();
-    tap_val.clear();
-    for (size_t t = 0; t < k.size(); ++t) {
-        if (k[t] != 0.0) {
-            tap_idx.push_back(t);
-            tap_val.push_back(k[t]);
-        }
-    }
-    simd::kernels().slidingDot(s.data(), s.size(), tap_idx.data(),
-                               tap_val.data(), tap_idx.size(), start,
-                               count, out.data());
 }
 
 } // namespace jtc

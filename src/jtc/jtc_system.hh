@@ -22,8 +22,16 @@
  * amplitude itself. Physically a photodetector reads |R|^2; because all
  * CNN operands are non-negative here (activations post-ReLU, weights via
  * pseudo-negative decomposition) the amplitude is recoverable by a
- * square root, and temporal accumulation requires the linear value. Both
- * models are provided; Linear is the default used by the accelerator.
+ * square root, but temporal accumulation integrates charge and so needs
+ * the linear value. The accelerator's optical path (tiling::jtcBackend)
+ * therefore runs the noiseless Linear readout. The SquareLaw readout
+ * (the readout ablation) and per-detector field noise are reached only
+ * through the one-call API (outputPlane, correlationWindow).
+ *
+ * Fourier-plane detection has one implementation: the intensities of a
+ * group of joint fields summed in the Fourier plane
+ * (simd::Kernels::jointIntensitySum). A one-call correlation is a group
+ * of one.
  */
 
 #ifndef PHOTOFOURIER_JTC_JTC_SYSTEM_HH
@@ -81,7 +89,8 @@ struct JtcConfig
     ReadoutModel readout = ReadoutModel::Linear;
 
     /** Inject photodetector sensing noise in the Fourier plane and at
-     *  readout. Off by default: accuracy experiments switch it on. */
+     *  readout. Off by default; the engine's accuracy experiments add
+     *  their sensing noise to the accumulated charge instead. */
     bool noise = false;
 
     /** Detector parameters used when noise is enabled. */
@@ -129,28 +138,15 @@ class JtcSystem
 
     /**
      * outputPlane writing into `out` (resized to the plane size,
-     * capacity reused). With a warm kernel-spectrum cache the
-     * noiseless path is allocation-free: one r2c of the signal
-     * plane, the cached kernel spectrum added in the Fourier plane,
-     * the detected intensity inverted through one c2r.
+     * capacity reused). With a warm kernel-spectrum cache it is
+     * allocation-free: one r2c of the signal plane, the detected
+     * intensity of the joint field (signal spectrum plus the cached
+     * kernel spectrum) as a group of one, then the second lens — one
+     * c2r without noise, the full inverse with it.
      */
     void outputPlaneInto(const std::vector<double> &s,
                          const std::vector<double> &k,
                          std::vector<double> &out) const;
-
-    /**
-     * Full cross-correlation c[m] = sum_i s[i] k[i + m] extracted from
-     * the output plane, for m in [-(Ls-1), Lk-1]; returned with index
-     * offset so that result[m + Ls - 1] == c[m].
-     */
-    std::vector<double> fullCorrelation(const std::vector<double> &s,
-                                        const std::vector<double> &k) const;
-
-    /** fullCorrelation writing into `out` (allocation-free with a
-     *  warm cache; the plane lives in per-thread scratch). */
-    void fullCorrelationInto(const std::vector<double> &s,
-                             const std::vector<double> &k,
-                             std::vector<double> &out) const;
 
     /**
      * The CNN-style sliding correlation window the hardware reads:
@@ -185,16 +181,18 @@ class JtcSystem
      * reused). The lens is linear, so this spectrum plus any kernel's
      * kernelPlaneSpectrum is the joint plane's Fourier field: one
      * streamed input transformed once serves every kernel it is
-     * correlated with. Allocation-free in steady state.
+     * correlated with. `plan` is fftPlanFor(layout.plane_size),
+     * resolved by the caller. Allocation-free in steady state.
      */
     void signalSpectrumInto(const std::vector<double> &s,
                             const JtcPlaneLayout &layout,
+                            const signal::FftPlan &plan,
                             signal::ComplexVector &out) const;
 
     /**
-     * The cached Fourier-plane contribution of `k` placed at
-     * layout.kernel_pos on a layout.plane_size joint plane (the
-     * plane_size/2+1 Hermitian half-spectrum). Transformed once per
+     * The cached Fourier-plane contribution of `k` (layout.kernel_len
+     * samples) placed at layout.kernel_pos on a layout.plane_size joint
+     * plane (the plane_size/2+1 Hermitian half-spectrum). Transformed once per
      * (kernel bytes, layout) and shared through spectrumCache(); a
      * caller that reads it for many signals resolves the handle once.
      */
@@ -202,45 +200,27 @@ class JtcSystem
         const std::vector<double> &k, const JtcPlaneLayout &layout) const;
 
     /**
-     * The kernel half of correlationWindow: the window read off the
-     * output plane of the joint field signal_spectrum +
-     * kernel_spectrum (signalSpectrumInto and kernelPlaneSpectrum on
-     * the same layout) — Fourier-plane detection, the second lens and
-     * the readout model. Bit-identical to correlationWindowInto on the
-     * same operands, noise included. Allocation-free in steady state.
-     */
-    void correlationWindowFromSpectraInto(
-        const signal::ComplexVector &signal_spectrum,
-        const signal::ComplexVector &kernel_spectrum,
-        const JtcPlaneLayout &layout, size_t count, long start,
-        std::vector<double> &out) const;
-
-    /**
      * The window a group of joint fields leaves on one integrating
      * output photodetector row (temporal accumulation, Section V-C):
      * the Fourier-plane intensities |signal_spectra[i] +
      * kernel_spectra[i]|^2 summed over the group, then one second lens
-     * and the window read off the output plane. The second lens and
-     * the Linear readout are linear in the intensity, so this is the
-     * sum of the group's correlationWindowFromSpectraInto windows up to
+     * and the window read off the output plane. The spectra come from
+     * signalSpectrumInto and kernelPlaneSpectrum on `layout`. The
+     * second lens and the Linear readout are linear in the intensity,
+     * so this is the sum of the group's correlationWindow values up to
      * rounding, for one inverse transform instead of one per field; a
-     * group of one is bit-identical to it. Linear readout with noise
-     * off only: sensing noise and the square law act per field.
-     * `plan` is fftPlanFor(layout.plane_size), resolved by the caller
-     * once for every window on the layout. The intensity sum runs in
-     * simd::Kernels::jointIntensitySum, exact at every dispatch
-     * level. Allocation-free in steady state.
+     * group of one is bit-identical to correlationWindowInto. Linear
+     * readout with noise off only: sensing noise and the square law
+     * act per field. `plan` is fftPlanFor(layout.plane_size), resolved
+     * by the caller once for every window on the layout. The intensity
+     * sum runs in simd::Kernels::jointIntensitySum, exact at every
+     * dispatch level. Allocation-free in steady state.
      */
     void accumulatedWindowFromSpectraInto(
         std::span<const signal::ComplexVector *const> signal_spectra,
         std::span<const signal::ComplexVector *const> kernel_spectra,
         const JtcPlaneLayout &layout, const signal::FftPlan &plan,
         size_t count, long start, std::vector<double> &out) const;
-
-    /** The non-aliasing layout for correlating `s` with `k`:
-     *  JtcPlaneLayout::design(s.size(), k.size()). */
-    static JtcPlaneLayout layoutFor(const std::vector<double> &s,
-                                    const std::vector<double> &k);
 
     /** The configuration of this instance. */
     const JtcConfig &config() const { return config_; }
@@ -256,12 +236,13 @@ class JtcSystem
     JtcConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;
 
-    /** Second lens and readout: `field` holds the joint plane's
-     *  Fourier field on entry (consumed); the recorded output plane
-     *  lands in `out`. */
-    void detectPlane(signal::ComplexVector &field,
-                    const JtcPlaneLayout &layout,
-                    std::vector<double> &out) const;
+    /** The noise path's second lens and readout: every Fourier-plane
+     *  detector adds its own sensing noise to the detected `intensity`
+     *  (the half-spectrum (I, 0)), then the full inverse transform;
+     *  the recorded output plane lands in `out`. */
+    void detectPlane(const signal::ComplexVector &intensity,
+                     const signal::FftPlan &plan,
+                     std::vector<double> &out) const;
 
     /** Read the sliding window off a recorded output plane. */
     static void readWindow(const std::vector<double> &plane,
@@ -272,25 +253,6 @@ class JtcSystem
     double readOut(double field_value, double scale,
                    photonics::Photodetector &pd) const;
 };
-
-/**
- * Reference (non-optical) implementation of correlationWindow used by
- * tests to validate the optical path: direct O(N^2) sliding dot product
- * with zero extension.
- */
-std::vector<double> slidingCorrelationReference(const std::vector<double> &s,
-                                                const std::vector<double> &k,
-                                                size_t count,
-                                                long start = 0);
-
-/**
- * Allocation-free variant: writes the window into `out` (resized to
- * count, capacity reused). This is the digital-backend hot path — the
- * tiled executor calls it once per tile per request.
- */
-void slidingCorrelationInto(const std::vector<double> &s,
-                            const std::vector<double> &k, size_t count,
-                            long start, std::vector<double> &out);
 
 } // namespace jtc
 } // namespace photofourier

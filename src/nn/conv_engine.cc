@@ -411,7 +411,7 @@ selectConvBackend(
         // The optical cache rides along with the digital spectrum
         // cache (one lifetime), so serving replicas sharing spectra
         // also share the transformed joint-plane kernel fields.
-        return tiling::jtcBackend({}, spectra->opticalPlaneCache());
+        return tiling::jtcBackend(spectra->opticalPlaneCache());
     switch (config.conv_path) {
       case ConvPath::Auto:
         return tiling::autoBackend(spectra);

@@ -455,11 +455,8 @@ class AutoImpl final : public Conv1dBackend::Impl
 class JtcImpl final : public Conv1dBackend::Impl
 {
   public:
-    JtcImpl(jtc::JtcConfig config,
-            std::shared_ptr<signal::PlaneSpectrumCache> spectra)
-        : optics_(config, std::move(spectra)),
-          fourier_sum_(config.readout == jtc::ReadoutModel::Linear &&
-                       !config.noise)
+    explicit JtcImpl(std::shared_ptr<signal::PlaneSpectrumCache> spectra)
+        : optics_({}, std::move(spectra))
     {
     }
 
@@ -475,7 +472,7 @@ class JtcImpl final : public Conv1dBackend::Impl
         PreparedKernel &k = bank.kernels.emplace_back();
         k.length = kernel.size();
         bank.needs_tile_spectra = true;
-        bank.fourier_sum = fourier_sum_;
+        bank.fourier_sum = true;
         const bool any_negative =
             std::any_of(kernel.begin(), kernel.end(),
                         [](double w) { return w < 0.0; });
@@ -516,7 +513,7 @@ class JtcImpl final : public Conv1dBackend::Impl
                                                       tile.kernel_len);
         tile.plan = signal::fftPlanFor(tile.jtc_layout.plane_size);
         optics_.signalSpectrumInto(tile.samples, tile.jtc_layout,
-                                   tile.spectrum);
+                                   *tile.plan, tile.spectrum);
     }
 
     void
@@ -525,27 +522,6 @@ class JtcImpl final : public Conv1dBackend::Impl
     {
         const PreparedTile &tile = *group[0].tile;
         const jtc::JtcPlaneLayout &layout = tile.jtc_layout;
-        static thread_local std::vector<double> out_n;
-        if (!fourier_sum_) {
-            // Noise and the square law act per field: one second lens
-            // per channel.
-            sumChannelWindows(group, out, [&](const ChannelTerm &term,
-                                              std::vector<double> &window) {
-                const PreparedKernel &k = bank.kernels[term.kernel];
-                optics_.correlationWindowFromSpectraInto(
-                    term.tile->spectrum, *k.spectrum, layout, tile.count,
-                    tile.start, window);
-                if (!k.negative)
-                    return;
-                optics_.correlationWindowFromSpectraInto(
-                    term.tile->spectrum, *k.negative, layout, tile.count,
-                    tile.start, out_n);
-                for (size_t i = 0; i < window.size(); ++i)
-                    window[i] -= out_n[i];
-            });
-            return;
-        }
-
         // The output photodetector integrates the group's Fourier-plane
         // intensities: one second lens per polarity. Signed kernels'
         // negative parts integrate on their own detector, read out
@@ -571,6 +547,7 @@ class JtcImpl final : public Conv1dBackend::Impl
             return true;
         };
         integrate(false, out);
+        static thread_local std::vector<double> out_n;
         if (!integrate(true, out_n))
             return;
         for (size_t i = 0; i < out.size(); ++i)
@@ -579,8 +556,6 @@ class JtcImpl final : public Conv1dBackend::Impl
 
   private:
     jtc::JtcSystem optics_;
-    /** Linear readout, noise off: the group sums in the Fourier plane. */
-    bool fourier_sum_;
 };
 
 class VariedImpl final : public Conv1dBackend::Impl
@@ -724,13 +699,11 @@ autoBackend(std::shared_ptr<KernelSpectrumCache> cache)
 }
 
 Conv1dBackend
-jtcBackend(jtc::JtcConfig config,
-           std::shared_ptr<signal::PlaneSpectrumCache> spectra)
+jtcBackend(std::shared_ptr<signal::PlaneSpectrumCache> spectra)
 {
     if (!spectra)
         spectra = std::make_shared<signal::PlaneSpectrumCache>();
-    return Conv1dBackend(
-        std::make_shared<JtcImpl>(config, std::move(spectra)));
+    return Conv1dBackend(std::make_shared<JtcImpl>(std::move(spectra)));
 }
 
 Conv1dBackend

@@ -27,10 +27,9 @@
  * Section V-C): the charges of N_TA input channels integrate before one
  * readout. Backends whose second transform is linear in the Fourier
  * plane sum there and run one inverse transform per group: the FFT
- * path sums the block products S_i * K_i, the noiseless Linear-readout
- * JTC sums the detected intensities |S_i + K_i|^2 (KernelBank::
- * fourier_sum). The sliding paths, Auto, and the JTC with noise or the
- * SquareLaw readout sum the per-channel windows in ascending channel
+ * path sums the block products S_i * K_i, the JTC sums the detected
+ * intensities |S_i + K_i|^2 (KernelBank::fourier_sum). The sliding
+ * paths and Auto sum the per-channel windows in ascending channel
  * order.
  *
  * The one-kernel call backend(input, kernel, start, count, out) runs
@@ -44,12 +43,13 @@
  *  - autoBackend: per-window choice between the two by a measured
  *    crossover on the window shape (deterministic: the choice is a
  *    pure function of the sizes, never of timing or cache state).
- *  - jtcBackend: the field-level optical JTC (optionally noisy),
- *    handling signed kernels via the pseudo-negative decomposition.
+ *  - jtcBackend: the field-level optical JTC with the noiseless
+ *    Linear readout, handling signed kernels via the pseudo-negative
+ *    decomposition.
  *  - variedBackend: per-waveguide gain variation around another
  *    backend.
  *
- * Layering: the digital backends sit on jtc/ (the SIMD sliding dot)
+ * Layering: the digital backends sit on arch/simd (the sliding dot)
  * and signal/ (FftPlan's r2c/c2r path); jtcBackend wraps
  * jtc::JtcSystem. A backend holds no mutable per-call state beyond the
  * thread-safe spectrum caches, so it is safe to invoke concurrently;
@@ -251,11 +251,14 @@ bool fftConvProfitable(size_t input_len, size_t kernel_len,
                        size_t active_taps, size_t count);
 
 /**
- * Optical JTC backend. Inputs must be non-negative (they are light
+ * Optical JTC backend: the accelerator's optical path, a
+ * jtc::JtcSystem with the noiseless Linear readout (the one temporal
+ * accumulation needs; the engine's sensing noise acts on its charge
+ * planes). A channel group integrates in the Fourier plane, one second
+ * lens per group. Inputs must be non-negative (they are light
  * amplitudes); signed kernels run as a pseudo-negative pair (two
  * passes over one signal spectrum, subtracted digitally).
  *
- * @param config  optical simulation settings (noise, readout model)
  * @param spectra joint-plane kernel-spectrum cache shared across
  *                calls/threads/engines (the static kernel field is
  *                transformed once per layout, exactly like the
@@ -264,7 +267,6 @@ bool fftConvProfitable(size_t input_len, size_t kernel_len,
  *                still amortize across its calls).
  */
 Conv1dBackend jtcBackend(
-    jtc::JtcConfig config = {},
     std::shared_ptr<signal::PlaneSpectrumCache> spectra = nullptr);
 
 /**

@@ -69,7 +69,8 @@ convolve1d(const std::vector<double> &a, const std::vector<double> &b)
 
 /**
  * Direct 1D cross-correlation with full support:
- * out[n] = sum_k a[k] * b[k + n - (|b| - 1)], size = |a| + |b| - 1.
+ * out[n] = sum_k a[k] * b[k + (|b| - 1) - n], size = |a| + |b| - 1:
+ * entry n is the sliding window sum_t a[t + n - (|b| - 1)] * b[t].
  * Equals convolve1d(a, reverse(b)).
  */
 inline std::vector<double>

@@ -143,69 +143,60 @@ TEST(AllocPins, Fft2dPlanJointAutocorrelationInto)
     }), 0u) << "jointAutocorrelationInto allocated in steady state";
 }
 
-TEST(AllocPins, JtcSystemOutputPlaneAndFullCorrelationInto)
+TEST(AllocPins, JtcSystemOutputPlaneInto)
 {
+    // Noiseless and noisy: the one-call path detects a group of one,
+    // then the c2r or the per-detector noise and the full inverse.
     pf::Rng rng(75);
-    const auto s = rng.uniformVector(48, 0.0, 1.0);
-    const auto k = rng.uniformVector(7, 0.0, 1.0);
-    jtc::JtcSystem sys;
-
-    std::vector<double> plane_out;
-    sys.outputPlaneInto(s, k, plane_out);
-    const auto plane_ref = sys.outputPlane(s, k);
-    ASSERT_EQ(plane_out.size(), plane_ref.size());
-    for (size_t i = 0; i < plane_out.size(); ++i)
-        EXPECT_EQ(plane_out[i], plane_ref[i]);
-
-    std::vector<double> corr_out;
-    sys.fullCorrelationInto(s, k, corr_out);
-    const auto corr_ref = sys.fullCorrelation(s, k);
-    ASSERT_EQ(corr_out.size(), corr_ref.size());
-    for (size_t i = 0; i < corr_out.size(); ++i)
-        EXPECT_EQ(corr_out[i], corr_ref[i]);
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        sys.outputPlaneInto(s, k, plane_out);
-    }), 0u) << "JtcSystem::outputPlaneInto allocated in steady state";
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        sys.fullCorrelationInto(s, k, corr_out);
-    }), 0u) << "JtcSystem::fullCorrelationInto allocated in steady state";
-}
-
-TEST(AllocPins, JtcSystemSignalSpectrumAndWindowFromSpectraInto)
-{
-    // The two halves of correlationWindowInto: the signal-plane lens
-    // transform once, then one kernel's window from the two spectra.
-    pf::Rng rng(82);
     const auto s = rng.uniformVector(48, 0.0, 1.0);
     const auto k = rng.uniformVector(7, 0.0, 1.0);
     for (bool noise : {false, true}) {
         jtc::JtcConfig config;
         config.noise = noise;
         jtc::JtcSystem sys(config);
-        const auto layout = jtc::JtcPlaneLayout::design(s.size(), k.size());
-        const auto kspec = sys.kernelPlaneSpectrum(k, layout);
 
-        sig::ComplexVector sspec;
-        std::vector<double> out, ref;
-        sys.signalSpectrumInto(s, layout, sspec);
-        sys.correlationWindowFromSpectraInto(sspec, *kspec, layout, 44,
-                                             -2, out);
-        sys.correlationWindowInto(s, k, 44, -2, ref);
-        ASSERT_EQ(out.size(), ref.size());
-        for (size_t i = 0; i < ref.size(); ++i)
-            EXPECT_EQ(out[i], ref[i]) << "noise " << noise << " shift " << i;
+        std::vector<double> plane_out;
+        sys.outputPlaneInto(s, k, plane_out);
+        const auto plane_ref = sys.outputPlane(s, k);
+        ASSERT_EQ(plane_out.size(), plane_ref.size());
+        for (size_t i = 0; i < plane_out.size(); ++i)
+            EXPECT_EQ(plane_out[i], plane_ref[i]) << "noise " << noise;
 
         EXPECT_EQ(steadyStateAllocations([&] {
-            sys.signalSpectrumInto(s, layout, sspec);
-        }), 0u) << "JtcSystem::signalSpectrumInto allocated in steady state";
-        EXPECT_EQ(steadyStateAllocations([&] {
-            sys.correlationWindowFromSpectraInto(sspec, *kspec, layout, 44,
-                                                 -2, out);
-        }), 0u) << "JtcSystem::correlationWindowFromSpectraInto allocated "
-                   "in steady state";
+            sys.outputPlaneInto(s, k, plane_out);
+        }), 0u) << "JtcSystem::outputPlaneInto allocated in steady state "
+                   "(noise " << noise << ")";
     }
+}
+
+TEST(AllocPins, JtcSystemSignalSpectrumAndWindowFromSpectraInto)
+{
+    // The two halves of correlationWindowInto: the signal-plane lens
+    // transform once, then one kernel's window from the two spectra
+    // (a group of one).
+    pf::Rng rng(82);
+    const auto s = rng.uniformVector(48, 0.0, 1.0);
+    const auto k = rng.uniformVector(7, 0.0, 1.0);
+    const jtc::JtcSystem sys;
+    const auto layout = jtc::JtcPlaneLayout::design(s.size(), k.size());
+    const auto plan = sig::fftPlanFor(layout.plane_size);
+    const auto kspec = sys.kernelPlaneSpectrum(k, layout);
+
+    sig::ComplexVector sspec;
+    sys.signalSpectrumInto(s, layout, *plan, sspec);
+    const sig::ComplexVector *signals[] = {&sspec};
+    const sig::ComplexVector *kernels[] = {kspec.get()};
+    std::vector<double> out, ref;
+    sys.accumulatedWindowFromSpectraInto(signals, kernels, layout, *plan,
+                                         44, -2, out);
+    sys.correlationWindowInto(s, k, 44, -2, ref);
+    ASSERT_EQ(out.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(out[i], ref[i]) << "shift " << i;
+
+    EXPECT_EQ(steadyStateAllocations([&] {
+        sys.signalSpectrumInto(s, layout, *plan, sspec);
+    }), 0u) << "JtcSystem::signalSpectrumInto allocated in steady state";
 }
 
 TEST(AllocPins, VariedBackendOneKernelCall)
@@ -301,29 +292,29 @@ TEST(AllocPins, PhotoFourierEngineOpticalChannelGroupsOfTwo)
 TEST(AllocPins, JtcSystemAccumulatedWindowFromSpectraInto)
 {
     // One second lens for a group of joint fields: a group of one reads
-    // exactly correlationWindowFromSpectraInto, and a group of three
-    // allocates nothing once warm.
+    // exactly correlationWindowInto, and a group of three allocates
+    // nothing once warm.
     pf::Rng rng(85);
     const jtc::JtcSystem sys;
     const auto layout = jtc::JtcPlaneLayout::design(48, 7);
+    const auto plan = sig::fftPlanFor(layout.plane_size);
+    std::vector<std::vector<double>> s, k;
     std::vector<sig::ComplexVector> sspec(3);
     std::vector<std::shared_ptr<const sig::ComplexVector>> kspec;
     std::vector<const sig::ComplexVector *> signals, kernels;
     for (size_t c = 0; c < 3; ++c) {
-        sys.signalSpectrumInto(rng.uniformVector(48, 0.0, 1.0), layout,
-                               sspec[c]);
-        kspec.push_back(sys.kernelPlaneSpectrum(
-            rng.uniformVector(7, 0.0, 1.0), layout));
+        s.push_back(rng.uniformVector(48, 0.0, 1.0));
+        k.push_back(rng.uniformVector(7, 0.0, 1.0));
+        sys.signalSpectrumInto(s[c], layout, *plan, sspec[c]);
+        kspec.push_back(sys.kernelPlaneSpectrum(k[c], layout));
         signals.push_back(&sspec[c]);
         kernels.push_back(kspec.back().get());
     }
-    const auto plan = sig::fftPlanFor(layout.plane_size);
     std::vector<double> out, ref;
     sys.accumulatedWindowFromSpectraInto(
         std::span(signals).first(1), std::span(kernels).first(1), layout,
         *plan, 44, -2, out);
-    sys.correlationWindowFromSpectraInto(sspec[0], *kspec[0], layout, 44,
-                                         -2, ref);
+    sys.correlationWindowInto(s[0], k[0], 44, -2, ref);
     ASSERT_EQ(out.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(out[i], ref[i]) << "shift " << i;
@@ -333,24 +324,6 @@ TEST(AllocPins, JtcSystemAccumulatedWindowFromSpectraInto)
                                              *plan, 44, -2, out);
     }), 0u) << "JtcSystem::accumulatedWindowFromSpectraInto allocated in "
                "steady state";
-}
-
-TEST(AllocPins, SlidingCorrelationInto)
-{
-    pf::Rng rng(76);
-    const auto s = rng.uniformVector(64, 0.0, 1.0);
-    const auto k = rng.uniformVector(9, 0.0, 1.0);
-
-    std::vector<double> out;
-    jtc::slidingCorrelationInto(s, k, 56, -4, out);
-    const auto ref = jtc::slidingCorrelationReference(s, k, 56, -4);
-    ASSERT_EQ(out.size(), ref.size());
-    for (size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], ref[i]);
-
-    EXPECT_EQ(steadyStateAllocations([&] {
-        jtc::slidingCorrelationInto(s, k, 56, -4, out);
-    }), 0u) << "slidingCorrelationInto allocated in steady state";
 }
 
 TEST(AllocPins, Jtc2dOutputPlaneInto)

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "counting_alloc.hh"
+#include "signal_oracles.hh"
 
 #include "arch/simd.hh"
 #include "common/rng.hh"
@@ -29,6 +30,7 @@
 namespace pf = photofourier;
 namespace jtc = photofourier::jtc;
 namespace sig = photofourier::signal;
+namespace oracle = photofourier::oracle;
 
 namespace {
 
@@ -47,7 +49,7 @@ std::vector<double>
 referenceOutputPlane(const std::vector<double> &s,
                      const std::vector<double> &k)
 {
-    const auto layout = jtc::JtcSystem::layoutFor(s, k);
+    const auto layout = jtc::JtcPlaneLayout::design(s.size(), k.size());
     const size_t n = layout.plane_size;
     const auto plan = sig::fftPlanFor(n);
 
@@ -106,7 +108,7 @@ TEST(JtcSystem, OutputPlaneIsCircularAutocorrelation)
     const auto k = randomNonNegative(rng, 5);
 
     jtc::JtcSystem sys;
-    const auto layout = jtc::JtcSystem::layoutFor(s, k);
+    const auto layout = jtc::JtcPlaneLayout::design(s.size(), k.size());
     const auto plane = sys.outputPlane(s, k);
     ASSERT_EQ(plane.size(), layout.plane_size);
 
@@ -133,7 +135,7 @@ TEST(JtcSystem, ThreeTermsSpatiallySeparated)
     const auto k = randomNonNegative(rng, 16);
 
     jtc::JtcSystem sys;
-    const auto layout = jtc::JtcSystem::layoutFor(s, k);
+    const auto layout = jtc::JtcPlaneLayout::design(s.size(), k.size());
     const auto plane = sys.outputPlane(s, k);
 
     const size_t longest = std::max(s.size(), k.size());
@@ -162,28 +164,21 @@ TEST(JtcSystem, ThreeTermsSpatiallySeparated)
 
 TEST(JtcSystem, FullCorrelationMatchesDirect)
 {
+    // The window over the full support, shifts -(lk-1) .. ls-1, is the
+    // direct full cross-correlation.
     pf::Rng rng(7);
     for (auto [ls, lk] : {std::pair<size_t, size_t>{20, 13},
                           {256, 25}, {100, 100}, {5, 31}}) {
         const auto s = randomNonNegative(rng, ls);
         const auto k = randomNonNegative(rng, lk);
         jtc::JtcSystem sys;
-        const auto c = sys.fullCorrelation(s, k);
-        ASSERT_EQ(c.size(), ls + lk - 1);
-        // c[m + ls - 1] = sum_i s[i] k[i + m].
-        for (long m = -(static_cast<long>(ls) - 1);
-             m <= static_cast<long>(lk) - 1; ++m) {
-            double expect = 0.0;
-            for (size_t i = 0; i < ls; ++i) {
-                const long ki = static_cast<long>(i) + m;
-                if (ki >= 0 && ki < static_cast<long>(lk))
-                    expect += s[i] * k[static_cast<size_t>(ki)];
-            }
-            EXPECT_NEAR(c[static_cast<size_t>(
-                            m + static_cast<long>(ls) - 1)],
-                        expect, 1e-8)
-                << "ls=" << ls << " lk=" << lk << " m=" << m;
-        }
+        const auto c = sys.correlationWindow(
+            s, k, ls + lk - 1, -(static_cast<long>(lk) - 1));
+        const auto direct = oracle::correlate1d(s, k);
+        ASSERT_EQ(c.size(), direct.size());
+        for (size_t i = 0; i < c.size(); ++i)
+            EXPECT_NEAR(c[i], direct[i], 1e-8)
+                << "ls=" << ls << " lk=" << lk << " shift " << i;
     }
 }
 
@@ -202,8 +197,10 @@ TEST_P(JtcWindowTest, WindowMatchesReference)
 
     jtc::JtcSystem sys;
     const auto optical = sys.correlationWindow(s, k, ls);
-    const auto reference = jtc::slidingCorrelationReference(s, k, ls);
-    ASSERT_EQ(optical.size(), reference.size());
+    // Shift i of the window is entry i + lk - 1 of the full support.
+    const auto direct = oracle::correlate1d(s, k);
+    const std::vector<double> reference(direct.begin() + (lk - 1),
+                                        direct.begin() + (lk - 1 + ls));
     EXPECT_LT(pf::maxAbsDiff(optical, reference), 1e-8);
 }
 
@@ -252,7 +249,7 @@ TEST(JtcSystem, AccumulatedWindowMatchesStdNormLoop)
     std::vector<std::shared_ptr<const sig::ComplexVector>> kspec;
     std::vector<const sig::ComplexVector *> signals, kernels;
     for (size_t c = 0; c < group; ++c) {
-        sys.signalSpectrumInto(randomNonNegative(rng, ls), layout,
+        sys.signalSpectrumInto(randomNonNegative(rng, ls), layout, *plan,
                                sspec[c]);
         kspec.push_back(
             sys.kernelPlaneSpectrum(randomNonNegative(rng, lk), layout));
@@ -305,6 +302,17 @@ TEST(JtcSystem, AccumulatedWindowMatchesStdNormLoop)
                 << pf::simd::levelName(level) << " shift " << i;
     }
     pf::simd::forceLevel(previous);
+}
+
+TEST(JtcSystem, KernelPlaneSpectrumRejectsMismatchedKernelLength)
+{
+    // design(48, 7): a 256-sample plane with the kernel at 95. A
+    // 200-tap kernel would be copied past the plane's end.
+    const jtc::JtcSystem sys;
+    const auto layout = jtc::JtcPlaneLayout::design(48, 7);
+    EXPECT_DEATH((void)sys.kernelPlaneSpectrum(
+                     std::vector<double>(200, 0.5), layout),
+                 "kernel of 200 samples");
 }
 
 TEST(JtcSystem, KernelPlaneSpectrumIsCachedPerKernelAndLayout)

@@ -572,8 +572,8 @@ TEST(JtcBackend, SharedOpticalCacheAmortizesKernelTransforms)
     // jtcBackend instances (two "worker replicas") handed the same
     // PlaneSpectrumCache transform a static tiled kernel field once.
     auto digital = std::make_shared<tl::KernelSpectrumCache>();
-    auto jtc_a = tl::jtcBackend({}, digital->opticalPlaneCache());
-    auto jtc_b = tl::jtcBackend({}, digital->opticalPlaneCache());
+    auto jtc_a = tl::jtcBackend(digital->opticalPlaneCache());
+    auto jtc_b = tl::jtcBackend(digital->opticalPlaneCache());
     pf::Rng rng(311);
     const auto s = randomVector(rng, 256, 0.0, 1.0);
     const auto k = randomVector(rng, 67, 0.0, 0.3);
@@ -638,9 +638,6 @@ std::vector<NamedBackend>
 everyBackend()
 {
     auto cache = std::make_shared<tl::KernelSpectrumCache>();
-    jtc::JtcConfig noisy;
-    noisy.noise = true;
-    noisy.noise_seed = 5;
     pf::Rng rng(320);
     const auto input_gains = randomVector(rng, 4096, 0.9, 1.1);
     const auto weight_gains = randomVector(rng, 4096, 0.9, 1.1);
@@ -649,8 +646,7 @@ everyBackend()
         {"fft", tl::fftBackend(), false},
         {"fft cached", tl::fftBackend(cache), false},
         {"auto", tl::autoBackend(cache), false},
-        {"jtc", tl::jtcBackend({}, cache->opticalPlaneCache()), true},
-        {"jtc noisy", tl::jtcBackend(noisy), true},
+        {"jtc", tl::jtcBackend(cache->opticalPlaneCache()), true},
         {"varied cpu",
          tl::variedBackend(tl::cpuBackend(), input_gains, weight_gains),
          false},
@@ -777,10 +773,10 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
 
 // ---------------------------------------------------------------------------
 // Channel groups: window() over a temporal-accumulation group is the sum
-// of the channels' windows. The sliding paths (and the noisy JTC) add
-// the per-channel windows in ascending order, bit for bit; the FFT path
-// and the noiseless Linear JTC sum in the Fourier plane, one inverse
-// transform per group, which moves only the rounding.
+// of the channels' windows. The sliding paths add the per-channel
+// windows in ascending order, bit for bit; the FFT path and the JTC sum
+// in the Fourier plane, one inverse transform per group, which moves
+// only the rounding.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -915,9 +911,9 @@ TEST(Conv1dBackendGroups, JtcGroupSumMatchesSummedCorrelationWindows)
 TEST(Conv1dBackendGroups, GroupWindowsMatchPerChannelSums)
 {
     // Per channel, window() over a group of one; the group's window
-    // against their ascending sum. CPU, Auto, the noisy JTC and the
-    // varied CPU sum those windows themselves (bit-identical); the FFT
-    // paths and the noiseless JTC sum in the Fourier plane (bounded).
+    // against their ascending sum. CPU, Auto and the varied CPU sum
+    // those windows themselves (bit-identical); the FFT paths and the
+    // JTC sum in the Fourier plane (bounded).
     pf::Rng rng(331);
     for (const NamedBackend &nb : everyBackend()) {
         const bool fourier = nb.name == std::string("fft") ||
