@@ -5,7 +5,9 @@
  *
  * Paper claims: with 8 or 16 PFCUs the minimum is at IB = N_PFCU; at
  * 32 the continuous optimum sits at IB = 23 but the valid power-of-two
- * solutions 16 and 32 tie.
+ * solutions 16 and 32 tie. The bench also prints why Section V-D
+ * leaves weight broadcasting out of the analysis: with N_w << N_i the
+ * weight DACs it shares are few.
  */
 
 #include <cstdio>
@@ -55,5 +57,25 @@ main()
                 "optimal, as the paper reports\n",
                 arch::parallelizationObjective(16, 32, 16),
                 arch::parallelizationObjective(32, 32, 16));
+
+    // Section V-D: weight broadcasting shares only the N_w weight DACs
+    // (25 active weights vs 256 input waveguides), input broadcasting
+    // the N_i input DACs. Converter power at full broadcast of each.
+    const size_t n_inputs = 256, n_weights = 25;
+    std::printf("\nweight vs input broadcasting at full width (N_i = "
+                "%zu, N_w = %zu, N_TA = 16; converter-power units)\n",
+                n_inputs, n_weights);
+    TextTable schemes({"N_PFCU", "weight broadcast", "input broadcast",
+                       "ratio"});
+    for (size_t n : {8u, 16u, 32u}) {
+        const double wb = arch::weightBroadcastObjective(
+            static_cast<double>(n), n, 16, n_inputs, n_weights);
+        const double ib = arch::inputBroadcastPower(
+            static_cast<double>(n), n, 16, n_inputs, n_weights);
+        schemes.addRow({std::to_string(n), TextTable::num(wb, 0),
+                        TextTable::num(ib, 0),
+                        TextTable::num(wb / ib, 2)});
+    }
+    std::printf("%s", schemes.render().c_str());
     return 0;
 }

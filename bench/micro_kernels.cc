@@ -63,7 +63,7 @@ BM_FftPlanCached(benchmark::State &state)
     const auto plan = sig::fftPlanFor(n);
     for (auto _ : state) {
         auto copy = input;
-        plan->execute(copy, false);
+        plan->execute(copy.data(), false);
         benchmark::DoNotOptimize(copy.data());
     }
 }
@@ -78,7 +78,7 @@ BM_FftPlanConstructEachCall(benchmark::State &state)
     for (auto _ : state) {
         sig::FftPlan plan(n);
         auto copy = input;
-        plan.execute(copy, false);
+        plan.execute(copy.data(), false);
         benchmark::DoNotOptimize(copy.data());
     }
 }
@@ -185,7 +185,7 @@ BM_FftRealOnComplexPlan(benchmark::State &state)
     for (auto _ : state) {
         for (size_t i = 0; i < n; ++i)
             data[i] = sig::Complex(input[i], 0.0);
-        plan->execute(data, false);
+        plan->execute(data.data(), false);
         benchmark::DoNotOptimize(data.data());
     }
 }
@@ -616,7 +616,8 @@ static void
 BM_ObsSpanActive(benchmark::State &state)
 {
     pf::obs::TraceSink sink(4096);
-    pf::obs::TraceBinding binding(0x5eed, &sink);
+    const uint64_t ids[] = {0x5eed};
+    pf::obs::TraceBinding binding(ids, &sink);
     for (auto _ : state) {
         pf::obs::ScopedSpan span("bench");
         benchmark::DoNotOptimize(&span);

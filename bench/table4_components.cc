@@ -57,6 +57,8 @@ main()
     std::printf("derived (CG): ADC %.2f fJ/conv-step (Walden), "
                 "DAC %.3f pJ/sample\n",
                 cg_adc.waldenFomFj(8), cg_dac.energyPerSamplePj(10.0));
+    std::printf("CG ADC scaled linearly to 10 GS/s: %.2f mW\n",
+                cg_adc.powerAtMw(10.0));
     std::printf("NG converters = CG / %.2f (Walden-FOM envelope at "
                 "625 MHz, Section VI-A)\n",
                 photonics::ComponentCatalog::ngConverterScale());
@@ -68,5 +70,7 @@ main()
                 "at the detectors (target > 20 dB)\n",
                 cg.laser_mw_per_wg,
                 link.detectorSnrDb(cg.laser_mw_per_wg, pd));
+    std::printf("minimum laser power for 20 dB: %.3f mW/waveguide\n",
+                link.requiredLaserPowerMw(20.0, pd));
     return 0;
 }

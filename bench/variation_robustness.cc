@@ -62,6 +62,7 @@ main()
                 "variation ===\n\n");
 
     TextTable table({"static sigma", "uncalibrated rel. RMSE",
+                     "range over 8 chips",
                      "calibrated rel. RMSE (drift 0.2%)"});
     for (double sigma : {0.005, 0.01, 0.02, 0.05, 0.10}) {
         RunningStats uncal, cal;
@@ -72,6 +73,8 @@ main()
         char label[16];
         std::snprintf(label, sizeof(label), "%.1f%%", 100.0 * sigma);
         table.addRow({label, TextTable::sci(uncal.mean(), 2),
+                      TextTable::sci(uncal.min(), 2) + " - " +
+                          TextTable::sci(uncal.max(), 2),
                       TextTable::sci(cal.mean(), 2)});
     }
     std::printf("%s\n", table.render().c_str());

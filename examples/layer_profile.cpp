@@ -8,6 +8,8 @@
  * the cycle/energy distribution — the information an architect needs
  * to see why AlexNet's strided 11x11 stem is expensive (Section VI-E)
  * and why later ResNet layers under-utilize wide PFCUs (Section V-E).
+ * It closes with the network's conv share of MACs, its SRAM audit
+ * (Section V-A) and the PFCU pipeline trace (Section IV-A).
  *
  * Usage: layer_profile [alexnet|vgg16|resnet18|resnet32|resnet50]
  */
@@ -15,6 +17,7 @@
 #include <cstdio>
 #include <string>
 
+#include "arch/memory_check.hh"
 #include "arch/stats_report.hh"
 #include "core/photofourier.hh"
 #include "jtc/pipeline_trace.hh"
@@ -62,5 +65,26 @@ main(int argc, char **argv)
     std::printf("  unpipelined: %zu cycles (%.0f%% — the Section "
                 "II-C2 figure)\n", unpiped.total_cycles,
                 100.0 * unpiped.utilization());
+    // Pipelining raises throughput, not a convolution's latency.
+    std::printf("  latency of one convolution: %zu cycles pipelined, "
+                "%zu unpipelined\n", piped.latencyOfJob(0),
+                unpiped.latencyOfJob(0));
+    std::printf("%s", piped.render().c_str());
+
+    // The architecture model charges convolutions only (>99% of the
+    // MACs of VGG and the ResNets; AlexNet's FC tail is heavier).
+    std::printf("\n%s: %.3f GMACs in convolutions, %.2f%% of all "
+                "MACs\n", spec.name.c_str(), spec.convMacs() / 1e9,
+                100.0 * spec.convMacFraction());
+
+    // Section V-A: SRAM sizing at 8-bit, batch 1, on the CG design.
+    const auto mem =
+        arch::checkMemory(spec, arch::AcceleratorConfig::currentGen());
+    std::printf("SRAM audit (CG, 8-bit): activations need %.0f of %.0f "
+                "KB (%s), weights need %.0f of %.0f KB per tile (%s)\n",
+                mem.activation_need_kb, mem.activation_have_kb,
+                mem.activationsFit() ? "fit" : "stream through DRAM",
+                mem.weight_need_kb, mem.weight_have_kb,
+                mem.weightsFit() ? "fit" : "spill");
     return 0;
 }

@@ -130,13 +130,5 @@ EnergyModel::layerCycleEnergy(const tiling::TilingPlan &plan,
     return energy;
 }
 
-double
-EnergyModel::powerW(const CycleEnergy &energy) const
-{
-    // pJ per cycle x cycles per second = pJ/s; convert to W.
-    return energy.totalPj() * config_.clock_ghz * 1e9 *
-           units::kJoulePerPj;
-}
-
 } // namespace arch
 } // namespace photofourier

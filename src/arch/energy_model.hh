@@ -78,10 +78,6 @@ class EnergyModel
                                  size_t kernel,
                                  size_t active_inputs) const;
 
-    /** Average power (W) when running at full clock with this cycle
-     *  energy. */
-    double powerW(const CycleEnergy &energy) const;
-
     /** The configuration. */
     const AcceleratorConfig &config() const { return config_; }
 

@@ -48,20 +48,6 @@ pick(const std::string &network, double alexnet, double vgg,
 
 } // namespace
 
-std::vector<BaselineInfo>
-baselineCatalog()
-{
-    return {
-        {"Albireo-c", "8-bit", "photonic MZI/MRR, conservative"},
-        {"Albireo-a", "8-bit", "photonic MZI/MRR, aggressive"},
-        {"Holylight-m", "8-bit", "nanophotonic microdisk"},
-        {"Holylight-a", "power-of-two", "nanophotonic microdisk"},
-        {"DEAP-CNN", "7-bit", "photonic MRR"},
-        {"Lightbulb", "binary", "photonic PCM"},
-        {"UNPU", "variable-bit", "65nm digital CMOS"},
-    };
-}
-
 std::vector<ComparisonEntry>
 figure13Entries(const arch::NetworkPerformance &cg,
                 const arch::NetworkPerformance &ng)

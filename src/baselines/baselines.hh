@@ -43,17 +43,6 @@ struct ComparisonEntry
     double invEdp() const { return fps * fps_per_w; }
 };
 
-/** Baseline quantization target (Section VI-E discussion). */
-struct BaselineInfo
-{
-    std::string name;
-    std::string precision; ///< e.g. "8-bit", "binary", "power-of-two"
-    std::string technology;
-};
-
-/** Metadata for every comparator (for table headers). */
-std::vector<BaselineInfo> baselineCatalog();
-
 /**
  * Build the Figure 13 comparison set for one network.
  *

@@ -91,9 +91,6 @@ class ClusterClient
         return endpoint_.queryHealth(out);
     }
 
-    /** Liveness probe. */
-    bool ping() { return endpoint_.ping(); }
-
     /** Drop the connections (outstanding handles fail cleanly). */
     void close() { endpoint_.close(); }
 

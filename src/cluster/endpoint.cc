@@ -367,23 +367,6 @@ RemoteEndpoint::queryHealth(HealthReportMsg *out)
     return true;
 }
 
-bool
-RemoteEndpoint::ping()
-{
-    PingMsg ping;
-    ping.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    std::string reply;
-    if (!controlRoundTrip(encodePing(ping), &reply))
-        return false;
-    PingMsg pong;
-    if (!decodePing(reply, &pong, MsgType::Pong) ||
-        pong.seq != ping.seq) {
-        markDown("control protocol error from shard " + name_);
-        return false;
-    }
-    return true;
-}
-
 void
 RemoteEndpoint::close()
 {

@@ -11,7 +11,7 @@
  * ride each connection concurrently, which is what lets the remote
  * server's micro-batcher see them together.
  *
- * Control plane: registerModel/queryStats/ping run request-response on
+ * Control plane: registerModel/queryStats run request-response on
  * a dedicated control connection under a mutex, so a slow stats pull
  * never sits between a request and its response on the data plane.
  *
@@ -133,9 +133,6 @@ class RemoteEndpoint
 
     /** Control-plane health pull (v4 GetHealth). */
     bool queryHealth(HealthReportMsg *out);
-
-    /** Control-plane liveness probe. */
-    bool ping();
 
     /** Tear down connections; fails all in-flight completions. */
     void close();

@@ -87,15 +87,6 @@ Router::connect()
     return live;
 }
 
-size_t
-Router::liveShards() const
-{
-    size_t live = 0;
-    for (const auto &endpoint : endpoints_)
-        live += endpoint->up() ? 1 : 0;
-    return live;
-}
-
 std::vector<std::string>
 Router::shardNames() const
 {
@@ -395,15 +386,6 @@ obs::HealthState
 Router::refreshHealth()
 {
     return healthReport().state;
-}
-
-obs::HealthState
-Router::shardHealth(const std::string &shard) const
-{
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    const auto it = health_.find(shard);
-    return it == health_.end() ? obs::HealthState::Healthy
-                               : it->second;
 }
 
 void

@@ -128,9 +128,6 @@ class Router : public ServingBackend
      */
     size_t connect();
 
-    /** Shards currently up. */
-    size_t liveShards() const;
-
     /** All configured shard names, in config order. */
     std::vector<std::string> shardNames() const;
 
@@ -200,9 +197,6 @@ class Router : public ServingBackend
      * fleet's worst state.
      */
     obs::HealthState refreshHealth();
-
-    /** Last pulled health of `shard` (Healthy when never pulled). */
-    obs::HealthState shardHealth(const std::string &shard) const;
 
     /** The registry the router records into (config or global). */
     obs::MetricsRegistry &metricsRegistry() const

@@ -41,12 +41,6 @@ setLogLevel(LogLevel level)
     global_level = level;
 }
 
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
 PanicHook
 setPanicHook(PanicHook hook)
 {
@@ -90,13 +84,6 @@ informImpl(const std::string &msg)
 {
     if (global_level >= LogLevel::Info)
         std::cout << "info: " << msg << std::endl;
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    if (global_level >= LogLevel::Debug)
-        std::cout << "debug: " << msg << std::endl;
 }
 
 } // namespace detail

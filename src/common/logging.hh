@@ -18,13 +18,10 @@
 namespace photofourier {
 
 /** Verbosity levels accepted by setLogLevel(). */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
+enum class LogLevel { Silent = 0, Warn = 1, Info = 2 };
 
 /** Set the global log verbosity (default: Info). */
 void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 /**
  * Hook run on the panic path (failed pf_assert / pf_panic) after the
@@ -46,7 +43,6 @@ namespace detail {
                             const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Minimal printf-free message builder: concatenates stream args. */
 template <typename... Args>
@@ -80,11 +76,6 @@ buildMessage(Args &&...args)
 /** Print an informational message. */
 #define pf_inform(...)                                                     \
     ::photofourier::detail::informImpl(                                    \
-        ::photofourier::detail::buildMessage(__VA_ARGS__))
-
-/** Print a debug message (only at LogLevel::Debug). */
-#define pf_debug(...)                                                      \
-    ::photofourier::detail::debugImpl(                                     \
         ::photofourier::detail::buildMessage(__VA_ARGS__))
 
 /**

@@ -112,15 +112,6 @@ Rng::uniformVector(size_t n, double lo, double hi)
     return out;
 }
 
-std::vector<double>
-Rng::normalVector(size_t n, double mean, double stddev)
-{
-    std::vector<double> out(n);
-    for (auto &v : out)
-        v = normal(mean, stddev);
-    return out;
-}
-
 std::vector<size_t>
 Rng::permutation(size_t n)
 {

@@ -54,9 +54,6 @@ class Rng
     /** Fill a vector with n uniform values in [lo, hi). */
     std::vector<double> uniformVector(size_t n, double lo, double hi);
 
-    /** Fill a vector with n normal(mean, stddev) values. */
-    std::vector<double> normalVector(size_t n, double mean, double stddev);
-
     /** Fisher-Yates shuffle of indices [0, n). */
     std::vector<size_t> permutation(size_t n);
 

@@ -8,16 +8,6 @@
 namespace photofourier {
 
 double
-mean(const std::vector<double> &values)
-{
-    pf_assert(!values.empty(), "mean of empty vector");
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / static_cast<double>(values.size());
-}
-
-double
 geomean(const std::vector<double> &values)
 {
     pf_assert(!values.empty(), "geomean of empty vector");
@@ -27,16 +17,6 @@ geomean(const std::vector<double> &values)
         log_sum += std::log(v);
     }
     return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double
-stddev(const std::vector<double> &values)
-{
-    const double m = mean(values);
-    double acc = 0.0;
-    for (double v : values)
-        acc += (v - m) * (v - m);
-    return std::sqrt(acc / static_cast<double>(values.size()));
 }
 
 double
@@ -155,20 +135,6 @@ double
 Histogram::mean() const
 {
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Histogram::min() const
-{
-    pf_assert(count_ > 0, "min of empty Histogram");
-    return min_;
-}
-
-double
-Histogram::max() const
-{
-    pf_assert(count_ > 0, "max of empty Histogram");
-    return max_;
 }
 
 double

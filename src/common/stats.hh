@@ -12,14 +12,8 @@
 
 namespace photofourier {
 
-/** Arithmetic mean; panics on an empty input. */
-double mean(const std::vector<double> &values);
-
 /** Geometric mean; all values must be positive. */
 double geomean(const std::vector<double> &values);
-
-/** Population standard deviation. */
-double stddev(const std::vector<double> &values);
 
 /** Maximum absolute difference between two equal-length vectors. */
 double maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b);
@@ -99,10 +93,6 @@ class Histogram
 
     /** Mean of the samples (0 when empty). */
     double mean() const;
-
-    /** Smallest / largest recorded sample (panics when empty). */
-    double min() const;
-    double max() const;
 
     /**
      * Value at or below which `pct` percent of samples fall

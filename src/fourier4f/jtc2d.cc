@@ -81,14 +81,6 @@ Jtc2d::kernelPlaneSpectrum(const signal::Matrix &k,
         });
 }
 
-signal::Matrix
-Jtc2d::outputPlane(const signal::Matrix &s, const signal::Matrix &k) const
-{
-    signal::Matrix out;
-    outputPlaneInto(s, k, out);
-    return out;
-}
-
 void
 Jtc2d::outputPlaneInto(const signal::Matrix &s, const signal::Matrix &k,
                        signal::Matrix &out) const
@@ -116,14 +108,6 @@ Jtc2d::outputPlaneInto(const signal::Matrix &s, const signal::Matrix &k,
     // Lens -> intensity -> lens: ifft2d(|fft2d(E)|^2) is the circular
     // 2D autocorrelation (correlation theorem), exactly as in 1D.
     plan->jointAutocorrelationInto(plane, kspec->data(), out);
-}
-
-signal::Matrix
-Jtc2d::correlate(const signal::Matrix &s, const signal::Matrix &k) const
-{
-    signal::Matrix out;
-    correlateInto(s, k, out);
-    return out;
 }
 
 void

@@ -58,28 +58,20 @@ class Jtc2d
         std::shared_ptr<signal::PlaneSpectrumCache> spectra = nullptr);
 
     /**
-     * Full output plane: the circular 2D autocorrelation of the joint
-     * input plane, with the cross-correlation terms displaced
-     * vertically by the input separation.
+     * Full output plane into `out` (resized, capacity reused): the
+     * circular 2D autocorrelation of the joint input plane, with the
+     * cross-correlation terms displaced vertically by the input
+     * separation. Allocation-free with a warm kernel-spectrum cache.
      */
-    signal::Matrix outputPlane(const signal::Matrix &s,
-                               const signal::Matrix &k) const;
-
-    /** outputPlane writing into `out` (resized, capacity reused);
-     *  allocation-free with a warm kernel-spectrum cache. */
     void outputPlaneInto(const signal::Matrix &s,
                          const signal::Matrix &k,
                          signal::Matrix &out) const;
 
     /**
-     * Extracted 2D sliding correlation (the CNN convolution),
-     * `Valid` support: (Sr-Kr+1) x (Sc-Kc+1).
+     * Extracted 2D sliding correlation (the CNN convolution) into
+     * `out`, `Valid` support: (Sr-Kr+1) x (Sc-Kc+1). Allocation-free
+     * when warm (the full plane lives in per-thread scratch).
      */
-    signal::Matrix correlate(const signal::Matrix &s,
-                             const signal::Matrix &k) const;
-
-    /** correlate writing into `out`; allocation-free when warm (the
-     *  full plane lives in per-thread scratch). */
     void correlateInto(const signal::Matrix &s, const signal::Matrix &k,
                        signal::Matrix &out) const;
 

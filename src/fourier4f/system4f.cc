@@ -97,15 +97,6 @@ System4f::filterHalfSpectrum(const signal::Matrix &kernel, size_t rows,
         });
 }
 
-signal::Matrix
-System4f::convolve(const signal::Matrix &image,
-                   const signal::Matrix &kernel) const
-{
-    signal::Matrix out;
-    apply(image, kernel, out);
-    return out;
-}
-
 void
 System4f::apply(const signal::Matrix &image, const signal::Matrix &kernel,
                 signal::Matrix &out) const

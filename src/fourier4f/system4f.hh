@@ -16,7 +16,7 @@
  *  - finite modulator precision quantizes amplitude and phase, which
  *    perturbs the computed convolution.
  *
- * System4f::convolve is the functional model; Requirements4f tallies
+ * System4f::apply is the functional model; Requirements4f tallies
  * the hardware demands so benches can compare against the JTC.
  */
 
@@ -82,17 +82,11 @@ class System4f
         std::shared_ptr<signal::PlaneSpectrumCache> spectra = nullptr);
 
     /**
-     * Convolve image with kernel through the 4F path. Returns the
-     * full linear convolution (rows+krows-1 x cols+kcols-1), matching
-     * the direct full-support 2D convolution up to modulator
-     * quantization.
-     */
-    signal::Matrix convolve(const signal::Matrix &image,
-                            const signal::Matrix &kernel) const;
-
-    /**
-     * convolve writing into `out` (resized, capacity reused) — the
-     * streaming form: with the kernel's filter already programmed
+     * Convolve image with kernel through the 4F path into `out`
+     * (resized, capacity reused): the full linear convolution
+     * (rows+krows-1 x cols+kcols-1), matching the direct full-support
+     * 2D convolution up to modulator quantization. With the kernel's
+     * filter already programmed
      * (warm cache), one apply is an r2c of the input plane, a
      * pointwise product against the cached filter half-spectrum, and
      * a c2r back — no heap allocation at all.

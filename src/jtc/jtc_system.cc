@@ -16,8 +16,7 @@ namespace {
 // 1D JTC (see the slot discipline in fft_plan.hh). The plane buffer
 // doubles as the kernel-padding scratch on cache misses (the miss
 // computes before the signal plane is built). The full buffer holds
-// the one-call path's signal spectrum until detection consumes it,
-// then the noise path's n-point spectrum.
+// the one-call path's signal spectrum until detection consumes it.
 constexpr size_t kSlotJtcPlane = 20;
 constexpr size_t kSlotJtcHalf = 21;
 constexpr size_t kSlotJtcFull = 22;
@@ -123,24 +122,6 @@ JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
         });
 }
 
-double
-JtcSystem::readOut(double field_value, double scale,
-                   photonics::Photodetector &pd) const
-{
-    double recorded = field_value;
-    if (config_.readout == ReadoutModel::SquareLaw) {
-        // Physical detector: intensity |R|^2, digital sqrt in CMOS.
-        // Negative excursions (noise) clamp to zero charge.
-        double intensity = field_value * field_value;
-        if (config_.noise)
-            intensity = pd.addSensingNoise(intensity, scale * scale);
-        recorded = std::sqrt(std::max(0.0, intensity));
-    } else if (config_.noise) {
-        recorded = pd.addSensingNoise(field_value, scale);
-    }
-    return recorded;
-}
-
 std::vector<double>
 JtcSystem::outputPlane(const std::vector<double> &s,
                        const std::vector<double> &k) const
@@ -199,57 +180,18 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
     const signal::ComplexVector *kernels[] = {kspec.get()};
     const signal::ComplexVector &intensity =
         fourierIntensity(signals, kernels, *plan);
-    if (config_.noise) {
-        detectPlane(intensity, *plan, out);
-        return;
-    }
-    out.resize(layout.plane_size);
-    plan->executeRealInverse(intensity.data(), out.data());
-    // The noiseless Linear readout records R itself.
-    if (config_.readout == ReadoutModel::SquareLaw) {
-        photonics::Photodetector out_pd(config_.detector,
-                                        config_.noise_seed + 1);
-        for (double &value : out)
-            value = readOut(value, value, out_pd);
-    }
-}
-
-void
-JtcSystem::detectPlane(const signal::ComplexVector &intensity,
-                       const signal::FftPlan &plan,
-                       std::vector<double> &out) const
-{
-    // Every one of the n Fourier-plane photodetectors draws its own
-    // sensing noise, which breaks the Hermitian symmetry — expand to
-    // the full intensity pattern and run the full inverse transform,
-    // exactly as the noiseless math would without the symmetry
-    // shortcut. The SNR target applies per detector, i.e. noise scales
-    // with each detector's own signal (not the plane peak — the DC
-    // term would otherwise drown the correlation terms).
-    const size_t n = plan.size();
-    const size_t half_n = plan.halfSpectrumSize();
-    photonics::Photodetector mid_pd(config_.detector, config_.noise_seed);
-    photonics::Photodetector out_pd(config_.detector,
-                                    config_.noise_seed + 1);
-
     // Second lens: I(u) -> R(x). The inverse DFT (with its 1/n) is the
     // correlation theorem: ifft(|fft(E)|^2)[d] = sum_x E[x] E[(x+d)%n],
     // exactly the circular autocorrelation of the joint plane. A
     // forward DFT would yield the mirrored plane; physical lenses
     // differ only by that reflection.
-    signal::ComplexVector &spectrum =
-        signal::threadFftWorkspace().complexBuffer(kSlotJtcFull, n);
-    for (size_t i = 0; i < n; ++i) {
-        const double value = intensity[i < half_n ? i : n - i].real();
-        spectrum[i] = signal::Complex(
-            std::max(0.0, mid_pd.addSensingNoise(value, value)), 0.0);
-    }
-    plan.execute(spectrum.data(), true);
-
-    out.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        const double r = spectrum[i].real();
-        out[i] = readOut(r, r, out_pd);
+    out.resize(layout.plane_size);
+    plan->executeRealInverse(intensity.data(), out.data());
+    // The Linear readout records R itself. The square law records
+    // |R|^2 (clamped at zero charge) and the CMOS takes its square root.
+    if (config_.readout == ReadoutModel::SquareLaw) {
+        for (double &value : out)
+            value = std::sqrt(std::max(0.0, value * value));
     }
 }
 
@@ -284,9 +226,8 @@ JtcSystem::accumulatedWindowFromSpectraInto(
     const JtcPlaneLayout &layout, const signal::FftPlan &plan,
     size_t count, long start, std::vector<double> &out) const
 {
-    pf_assert(config_.readout == ReadoutModel::Linear && !config_.noise,
-              "Fourier-plane accumulation needs the noiseless Linear "
-              "readout");
+    pf_assert(config_.readout == ReadoutModel::Linear,
+              "Fourier-plane accumulation needs the Linear readout");
     const size_t n = layout.plane_size;
     pf_assert(plan.size() == n, "a ", plan.size(), "-point plan for the ",
               n, "-sample plane");

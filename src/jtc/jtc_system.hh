@@ -24,9 +24,10 @@
  * pseudo-negative decomposition) the amplitude is recoverable by a
  * square root, but temporal accumulation integrates charge and so needs
  * the linear value. The accelerator's optical path (tiling::jtcBackend)
- * therefore runs the noiseless Linear readout. The SquareLaw readout
- * (the readout ablation) and per-detector field noise are reached only
- * through the one-call API (outputPlane, correlationWindow).
+ * therefore runs the Linear readout. The SquareLaw readout (the readout
+ * ablation) is reached only through the one-call API (outputPlane,
+ * correlationWindow). The field simulation is noiseless: the engine's
+ * sensing noise acts on the accumulated charge (nn::ConvEngine).
  *
  * Fourier-plane detection has one implementation: the intensities of a
  * group of joint fields summed in the Fourier plane
@@ -43,7 +44,6 @@
 #include <span>
 #include <vector>
 
-#include "photonics/photodetector.hh"
 #include "signal/fft.hh"
 #include "signal/fft_plan.hh"
 #include "signal/plane_spectrum_cache.hh"
@@ -87,17 +87,6 @@ struct JtcConfig
 {
     /** Readout conversion at the final detector row. */
     ReadoutModel readout = ReadoutModel::Linear;
-
-    /** Inject photodetector sensing noise in the Fourier plane and at
-     *  readout. Off by default; the engine's accuracy experiments add
-     *  their sensing noise to the accumulated charge instead. */
-    bool noise = false;
-
-    /** Detector parameters used when noise is enabled. */
-    photonics::PhotodetectorConfig detector;
-
-    /** Seed for noise injection. */
-    uint64_t noise_seed = 1;
 };
 
 /**
@@ -141,8 +130,8 @@ class JtcSystem
      * capacity reused). With a warm kernel-spectrum cache it is
      * allocation-free: one r2c of the signal plane, the detected
      * intensity of the joint field (signal spectrum plus the cached
-     * kernel spectrum) as a group of one, then the second lens — one
-     * c2r without noise, the full inverse with it.
+     * kernel spectrum) as a group of one, then the second lens (one
+     * c2r) and the readout.
      */
     void outputPlaneInto(const std::vector<double> &s,
                          const std::vector<double> &k,
@@ -210,11 +199,11 @@ class JtcSystem
      * so this is the sum of the group's correlationWindow values up to
      * rounding, for one inverse transform instead of one per field; a
      * group of one is bit-identical to correlationWindowInto. Linear
-     * readout with noise off only: sensing noise and the square law
-     * act per field. `plan` is fftPlanFor(layout.plane_size), resolved
-     * by the caller once for every window on the layout. The intensity
-     * sum runs in simd::Kernels::jointIntensitySum, exact at every
-     * dispatch level. Allocation-free in steady state.
+     * readout only: the square law acts per field. `plan` is
+     * fftPlanFor(layout.plane_size), resolved by the caller once for
+     * every window on the layout. The intensity sum runs in
+     * simd::Kernels::jointIntensitySum, exact at every dispatch level.
+     * Allocation-free in steady state.
      */
     void accumulatedWindowFromSpectraInto(
         std::span<const signal::ComplexVector *const> signal_spectra,
@@ -236,22 +225,10 @@ class JtcSystem
     JtcConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;
 
-    /** The noise path's second lens and readout: every Fourier-plane
-     *  detector adds its own sensing noise to the detected `intensity`
-     *  (the half-spectrum (I, 0)), then the full inverse transform;
-     *  the recorded output plane lands in `out`. */
-    void detectPlane(const signal::ComplexVector &intensity,
-                     const signal::FftPlan &plan,
-                     std::vector<double> &out) const;
-
     /** Read the sliding window off a recorded output plane. */
     static void readWindow(const std::vector<double> &plane,
                            const JtcPlaneLayout &layout, size_t count,
                            long start, std::vector<double> &out);
-
-    /** Apply the configured readout model (+ optional noise). */
-    double readOut(double field_value, double scale,
-                   photonics::Photodetector &pd) const;
 };
 
 } // namespace jtc

@@ -147,33 +147,6 @@ resnet34Spec()
 }
 
 NetworkSpec
-resnet32CifarSpec()
-{
-    NetworkSpec spec;
-    spec.name = "ResNet-32-CIFAR";
-    spec.input_size = 32;
-    spec.input_channels = 3;
-    spec.conv_layers.push_back({"conv1", 3, 16, 32, 3, 1});
-    size_t size = 32;
-    size_t in_ch = 16;
-    const size_t widths[3] = {16, 32, 64};
-    for (size_t stage = 0; stage < 3; ++stage) {
-        const size_t out_ch = widths[stage];
-        for (size_t b = 0; b < 5; ++b) {
-            const size_t stride = (stage > 0 && b == 0) ? 2 : 1;
-            appendBasicBlock(spec.conv_layers,
-                             "s" + std::to_string(stage + 1) + "b" +
-                                 std::to_string(b + 1),
-                             in_ch, out_ch, size, stride);
-            size = (size + stride - 1) / stride;
-            in_ch = out_ch;
-        }
-    }
-    spec.fc_macs = 64.0 * 10;
-    return spec;
-}
-
-NetworkSpec
 resnet50Spec()
 {
     NetworkSpec spec;
@@ -197,30 +170,6 @@ resnet50Spec()
         }
     }
     spec.fc_macs = 2048.0 * 1000;
-    return spec;
-}
-
-NetworkSpec
-resnetSSpec()
-{
-    // MLPerf Tiny image-classification ResNet (ResNet-8-like): one
-    // 3->16 stem and three residual stages at 16/32/64 channels.
-    NetworkSpec spec;
-    spec.name = "ResNet-s";
-    spec.input_size = 32;
-    spec.input_channels = 3;
-    spec.conv_layers = {
-        {"stem", 3, 16, 32, 3, 1},
-        {"s1a", 16, 16, 32, 3, 1},
-        {"s1b", 16, 16, 32, 3, 1},
-        {"s2a", 16, 32, 32, 3, 2},
-        {"s2b", 32, 32, 16, 3, 1},
-        {"s2ds", 16, 32, 32, 1, 2},
-        {"s3a", 32, 64, 16, 3, 2},
-        {"s3b", 64, 64, 8, 3, 1},
-        {"s3ds", 32, 64, 16, 1, 2},
-    };
-    spec.fc_macs = 64.0 * 10;
     return spec;
 }
 

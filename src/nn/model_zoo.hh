@@ -5,8 +5,8 @@
  * Two distinct artifacts:
  *
  *  1. NetworkSpec — layer-shape descriptors of the exact networks the
- *     paper benchmarks (AlexNet, VGG-16, ResNet-18/34/50, ResNet-s,
- *     CrossLight's CIFAR CNN). The architecture model consumes only
+ *     paper benchmarks (AlexNet, VGG-16, ResNet-18/34/50, CrossLight's
+ *     CIFAR CNN). The architecture model consumes only
  *     shapes, so no weights are needed. Note the paper's Table III
  *     lists "ResNet-32"; the accompanying text discusses ResNet-34's
  *     layer sizes, so the ImageNet-style ResNet-34 descriptor stands in
@@ -78,18 +78,8 @@ NetworkSpec resnet18Spec();
 /** ResNet-34 (ImageNet 224) — stands in for the paper's "ResNet-32". */
 NetworkSpec resnet34Spec();
 
-/**
- * The CIFAR-style ResNet-32 (3 stages x 5 basic blocks at 16/32/64
- * channels, 32x32 input) — the other plausible reading of the paper's
- * "ResNet-32"; provided so users can sweep either interpretation.
- */
-NetworkSpec resnet32CifarSpec();
-
 /** ResNet-50 (ImageNet 224, bottleneck blocks). */
 NetworkSpec resnet50Spec();
-
-/** ResNet-s: the pruned CIFAR-10 ResNet of MLPerf Tiny [9]. */
-NetworkSpec resnetSSpec();
 
 /** CrossLight's custom 4-layer CIFAR-10 CNN (reconstruction). */
 NetworkSpec crosslightCnnSpec();

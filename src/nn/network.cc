@@ -33,14 +33,6 @@ Network::logitsBatch(const std::vector<Tensor> &inputs)
     return logits;
 }
 
-Tensor
-Network::forward(const Tensor &input)
-{
-    std::vector<Tensor> outs =
-        forwardBatch(std::vector<Tensor>(1, input));
-    return std::move(outs.front());
-}
-
 std::vector<double>
 Network::logits(const Tensor &input)
 {
@@ -101,20 +93,6 @@ Network::shapeError(const Shape &input, const ConvEngine *engine) const
                    layers_[i]->name() + "): " + invalid;
     }
     return {};
-}
-
-double
-Network::macCount(const Tensor &input)
-{
-    // Shapes of intermediate activations are only known by running;
-    // do a forward pass and sum per-layer counts on the fly.
-    double macs = 0.0;
-    Tensor x = input;
-    for (auto &layer : layers_) {
-        macs += layer->macCount(x);
-        x = layer->forward(x);
-    }
-    return macs;
 }
 
 } // namespace nn

@@ -42,10 +42,6 @@ class Network
     std::vector<std::vector<double>>
     logitsBatch(const std::vector<Tensor> &inputs);
 
-    /** forwardBatch over a batch of one; caches activations for
-     *  backward(). */
-    Tensor forward(const Tensor &input);
-
     /** logitsBatch over a batch of one. */
     std::vector<double> logits(const Tensor &input);
 
@@ -77,9 +73,6 @@ class Network
      */
     std::string shapeError(const Shape &input,
                            const ConvEngine *engine = nullptr) const;
-
-    /** Total MACs of a forward pass at the given input shape. */
-    double macCount(const Tensor &input);
 
     /** Number of layers. */
     size_t layerCount() const { return layers_.size(); }

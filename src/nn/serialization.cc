@@ -1,9 +1,7 @@
 #include "nn/serialization.hh"
 
-#include <fstream>
 #include <sstream>
 
-#include "common/logging.hh"
 
 namespace photofourier {
 namespace nn {
@@ -15,15 +13,6 @@ saveNetwork(const Network &net, std::ostream &out)
     out << "layers " << net.layerCount() << "\n";
     for (size_t i = 0; i < net.layerCount(); ++i)
         net.layer(i).saveParams(out);
-}
-
-void
-saveNetwork(const Network &net, const std::string &path)
-{
-    std::ofstream out(path);
-    pf_assert(out.good(), "cannot open ", path, " for writing");
-    saveNetwork(net, out);
-    pf_assert(out.good(), "write failure on ", path);
 }
 
 bool
@@ -43,15 +32,6 @@ loadNetwork(Network &net, std::istream &in)
         if (!net.layer(i).loadParams(in))
             return false;
     return true;
-}
-
-bool
-loadNetwork(Network &net, const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.good())
-        return false;
-    return loadNetwork(net, in);
 }
 
 } // namespace nn

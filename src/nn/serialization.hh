@@ -20,7 +20,6 @@
 #define PHOTOFOURIER_NN_SERIALIZATION_HH
 
 #include <iosfwd>
-#include <string>
 
 #include "nn/network.hh"
 
@@ -30,18 +29,12 @@ namespace nn {
 /** Serialize all parameters to a stream. */
 void saveNetwork(const Network &net, std::ostream &out);
 
-/** Serialize to a file; panics on I/O failure. */
-void saveNetwork(const Network &net, const std::string &path);
-
 /**
  * Load parameters into an architecturally identical network.
  * Returns false (leaving the network unspecified-but-valid) if the
  * stream does not match the network's architecture.
  */
 bool loadNetwork(Network &net, std::istream &in);
-
-/** Load from a file; returns false if missing or mismatched. */
-bool loadNetwork(Network &net, const std::string &path);
 
 } // namespace nn
 } // namespace photofourier

@@ -34,17 +34,6 @@ Tensor::at(size_t c, size_t h, size_t w) const
     return data_[(c * height_ + h) * width_ + w];
 }
 
-signal::Matrix
-Tensor::channelMatrix(size_t c) const
-{
-    pf_assert(c < channels_, "channel ", c, " out of range ", channels_);
-    signal::Matrix m(height_, width_);
-    const size_t base = c * height_ * width_;
-    std::copy(data_.begin() + base,
-              data_.begin() + base + height_ * width_, m.data.begin());
-    return m;
-}
-
 void
 Tensor::channelMatrixInto(size_t c, signal::Matrix &out) const
 {

@@ -57,11 +57,8 @@ class Tensor
     std::vector<double> &data() { return data_; }
     const std::vector<double> &data() const { return data_; }
 
-    /** Copy channel c out as a Matrix (for the conv kernels). */
-    signal::Matrix channelMatrix(size_t c) const;
-
-    /** Copy channel c into `out` (resized, capacity reused) — the
-     *  allocation-free form the conv hot loops use. */
+    /** Copy channel c into `out` (resized, capacity reused), for the
+     *  conv kernels. */
     void channelMatrixInto(size_t c, signal::Matrix &out) const;
 
     /** Write a Matrix into channel c (shapes must match). */

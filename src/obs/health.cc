@@ -148,12 +148,5 @@ HealthMonitor::evaluate(const MetricsSnapshot &snap)
     return last_;
 }
 
-HealthStatus
-HealthMonitor::status() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return last_;
-}
-
 } // namespace obs
 } // namespace photofourier

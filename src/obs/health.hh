@@ -109,15 +109,12 @@ class HealthMonitor
     /** Evaluate every rule against `snap` and fold the state. */
     HealthStatus evaluate(const MetricsSnapshot &snap);
 
-    /** The most recent evaluate() result (healthy before the first). */
-    HealthStatus status() const;
-
     const std::vector<SloRule> &rules() const { return config_.rules; }
 
   private:
     // Lock order: mutex_ is a leaf lock — evaluate() reads only the
     // caller's snapshot while holding it.
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     Config config_;
     std::map<std::string, uint64_t> prev_counters_;
     uint32_t clean_streak_ = 0;

@@ -188,23 +188,6 @@ LogSink::dropped() const
     return total;
 }
 
-size_t
-LogSink::size() const
-{
-    size_t total = 0;
-    for (const Stripe &stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        total += stripe.size;
-    }
-    return total;
-}
-
-size_t
-LogSink::capacity() const
-{
-    return stripe_capacity_ * kStripes;
-}
-
 void
 LogSink::clear()
 {
@@ -250,13 +233,6 @@ LogSink::message(uint32_t id)
     return table[id];
 }
 
-size_t
-LogSink::messageTableSize()
-{
-    std::lock_guard<std::mutex> lock(messageTableMutex());
-    return messageTable().size();
-}
-
 void
 logEvent(LogSeverity severity, uint32_t message_id, uint64_t arg0,
          uint64_t arg1, LogSink *sink)
@@ -278,28 +254,6 @@ renderLogfmt(const std::vector<LogEvent> &events)
     std::ostringstream out;
     for (const LogEvent &event : events)
         appendLogfmtEvent(out, event);
-    return out.str();
-}
-
-std::string
-renderJson(const std::vector<LogEvent> &events)
-{
-    std::ostringstream out;
-    out << "[\n";
-    for (size_t i = 0; i < events.size(); ++i) {
-        const LogEvent &event = events[i];
-        out << "  {\"ts\":" << event.timestamp_ns << ",\"level\":\""
-            << logSeverityName(event.severity) << "\",\"component\":";
-        appendQuoted(out, event.component);
-        out << ",\"msg\":";
-        appendQuoted(out, event.message);
-        out << ",\"trace\":\"" << std::hex << std::setw(16)
-            << std::setfill('0') << event.trace_id << std::dec
-            << std::setfill(' ') << "\",\"arg0\":" << event.arg0
-            << ",\"arg1\":" << event.arg1 << "}"
-            << (i + 1 < events.size() ? "," : "") << "\n";
-    }
-    out << "]\n";
     return out.str();
 }
 
@@ -386,8 +340,7 @@ dumpFlightRecorder(const char *reason)
     body << "pf_flight_recorder version=1 reason=" << reason
          << " events=" << events.size() << " spans=" << spans.size()
          << " dropped_events=" << LogSink::global().dropped() << '\n';
-    for (const LogEvent &event : events)
-        appendLogfmtEvent(body, event);
+    body << renderLogfmt(events);
     for (const Span &span : spans) {
         body << "span trace=" << std::hex << std::setw(16)
              << std::setfill('0') << span.trace_id << std::dec
@@ -399,13 +352,6 @@ dumpFlightRecorder(const char *reason)
     out << body.str();
     out.flush();
     return out.good();
-}
-
-std::string
-flightRecorderPath()
-{
-    std::lock_guard<std::mutex> lock(flight_mutex);
-    return flight_config.path;
 }
 
 } // namespace obs

@@ -9,7 +9,7 @@
  * id table (a function-local static inside the pf_log_* macros), and
  * each event is a 48-byte record: timestamp, severity, message id, the
  * thread's active trace id, and two caller-chosen u64 arguments.
- * Rendering to logfmt/JSON happens only at drain time, from an owning
+ * Rendering to logfmt happens only at drain time, from an owning
  * snapshot. Per-severity pf_log_*_total counters land in
  * MetricsRegistry::global().
  *
@@ -95,12 +95,6 @@ class LogSink
     /** Events overwritten because their stripe's ring was full. */
     uint64_t dropped() const;
 
-    /** Number of live records across all stripes. */
-    size_t size() const;
-
-    /** Total ring slots across all stripes. */
-    size_t capacity() const;
-
     /** Forget every record (tests). */
     void clear();
 
@@ -119,9 +113,6 @@ class LogSink
 
     /** The interned literals for `id` (overflow entry when unknown). */
     static LogMessage message(uint32_t id);
-
-    /** Number of interned messages, including the overflow entry. */
-    static size_t messageTableSize();
 
   private:
     static constexpr size_t kStripes = 8;
@@ -180,9 +171,6 @@ void logEvent(LogSeverity severity, uint32_t message_id,
 /** Render events one-per-line in logfmt (key=value, quoted msg). */
 std::string renderLogfmt(const std::vector<LogEvent> &events);
 
-/** Render events as a JSON array of flat objects. */
-std::string renderJson(const std::vector<LogEvent> &events);
-
 /** Flight-recorder configuration (see installFlightRecorder). */
 struct FlightRecorderConfig
 {
@@ -209,9 +197,6 @@ void installFlightRecorder(const FlightRecorderConfig &config);
  * this on graceful exit so every run leaves an artifact.
  */
 bool dumpFlightRecorder(const char *reason);
-
-/** The armed dump path ("" when no recorder is installed). */
-std::string flightRecorderPath();
 
 } // namespace obs
 } // namespace photofourier

@@ -116,20 +116,8 @@ activeSink()
     return tls_trace.sink != nullptr ? *tls_trace.sink : TraceSink::global();
 }
 
-TraceBinding::TraceBinding(uint64_t trace_id, TraceSink *sink)
-    : single_id_(trace_id)
-{
-    bind({&single_id_, trace_id != 0 ? 1u : 0u}, sink);
-}
-
 TraceBinding::TraceBinding(std::span<const uint64_t> trace_ids,
                            TraceSink *sink)
-{
-    bind(trace_ids, sink);
-}
-
-void
-TraceBinding::bind(std::span<const uint64_t> trace_ids, TraceSink *sink)
 {
     prev_ids_ = tls_trace.trace_ids;
     prev_sink_ = tls_trace.sink;

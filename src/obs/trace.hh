@@ -100,14 +100,12 @@ TraceSink &activeSink();
 /**
  * RAII binding of trace ids (and optionally a sink) to the current
  * thread. While bound, ScopedSpans anywhere down the call stack —
- * conv engines, FFTs — record into the bound traces. Pass trace_id 0
- * (or no ids) to explicitly disable tracing inside the scope.
+ * conv engines, FFTs — record into the bound traces. Pass no ids to
+ * explicitly disable tracing inside the scope.
  */
 class TraceBinding
 {
   public:
-    explicit TraceBinding(uint64_t trace_id, TraceSink *sink = nullptr);
-
     /**
      * Bind every id in `trace_ids` at once: the traced members of one
      * fused batch, whose work is shared. Each ScopedSpan in the scope
@@ -122,9 +120,6 @@ class TraceBinding
     TraceBinding &operator=(const TraceBinding &) = delete;
 
   private:
-    void bind(std::span<const uint64_t> trace_ids, TraceSink *sink);
-
-    uint64_t single_id_ = 0;
     std::span<const uint64_t> prev_ids_;
     TraceSink *prev_sink_ = nullptr;
     uint32_t prev_depth_ = 0;

@@ -5,12 +5,6 @@
 namespace photofourier {
 namespace photonics {
 
-std::string
-generationName(Generation gen)
-{
-    return gen == Generation::CG ? "CG" : "NG";
-}
-
 ComponentPower
 ComponentCatalog::power(Generation gen)
 {

@@ -32,9 +32,6 @@ enum class Generation
     NG, ///< next generation: monolithic 7nm + passive nonlinearity
 };
 
-/** Human-readable generation name ("CG" / "NG"). */
-std::string generationName(Generation gen);
-
 /** Power draw of the active components (Table IV), in mW. */
 struct ComponentPower
 {

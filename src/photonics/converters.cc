@@ -19,15 +19,6 @@ Quantizer::Quantizer(int bits, double range)
     step_ = range > 0.0 ? range / static_cast<double>(max_code_) : 0.0;
 }
 
-std::vector<double>
-Quantizer::quantize(const std::vector<double> &values) const
-{
-    std::vector<double> out(values.size());
-    for (size_t i = 0; i < values.size(); ++i)
-        out[i] = quantize(values[i]);
-    return out;
-}
-
 ConverterPowerModel::ConverterPowerModel(double power_ref_mw,
                                          double freq_ref_ghz)
     : power_ref_mw_(power_ref_mw), freq_ref_ghz_(freq_ref_ghz)

@@ -57,9 +57,6 @@ class Quantizer
         return ideal() ? value : dequantize(code(value));
     }
 
-    /** Quantize a vector elementwise. */
-    std::vector<double> quantize(const std::vector<double> &values) const;
-
     /** Integer code for a value, in [-(2^(b-1)-1), 2^(b-1)-1]:
      *  the nearest level, ties away from zero (llround); values past
      *  full scale, infinities included, saturate to the rail of their

@@ -44,8 +44,7 @@ double
 OpticalLink::detectorSnrDb(double laser_power_mw,
                            const PhotodetectorConfig &pd) const
 {
-    Photodetector detector(pd);
-    return detector.darkCurrentSnrDb(deliveredPowerMw(laser_power_mw));
+    return darkCurrentSnrDb(pd, deliveredPowerMw(laser_power_mw));
 }
 
 double

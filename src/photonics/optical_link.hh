@@ -52,7 +52,7 @@ class OpticalLink
 
     /**
      * Detector SNR (dB) for a given launch power, using the dark-current
-     * shot-noise model of Photodetector.
+     * shot-noise model (darkCurrentSnrDb).
      */
     double detectorSnrDb(double laser_power_mw,
                          const PhotodetectorConfig &pd) const;

@@ -1,7 +1,5 @@
 #include "photonics/photodetector.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
@@ -16,75 +14,30 @@ constexpr double kElectronChargeC = 1.602176634e-19;
 
 } // namespace
 
-Photodetector::Photodetector(PhotodetectorConfig config, uint64_t noise_seed)
-    : config_(config), rng_(noise_seed)
+double
+darkCurrentSnrDb(const PhotodetectorConfig &config, double optical_power_mw)
 {
-    pf_assert(config_.responsivity_a_per_w > 0.0,
+    pf_assert(config.responsivity_a_per_w > 0.0,
               "responsivity must be positive");
-    pf_assert(config_.dark_current_a >= 0.0,
+    pf_assert(config.dark_current_a >= 0.0,
               "dark current must be non-negative");
-    pf_assert(config_.integration_ns > 0.0,
+    pf_assert(config.integration_ns > 0.0,
               "integration window must be positive");
-}
-
-double
-Photodetector::detect(double amplitude)
-{
-    const double intensity = amplitude * amplitude;
-    if (config_.noiseless)
-        return intensity;
-    return addSensingNoise(intensity, intensity);
-}
-
-std::vector<double>
-Photodetector::detect(const std::vector<double> &amplitudes)
-{
-    std::vector<double> out(amplitudes.size());
-    for (size_t i = 0; i < amplitudes.size(); ++i)
-        out[i] = detect(amplitudes[i]);
-    return out;
-}
-
-double
-Photodetector::accumulate(const std::vector<double> &per_cycle_amplitudes)
-{
-    // Charge integration: each cycle contributes its photocurrent; the
-    // capacitor sums them without intermediate readout or quantization.
-    double charge = 0.0;
-    for (double amplitude : per_cycle_amplitudes)
-        charge += detect(amplitude);
-    return charge;
-}
-
-double
-Photodetector::addSensingNoise(double intensity, double signal_scale)
-{
-    if (config_.noiseless || signal_scale == 0.0)
-        return intensity;
-    const double sigma =
-        std::abs(signal_scale) /
-        std::pow(10.0, config_.target_snr_db / 20.0);
-    return intensity + rng_.normal(0.0, sigma);
-}
-
-double
-Photodetector::darkCurrentSnrDb(double optical_power_mw) const
-{
     pf_assert(optical_power_mw > 0.0, "optical power must be positive");
     // Photocurrent from the optical signal.
-    const double photo_current_a = config_.responsivity_a_per_w *
+    const double photo_current_a = config.responsivity_a_per_w *
                                    optical_power_mw * units::kWattsPerMw;
-    const double t_s = config_.integration_ns * units::kSecondPerNs;
+    const double t_s = config.integration_ns * units::kSecondPerNs;
 
     // Charge counts over the window.
     const double signal_charge = photo_current_a * t_s;
-    const double dark_charge = config_.dark_current_a * t_s;
+    const double dark_charge = config.dark_current_a * t_s;
 
     // Shot-noise variance of the combined current, in charge units:
     // sigma^2 = 2 q I t -> expressed as charge^2.
     const double noise_charge_sq =
         2.0 * kElectronChargeC *
-        (photo_current_a + config_.dark_current_a) * t_s;
+        (photo_current_a + config.dark_current_a) * t_s;
 
     const double signal_power = signal_charge * signal_charge;
     const double noise_power =

@@ -1,7 +1,7 @@
 /**
  * @file
- * Photodetector model: square-law detection, charge-domain temporal
- * accumulation, and sensing noise.
+ * Photodetector model: the dark-current shot-noise SNR that sizes the
+ * laser budget.
  *
  * The photodetector is the linchpin of two paper mechanisms:
  *  - the JTC nonlinearity: a PD reads |E|^2, i.e. it applies the square
@@ -9,26 +9,20 @@
  *  - temporal accumulation: charge from up to N_TA successive cycles is
  *    integrated on a capacitor before a single ADC readout (Section V-C),
  *    making the accumulation effectively full precision.
- *
- * Noise model (Section V-C1 / VI-A): the dominant noise sources are dark
- * current shot noise and signal shot noise over the integration window.
- * The paper sizes the laser so that SNR at the PDs exceeds 20 dB; we
- * expose the same knob as a target SNR from which a Gaussian noise sigma
- * is derived.
+ * Both act in the simulators that model them (jtc::JtcSystem,
+ * nn::PhotoFourierEngine); this header holds the device parameters and
+ * the noise budget (Section V-C1 / VI-A): dark current shot noise and
+ * signal shot noise over the integration window, against which the
+ * paper sizes the laser so that SNR at the PDs exceeds 20 dB.
  */
 
 #ifndef PHOTOFOURIER_PHOTONICS_PHOTODETECTOR_HH
 #define PHOTOFOURIER_PHOTONICS_PHOTODETECTOR_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "common/rng.hh"
-
 namespace photofourier {
 namespace photonics {
 
-/** Configuration of the photodetection path. */
+/** Device parameters of a photodetector. */
 struct PhotodetectorConfig
 {
     /** Responsivity (A/W). */
@@ -39,72 +33,16 @@ struct PhotodetectorConfig
 
     /** Integration window per cycle (ns); 10 GHz -> 0.1 ns. */
     double integration_ns = 0.1;
-
-    /**
-     * Target signal-to-noise ratio (dB) at the detector; the laser
-     * power budget is chosen to sustain this (Section VI-A: > 20 dB).
-     * Used to derive the relative noise applied in accuracy sims.
-     */
-    double target_snr_db = 20.0;
-
-    /** Disable stochastic noise injection (deterministic runs). */
-    bool noiseless = false;
 };
 
 /**
- * Functional photodetector.
+ * SNR (dB) of a detected signal power against dark-current and signal
+ * shot noise over the integration window.
  *
- * Field in, photocurrent out. All detect* methods operate on normalized
- * optical amplitudes (the electrical-optical scaling is folded into the
- * calling model's units).
+ * @param optical_power_mw mean optical power at the detector
  */
-class Photodetector
-{
-  public:
-    /** Build a detector; the Rng is used only when noise is enabled. */
-    Photodetector(PhotodetectorConfig config, uint64_t noise_seed = 1);
-
-    /** Square-law detection of one amplitude sample: |a|^2 (+ noise). */
-    double detect(double amplitude);
-
-    /** Square-law detection of a field vector. */
-    std::vector<double> detect(const std::vector<double> &amplitudes);
-
-    /**
-     * Temporal accumulation: detect each cycle's amplitude and integrate
-     * the charge across cycles; returns the accumulated (analog) value.
-     * Accumulation itself adds no quantization — that is the point of
-     * the optimization.
-     *
-     * @param per_cycle_amplitudes one amplitude per accumulated cycle
-     */
-    double accumulate(const std::vector<double> &per_cycle_amplitudes);
-
-    /**
-     * Add sensing noise to an already-computed intensity (used when the
-     * caller evaluates the optics analytically). Noise sigma is
-     * signal_scale / 10^(SNR/20).
-     *
-     * @param intensity    noiseless detector output
-     * @param signal_scale representative full-scale signal level
-     */
-    double addSensingNoise(double intensity, double signal_scale);
-
-    /**
-     * SNR (dB) of a detected signal power against dark-current shot
-     * noise over the integration window.
-     *
-     * @param optical_power_mw mean optical power at the detector
-     */
-    double darkCurrentSnrDb(double optical_power_mw) const;
-
-    /** The configuration this detector was built with. */
-    const PhotodetectorConfig &config() const { return config_; }
-
-  private:
-    PhotodetectorConfig config_;
-    Rng rng_;
-};
+double darkCurrentSnrDb(const PhotodetectorConfig &config,
+                        double optical_power_mw);
 
 } // namespace photonics
 } // namespace photofourier

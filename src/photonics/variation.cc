@@ -37,17 +37,5 @@ VariationModel::gain(size_t i) const
     return effective_static * drift_gain_[i];
 }
 
-std::vector<double>
-VariationModel::apply(const std::vector<double> &values) const
-{
-    pf_assert(values.size() <= static_gain_.size(),
-              "vector longer than device: ", values.size(), " > ",
-              static_gain_.size());
-    std::vector<double> out(values.size());
-    for (size_t i = 0; i < values.size(); ++i)
-        out[i] = values[i] * gain(i);
-    return out;
-}
-
 } // namespace photonics
 } // namespace photofourier

@@ -58,9 +58,6 @@ class VariationModel
     /** Redraw the drift component (a new thermal state). */
     void drawDrift();
 
-    /** Apply the gains elementwise to a driven vector. */
-    std::vector<double> apply(const std::vector<double> &values) const;
-
     /** Number of modelled waveguides. */
     size_t size() const { return static_gain_.size(); }
 

@@ -9,18 +9,6 @@ namespace serve {
 
 using Clock = std::chrono::steady_clock;
 
-std::string
-priorityName(Priority priority)
-{
-    switch (priority) {
-    case Priority::Interactive:
-        return "interactive";
-    case Priority::Batch:
-        return "batch";
-    }
-    return "unknown";
-}
-
 Clock::time_point
 BatchQueue::ModelQueue::oldestHead() const
 {

@@ -52,9 +52,6 @@ enum class Priority : uint8_t
     Batch = 1,       ///< background; yields to interactive until aged
 };
 
-/** Human-readable priority name for logs and wire debugging. */
-std::string priorityName(Priority priority);
-
 /** Per-request submission parameters. */
 struct SubmitOptions
 {

@@ -1,10 +1,8 @@
 #include "serve/model_registry.hh"
 
-#include <sstream>
 #include <utility>
 
 #include "common/logging.hh"
-#include "nn/serialization.hh"
 
 namespace photofourier {
 namespace serve {
@@ -60,51 +58,12 @@ ModelRegistry::add(const std::string &name, nn::Network prototype,
     addEntry(name, std::move(prototype), std::move(engine_override));
 }
 
-bool
-ModelRegistry::addFromFile(const std::string &name,
-                           nn::Network architecture,
-                           const std::string &weights_path)
-{
-    if (!nn::loadNetwork(architecture, weights_path))
-        return false;
-    add(name, std::move(architecture));
-    return true;
-}
-
-void
-ModelRegistry::setEngineOverride(
-    const std::string &name,
-    std::optional<nn::PhotoFourierEngineConfig> engine_override)
-{
-    // Version bumps always swap the cache so workers rebinding their
-    // engines never mix spectra across registrations.
-    auto spectra = std::make_shared<tiling::KernelSpectrumCache>();
-    auto override_engine = overrideEngine(engine_override, spectra);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = models_.find(name);
-    pf_assert(it != models_.end(),
-              "engine override for unknown model '", name, "'");
-    it->second.engine_override = std::move(engine_override);
-    ++it->second.version;
-    it->second.spectra = std::move(spectra);
-    it->second.override_engine = std::move(override_engine);
-}
-
 std::shared_ptr<tiling::KernelSpectrumCache>
 ModelRegistry::spectrumCache(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = models_.find(name);
     return it != models_.end() ? it->second.spectra : nullptr;
-}
-
-std::optional<nn::PhotoFourierEngineConfig>
-ModelRegistry::engineOverride(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = models_.find(name);
-    return it != models_.end() ? it->second.engine_override
-                               : std::nullopt;
 }
 
 std::string
@@ -168,12 +127,6 @@ ModelRegistry::size() const
     return models_.size();
 }
 
-nn::Network
-ModelRegistry::instantiate(const std::string &name) const
-{
-    return instantiateReplica(name).network;
-}
-
 ModelRegistry::Replica
 ModelRegistry::instantiateReplica(const std::string &name) const
 {
@@ -188,18 +141,6 @@ ModelRegistry::instantiateReplica(const std::string &name) const
     replica.spectra = it->second.spectra;
     replica.override_engine = it->second.override_engine;
     return replica;
-}
-
-std::string
-ModelRegistry::snapshot(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = models_.find(name);
-    pf_assert(it != models_.end(), "snapshot of unknown model '", name,
-              "'");
-    std::ostringstream out;
-    nn::saveNetwork(it->second.prototype, out);
-    return out.str();
 }
 
 } // namespace serve

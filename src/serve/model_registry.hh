@@ -5,17 +5,15 @@
  * The registry owns one prototype nn::Network per model name. Serving
  * workers never share a live network (stateful layers cache
  * activations during forward), so each worker clones its own replica
- * via instantiateReplica(). Weight snapshots round-trip through
- * nn/serialization, which is also how a prototype can be registered
- * from a weights file trained elsewhere.
+ * via instantiateReplica(). The cluster's RegisterModel message
+ * carries weights in the nn/serialization format.
  *
  * Names only ever gain or replace prototypes — they are never removed
  * — so a worker that has seen a name may instantiate it later without
- * re-checking. Every mutation of a name (re-registration, engine
- * override change) bumps that name's version; workers compare their
- * replica's version against version() and re-clone when behind, so
- * re-registering a model takes effect on the next batch without a
- * server restart.
+ * re-checking. Every re-registration of a name bumps that name's
+ * version; workers compare their replica's version against version()
+ * and re-clone when behind, so re-registering a model takes effect on
+ * the next batch without a server restart.
  *
  * A model may also carry a PhotoFourierEngineConfig override: replicas
  * of that model execute on an engine built from the override, which
@@ -91,28 +89,6 @@ class ModelRegistry
              nn::PhotoFourierEngineConfig engine_override);
 
     /**
-     * Register `architecture` with weights loaded from a
-     * nn/serialization snapshot file. Returns false — and registers
-     * nothing — when the file is missing or does not match the
-     * architecture.
-     */
-    bool addFromFile(const std::string &name, nn::Network architecture,
-                     const std::string &weights_path);
-
-    /**
-     * Change (or clear, with nullopt) the engine override of a
-     * registered name; bumps the version so live replicas rebind.
-     * Panics on an unknown name.
-     */
-    void setEngineOverride(
-        const std::string &name,
-        std::optional<nn::PhotoFourierEngineConfig> engine_override);
-
-    /** The engine override of `name` (nullopt when none/unknown). */
-    std::optional<nn::PhotoFourierEngineConfig> engineOverride(
-        const std::string &name) const;
-
-    /**
      * The kernel-spectrum cache of `name`'s current registration
      * (null for unknown names). Replaced — never mutated in place —
      * on every version bump.
@@ -136,7 +112,7 @@ class ModelRegistry
 
     /**
      * Monotonic registration version of `name` (0 when unknown,
-     * starts at 1, bumped by every add/setEngineOverride).
+     * starts at 1, bumped by every add).
      */
     uint64_t version(const std::string &name) const;
 
@@ -152,19 +128,11 @@ class ModelRegistry
 
     /**
      * Independent deep-copy replica of the prototype (panics on an
-     * unknown name — guard with has()).
-     */
-    nn::Network instantiate(const std::string &name) const;
-
-    /**
-     * Replica plus the version and engine override it was cloned
-     * under, read in one critical section so a worker can cache the
-     * version and detect staleness later.
+     * unknown name — guard with has()), plus the version and engine
+     * override it was cloned under, read in one critical section so a
+     * worker can cache the version and detect staleness later.
      */
     Replica instantiateReplica(const std::string &name) const;
-
-    /** Serialized weight snapshot in the nn/serialization format. */
-    std::string snapshot(const std::string &name) const;
 
   private:
     struct Entry

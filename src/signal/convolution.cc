@@ -66,16 +66,5 @@ conv2dInto(const Matrix &input, const Matrix &kernel, ConvMode mode,
     }
 }
 
-double
-matrixMaxAbsDiff(const Matrix &a, const Matrix &b)
-{
-    pf_assert(a.rows == b.rows && a.cols == b.cols,
-              "matrixMaxAbsDiff: shape mismatch");
-    double worst = 0.0;
-    for (size_t i = 0; i < a.data.size(); ++i)
-        worst = std::max(worst, std::abs(a.data[i] - b.data[i]));
-    return worst;
-}
-
 } // namespace signal
 } // namespace photofourier

@@ -85,9 +85,6 @@ Matrix conv2d(const Matrix &input, const Matrix &kernel, ConvMode mode,
 void conv2dInto(const Matrix &input, const Matrix &kernel, ConvMode mode,
                 size_t stride, Matrix &out);
 
-/** Elementwise maximum absolute difference between two matrices. */
-double matrixMaxAbsDiff(const Matrix &a, const Matrix &b);
-
 } // namespace signal
 } // namespace photofourier
 

@@ -75,13 +75,6 @@ FftWorkspace::realBuffer(size_t slot, size_t n)
     return real_[slot];
 }
 
-void
-FftWorkspace::reset()
-{
-    complex_.clear();
-    real_.clear();
-}
-
 FftWorkspace &
 threadFftWorkspace()
 {
@@ -181,14 +174,6 @@ FftPlan::execute(Complex *data, bool inverse) const
         executeRadix2(data, inverse);
     else
         executeBluestein(data, inverse);
-}
-
-void
-FftPlan::execute(ComplexVector &data, bool inverse) const
-{
-    pf_assert(data.size() == n_, "FftPlan for size ", n_,
-              " executed on ", data.size(), " samples");
-    execute(data.data(), inverse);
 }
 
 void

@@ -69,9 +69,6 @@ class FftWorkspace
     /** The real buffer for `slot`, resized to n (unspecified values). */
     std::vector<double> &realBuffer(size_t slot, size_t n);
 
-    /** Release all held memory (buffers come back empty). */
-    void reset();
-
   private:
     // Deques so acquiring a new slot never moves existing buffers: a
     // caller may hold references to several slots while a nested call
@@ -111,9 +108,6 @@ class FftPlan
      * transform includes the 1/N normalization.
      */
     void execute(Complex *data, bool inverse) const;
-
-    /** Convenience overload; data.size() must equal size(). */
-    void execute(ComplexVector &data, bool inverse) const;
 
     /**
      * Forward DFT of size() real samples into the n/2+1 Hermitian

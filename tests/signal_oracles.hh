@@ -5,12 +5,14 @@
  * Each oracle is the textbook O(n^2) definition with no FFT anywhere
  * underneath, so a plan-API result that matches one is right by
  * construction: the naive DFT, full-support 1D convolution and
- * cross-correlation, and full-support 2D convolution.
+ * cross-correlation, and full-support 2D convolution. Plus the
+ * elementwise distance the 2D tests compare matrices with.
  */
 
 #ifndef PHOTOFOURIER_TESTS_SIGNAL_ORACLES_HH
 #define PHOTOFOURIER_TESTS_SIGNAL_ORACLES_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -96,6 +98,18 @@ convolve2dFull(const signal::Matrix &a, const signal::Matrix &b)
                 for (size_t kc = 0; kc < b.cols; ++kc)
                     out.at(i + kr, j + kc) += a.at(i, j) * b.at(kr, kc);
     return out;
+}
+
+/** Elementwise maximum absolute difference of equal-shape matrices. */
+inline double
+matrixMaxAbsDiff(const signal::Matrix &a, const signal::Matrix &b)
+{
+    pf_assert(a.rows == b.rows && a.cols == b.cols,
+              "matrixMaxAbsDiff: shape mismatch");
+    double worst = 0.0;
+    for (size_t i = 0; i < a.data.size(); ++i)
+        worst = std::max(worst, std::abs(a.data[i] - b.data[i]));
+    return worst;
 }
 
 } // namespace oracle

@@ -4,6 +4,9 @@
  * public PhotoFourierAccelerator facade.
  */
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/photofourier.hh"
@@ -47,7 +50,15 @@ find(const std::vector<bl::ComparisonEntry> &entries,
 
 TEST(Baselines, CatalogListsSevenComparators)
 {
-    EXPECT_EQ(bl::baselineCatalog().size(), 7u);
+    // Figure 13 sets PhotoFourier against seven prior accelerators.
+    std::set<std::string> comparators;
+    for (const auto &e : entriesFor("VGG-16"))
+        if (e.accelerator.rfind("PhotoFourier", 0) != 0)
+            comparators.insert(e.accelerator);
+    EXPECT_EQ(comparators,
+              (std::set<std::string>{"Albireo-c", "Albireo-a",
+                                     "Holylight-m", "Holylight-a",
+                                     "DEAP-CNN", "Lightbulb", "UNPU"}));
 }
 
 TEST(Baselines, PhotoFourierThroughputAdvantageOverAlbireo)

@@ -636,7 +636,8 @@ TEST(ShardServer, ClientGetsBitExactLogitsAndCleanFailures)
     EXPECT_NE(unknown.error().find("nope"), std::string::npos);
 
     // Liveness + stats over the control plane.
-    EXPECT_TRUE(client.ping());
+    cluster::HealthReportMsg alive;
+    EXPECT_TRUE(client.health(&alive));
     cluster::StatsReportMsg stats;
     ASSERT_TRUE(client.stats(&stats));
     EXPECT_EQ(stats.server_name, "s0");
@@ -730,7 +731,8 @@ TEST(ShardServer, RemoteRegistrationWithWeightsAndOverride)
             << error;
     }
     EXPECT_FALSE(shard.server->registry().has("bad"));
-    EXPECT_TRUE(client.ping()); // still serving
+    cluster::HealthReportMsg still_serving;
+    EXPECT_TRUE(client.health(&still_serving));
 
     shard.server->stop();
 }
@@ -774,7 +776,7 @@ TEST(ShardServer, HostilePeerMisshapenTensorsFailCleanly)
 {
     // A peer may put any tensor shape in a well-formed InferRequest.
     // Shapes the model cannot take come back Failed, naming the shape,
-    // instead of panicking the shard: it still answers ping() and
+    // instead of panicking the shard: it still answers health queries and
     // serves good requests afterwards.
     TestShard shard("s0", 1);
     net::TcpConnection hostile = net::TcpConnection::connectTo(
@@ -815,7 +817,8 @@ TEST(ShardServer, HostilePeerMisshapenTensorsFailCleanly)
 
     cluster::ClusterClient client("127.0.0.1", shard.server->port());
     ASSERT_TRUE(client.connect());
-    EXPECT_TRUE(client.ping());
+    cluster::HealthReportMsg alive;
+    EXPECT_TRUE(client.health(&alive));
     const auto inputs = tinyInputs(1);
     auto handle = client.submit("tiny-a", inputs[0]);
     ASSERT_EQ(handle.wait(), serve::RequestStatus::Done);
@@ -959,7 +962,6 @@ TEST(Router, FailoverKilledShardFailsInflightCleanlyAndSpillsOver)
 
     // The fleet keeps serving every model: tiny-a spills to the
     // surviving replica, bit-exactly.
-    EXPECT_EQ(tc_router.liveShards(), 1u);
     nn::Network reference_a = tinyNet(1, 3);
     nn::Network reference_b = tinyNet(2, 5);
     std::vector<serve::Completion> spilled_a, spilled_b;
@@ -1281,10 +1283,10 @@ TEST(Router, HealthAwareFailoverPrefersHealthyShard)
     // Degrade the primary; the next health pull reorders routing.
     regs[primary].gauge("pf_test_degrade").set(1.0);
     EXPECT_EQ(router.refreshHealth(), pf::obs::HealthState::Degraded);
-    EXPECT_EQ(router.shardHealth(ranked[0]),
-              pf::obs::HealthState::Degraded);
-    EXPECT_EQ(router.shardHealth(ranked[1]),
-              pf::obs::HealthState::Healthy);
+    const auto report = router.healthReport();
+    ASSERT_EQ(report.violations.size(), 1u);
+    EXPECT_EQ(report.violations[0].rule.rfind(ranked[0] + ":", 0), 0u)
+        << report.violations[0].rule;
     for (const auto &input : inputs)
         ASSERT_EQ(router.submit("tiny", input).wait(),
                   serve::RequestStatus::Done);

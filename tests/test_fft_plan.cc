@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "common/rng.hh"
+#include "signal/fft2d_plan.hh"
 #include "signal/fft_plan.hh"
 #include "signal_oracles.hh"
 
@@ -53,7 +54,7 @@ TEST(FftPlan, MatchesNaiveDftPowerOfTwo)
         sig::FftPlan plan(n);
         EXPECT_TRUE(plan.radix2());
         auto data = input;
-        plan.execute(data, false);
+        plan.execute(data.data(), false);
         EXPECT_LT(maxAbsDiff(data, expected), 1e-9) << "n=" << n;
     }
 }
@@ -68,7 +69,7 @@ TEST(FftPlan, MatchesNaiveDftArbitrarySize)
         sig::FftPlan plan(n);
         EXPECT_FALSE(plan.radix2());
         auto data = input;
-        plan.execute(data, false);
+        plan.execute(data.data(), false);
         EXPECT_LT(maxAbsDiff(data, expected), 1e-9) << "n=" << n;
     }
 }
@@ -81,13 +82,13 @@ TEST(FftPlan, InverseMatchesNaiveAndRoundTrips)
         sig::FftPlan plan(n);
 
         auto inv = input;
-        plan.execute(inv, true);
+        plan.execute(inv.data(), true);
         EXPECT_LT(maxAbsDiff(inv, oracle::dftNaive(input, true)), 1e-9)
             << "n=" << n;
 
         auto round = input;
-        plan.execute(round, false);
-        plan.execute(round, true);
+        plan.execute(round.data(), false);
+        plan.execute(round.data(), true);
         EXPECT_LT(maxAbsDiff(round, input), 1e-9) << "n=" << n;
     }
 }
@@ -220,7 +221,7 @@ TEST(FftPlanReal, ForwardMatchesComplexTransform)
         sig::ComplexVector complex_in(n);
         for (size_t i = 0; i < n; ++i)
             complex_in[i] = sig::Complex(x[i], 0.0);
-        plan->execute(complex_in, false);
+        plan->execute(complex_in.data(), false);
 
         sig::ComplexVector half(plan->halfSpectrumSize());
         plan->executeReal(x.data(), half.data());
@@ -277,7 +278,7 @@ TEST(FftWorkspace, BuffersKeepIdentityAcrossCallsAndSlots)
 // runs identically in the Debug and Release legs of the CI matrix.
 TEST(FftPlanValidation, WrongSizeExecutePanicsInEveryBuildType)
 {
-    sig::FftPlan plan(64);
-    sig::ComplexVector wrong(32);
+    sig::Fft2dPlan plan(8, 8);
+    sig::ComplexMatrix wrong(4, 8);
     EXPECT_DEATH(plan.execute(wrong, false), "executed on");
 }

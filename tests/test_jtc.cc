@@ -62,12 +62,12 @@ referenceOutputPlane(const std::vector<double> &s,
     sig::ComplexVector field(n);
     for (size_t i = 0; i < n; ++i)
         field[i] = sig::Complex(plane[i], 0.0);
-    plan->execute(field, false);
+    plan->execute(field.data(), false);
 
     sig::ComplexVector spectrum(n);
     for (size_t i = 0; i < n; ++i)
         spectrum[i] = sig::Complex(std::norm(field[i]), 0.0);
-    plan->execute(spectrum, true);
+    plan->execute(spectrum.data(), true);
 
     std::vector<double> recorded(n);
     for (size_t i = 0; i < n; ++i)
@@ -457,37 +457,3 @@ TEST(JtcSystem, SquareLawReadoutRecoversByDigitalSqrt)
     EXPECT_LT(pf::maxAbsDiff(a, b), 1e-6);
 }
 
-TEST(JtcSystem, NoiseIsBoundedAtHighSnr)
-{
-    pf::Rng rng(13);
-    const auto s = randomNonNegative(rng, 64);
-    const auto k = randomNonNegative(rng, 9);
-
-    jtc::JtcConfig cfg;
-    cfg.noise = true;
-    cfg.detector.target_snr_db = 40.0;
-    cfg.noise_seed = 42;
-
-    jtc::JtcSystem noisy(cfg);
-    jtc::JtcSystem clean;
-    const auto a = noisy.correlationWindow(s, k, 64);
-    const auto b = clean.correlationWindow(s, k, 64);
-    // 40 dB SNR: relative error should be ~1%, certainly below 20%.
-    EXPECT_LT(pf::relativeRmse(b, a), 0.2);
-    // But not bit-identical — noise must actually be injected.
-    EXPECT_GT(pf::maxAbsDiff(a, b), 0.0);
-}
-
-TEST(JtcSystem, NoiseIsDeterministicPerSeed)
-{
-    pf::Rng rng(17);
-    const auto s = randomNonNegative(rng, 32);
-    const auto k = randomNonNegative(rng, 5);
-
-    jtc::JtcConfig cfg;
-    cfg.noise = true;
-    cfg.noise_seed = 7;
-    jtc::JtcSystem a(cfg), b(cfg);
-    EXPECT_EQ(a.correlationWindow(s, k, 32),
-              b.correlationWindow(s, k, 32));
-}

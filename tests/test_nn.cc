@@ -42,6 +42,15 @@ randomTensor(pf::Rng &rng, size_t c, size_t h, size_t w, double lo = -1.0,
     return t;
 }
 
+/** Channel c of t as a matrix. */
+sig::Matrix
+channelOf(const nn::Tensor &t, size_t c)
+{
+    sig::Matrix m;
+    t.channelMatrixInto(c, m);
+    return m;
+}
+
 /** Numerical gradient of a scalar loss wrt one tensor entry. */
 template <typename LossFn>
 double
@@ -74,7 +83,7 @@ TEST(Tensor, ChannelRoundTrip)
 {
     pf::Rng rng(1);
     auto t = randomTensor(rng, 3, 5, 5);
-    const auto m = t.channelMatrix(1);
+    const auto m = channelOf(t, 1);
     nn::Tensor t2(3, 5, 5);
     t2.setChannel(1, m);
     for (size_t h = 0; h < 5; ++h)
@@ -106,11 +115,11 @@ TEST(DirectEngine, MatchesManualAccumulation)
     ASSERT_EQ(out.channels(), 1u);
     EXPECT_EQ(out.height(), 6u);
 
-    auto ref = sig::conv2d(input.channelMatrix(0),
-                           weights[0].channelMatrix(0),
+    auto ref = sig::conv2d(channelOf(input, 0),
+                           channelOf(weights[0], 0),
                            sig::ConvMode::Same);
-    const auto ref1 = sig::conv2d(input.channelMatrix(1),
-                                  weights[0].channelMatrix(1),
+    const auto ref1 = sig::conv2d(channelOf(input, 1),
+                                  channelOf(weights[0], 1),
                                   sig::ConvMode::Same);
     for (size_t i = 0; i < ref.data.size(); ++i)
         ref.data[i] += ref1.data[i] + 0.5;
@@ -547,22 +556,12 @@ TEST(ModelZoo, AllDescriptorsStructurallyConsistent)
 {
     for (const auto &spec :
          {nn::alexnetSpec(), nn::vgg16Spec(), nn::resnet18Spec(),
-          nn::resnet34Spec(), nn::resnet50Spec(), nn::resnetSSpec(),
-          nn::resnet32CifarSpec(), nn::crosslightCnnSpec()}) {
+          nn::resnet34Spec(), nn::resnet50Spec(),
+          nn::crosslightCnnSpec()}) {
         checkSpecIntegrity(spec);
         EXPECT_GT(spec.convMacs(), 0.0) << spec.name;
         EXPECT_FALSE(spec.conv_layers.empty()) << spec.name;
     }
-}
-
-TEST(ModelZoo, Resnet32CifarShape)
-{
-    const auto spec = nn::resnet32CifarSpec();
-    // 1 stem + 3 stages x 5 blocks x 2 convs + 2 downsample 1x1s.
-    EXPECT_EQ(spec.conv_layers.size(), 1u + 30u + 2u);
-    EXPECT_EQ(spec.input_size, 32u);
-    // ~69 MMACs for CIFAR ResNet-32 (known figure).
-    EXPECT_NEAR(spec.convMacs() / 1e6, 69.0, 10.0);
 }
 
 TEST(ModelZoo, TableIIISetHasFiveNetworks)
@@ -643,7 +642,13 @@ TEST(Network, MacCountPositiveAndEngineSwappable)
     auto net = nn::buildSmallResNet(8, rng);
     nn::Tensor input(3, 32, 32);
     input.fill(0.5);
-    EXPECT_GT(net.macCount(input), 1e5);
+    double macs = 0.0;
+    nn::Tensor x = input;
+    for (size_t i = 0; i < net.layerCount(); ++i) {
+        macs += net.layer(i).macCount(x);
+        x = net.layer(i).forward(x);
+    }
+    EXPECT_GT(macs, 1e5);
 
     // Swapping to an ideal photofourier engine must not change logits
     // (beyond numerical tolerance).
@@ -724,7 +729,7 @@ TEST(Network, CloneIsDeepAcrossAllLayerKinds)
 
     // Training the copy must leave the original untouched.
     std::vector<double> grad;
-    auto out = copy.forward(input);
+    auto out = copy.forwardBatch({input}).front();
     nn::softmaxCrossEntropy(out.data(), 0, grad);
     nn::Tensor grad_out(out.channels(), out.height(), out.width());
     grad_out.data() = grad;

@@ -234,7 +234,8 @@ TEST(Trace, ScopedSpansRecordOnlyUnderABinding)
     EXPECT_EQ(obs::activeTrace(), 0u);
 
     {
-        obs::TraceBinding binding(0xabcd, &sink);
+        const uint64_t binding_ids[] = {0xabcd};
+        obs::TraceBinding binding(binding_ids, &sink);
         EXPECT_EQ(obs::activeTrace(), 0xabcdu);
         obs::ScopedSpan outer("outer");
         {
@@ -339,8 +340,7 @@ TEST(Trace, WaterfallEdgeCases)
 TEST(Log, SinkIsABoundedStripedRing)
 {
     obs::LogSink sink(16); // 2 slots per stripe
-    EXPECT_EQ(sink.capacity(), 16u);
-    EXPECT_EQ(sink.size(), 0u);
+    EXPECT_EQ(sink.snapshot().size(), 0u);
 
     const uint32_t mid = obs::LogSink::internMessage("test", "event");
     // All records land on this thread's stripe (2 slots), so 10
@@ -352,7 +352,7 @@ TEST(Log, SinkIsABoundedStripedRing)
         rec.arg0 = i;
         sink.record(rec);
     }
-    EXPECT_EQ(sink.size(), 2u);
+    EXPECT_EQ(sink.snapshot().size(), 2u);
     EXPECT_EQ(sink.dropped(), 8u);
     const std::vector<obs::LogEvent> events = sink.snapshot();
     ASSERT_EQ(events.size(), 2u);
@@ -363,7 +363,7 @@ TEST(Log, SinkIsABoundedStripedRing)
     EXPECT_EQ(events[0].message, "event");
 
     sink.clear();
-    EXPECT_EQ(sink.size(), 0u);
+    EXPECT_EQ(sink.snapshot().size(), 0u);
 }
 
 TEST(Log, MessageTableInternsEachSiteOnce)
@@ -390,7 +390,8 @@ TEST(Log, EventsStampTimeTraceAndSeverityCounters)
     const uint32_t mid =
         obs::LogSink::internMessage("serve", "queue high");
     {
-        obs::TraceBinding binding(0xbeef, nullptr);
+        const uint64_t binding_ids[] = {0xbeef};
+        obs::TraceBinding binding(binding_ids, nullptr);
         obs::logEvent(obs::LogSeverity::Warn, mid, 17, 3, &sink);
     }
     obs::logEvent(obs::LogSeverity::Info, mid, 1, 2, &sink);
@@ -433,7 +434,7 @@ TEST(Log, MacrosRecordIntoTheGlobalSink)
     obs::LogSink::global().clear();
 }
 
-TEST(Log, RenderingLogfmtAndJson)
+TEST(Log, RenderingLogfmt)
 {
     obs::LogEvent e;
     e.timestamp_ns = 12345;
@@ -449,11 +450,6 @@ TEST(Log, RenderingLogfmtAndJson)
     EXPECT_NE(fmt.find("component=serve"), std::string::npos);
     EXPECT_NE(fmt.find("ts=12345"), std::string::npos);
     EXPECT_NE(fmt.find("\\\"hi\\\""), std::string::npos); // escaped
-
-    const std::string json = obs::renderJson({e});
-    EXPECT_EQ(json.front(), '[');
-    EXPECT_NE(json.find("\"component\":\"serve\""), std::string::npos);
-    EXPECT_NE(json.find("\"level\":\"info\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -559,10 +555,10 @@ TEST(Health, RecoveryNeedsConsecutiveCleanEvaluations)
               obs::HealthState::Degraded);
 
     depth.set(0.0); // first clean evaluation: still degraded
-    EXPECT_EQ(monitor.evaluate(registry.snapshot()).state,
-              obs::HealthState::Degraded);
+    const obs::HealthStatus clean = monitor.evaluate(registry.snapshot());
+    EXPECT_EQ(clean.state, obs::HealthState::Degraded);
     // ...but the stale violation list is gone.
-    EXPECT_TRUE(monitor.status().violations.empty());
+    EXPECT_TRUE(clean.violations.empty());
 
     // Second consecutive clean evaluation: recovered.
     EXPECT_EQ(monitor.evaluate(registry.snapshot()).state,
@@ -611,13 +607,13 @@ TEST(FlightRecorder, DumpWritesParseableHeaderEventsAndSpans)
     config.path = path;
     config.max_events = 4;
     obs::installFlightRecorder(config);
-    EXPECT_EQ(obs::flightRecorderPath(), path);
 
     obs::LogSink::global().clear();
     for (uint64_t i = 1; i <= 8; ++i)
         pf_log_info("flight", "tick", i, 0);
     {
-        obs::TraceBinding binding(0x77, &obs::TraceSink::global());
+        const uint64_t binding_ids[] = {0x77};
+        obs::TraceBinding binding(binding_ids, &obs::TraceSink::global());
         obs::ScopedSpan span("flight_span");
         (void)span;
     }
@@ -1006,8 +1002,8 @@ TEST(ObsStress, ConcurrentRecordingWithSnapshots)
         threads.emplace_back([&, t] {
             while (!go.load(std::memory_order_acquire)) {
             }
-            obs::TraceBinding binding(
-                static_cast<uint64_t>(t) + 1, &sink);
+            const uint64_t binding_ids[] = {static_cast<uint64_t>(t) + 1};
+            obs::TraceBinding binding(binding_ids, &sink);
             for (int i = 0; i < kIters; ++i) {
                 counter.inc();
                 gauge.add(t % 2 == 0 ? 1.0 : -1.0);
@@ -1054,7 +1050,8 @@ TEST(ObsAlloc, HotPathRecordingIsAllocationFree)
     for (int i = 0; i < 64; ++i)
         hist.record(1e6);
     {
-        obs::TraceBinding binding(1, &sink);
+        const uint64_t binding_ids[] = {1};
+        obs::TraceBinding binding(binding_ids, &sink);
         obs::ScopedSpan warm("warm");
         (void)warm;
     }
@@ -1067,7 +1064,8 @@ TEST(ObsAlloc, HotPathRecordingIsAllocationFree)
         hist.record(1e6);
     }
     {
-        obs::TraceBinding binding(2, &sink);
+        const uint64_t binding_ids[] = {2};
+        obs::TraceBinding binding(binding_ids, &sink);
         for (int i = 0; i < 1000; ++i) {
             obs::ScopedSpan span("hot");
             (void)span;
@@ -1133,7 +1131,8 @@ TEST(ObsAlloc, LogEventRecordingIsAllocationFree)
     {
         // Traced events must also be free: stamping the active trace
         // id reads a thread-local, nothing more.
-        obs::TraceBinding binding(0x10c, nullptr);
+        const uint64_t binding_ids[] = {0x10c};
+        obs::TraceBinding binding(binding_ids, nullptr);
         for (uint64_t i = 0; i < 1000; ++i)
             obs::logEvent(obs::LogSeverity::Warn, msg, i, 0, &sink);
     }

@@ -92,8 +92,8 @@ TEST(ModelRegistry, ReplicasAreIndependentAndSnapshotsRoundTrip)
     EXPECT_EQ(registry.names(), std::vector<std::string>{"tiny"});
 
     const auto inputs = tinyInputs(1);
-    auto a = registry.instantiate("tiny");
-    auto b = registry.instantiate("tiny");
+    auto a = registry.instantiateReplica("tiny").network;
+    auto b = registry.instantiateReplica("tiny").network;
     const auto logits_a = a.logits(inputs[0]);
     EXPECT_EQ(logits_a, b.logits(inputs[0]));
 
@@ -103,11 +103,12 @@ TEST(ModelRegistry, ReplicasAreIndependentAndSnapshotsRoundTrip)
     conv.bias()[0] += 1.0;
     EXPECT_NE(a.logits(inputs[0]), logits_a);
     EXPECT_EQ(b.logits(inputs[0]), logits_a);
-    EXPECT_EQ(registry.instantiate("tiny").logits(inputs[0]), logits_a);
+    EXPECT_EQ(registry.instantiateReplica("tiny").network.logits(inputs[0]), logits_a);
 
-    // Snapshot (serialized weights) loads into a differently
-    // initialized twin architecture and reproduces the prototype.
-    std::istringstream snapshot(registry.snapshot("tiny"));
+    // Serialized weights load into a differently initialized twin
+    // architecture and reproduce the prototype.
+    std::stringstream snapshot;
+    nn::saveNetwork(registry.instantiateReplica("tiny").network, snapshot);
     auto twin = tinyNet(/*seed=*/999);
     EXPECT_NE(twin.logits(inputs[0]), logits_a);
     ASSERT_TRUE(nn::loadNetwork(twin, snapshot));
@@ -122,10 +123,10 @@ TEST(ModelRegistry, VersionsBumpOnEveryMutation)
     EXPECT_EQ(registry.version("tiny"), 1u);
     registry.add("tiny", tinyNet(2));
     EXPECT_EQ(registry.version("tiny"), 2u);
-    registry.setEngineOverride("tiny",
-                               photofourier::nn::PhotoFourierEngineConfig{});
+    registry.add("tiny", tinyNet(2),
+                 photofourier::nn::PhotoFourierEngineConfig{});
     EXPECT_EQ(registry.version("tiny"), 3u);
-    registry.setEngineOverride("tiny", std::nullopt);
+    registry.add("tiny", tinyNet(2));
     EXPECT_EQ(registry.version("tiny"), 4u);
     EXPECT_EQ(registry.namesWithVersions(),
               (std::vector<std::pair<std::string, uint64_t>>{
@@ -138,9 +139,12 @@ TEST(ModelRegistry, VersionsBumpOnEveryMutation)
 
     // Plain add() clears a standing override (the override belongs
     // to the registration).
-    registry.setEngineOverride("tiny", nn::PhotoFourierEngineConfig{});
+    registry.add("tiny", tinyNet(3), nn::PhotoFourierEngineConfig{});
+    ASSERT_TRUE(
+        registry.instantiateReplica("tiny").engine_override.has_value());
     registry.add("tiny", tinyNet(3));
-    EXPECT_FALSE(registry.engineOverride("tiny").has_value());
+    EXPECT_FALSE(
+        registry.instantiateReplica("tiny").engine_override.has_value());
 }
 
 TEST(InferenceServer, ReRegistrationRefreshesWorkerReplicas)
@@ -201,7 +205,8 @@ TEST(InferenceServer, PerModelEngineOverrideWinsOverFactory)
     }
 
     // Clearing the override (a version bump) reverts live replicas.
-    server.registry().setEngineOverride("photonic", std::nullopt);
+    server.registry().add(
+        "photonic", server.registry().instantiateReplica("photonic").network);
     for (size_t i = 0; i < inputs.size(); ++i)
         EXPECT_EQ(server.submit("photonic", inputs[i]).logits(),
                   digital_expected[i]);
@@ -225,13 +230,6 @@ stampedRequest(const std::string &model, serve::Priority priority,
 }
 
 } // namespace
-
-TEST(BatchQueue, PriorityNames)
-{
-    EXPECT_EQ(serve::priorityName(serve::Priority::Interactive),
-              "interactive");
-    EXPECT_EQ(serve::priorityName(serve::Priority::Batch), "batch");
-}
 
 TEST(BatchQueue, InteractiveClassIsServedFirstWithinABatch)
 {
@@ -654,7 +652,7 @@ TEST(ModelRegistry, SpectrumCacheSwapsOnEveryVersionBump)
 
     // Engine-override changes are version bumps too.
     nn::PhotoFourierEngineConfig override_cfg;
-    registry.setEngineOverride("m", override_cfg);
+    registry.add("m", tinyNet(99), override_cfg);
     EXPECT_NE(registry.spectrumCache("m").get(), v2_cache.get());
 }
 

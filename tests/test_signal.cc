@@ -44,7 +44,7 @@ maxErr(const sig::ComplexVector &a, const sig::ComplexVector &b)
 sig::ComplexVector
 planFft(sig::ComplexVector x, bool inverse = false)
 {
-    sig::fftPlanFor(x.size())->execute(x, inverse);
+    sig::fftPlanFor(x.size())->execute(x.data(), inverse);
     return x;
 }
 

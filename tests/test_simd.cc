@@ -409,11 +409,11 @@ TEST_P(SimdTransformEquivalence, ComplexTransformAllSizeClasses)
             auto a = scalar_data, b = vector_data;
             {
                 ScopedLevel scalar(simd::Level::Scalar);
-                plan->execute(a, inverse);
+                plan->execute(a.data(), inverse);
             }
             {
                 ScopedLevel vector(GetParam());
-                plan->execute(b, inverse);
+                plan->execute(b.data(), inverse);
             }
             // Bluestein runs two inner transforms of size m ~ 2n plus
             // a pointwise pass, so its error budget is a few SoA
@@ -468,15 +468,15 @@ TEST_P(SimdTransformEquivalence, VectorPathStaysAllocationFree)
     std::vector<double> real_in(n, 0.75), real_out(n);
     ComplexVector half(plan->halfSpectrumSize());
     // Warm every buffer (workspace slots, SoA staging, plan tables).
-    plan->execute(data, false);
+    plan->execute(data.data(), false);
     plan->executeReal(real_in.data(), half.data());
     plan->executeRealInverse(half.data(), real_out.data());
 
     const uint64_t before =
         pf_test_allocations.load(std::memory_order_relaxed);
     for (int iter = 0; iter < 8; ++iter) {
-        plan->execute(data, false);
-        plan->execute(data, true);
+        plan->execute(data.data(), false);
+        plan->execute(data.data(), true);
         plan->executeReal(real_in.data(), half.data());
         plan->executeRealInverse(half.data(), real_out.data());
     }

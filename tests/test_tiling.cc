@@ -26,8 +26,10 @@
 #include "tiling/backends.hh"
 #include "tiling/tiled_convolution.hh"
 #include "tiling/tiling_plan.hh"
+#include "signal_oracles.hh"
 
 namespace pf = photofourier;
+namespace oracle = photofourier::oracle;
 namespace sig = photofourier::signal;
 namespace jtc = photofourier::jtc;
 namespace tl = photofourier::tiling;
@@ -173,7 +175,7 @@ TEST_P(TilingEquivalenceTest, ValidModeExact)
         sig::conv2d(input, kernel, sig::ConvMode::Valid);
     ASSERT_EQ(tiled.rows, reference.rows);
     ASSERT_EQ(tiled.cols, reference.cols);
-    EXPECT_LT(sig::matrixMaxAbsDiff(tiled, reference), 1e-10)
+    EXPECT_LT(oracle::matrixMaxAbsDiff(tiled, reference), 1e-10)
         << tl::variantName(conv.plan().variant);
 }
 
@@ -196,7 +198,7 @@ TEST_P(TilingEquivalenceTest, SameModeZeroPadExact)
         sig::conv2d(input, kernel, sig::ConvMode::Same);
     ASSERT_EQ(tiled.rows, reference.rows);
     ASSERT_EQ(tiled.cols, reference.cols);
-    EXPECT_LT(sig::matrixMaxAbsDiff(tiled, reference), 1e-10)
+    EXPECT_LT(oracle::matrixMaxAbsDiff(tiled, reference), 1e-10)
         << tl::variantName(conv.plan().variant);
 }
 
@@ -256,7 +258,7 @@ TEST(TiledConvolution, StrideTwoMatchesReference)
         sig::conv2d(input, kernel, sig::ConvMode::Valid, 2);
     ASSERT_EQ(tiled.rows, reference.rows);
     ASSERT_EQ(tiled.cols, reference.cols);
-    EXPECT_LT(sig::matrixMaxAbsDiff(tiled, reference), 1e-10);
+    EXPECT_LT(oracle::matrixMaxAbsDiff(tiled, reference), 1e-10);
 }
 
 TEST(TiledConvolution, AlexNetFirstLayerStride4)
@@ -276,7 +278,7 @@ TEST(TiledConvolution, AlexNetFirstLayerStride4)
         sig::conv2d(input, kernel, sig::ConvMode::Same, 4);
     ASSERT_EQ(tiled.rows, reference.rows);
     ASSERT_EQ(tiled.cols, reference.cols);
-    EXPECT_LT(sig::matrixMaxAbsDiff(tiled, reference), 1e-10);
+    EXPECT_LT(oracle::matrixMaxAbsDiff(tiled, reference), 1e-10);
 }
 
 TEST(TiledConvolution, OpCountMatchesPlanRowTiling)
@@ -303,7 +305,7 @@ TEST(TiledConvolution, JtcBackendMatchesCpuRowTiling)
     tl::TiledConvolution optical(p, tl::jtcBackend());
     const auto a = cpu.execute(input, kernel);
     const auto b = optical.execute(input, kernel);
-    EXPECT_LT(sig::matrixMaxAbsDiff(a, b), 1e-7);
+    EXPECT_LT(oracle::matrixMaxAbsDiff(a, b), 1e-7);
 }
 
 TEST(TiledConvolution, JtcBackendMatchesCpuPartialRowTiling)
@@ -319,7 +321,7 @@ TEST(TiledConvolution, JtcBackendMatchesCpuPartialRowTiling)
     const auto a = cpu.execute(input, kernel);
     const auto b = optical.execute(input, kernel);
     EXPECT_EQ(cpu.plan().variant, tl::Variant::PartialRowTiling);
-    EXPECT_LT(sig::matrixMaxAbsDiff(a, b), 1e-7);
+    EXPECT_LT(oracle::matrixMaxAbsDiff(a, b), 1e-7);
 }
 
 TEST(TiledConvolution, JtcBackendMatchesCpuRowPartitioning)
@@ -335,7 +337,7 @@ TEST(TiledConvolution, JtcBackendMatchesCpuRowPartitioning)
     const auto a = cpu.execute(input, kernel);
     const auto b = optical.execute(input, kernel);
     EXPECT_EQ(cpu.plan().variant, tl::Variant::RowPartitioning);
-    EXPECT_LT(sig::matrixMaxAbsDiff(a, b), 1e-7);
+    EXPECT_LT(oracle::matrixMaxAbsDiff(a, b), 1e-7);
 }
 
 TEST(TiledConvolution, EdgeEffectSmallRelativeToSignal)
@@ -468,7 +470,7 @@ TEST(FftBackend, TiledEquivalenceAcrossGeometriesAndStrides)
         const auto b = fft.execute(input, kernel);
         ASSERT_EQ(a.rows, b.rows);
         ASSERT_EQ(a.cols, b.cols);
-        EXPECT_LT(sig::matrixMaxAbsDiff(a, b), 1e-9)
+        EXPECT_LT(oracle::matrixMaxAbsDiff(a, b), 1e-9)
             << "si=" << g.si << " sk=" << g.sk << " nconv=" << g.n_conv
             << " stride=" << g.stride;
     }
@@ -484,7 +486,7 @@ TEST(FftBackend, ZeroPadRowsStaysExactOnBothBackends)
                        .zero_pad_rows = true};
     const auto ref = sig::conv2d(input, kernel, sig::ConvMode::Same);
     tl::TiledConvolution fft(p, tl::fftBackend());
-    EXPECT_LT(sig::matrixMaxAbsDiff(fft.execute(input, kernel), ref),
+    EXPECT_LT(oracle::matrixMaxAbsDiff(fft.execute(input, kernel), ref),
               1e-9);
 }
 
