@@ -309,9 +309,8 @@ BM_TiledConv2dFftLargeKernel(benchmark::State &state)
     auto cache = std::make_shared<tl::KernelSpectrumCache>();
     tl::TiledConvolution conv(params, tl::fftBackend(cache), 1);
     sig::Matrix out;
-    tl::ConvWorkspace ws;
     for (auto _ : state) {
-        conv.execute(input, kernel, out, ws);
+        conv.execute(input, kernel, out);
         benchmark::DoNotOptimize(out.data.data());
     }
 }
@@ -330,19 +329,18 @@ BM_TiledConv2dCpuLargeKernel(benchmark::State &state)
                             .n_conv = 4096};
     tl::TiledConvolution conv(params, tl::cpuBackend(), 1);
     sig::Matrix out;
-    tl::ConvWorkspace ws;
     for (auto _ : state) {
-        conv.execute(input, kernel, out, ws);
+        conv.execute(input, kernel, out);
         benchmark::DoNotOptimize(out.data.data());
     }
 }
 BENCHMARK(BM_TiledConv2dCpuLargeKernel)->Arg(56)->Arg(112);
 
 static void
-BM_TiledConv2dWorkspaceApi(benchmark::State &state)
+BM_TiledConv2dReusedOutput(benchmark::State &state)
 {
     // The allocation-free executor path the serving workers run:
-    // caller-provided output + workspace, sequential tiles.
+    // caller-provided output, sequential tiles.
     const size_t si = static_cast<size_t>(state.range(0));
     pf::Rng rng(4);
     sig::Matrix input(si, si);
@@ -353,13 +351,12 @@ BM_TiledConv2dWorkspaceApi(benchmark::State &state)
                             .n_conv = 256};
     tl::TiledConvolution conv(params, tl::cpuBackend(), 1);
     sig::Matrix out;
-    tl::ConvWorkspace ws;
     for (auto _ : state) {
-        conv.execute(input, kernel, out, ws);
+        conv.execute(input, kernel, out);
         benchmark::DoNotOptimize(out.data.data());
     }
 }
-BENCHMARK(BM_TiledConv2dWorkspaceApi)->Arg(14)->Arg(28)->Arg(56);
+BENCHMARK(BM_TiledConv2dReusedOutput)->Arg(14)->Arg(28)->Arg(56);
 
 // --- DirectEngine conv layers: the sliding window vs the frequency-
 // --- domain row path with cached kernel-row spectra (large kernels

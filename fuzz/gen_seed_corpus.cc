@@ -121,11 +121,6 @@ protocolCorpus(const std::string &dir)
     report.models.push_back(stats);
     write(dir, "stats_report", cluster::encodeStatsReport(report));
 
-    cluster::PingMsg ping;
-    ping.seq = 21;
-    write(dir, "ping", cluster::encodePing(ping, cluster::MsgType::Ping));
-    write(dir, "pong", cluster::encodePing(ping, cluster::MsgType::Pong));
-
     cluster::MetricsQueryMsg metrics_query;
     metrics_query.seq = 31;
     metrics_query.include_traces = true;

@@ -255,7 +255,7 @@ constexpr Kernels kScalarKernels = {
 
 // ---------------------------------------------------------------------------
 // AVX2 + FMA kernels (x86-64). 4 doubles / 2 complexes per vector.
-// All loads and stores are unaligned-safe (loadu/storeu) — workspace
+// All loads and stores are unaligned-safe (loadu/storeu) — scratch
 // buffers come from std::vector and carry no 32-byte guarantee.
 // ---------------------------------------------------------------------------
 

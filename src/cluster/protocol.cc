@@ -218,6 +218,9 @@ peekType(std::string_view frame, MsgType *type)
     if (tag < static_cast<uint8_t>(MsgType::Hello) ||
         tag > static_cast<uint8_t>(MsgType::HealthReport))
         return false;
+    if (tag > static_cast<uint8_t>(MsgType::StatsReport) &&
+        tag < static_cast<uint8_t>(MsgType::MetricsQuery))
+        return false; // retired tags
     *type = static_cast<MsgType>(tag);
     return true;
 }
@@ -515,26 +518,6 @@ decodeStatsReport(std::string_view frame, StatsReportMsg *msg)
             return false;
         msg->models.push_back(std::move(m));
     }
-    return r.atEnd();
-}
-
-std::string
-encodePing(const PingMsg &msg, MsgType type)
-{
-    pf_assert(type == MsgType::Ping || type == MsgType::Pong,
-              "encodePing with a non-ping type");
-    WireWriter w = beginMessage(type);
-    w.u64(msg.seq);
-    return w.take();
-}
-
-bool
-decodePing(std::string_view frame, PingMsg *msg, MsgType type)
-{
-    WireReader r(frame);
-    if (!expectType(r, type))
-        return false;
-    msg->seq = r.u64();
     return r.atEnd();
 }
 

@@ -64,8 +64,8 @@ enum class MsgType : uint8_t
     RegisterAck = 6,   ///< server → client
     StatsQuery = 7,    ///< client → server (control)
     StatsReport = 8,   ///< server → client
-    Ping = 9,          ///< liveness probe
-    Pong = 10,         ///< probe reply
+    // 9 and 10 (a liveness probe and its reply) are retired and never
+    // reused: peekType rejects them.
     MetricsQuery = 11, ///< client → server (control): GetMetrics
     MetricsReport = 12,///< server → client: snapshot (+ traces)
     HealthQuery = 13,  ///< client → server (control): GetHealth (v4)
@@ -174,12 +174,6 @@ struct StatsReportMsg
     std::vector<WireModelStats> models;
 };
 
-/** Liveness probe / reply. */
-struct PingMsg
-{
-    uint64_t seq = 0;
-};
-
 /** Metrics pull (the protocol's GetMetrics). */
 struct MetricsQueryMsg
 {
@@ -233,7 +227,6 @@ std::string encodeRegisterModel(const RegisterModelMsg &msg);
 std::string encodeRegisterAck(const RegisterAckMsg &msg);
 std::string encodeStatsQuery(const StatsQueryMsg &msg);
 std::string encodeStatsReport(const StatsReportMsg &msg);
-std::string encodePing(const PingMsg &msg, MsgType type = MsgType::Ping);
 std::string encodeMetricsQuery(const MetricsQueryMsg &msg);
 std::string encodeMetricsReport(const MetricsReportMsg &msg);
 std::string encodeHealthQuery(const HealthQueryMsg &msg);
@@ -252,8 +245,6 @@ bool decodeRegisterModel(std::string_view frame, RegisterModelMsg *msg);
 bool decodeRegisterAck(std::string_view frame, RegisterAckMsg *msg);
 bool decodeStatsQuery(std::string_view frame, StatsQueryMsg *msg);
 bool decodeStatsReport(std::string_view frame, StatsReportMsg *msg);
-bool decodePing(std::string_view frame, PingMsg *msg,
-                MsgType type = MsgType::Ping);
 bool decodeMetricsQuery(std::string_view frame, MetricsQueryMsg *msg);
 bool decodeMetricsReport(std::string_view frame, MetricsReportMsg *msg);
 bool decodeHealthQuery(std::string_view frame, HealthQueryMsg *msg);

@@ -214,14 +214,6 @@ ProtocolServer::readerLoop(Connection *connection)
             if (!connection->conn.sendFrame(
                     encodeHealthReport(report)))
                 break;
-        } else if (type == MsgType::Ping) {
-            PingMsg ping;
-            if (!decodePing(frame, &ping))
-                break;
-            std::lock_guard<std::mutex> lock(connection->send_mutex);
-            if (!connection->conn.sendFrame(
-                    encodePing(ping, MsgType::Pong)))
-                break;
         } else {
             pf_warn(backend_.backendName(),
                     ": unexpected message type ",

@@ -8,17 +8,6 @@
 namespace photofourier {
 namespace fourier4f {
 
-namespace {
-
-// Workspace slot 26: the 2D JTC share of the optical-simulator range
-// (see the slot discipline in fft_plan.hh) — the kernel-block padding
-// scratch on cache misses. The per-call signal plane is a
-// thread_local Matrix (the plan's joint-autocorrelation core draws
-// its own scratch from slots 2-3/7).
-constexpr size_t kSlotJtc2dPad = 26;
-
-} // namespace
-
 Jtc2dLayout
 Jtc2dLayout::design(size_t signal_rows, size_t signal_cols,
                     size_t kernel_rows, size_t kernel_cols)
@@ -68,10 +57,8 @@ Jtc2d::kernelPlaneSpectrum(const signal::Matrix &k,
             const size_t rows = layout.plane_rows;
             const size_t cols = layout.plane_cols;
             const auto plan = signal::fft2dPlanFor(rows, cols);
-            std::vector<double> &padded =
-                signal::threadFftWorkspace().realBuffer(kSlotJtc2dPad,
-                                                        rows * cols);
-            std::fill(padded.begin(), padded.end(), 0.0);
+            static thread_local std::vector<double> padded;
+            padded.assign(rows * cols, 0.0);
             for (size_t r = 0; r < k.rows; ++r)
                 std::copy(k.data.begin() + r * k.cols,
                           k.data.begin() + (r + 1) * k.cols,
@@ -92,7 +79,7 @@ Jtc2d::outputPlaneInto(const signal::Matrix &s, const signal::Matrix &k,
     const auto plan = signal::fft2dPlanFor(rows, cols);
 
     // Static kernel block: transformed once per (kernel, layout) and
-    // cached; fetched before the signal plane is built.
+    // cached.
     const auto kspec = kernelPlaneSpectrum(k, layout);
 
     // Signal block on the (real) joint plane; the kernel block stays

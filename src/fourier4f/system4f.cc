@@ -10,15 +10,6 @@
 namespace photofourier {
 namespace fourier4f {
 
-namespace {
-
-// Workspace slots 24-25: the fourier4f share of the optical-
-// simulator range (see the slot discipline in fft_plan.hh).
-constexpr size_t kSlot4fPad = 24;
-constexpr size_t kSlot4fSpectrum = 25;
-
-} // namespace
-
 System4f::System4f(System4fConfig config,
                    std::shared_ptr<signal::PlaneSpectrumCache> spectra)
     : config_(config),
@@ -106,21 +97,20 @@ System4f::apply(const signal::Matrix &image, const signal::Matrix &kernel,
     const size_t cols = image.cols + kernel.cols - 1;
     const auto plan = signal::fft2dPlanFor(rows, cols);
     const size_t hc = plan->halfCols();
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
 
     // The programmed filter is static per kernel: transformed (and
     // quantized) once, fetched from the cache thereafter.
     const auto filter = filterHalfSpectrum(kernel, rows, cols);
 
     // Input plane -> first lens (r2c: the input plane is real).
-    std::vector<double> &padded = ws.realBuffer(kSlot4fPad, rows * cols);
-    std::fill(padded.begin(), padded.end(), 0.0);
+    static thread_local std::vector<double> padded;
+    padded.assign(rows * cols, 0.0);
     for (size_t r = 0; r < image.rows; ++r)
         std::copy(image.data.begin() + r * image.cols,
                   image.data.begin() + (r + 1) * image.cols,
                   padded.begin() + r * cols);
-    signal::ComplexVector &spectrum =
-        ws.complexBuffer(kSlot4fSpectrum, rows * hc);
+    static thread_local signal::ComplexVector spectrum;
+    spectrum.resize(rows * hc);
     plan->forwardReal(padded.data(), spectrum.data());
 
     // Fourier plane: point-wise multiplication with the programmed

@@ -12,16 +12,6 @@ namespace jtc {
 
 namespace {
 
-// Workspace slots 20-23: the optical-simulator range reserved for the
-// 1D JTC (see the slot discipline in fft_plan.hh). The plane buffer
-// doubles as the kernel-padding scratch on cache misses (the miss
-// computes before the signal plane is built). The full buffer holds
-// the one-call path's signal spectrum until detection consumes it.
-constexpr size_t kSlotJtcPlane = 20;
-constexpr size_t kSlotJtcHalf = 21;
-constexpr size_t kSlotJtcFull = 22;
-constexpr size_t kSlotJtcOutPlane = 23;
-
 /**
  * Fourier-plane detection of a group of joint fields: the intensities
  * |S_c + K_c|^2 summed over the group, as the half-spectrum (I, 0) in
@@ -54,8 +44,8 @@ fourierIntensity(
         signals.push_back(reinterpret_cast<const double *>(s.data()));
         kernels.push_back(reinterpret_cast<const double *>(k.data()));
     }
-    signal::ComplexVector &intensity =
-        signal::threadFftWorkspace().complexBuffer(kSlotJtcHalf, half_n);
+    static thread_local signal::ComplexVector intensity;
+    intensity.resize(half_n);
     simd::kernels().jointIntensitySum(
         signals.data(), kernels.data(), signals.size(), half_n,
         reinterpret_cast<double *>(intensity.data()));
@@ -111,10 +101,8 @@ JtcSystem::kernelPlaneSpectrum(const std::vector<double> &k,
         [&](signal::ComplexVector &out) {
             const size_t n = layout.plane_size;
             const auto plan = signal::fftPlanFor(n);
-            std::vector<double> &padded =
-                signal::threadFftWorkspace().realBuffer(kSlotJtcPlane,
-                                                        n);
-            std::fill(padded.begin(), padded.end(), 0.0);
+            static thread_local std::vector<double> padded;
+            padded.assign(n, 0.0);
             std::copy(k.begin(), k.end(),
                       padded.begin() +
                           static_cast<long>(layout.kernel_pos));
@@ -146,9 +134,8 @@ JtcSystem::signalSpectrumInto(const std::vector<double> &s,
     // Signal field on the joint plane (the kernel block stays zero:
     // its contribution is the cached spectrum, added after the lens —
     // the lens transform is linear).
-    std::vector<double> &plane =
-        signal::threadFftWorkspace().realBuffer(kSlotJtcPlane, n);
-    std::fill(plane.begin(), plane.end(), 0.0);
+    static thread_local std::vector<double> plane;
+    plane.assign(n, 0.0);
     std::copy(s.begin(), s.end(),
               plane.begin() + static_cast<long>(layout.signal_pos));
 
@@ -168,12 +155,10 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
     // resolved once per call.
     const auto plan = signal::fftPlanFor(layout.plane_size);
     // Static kernel field: transformed once per (kernel, layout) and
-    // cached. Fetched before the signal plane is built — the miss
-    // path borrows the plane slot for its padding scratch.
+    // cached.
     const auto kspec = kernelPlaneSpectrum(k, layout);
 
-    signal::ComplexVector &sspec = signal::threadFftWorkspace().complexBuffer(
-        kSlotJtcFull, plan->halfSpectrumSize());
+    static thread_local signal::ComplexVector sspec;
     signalSpectrumInto(s, layout, *plan, sspec);
     // Detection of the joint field, a group of one.
     const signal::ComplexVector *signals[] = {&sspec};
@@ -213,8 +198,7 @@ JtcSystem::correlationWindowInto(const std::vector<double> &s,
 {
     const JtcPlaneLayout layout =
         JtcPlaneLayout::design(s.size(), k.size());
-    std::vector<double> &plane = signal::threadFftWorkspace().realBuffer(
-        kSlotJtcOutPlane, layout.plane_size);
+    static thread_local std::vector<double> plane;
     outputPlaneInto(s, k, plane);
     readWindow(plane, layout, count, start, out);
 }
@@ -233,8 +217,8 @@ JtcSystem::accumulatedWindowFromSpectraInto(
               n, "-sample plane");
     const signal::ComplexVector &intensity =
         fourierIntensity(signal_spectra, kernel_spectra, plan);
-    std::vector<double> &plane =
-        signal::threadFftWorkspace().realBuffer(kSlotJtcOutPlane, n);
+    static thread_local std::vector<double> plane;
+    plane.resize(n);
     plan.executeRealInverse(intensity.data(), plane.data());
     readWindow(plane, layout, count, start, out);
 }

@@ -20,12 +20,11 @@ namespace {
 
 /**
  * Per-thread scratch for the engines' convolution hot loops: channel
- * matrices, partial planes, the tiled executor's workspace, and the
- * photonic engine's per-input state, all reused across calls so
- * steady-state inference never allocates on the per-channel path.
- * PhotoFourierEngine's output-channel jobs touch only part_p, part_n
- * and conv; the rest belongs to the thread running the call, so the
- * caller's own jobs never clobber it.
+ * matrices, partial planes, and the photonic engine's per-input state,
+ * all reused across calls so steady-state inference never allocates
+ * on the per-channel path. PhotoFourierEngine's output-channel jobs
+ * touch only part_p and part_n; the rest belongs to the thread running
+ * the call, so the caller's own jobs never clobber it.
  */
 struct EngineScratch
 {
@@ -33,8 +32,9 @@ struct EngineScratch
     signal::Matrix w_ch;
     signal::Matrix part_p;
     signal::Matrix part_n;
-    tiling::ConvWorkspace conv;
     std::vector<double> kernel_row;
+    /** DirectEngine's frequency path: one zero-padded input row. */
+    std::vector<double> padded_row;
     signal::ComplexVector acc_spec;
     std::vector<double> row_time;
 
@@ -186,10 +186,8 @@ fftRowConvolveBatch(std::span<const Tensor> inputs,
         const size_t b = job / (n_in * rows);
         const size_t ic = (job / rows) % n_in;
         const size_t r = job % rows;
-        // Slot 16: first slot of the nn-engine reserved range (16-19,
-        // see FftWorkspace's slot discipline).
-        std::vector<double> &pad_buf =
-            signal::threadFftWorkspace().realBuffer(16, n);
+        std::vector<double> &pad_buf = threadEngineScratch().padded_row;
+        pad_buf.resize(n);
         const double *row =
             inputs[b].data().data() + (ic * rows + r) * cols;
         std::copy(row, row + cols, pad_buf.begin());
@@ -691,7 +689,6 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
                                                       channels);
         const size_t g = ic0 / nta;
         signal::parallelForEach(n_out, oc_workers, [&](size_t oc) {
-            tiling::ConvWorkspace &ws = threadEngineScratch().conv;
             // Each kernel plane's rows land straight in its charge
             // plane: no partial plane in between. Consecutive input
             // channels' planes sit 2 * kernel_groups apart in the bank.
@@ -699,8 +696,7 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
                 tiled.executePrepared(
                     run, kernels,
                     ((oc * n_in + ic0) * 2 + polarity) * kernel_groups,
-                    2 * kernel_groups, {charge(oc, g, polarity), plane},
-                    ws);
+                    2 * kernel_groups, {charge(oc, g, polarity), plane});
         });
     }
 

@@ -84,9 +84,6 @@ class Completion
     /** Current status, without blocking. */
     RequestStatus status() const;
 
-    /** True once the request reached a terminal status. */
-    bool ready() const { return status() != RequestStatus::Pending; }
-
     /** Block until terminal; returns the terminal status. */
     RequestStatus wait() const;
 

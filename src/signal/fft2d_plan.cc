@@ -10,20 +10,6 @@
 namespace photofourier {
 namespace signal {
 
-namespace {
-
-// Workspace slots 2-3 are reserved for Fft2dPlan internals (see the
-// slot discipline in fft_plan.hh): the transpose scratch and the
-// inverse-real intermediate can both be live while the row passes
-// recurse into FftPlan's own slots 0-1.
-constexpr size_t kSlotTranspose = 2;
-constexpr size_t kSlotHalfScratch = 3;
-// Slot 7: the autocorrelation half-spectrum, live across a
-// forwardReal + inverseReal pair that uses slots 2-3 internally.
-constexpr size_t kSlotAutoCorrHalf = 7;
-
-} // namespace
-
 void
 transposeInto(const Complex *in, size_t rows, size_t cols, Complex *out)
 {
@@ -85,8 +71,8 @@ Fft2dPlan::execute(ComplexMatrix &m, bool inverse) const
 
     // Column pass: blocked transpose, batch the now-contiguous
     // columns, blocked transpose back.
-    ComplexVector &t = threadFftWorkspace().complexBuffer(
-        kSlotTranspose, rows_ * cols_);
+    static thread_local ComplexVector t;
+    t.resize(rows_ * cols_);
     transposeInto(m.data.data(), rows_, cols_, t.data());
     rowBatch(*col_plan_, t.data(), cols_, inverse);
     transposeInto(t.data(), cols_, rows_, m.data.data());
@@ -120,8 +106,8 @@ Fft2dPlan::forwardReal(const double *in, Complex *half) const
 
     // Column pass over the hc half-columns (full complex transforms
     // of length rows — every kr is needed even for a real input).
-    ComplexVector &t =
-        threadFftWorkspace().complexBuffer(kSlotTranspose, rows_ * hc);
+    static thread_local ComplexVector t;
+    t.resize(rows_ * hc);
     transposeInto(half, rows_, hc, t.data());
     rowBatch(*col_plan_, t.data(), hc, /*inverse=*/false);
     transposeInto(t.data(), hc, rows_, half);
@@ -133,14 +119,14 @@ Fft2dPlan::inverseReal(const Complex *half, double *out) const
     pf_assert(half != nullptr && out != nullptr,
               "Fft2dPlan::inverseReal on null data");
     const size_t hc = halfCols();
-    FftWorkspace &ws = threadFftWorkspace();
 
     // Column pass: inverse transforms (with their 1/rows) along the
     // stored half-columns.
-    ComplexVector &t = ws.complexBuffer(kSlotTranspose, rows_ * hc);
+    static thread_local ComplexVector t, h2;
+    t.resize(rows_ * hc);
     transposeInto(half, rows_, hc, t.data());
     rowBatch(*col_plan_, t.data(), hc, /*inverse=*/true);
-    ComplexVector &h2 = ws.complexBuffer(kSlotHalfScratch, rows_ * hc);
+    h2.resize(rows_ * hc);
     transposeInto(t.data(), hc, rows_, h2.data());
 
     // Row pass: each row of the intermediate is the Hermitian half-
@@ -175,9 +161,8 @@ Fft2dPlan::jointAutocorrelationInto(const Matrix &plane,
               "Fft2dPlan for ", rows_, "x", cols_, " executed on ",
               plane.rows, "x", plane.cols);
     const size_t hc = halfCols();
-    ComplexVector &half =
-        threadFftWorkspace().complexBuffer(kSlotAutoCorrHalf,
-                                           rows_ * hc);
+    static thread_local ComplexVector half;
+    half.resize(rows_ * hc);
     forwardReal(plane.data.data(), half.data());
     // |F|^2 of a real joint plane is centro-symmetric, so its stored
     // half is exactly the half-spectrum of the (real) autocorrelation.

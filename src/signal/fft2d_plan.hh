@@ -16,8 +16,8 @@
  *    only the cols/2+1 Hermitian half-columns through the column
  *    pass — half the butterflies and half the transpose traffic of
  *    the complex transform,
- *  - every entry point draws scratch from the per-thread
- *    FftWorkspace, so steady-state callers never allocate,
+ *  - every entry point keeps its scratch in its own per-thread
+ *    buffers, so steady-state callers never allocate,
  *  - row/column batches fan across the shared worker pool when the
  *    plane is large enough to amortize a dispatch
  *    (kParallelDispatchThreshold, like every other hot path).

@@ -17,28 +17,11 @@
 namespace photofourier {
 namespace signal {
 
-// ---------------------------------------------------------------------------
-// FftWorkspace
-// ---------------------------------------------------------------------------
-
 namespace {
-
-// Reserved workspace slots (see the header's slot discipline). The
-// FftPlan internals below use the 0-3 range: Bluestein scratch and the
-// real-transform pack/unpack buffers can be live on one thread at the
-// same time (executeReal on an even size may recurse into a Bluestein
-// half plan), so they must not share a slot.
-constexpr size_t kSlotBluestein = 0;
-constexpr size_t kSlotRealPack = 1;
-
-// Real-buffer slots for the SIMD butterfly's split-complex staging
-// (see the header's slot discipline — radix-2 executes never nest).
-constexpr size_t kSlotSoaRe = 0;
-constexpr size_t kSlotSoaIm = 1;
 
 // Below this size the deinterleave/interleave round trip costs more
 // than the vector butterflies recover; the scalar loop also keeps the
-// tiny-transform latency path free of workspace lookups.
+// tiny-transform latency path off the staging buffers.
 constexpr size_t kSimdFftMinSize = 32;
 
 /** std::complex<double> guarantees array-oriented access: data[i]
@@ -56,31 +39,6 @@ asDoubles(const Complex *p)
 }
 
 } // namespace
-
-ComplexVector &
-FftWorkspace::complexBuffer(size_t slot, size_t n)
-{
-    if (slot >= complex_.size())
-        complex_.resize(slot + 1);
-    complex_[slot].resize(n);
-    return complex_[slot];
-}
-
-std::vector<double> &
-FftWorkspace::realBuffer(size_t slot, size_t n)
-{
-    if (slot >= real_.size())
-        real_.resize(slot + 1);
-    real_[slot].resize(n);
-    return real_[slot];
-}
-
-FftWorkspace &
-threadFftWorkspace()
-{
-    static thread_local FftWorkspace workspace;
-    return workspace;
-}
 
 // ---------------------------------------------------------------------------
 // FftPlan
@@ -191,14 +149,12 @@ FftPlan::executeRadix2(Complex *data, bool inverse) const
         // SIMD path: stage the bit-reversed data as split re/im
         // arrays (the vector butterfly wants SoA), run every stage on
         // the pre-splatted contiguous twiddles, and interleave back.
-        // The workspace buffers persist per thread, so steady state
-        // stays allocation-free; radix-2 never nests inside radix-2
-        // (Bluestein's inner transforms are themselves the leaves),
-        // so the two real slots cannot be live twice on a thread.
+        // The staging buffers persist per thread, so steady state
+        // stays allocation-free.
         const simd::Kernels &kern = simd::kernels();
-        FftWorkspace &ws = threadFftWorkspace();
-        std::vector<double> &re = ws.realBuffer(kSlotSoaRe, n);
-        std::vector<double> &im = ws.realBuffer(kSlotSoaIm, n);
+        static thread_local std::vector<double> re, im;
+        re.resize(n);
+        im.resize(n);
         kern.deinterleave(asDoubles(data), n, re.data(), im.data());
         const double *twim = inverse ? stage_tw_im_inv_.data()
                                      : stage_tw_im_fwd_.data();
@@ -248,9 +204,8 @@ FftPlan::executeBluestein(Complex *data, bool inverse) const
         inverse ? chirp_spectrum_inv_ : chirp_spectrum_fwd_;
 
     // Per-thread scratch, reused across calls (capacity persists).
-    ComplexVector &scratch =
-        threadFftWorkspace().complexBuffer(kSlotBluestein, m);
-    std::fill(scratch.begin(), scratch.end(), Complex(0.0, 0.0));
+    static thread_local ComplexVector scratch;
+    scratch.assign(m, Complex(0.0, 0.0));
 
     if (inverse) {
         for (size_t k = 0; k < n; ++k)
@@ -305,11 +260,12 @@ FftPlan::executeReal(const double *in, Complex *out) const
         return;
     }
 
+    // Pack scratch, per thread (capacity persists).
+    static thread_local ComplexVector buf;
     if (n % 2 != 0) {
         // Odd sizes: no packing possible — run the complex transform
         // on scratch and keep the lower half-spectrum.
-        ComplexVector &buf =
-            threadFftWorkspace().complexBuffer(kSlotRealPack, n);
+        buf.resize(n);
         for (size_t i = 0; i < n; ++i)
             buf[i] = Complex(in[i], 0.0);
         execute(buf.data(), false);
@@ -324,8 +280,8 @@ FftPlan::executeReal(const double *in, Complex *out) const
     //        - i/2 * (Z[k] - conj(Z[h-k])) * exp(-2*pi*i*k/n).
     ensureRealTables();
     const size_t h = n / 2;
-    ComplexVector &z =
-        threadFftWorkspace().complexBuffer(kSlotRealPack, h);
+    ComplexVector &z = buf;
+    z.resize(h);
     // The pack z[j] = x[2j] + i*x[2j+1] is exactly the interleaved
     // complex layout reinterpreting the real input — one memcpy.
     std::memcpy(asDoubles(z.data()), in, n * sizeof(double));
@@ -350,11 +306,12 @@ FftPlan::executeRealInverse(const Complex *in, double *out) const
         return;
     }
 
+    // Unpack scratch, per thread (capacity persists).
+    static thread_local ComplexVector buf;
     if (n % 2 != 0) {
         // Odd sizes: Hermitian-expand to the full spectrum and run the
         // complex inverse on scratch.
-        ComplexVector &buf =
-            threadFftWorkspace().complexBuffer(kSlotRealPack, n);
+        buf.resize(n);
         for (size_t k = 0; k <= n / 2; ++k)
             buf[k] = in[k];
         for (size_t k = 1; k <= n / 2; ++k)
@@ -371,8 +328,8 @@ FftPlan::executeRealInverse(const Complex *in, double *out) const
     // requires — the round trip is the identity).
     ensureRealTables();
     const size_t h = n / 2;
-    ComplexVector &z =
-        threadFftWorkspace().complexBuffer(kSlotRealPack, h);
+    ComplexVector &z = buf;
+    z.resize(h);
     simd::kernels().realUntangleInverse(
         asDoubles(in), asDoubles(real_twiddle_.data()),
         asDoubles(z.data()), h);

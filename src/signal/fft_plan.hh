@@ -14,6 +14,13 @@
  * and exposes an in-place execute() that is safe to call concurrently
  * from many threads (per-thread scratch, immutable tables).
  *
+ * Scratch belongs to the code that uses it: each transform path keeps
+ * its buffers in its own thread_local storage (a function-local
+ * static, or a file's private scratch struct), reused across calls so
+ * steady-state callers never allocate. No caller needs to know which
+ * buffers a transform draws on, and a call nested inside another
+ * never touches the outer call's buffers.
+ *
  * fftPlanFor(n) memoizes plans in a process-wide cache, and
  * parallelFor() fans independent jobs (rows of a 2D transform, tiles,
  * output channels) across a lazily started std::thread worker pool —
@@ -26,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -36,49 +42,6 @@
 
 namespace photofourier {
 namespace signal {
-
-/**
- * A reusable scratch arena for the transform hot paths.
- *
- * Buffers are identified by small slot indices and keep their capacity
- * across calls, so a steady-state caller never allocates. One workspace
- * must only ever be used from one thread at a time;
- * threadFftWorkspace() hands out a thread_local instance shared by the
- * library's own hot paths.
- *
- * Slot discipline: a (caller, slot) pair must be unique along any call
- * chain that can be live at once on a thread. The library reserves
- * complex slots 0-1 for FftPlan internals (Bluestein and
- * real-transform scratch), 2-3 for Fft2dPlan internals (transpose and
- * inverse-real scratch), 7 for the Fft2dPlan joint-autocorrelation
- * half-spectrum (4-6 are free), 8-15 for the tiling backends, 16-19
- * for the nn engines, and 20-27 for the optical simulators
- * (jtc/fourier4f). Real slots 0-1 belong to the
- * FftPlan radix-2 SIMD path (split-complex re/im staging — radix-2
- * executes never nest inside each other, so one pair suffices per
- * thread); external callers of threadFftWorkspace() should use slots
- * >= 28 (or a private FftWorkspace instance).
- */
-class FftWorkspace
-{
-  public:
-    /** The complex buffer for `slot`, resized to n (contents are
-     *  unspecified — callers overwrite; capacity is reused). */
-    ComplexVector &complexBuffer(size_t slot, size_t n);
-
-    /** The real buffer for `slot`, resized to n (unspecified values). */
-    std::vector<double> &realBuffer(size_t slot, size_t n);
-
-  private:
-    // Deques so acquiring a new slot never moves existing buffers: a
-    // caller may hold references to several slots while a nested call
-    // (e.g. FftPlan's own scratch) grows the slot table.
-    std::deque<ComplexVector> complex_;
-    std::deque<std::vector<double>> real_;
-};
-
-/** This thread's shared scratch workspace (created on first use). */
-FftWorkspace &threadFftWorkspace();
 
 /**
  * A reusable DFT plan for one transform size.
@@ -115,7 +78,7 @@ class FftPlan
      * sizes this runs one complex FFT of size n/2 (the two-for-one
      * real-input packing) — half the work of the full transform. `in`
      * and `out` must not overlap. Allocation-free in steady state
-     * (scratch lives in threadFftWorkspace()).
+     * (per-thread scratch keeps its capacity).
      */
     void executeReal(const double *in, Complex *out) const;
 

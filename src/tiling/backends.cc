@@ -12,14 +12,6 @@ namespace tiling {
 
 namespace {
 
-// Workspace slots 8-15 are reserved for the tiling backends (slot 8 is
-// the spectrum cache's kernel-padding buffer; these must stay disjoint
-// from it because a cache miss computes a spectrum while the block
-// loop below holds its own buffers).
-constexpr size_t kSlotBlockInput = 9;
-constexpr size_t kSlotBlockSpectrum = 10;
-constexpr size_t kSlotBlockOutput = 12;
-
 /**
  * Overlap-save block bound: inputs longer than this are correlated in
  * blocks so the FFT size (and its scratch) stays cache-resident
@@ -169,8 +161,8 @@ fftPrepareTile(PreparedTile &tile)
     tile.plan = signal::fftPlanFor(w.n);
     const size_t half = tile.plan->halfSpectrumSize();
     tile.spectrum.resize(w.blocks() * half);
-    std::vector<double> &block =
-        signal::threadFftWorkspace().realBuffer(kSlotBlockInput, w.n);
+    static thread_local std::vector<double> block;
+    block.resize(w.n);
     for (size_t b = w.b_first; b <= w.b_last; ++b) {
         const long src0 = static_cast<long>(b * w.L) -
                           (static_cast<long>(n_k) - 1);
@@ -213,10 +205,10 @@ fftWindow(std::span<const ChannelTerm> group, const KernelBank &bank,
         pf_assert(k.spectrum->size() == half,
                   "kernel spectrum prepared for another input length");
     }
-    signal::FftWorkspace &ws = signal::threadFftWorkspace();
-    signal::ComplexVector &spec =
-        ws.complexBuffer(kSlotBlockSpectrum, half);
-    std::vector<double> &time = ws.realBuffer(kSlotBlockOutput, w.n);
+    static thread_local signal::ComplexVector spec;
+    static thread_local std::vector<double> time;
+    spec.resize(half);
+    time.resize(w.n);
     const simd::Kernels &simd_kernels = simd::kernels();
     for (size_t b = w.b_first; b <= w.b_last; ++b) {
         const size_t offset = (b - w.b_first) * half;

@@ -17,11 +17,8 @@ computeCorrelationSpectrum(const std::vector<double> &kernel,
               "FFT size ", fft_n, " shorter than kernel ",
               kernel.size());
     const auto plan = signal::fftPlanFor(fft_n);
-    // Slot 8 of the tiling-backend workspace range; disjoint from the
-    // block buffers the FFT backend holds while calling in here.
-    std::vector<double> &padded =
-        signal::threadFftWorkspace().realBuffer(/*slot=*/8, fft_n);
-    std::fill(padded.begin(), padded.end(), 0.0);
+    static thread_local std::vector<double> padded;
+    padded.assign(fft_n, 0.0);
     std::reverse_copy(kernel.begin(), kernel.end(), padded.begin());
     plan->executeReal(padded.data(), out);
 }

@@ -44,7 +44,7 @@ struct KernelBank;
  * of `kernel`, reversed and zero-padded to fft_n, written to `out`
  * (which must hold fft_n/2 + 1 entries). One definition shared by the
  * cache and the FFT backend's cache-less path, so the two can never
- * drift apart. Uses per-thread workspace scratch; allocation-free in
+ * drift apart. Uses per-thread scratch; allocation-free in
  * steady state.
  */
 void computeCorrelationSpectrum(const std::vector<double> &kernel,

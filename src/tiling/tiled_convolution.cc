@@ -16,8 +16,21 @@ ceilDiv(size_t a, size_t b)
     return (a + b - 1) / b;
 }
 
-/** This thread's workspace for parallel tile jobs (the sequential
- *  path uses the caller's workspace instead). */
+/**
+ * The executor's per-thread scratch. Every buffer keeps its capacity
+ * across calls, so steady-state execution never allocates. execute()
+ * alone uses bank and input; each executePrepared() job alone uses
+ * window, row and group, on the thread that runs it.
+ */
+struct ConvWorkspace
+{
+    std::vector<double> window;     ///< backend output window
+    std::vector<double> row;        ///< one output row's summed groups
+    std::vector<ChannelTerm> group; ///< one tile's channel group
+    KernelBank bank;                ///< execute()'s prepared kernel plane
+    TiledInput input;               ///< execute()'s prepared input plane
+};
+
 ConvWorkspace &
 threadConvWorkspace()
 {
@@ -149,20 +162,21 @@ TiledConvolution::execute(const signal::Matrix &input,
                           const signal::Matrix &kernel) const
 {
     signal::Matrix out;
-    execute(input, kernel, out, threadConvWorkspace());
+    execute(input, kernel, out);
     return out;
 }
 
 void
 TiledConvolution::execute(const signal::Matrix &input,
                           const signal::Matrix &kernel,
-                          signal::Matrix &out, ConvWorkspace &ws) const
+                          signal::Matrix &out) const
 {
+    ConvWorkspace &ws = threadConvWorkspace();
     ws.bank.clear();
     const size_t k = prepareKernel(kernel, ws.bank);
     prepareInput(input, ws.input, ws.bank.needs_tile_spectra);
     out.resize(plan_.output_rows, plan_.output_cols);
-    executePrepared({&ws.input, 1}, ws.bank, k, 0, out.data, ws);
+    executePrepared({&ws.input, 1}, ws.bank, k, 0, out.data);
 }
 
 size_t
@@ -307,8 +321,7 @@ void
 TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
                                   const KernelBank &bank, size_t kernel,
                                   size_t kernel_stride,
-                                  std::span<double> acc,
-                                  ConvWorkspace &ws) const
+                                  std::span<double> acc) const
 {
     pf_assert(!inputs.empty(), "no input plane to convolve");
     if (inputs.size() > 1 && plan_.variant != Variant::RowTiling) {
@@ -316,7 +329,7 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
         // sum across channels would reorder the sliding backends' sums.
         for (size_t c = 0; c < inputs.size(); ++c)
             executePrepared(inputs.subspan(c, 1), bank,
-                            kernel + c * kernel_stride, 0, acc, ws);
+                            kernel + c * kernel_stride, 0, acc);
         return;
     }
     for (const TiledInput &tiles : inputs)
@@ -352,9 +365,8 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
     };
 
     // Every job adds into a disjoint block of output rows, so the
-    // fan-out is bit-exact regardless of scheduling. Sequential runs
-    // draw scratch from the caller's workspace (allocation-free);
-    // parallel jobs use their worker thread's own.
+    // fan-out is bit-exact regardless of scheduling. Each job draws
+    // scratch from the workspace of the thread that runs it.
     switch (plan_.variant) {
       case Variant::RowTiling: {
         // Tiles hold disjoint row blocks, and each output sample has
@@ -362,7 +374,7 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
         // straight in.
         const size_t nor = plan_.valid_rows_per_op;
         signal::parallelForEach(tiles.count, workers, [&](size_t t) {
-            ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            ConvWorkspace &j = threadConvWorkspace();
             const size_t r0 = t * nor;
             const size_t r_end = std::min(r0 + nor, g.rows);
             j.group.resize(inputs.size());
@@ -382,7 +394,7 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
         // across the pool, and rows the stride drops are never run.
         const size_t groups = kernelGroups();
         signal::parallelForEach(plan_.output_rows, workers, [&](size_t o) {
-            ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            ConvWorkspace &j = threadConvWorkspace();
             const size_t r0 = o * s;
             j.row.assign(g.cols, 0.0);
             for (size_t grp = 0; grp < groups; ++grp) {
@@ -403,7 +415,7 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
         const size_t step = params_.n_conv - sk + 1;
         const size_t partitions = ceilDiv(g.cols, step);
         signal::parallelForEach(plan_.output_rows, workers, [&](size_t o) {
-            ConvWorkspace &j = workers == 1 ? ws : threadConvWorkspace();
+            ConvWorkspace &j = threadConvWorkspace();
             const size_t r0 = o * s;
             j.row.assign(g.cols, 0.0);
             for (size_t kr = 0; kr < sk; ++kr) {

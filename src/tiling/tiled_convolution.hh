@@ -30,8 +30,13 @@
  *    group in one window() call, so a backend that sums in the Fourier
  *    plane runs one inverse transform per (tile, group).
  *
- * execute() is the one-kernel call: both halves back to back on
- * workspace scratch, accumulated into a zero-filled output.
+ * execute() is the one-kernel call: both halves back to back,
+ * accumulated into a zero-filled output.
+ *
+ * The executor owns its scratch: prepared planes, windows and row
+ * buffers live in per-thread storage private to it, reused across
+ * calls, so callers pass only operands and outputs and steady-state
+ * execution never touches the allocator.
  */
 
 #ifndef PHOTOFOURIER_TILING_TILED_CONVOLUTION_HH
@@ -61,23 +66,6 @@ struct TiledInput
     size_t count = 0;
 };
 
-/**
- * Reusable scratch for TiledConvolution. All buffers keep their
- * capacity across calls, so a caller that holds one workspace per
- * thread (the serving hot path) executes convolutions without touching
- * the allocator. A workspace may be used by one call at a time; the
- * executor's internal tile fan-out uses per-thread workspaces of its
- * own when it goes parallel.
- */
-struct ConvWorkspace
-{
-    std::vector<double> window; ///< backend output window
-    std::vector<double> row;    ///< one output row's summed groups
-    std::vector<ChannelTerm> group; ///< one tile's channel group
-    KernelBank bank;            ///< execute()'s prepared kernel plane
-    TiledInput input;           ///< execute()'s prepared input plane
-};
-
 /** Executes 2D convolutions through 1D tiling on a chosen backend. */
 class TiledConvolution
 {
@@ -97,18 +85,16 @@ class TiledConvolution
     /**
      * Compute the 2D convolution of `input` with `kernel` through row
      * tiling/partitioning, writing the result into `out` (resized to
-     * the output shape, capacity reused) with scratch drawn from `ws`.
-     * Result matches signal::conv2d() exactly in Valid mode (or Same
-     * mode with zero_pad_rows); Same mode without padding shows the
-     * paper's row-edge effect. Allocation-free in steady state when
-     * the tile fan-out runs sequentially (the serving regime).
+     * the output shape, capacity reused). Result matches
+     * signal::conv2d() exactly in Valid mode (or Same mode with
+     * zero_pad_rows); Same mode without padding shows the paper's
+     * row-edge effect. Allocation-free in steady state when the tile
+     * fan-out runs sequentially (the serving regime).
      */
     void execute(const signal::Matrix &input,
-                 const signal::Matrix &kernel, signal::Matrix &out,
-                 ConvWorkspace &ws) const;
+                 const signal::Matrix &kernel, signal::Matrix &out) const;
 
-    /** Convenience overload: returns a fresh matrix, using this
-     *  thread's shared workspace for scratch. */
+    /** Convenience overload: returns a fresh matrix. */
     signal::Matrix execute(const signal::Matrix &input,
                            const signal::Matrix &kernel) const;
 
@@ -147,8 +133,8 @@ class TiledConvolution
      */
     void executePrepared(std::span<const TiledInput> inputs,
                          const KernelBank &bank, size_t kernel,
-                         size_t kernel_stride, std::span<double> acc,
-                         ConvWorkspace &ws) const;
+                         size_t kernel_stride,
+                         std::span<double> acc) const;
 
     /**
      * Input planes to hand executePrepared at once for a temporal-

@@ -30,6 +30,7 @@
 #include "nn/tensor.hh"
 #include "signal/convolution.hh"
 #include "signal/fft2d_plan.hh"
+#include "signal/fft_plan.hh"
 #include "tiling/backends.hh"
 #include "signal_oracles.hh"
 
@@ -110,6 +111,31 @@ TEST(AllocPins, Conv2dInto)
         EXPECT_EQ(steadyStateAllocations([&] {
             sig::conv2dInto(input, kernel, mode, 1, out);
         }), 0u) << "conv2dInto allocated in steady state";
+    }
+}
+
+TEST(AllocPins, FftPlanExecuteRealRoundTrip)
+{
+    // The 1D real transforms at a radix-2 size, an even size whose
+    // half plan runs Bluestein (the pack buffer is live while the half
+    // plan's chirp scratch and radix-2 staging are in use), and an odd
+    // Bluestein size (the full complex fallback).
+    pf::Rng rng(72);
+    for (const size_t n : {64u, 100u, 45u}) {
+        const auto plan = sig::fftPlanFor(n);
+        const auto x = rng.uniformVector(n, -1.0, 1.0);
+        sig::ComplexVector half(plan->halfSpectrumSize());
+        std::vector<double> back(n);
+        plan->executeReal(x.data(), half.data());
+        plan->executeRealInverse(half.data(), back.data());
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_NEAR(back[i], x[i], 1e-12) << "n=" << n << " i=" << i;
+
+        EXPECT_EQ(steadyStateAllocations([&] {
+            plan->executeReal(x.data(), half.data());
+            plan->executeRealInverse(half.data(), back.data());
+        }), 0u) << "executeReal/executeRealInverse allocated in steady "
+                   "state at n=" << n;
     }
 }
 

@@ -772,6 +772,43 @@ TEST(ShardServer, GarbageFramesDropOnlyTheOffendingConnection)
     shard.server->stop();
 }
 
+TEST(ShardServer, RetiredTagDropsOnlyThatConnection)
+{
+    // Tags 9 and 10 once carried a liveness probe and its reply; they
+    // are retired, so a frame carrying one is an unknown message.
+    cluster::MsgType type;
+    EXPECT_FALSE(cluster::peekType(std::string("\x09", 1), &type));
+    EXPECT_FALSE(cluster::peekType(std::string("\x0a", 1), &type));
+
+    TestShard shard("s0", 1);
+    cluster::ClusterClient client("127.0.0.1", shard.server->port());
+    ASSERT_TRUE(client.connect());
+
+    net::TcpConnection retired = net::TcpConnection::connectTo(
+        "127.0.0.1", shard.server->port(),
+        std::chrono::milliseconds(2000));
+    ASSERT_TRUE(retired.valid());
+    cluster::HelloMsg hello;
+    hello.client_name = "retired-tag";
+    ASSERT_TRUE(retired.sendFrame(cluster::encodeHello(hello)));
+    std::string frame;
+    ASSERT_TRUE(retired.recvFrame(&frame)); // HelloAck
+    // A well-formed frame of the retired probe layout: tag 9, u64 seq.
+    net::WireWriter probe;
+    probe.u8(9);
+    probe.u64(21);
+    ASSERT_TRUE(retired.sendFrame(probe.take()));
+    EXPECT_FALSE(retired.recvFrame(&frame)); // server dropped us
+
+    const auto inputs = tinyInputs(1);
+    nn::Network reference = tinyNet(1, 3);
+    auto handle = client.submit("tiny-a", inputs[0]);
+    ASSERT_EQ(handle.wait(), serve::RequestStatus::Done);
+    EXPECT_EQ(handle.logits(), reference.logits(inputs[0]));
+
+    shard.server->stop();
+}
+
 TEST(ShardServer, HostilePeerMisshapenTensorsFailCleanly)
 {
     // A peer may put any tensor shape in a well-formed InferRequest.

@@ -748,13 +748,12 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
 
             // executePrepared accumulates: onto zeros it writes what
             // execute() returns, and a second pass adds it again.
-            tl::ConvWorkspace ws;
             sig::Matrix prepared;
             for (size_t j = 0; j < kernels.size(); ++j) {
                 prepared.resize(conv.plan().output_rows,
                                 conv.plan().output_cols);
                 conv.executePrepared({&tiles, 1}, bank, first[j], 0,
-                                     prepared.data, ws);
+                                     prepared.data);
                 const sig::Matrix solo = conv.execute(input, kernels[j]);
                 ASSERT_EQ(prepared.rows, solo.rows);
                 ASSERT_EQ(prepared.cols, solo.cols);
@@ -763,7 +762,7 @@ TEST(TiledConvolutionHalves, PreparedInputTimesKernelPlanesMatchesExecute)
                         << nb.name << " si=" << g.si << " n_conv="
                         << g.n_conv << " kernel " << j << " sample " << i;
                 conv.executePrepared({&tiles, 1}, bank, first[j], 0,
-                                     prepared.data, ws);
+                                     prepared.data);
                 for (size_t i = 0; i < solo.data.size(); ++i)
                     ASSERT_EQ(prepared.data[i], 2.0 * solo.data[i])
                         << nb.name << " second pass, kernel " << j
@@ -994,14 +993,13 @@ TEST(TiledConvolutionHalves, InputPlaneGroupsMatchPerPlaneAccumulation)
                 << nb.name << " n_conv=" << g.n_conv;
 
             const size_t stride = conv.kernelGroups();
-            tl::ConvWorkspace ws;
             sig::Matrix group, each;
             group.resize(conv.plan().output_rows, conv.plan().output_cols);
             each.resize(conv.plan().output_rows, conv.plan().output_cols);
-            conv.executePrepared(inputs, bank, 0, stride, group.data, ws);
+            conv.executePrepared(inputs, bank, 0, stride, group.data);
             for (size_t c = 0; c < planes; ++c)
                 conv.executePrepared({&inputs[c], 1}, bank, c * stride, 0,
-                                     each.data, ws);
+                                     each.data);
             double peak = 0.0;
             for (double v : each.data)
                 peak = std::max(peak, std::abs(v));

@@ -9,9 +9,9 @@ hold mechanically for every future PR instead of one test at a time:
                     test file that includes counting_alloc.hh (the
                     counting-operator-new pin harness).
   naked-alloc       no naked `new`/`malloc`/`calloc`/`realloc`/
-                    `aligned_alloc` in src/ — hot-path scratch comes
-                    from the per-thread FftWorkspace arena, everything
-                    else from containers/make_shared.
+                    `aligned_alloc` in src/ — hot-path scratch lives in
+                    per-thread containers owned by the code that uses
+                    them, everything else in containers/make_shared.
   banned-random     no `std::rand`/`srand`/`std::random_device`: all
                     stochastic code draws from the explicitly seeded
                     photofourier::Rng (the PR 2 noise-determinism
@@ -157,7 +157,7 @@ def rule_into_alloc_test(root, report):
 
 
 # --------------------------------------------------------------------------
-# Rule: no naked allocations outside the workspace arena
+# Rule: no naked allocations
 # --------------------------------------------------------------------------
 
 ALLOC_PATTERN = re.compile(
@@ -174,9 +174,10 @@ def rule_naked_alloc(root, report):
             if ALLOC_PATTERN.search(line):
                 report.add(
                     path, lineno, 'naked-alloc',
-                    'naked allocation: hot-path scratch comes from the '
-                    'per-thread FftWorkspace arena; everything else uses '
-                    'containers or std::make_shared/make_unique', raw)
+                    'naked allocation: hot-path scratch lives in '
+                    'per-thread containers owned by the code that uses '
+                    'them; everything else uses containers or '
+                    'std::make_shared/make_unique', raw)
 
 
 # --------------------------------------------------------------------------
