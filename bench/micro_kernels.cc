@@ -192,6 +192,30 @@ BM_FftRealOnComplexPlan(benchmark::State &state)
 BENCHMARK(BM_FftRealOnComplexPlan)
     ->Arg(256)->Arg(1024)->Arg(4096)->Arg(1000);
 
+static void
+BM_FftRealInverseWindow(benchmark::State &state)
+{
+    // The JTC second lens on a 2048-sample plane: a c2r that computes
+    // only the `count` samples the photodetector row reads (64 and
+    // 192: the small-alexnet readout windows; 2048: the whole plane).
+    // The window sits mid-plane, past the central term.
+    const size_t n = 2048;
+    const size_t count = static_cast<size_t>(state.range(0));
+    const size_t first = count == n ? 0 : n / 4 + 1;
+    pf::Rng rng(7);
+    const auto input = rng.uniformVector(n, -1.0, 1.0);
+    const auto plan = sig::fftPlanFor(n);
+    sig::ComplexVector half(plan->halfSpectrumSize());
+    plan->executeReal(input.data(), half.data());
+    std::vector<double> out(count);
+    for (auto _ : state) {
+        plan->executeRealInverse(half.data(), first, count, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_FftRealInverseWindow)->Arg(64)->Arg(192)->Arg(2048);
+
 
 // --- 1D conv backends: the zero-skip sliding reference vs the FFT
 // --- backend (cold = kernel transformed per call, cached = the
@@ -703,7 +727,7 @@ butterflyBench(benchmark::State &state, bool scalar)
         std::copy(re0.begin(), re0.end(), re.begin());
         std::copy(im0.begin(), im0.end(), im.begin());
         for (size_t half = 1; half * 2 <= n; half *= 2)
-            kern.butterflyStage(re.data(), im.data(), n, half,
+            kern.butterflyStage(re.data(), im.data(), n, half, 0, half,
                                 twre.data() + (half - 1),
                                 twim.data() + (half - 1));
         benchmark::DoNotOptimize(re.data());

@@ -45,7 +45,8 @@ constexpr size_t kTransposeBlock = 32;
 
 void
 butterflyStageScalar(double *re, double *im, size_t n, size_t half,
-                     const double *twre, const double *twim)
+                     size_t k_lo, size_t k_hi, const double *twre,
+                     const double *twim)
 {
     const size_t len = 2 * half;
     for (size_t i = 0; i < n; i += len) {
@@ -53,7 +54,7 @@ butterflyStageScalar(double *re, double *im, size_t n, size_t half,
         double *im0 = im + i;
         double *re1 = re0 + half;
         double *im1 = im0 + half;
-        for (size_t k = 0; k < half; ++k) {
+        for (size_t k = k_lo; k < k_hi; ++k) {
             const double wr = twre[k];
             const double wi = twim[k];
             const double vr = re1[k] * wr - im1[k] * wi;
@@ -69,29 +70,21 @@ butterflyStageScalar(double *re, double *im, size_t n, size_t half,
 }
 
 void
-deinterleaveScalar(const double *z, size_t n, double *re, double *im)
+deinterleaveScalar(const double *z, const uint32_t *perm, size_t n,
+                   double *re, double *im)
 {
     for (size_t i = 0; i < n; ++i) {
-        re[i] = z[2 * i];
-        im[i] = z[2 * i + 1];
+        re[i] = z[2 * perm[i]];
+        im[i] = z[2 * perm[i] + 1];
     }
 }
 
 void
-interleaveScalar(const double *re, const double *im, size_t n,
-                 double *z)
+interleaveScalar(const double *re, const double *im, size_t first,
+                 size_t count, double s, double *out)
 {
-    for (size_t i = 0; i < n; ++i) {
-        z[2 * i] = re[i];
-        z[2 * i + 1] = im[i];
-    }
-}
-
-void
-scaleInPlaceScalar(double *x, size_t n, double s)
-{
-    for (size_t i = 0; i < n; ++i)
-        x[i] *= s;
+    for (size_t j = first; j < first + count; ++j)
+        out[j - first] = s * ((j % 2 == 0) ? re[j / 2] : im[j / 2]);
 }
 
 void
@@ -246,7 +239,7 @@ jointIntensitySumScalar(const double *const *s, const double *const *k,
 
 constexpr Kernels kScalarKernels = {
     butterflyStageScalar,     deinterleaveScalar,
-    interleaveScalar,         scaleInPlaceScalar,
+    interleaveScalar,
     realUntangleForwardScalar, realUntangleInverseScalar,
     complexMulInPlaceScalar,  complexMacIntoScalar,
     slidingDotScalar,         transposeComplexScalar,
@@ -342,14 +335,17 @@ butterflyHalf2Avx2(double *re, double *im, size_t n, const double *twre,
 
 PF_AVX2 void
 butterflyStageAvx2(double *re, double *im, size_t n, size_t half,
-                   const double *twre, const double *twim)
+                   size_t k_lo, size_t k_hi, const double *twre,
+                   const double *twim)
 {
     // half is a power of two. Stages narrower than the vector width
+    // (always whole: they are narrower than kButterflyRangeGrain)
     // shuffle whole blocks into the lanes, eight elements per step;
     // the scalar loop takes them when n is not a multiple of 8. From
-    // half = 4 up, each block divides into vectors evenly.
+    // half = 4 up, each block divides into vectors evenly, and so
+    // does a range on the grain.
     if (half < 4 && n % 8 != 0) {
-        butterflyStageScalar(re, im, n, half, twre, twim);
+        butterflyStageScalar(re, im, n, half, k_lo, k_hi, twre, twim);
         return;
     }
     if (half == 1) {
@@ -366,7 +362,7 @@ butterflyStageAvx2(double *re, double *im, size_t n, size_t half,
         double *im0 = im + i;
         double *re1 = re0 + half;
         double *im1 = im0 + half;
-        for (size_t k = 0; k < half; k += 4) {
+        for (size_t k = k_lo; k < k_hi; k += 4) {
             const __m256d wr = _mm256_loadu_pd(twre + k);
             const __m256d wi = _mm256_loadu_pd(twim + k);
             const __m256d xr = _mm256_loadu_pd(re1 + k);
@@ -386,53 +382,48 @@ butterflyStageAvx2(double *re, double *im, size_t n, size_t half,
 }
 
 PF_AVX2 void
-deinterleaveAvx2(const double *z, size_t n, double *re, double *im)
+deinterleaveAvx2(const double *z, const uint32_t *perm, size_t n,
+                 double *re, double *im)
 {
+    // Four gathered complexes per step, one 128-bit (re, im) load
+    // each: lo = z[p0], z[p2] and hi = z[p1], z[p3], so one unpack
+    // splits them into re and im.
     size_t i = 0;
     for (; i + 4 <= n; i += 4) {
-        const __m256d a = _mm256_loadu_pd(z + 2 * i);     // r0 i0 r1 i1
-        const __m256d b = _mm256_loadu_pd(z + 2 * i + 4); // r2 i2 r3 i3
-        const __m256d lo = _mm256_permute2f128_pd(a, b, 0x20);
-        const __m256d hi = _mm256_permute2f128_pd(a, b, 0x31);
+        const __m256d lo = _mm256_insertf128_pd(
+            _mm256_castpd128_pd256(_mm_loadu_pd(z + 2 * perm[i])),
+            _mm_loadu_pd(z + 2 * perm[i + 2]), 1);
+        const __m256d hi = _mm256_insertf128_pd(
+            _mm256_castpd128_pd256(_mm_loadu_pd(z + 2 * perm[i + 1])),
+            _mm_loadu_pd(z + 2 * perm[i + 3]), 1);
         _mm256_storeu_pd(re + i, _mm256_unpacklo_pd(lo, hi));
         _mm256_storeu_pd(im + i, _mm256_unpackhi_pd(lo, hi));
     }
     for (; i < n; ++i) {
-        re[i] = z[2 * i];
-        im[i] = z[2 * i + 1];
+        re[i] = z[2 * perm[i]];
+        im[i] = z[2 * perm[i] + 1];
     }
 }
 
 PF_AVX2 void
-interleaveAvx2(const double *re, const double *im, size_t n, double *z)
+interleaveAvx2(const double *re, const double *im, size_t first,
+               size_t count, double s, double *out)
 {
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d r = _mm256_loadu_pd(re + i);
-        const __m256d m = _mm256_loadu_pd(im + i);
+    const size_t end = first + count;
+    size_t j = first;
+    if (j % 2 != 0 && j < end) // odd start: one imaginary part first
+        *out++ = s * im[j++ / 2];
+    const __m256d vs = _mm256_set1_pd(s);
+    for (; j + 8 <= end; j += 8, out += 8) {
+        const __m256d r = _mm256_mul_pd(_mm256_loadu_pd(re + j / 2), vs);
+        const __m256d m = _mm256_mul_pd(_mm256_loadu_pd(im + j / 2), vs);
         const __m256d lo = _mm256_unpacklo_pd(r, m); // r0 i0 r2 i2
         const __m256d hi = _mm256_unpackhi_pd(r, m); // r1 i1 r3 i3
-        _mm256_storeu_pd(z + 2 * i,
-                         _mm256_permute2f128_pd(lo, hi, 0x20));
-        _mm256_storeu_pd(z + 2 * i + 4,
-                         _mm256_permute2f128_pd(lo, hi, 0x31));
+        _mm256_storeu_pd(out, _mm256_permute2f128_pd(lo, hi, 0x20));
+        _mm256_storeu_pd(out + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
     }
-    for (; i < n; ++i) {
-        z[2 * i] = re[i];
-        z[2 * i + 1] = im[i];
-    }
-}
-
-PF_AVX2 void
-scaleInPlaceAvx2(double *x, size_t n, double s)
-{
-    const __m256d vs = _mm256_set1_pd(s);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(x + i,
-                         _mm256_mul_pd(_mm256_loadu_pd(x + i), vs));
-    for (; i < n; ++i)
-        x[i] *= s;
+    for (; j < end; ++j)
+        *out++ = s * ((j % 2 == 0) ? re[j / 2] : im[j / 2]);
 }
 
 /** (a0, a1) complex product (b0, b1), both interleaved in __m256d. */
@@ -714,7 +705,7 @@ jointIntensitySumAvx2(const double *const *s, const double *const *k,
 
 constexpr Kernels kAvx2Kernels = {
     butterflyStageAvx2,     deinterleaveAvx2,
-    interleaveAvx2,         scaleInPlaceAvx2,
+    interleaveAvx2,
     realUntangleForwardAvx2, realUntangleInverseAvx2,
     complexMulInPlaceAvx2,  complexMacIntoAvx2,
     slidingDotAvx2,         transposeComplexAvx2,
@@ -732,10 +723,11 @@ constexpr Kernels kAvx2Kernels = {
 
 void
 butterflyStageNeon(double *re, double *im, size_t n, size_t half,
-                   const double *twre, const double *twim)
+                   size_t k_lo, size_t k_hi, const double *twre,
+                   const double *twim)
 {
     if (half < 2) {
-        butterflyStageScalar(re, im, n, half, twre, twim);
+        butterflyStageScalar(re, im, n, half, k_lo, k_hi, twre, twim);
         return;
     }
     const size_t len = 2 * half;
@@ -744,7 +736,7 @@ butterflyStageNeon(double *re, double *im, size_t n, size_t half,
         double *im0 = im + i;
         double *re1 = re0 + half;
         double *im1 = im0 + half;
-        for (size_t k = 0; k < half; k += 2) {
+        for (size_t k = k_lo; k < k_hi; k += 2) {
             const float64x2_t wr = vld1q_f64(twre + k);
             const float64x2_t wi = vld1q_f64(twim + k);
             const float64x2_t xr = vld1q_f64(re1 + k);
@@ -764,44 +756,38 @@ butterflyStageNeon(double *re, double *im, size_t n, size_t half,
 }
 
 void
-deinterleaveNeon(const double *z, size_t n, double *re, double *im)
+deinterleaveNeon(const double *z, const uint32_t *perm, size_t n,
+                 double *re, double *im)
 {
     size_t i = 0;
     for (; i + 2 <= n; i += 2) {
-        const float64x2x2_t v = vld2q_f64(z + 2 * i);
-        vst1q_f64(re + i, v.val[0]);
-        vst1q_f64(im + i, v.val[1]);
+        const float64x2_t a = vld1q_f64(z + 2 * perm[i]);     // r0 i0
+        const float64x2_t b = vld1q_f64(z + 2 * perm[i + 1]); // r1 i1
+        vst1q_f64(re + i, vzip1q_f64(a, b));
+        vst1q_f64(im + i, vzip2q_f64(a, b));
     }
     for (; i < n; ++i) {
-        re[i] = z[2 * i];
-        im[i] = z[2 * i + 1];
+        re[i] = z[2 * perm[i]];
+        im[i] = z[2 * perm[i] + 1];
     }
 }
 
 void
-interleaveNeon(const double *re, const double *im, size_t n, double *z)
+interleaveNeon(const double *re, const double *im, size_t first,
+               size_t count, double s, double *out)
 {
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
+    const size_t end = first + count;
+    size_t j = first;
+    if (j % 2 != 0 && j < end) // odd start: one imaginary part first
+        *out++ = s * im[j++ / 2];
+    for (; j + 4 <= end; j += 4, out += 4) {
         float64x2x2_t v;
-        v.val[0] = vld1q_f64(re + i);
-        v.val[1] = vld1q_f64(im + i);
-        vst2q_f64(z + 2 * i, v);
+        v.val[0] = vmulq_n_f64(vld1q_f64(re + j / 2), s);
+        v.val[1] = vmulq_n_f64(vld1q_f64(im + j / 2), s);
+        vst2q_f64(out, v);
     }
-    for (; i < n; ++i) {
-        z[2 * i] = re[i];
-        z[2 * i + 1] = im[i];
-    }
-}
-
-void
-scaleInPlaceNeon(double *x, size_t n, double s)
-{
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_f64(x + i, vmulq_n_f64(vld1q_f64(x + i), s));
-    for (; i < n; ++i)
-        x[i] *= s;
+    for (; j < end; ++j)
+        *out++ = s * ((j % 2 == 0) ? re[j / 2] : im[j / 2]);
 }
 
 void
@@ -986,7 +972,7 @@ transposeComplexNeon(const double *in, size_t rows, size_t cols,
 
 constexpr Kernels kNeonKernels = {
     butterflyStageNeon,     deinterleaveNeon,
-    interleaveNeon,         scaleInPlaceNeon,
+    interleaveNeon,
     realUntangleForwardNeon, realUntangleInverseNeon,
     complexMulInPlaceNeon,  complexMacIntoNeon,
     slidingDotNeon,         transposeComplexNeon,

@@ -26,9 +26,10 @@
  * whichever (correct) table they loaded.
  *
  * Layering note: this file and simd.cc are a *leaf* — they depend
- * only on <cstddef> and the C intrinsic headers, sitting below
- * signal/ in the layer order even though they live under src/arch/
- * (the ISA of the host CPU is architecture, not signal processing).
+ * only on <cstddef>, <cstdint> and the C intrinsic headers, sitting
+ * below signal/ in the layer order even though they live under
+ * src/arch/ (the ISA of the host CPU is architecture, not signal
+ * processing).
  *
  * Numerical contract: vector kernels compute the same formulas as the
  * scalar ones but may contract multiply-adds into FMAs and re-
@@ -44,7 +45,8 @@
  * stay exact zeros at every level.
  *
  * Exact kernels, pinned bit for bit by the same suite: the interleave
- * round trip (pure data movement), jointIntensitySum at every level
+ * round trip (pure data movement, and one product per value when
+ * scaled), jointIntensitySum at every level
  * (separate multiplies and adds, channels summed in ascending order),
  * and the AVX2 butterfly stages with half = 1 and half = 2.
  */
@@ -53,6 +55,7 @@
 #define PHOTOFOURIER_ARCH_SIMD_HH
 
 #include <cstddef>
+#include <cstdint>
 
 namespace photofourier {
 namespace simd {
@@ -100,6 +103,13 @@ bool parseLevel(const char *name, Level &out);
 bool forceLevel(Level level);
 
 /**
+ * Butterfly ranges narrower than a whole stage start and end on
+ * multiples of this many butterflies (one AVX2 vector), so a pruned
+ * stage never sends a butterfly down a different lane path.
+ */
+constexpr size_t kButterflyRangeGrain = 4;
+
+/**
  * The kernel table. All pointers are non-null at every level; complex
  * data is interleaved (re, im) pairs of doubles — the layout
  * std::complex<double> guarantees — and no pointer may alias its
@@ -109,29 +119,42 @@ struct Kernels
 {
     /**
      * One radix-2 butterfly stage over split (SoA) arrays: for each
-     * block of len = 2*half elements and each k in [0, half),
+     * block of len = 2*half elements and each k in [k_lo, k_hi),
      *
      *   v = (re1[k], im1[k]) * (twre[k], twim[k])
      *   (re0[k], im0[k]), (re1[k], im1[k]) = u + v, u - v
      *
      * where re0 = re + block, re1 = re0 + half. n must be a multiple
      * of 2*half; twre/twim hold the stage's `half` twiddles,
-     * contiguous (pre-splatted by FftPlan).
+     * contiguous (pre-splatted by FftPlan). The whole stage is the
+     * range [0, half). A narrower range skips the butterflies whose
+     * outputs the caller never reads: k_lo and k_hi must then be
+     * multiples of kButterflyRangeGrain inside [0, half) (a stage
+     * narrower than the grain always runs whole), so every butterfly
+     * that runs takes the arithmetic the whole stage gives it.
      */
     void (*butterflyStage)(double *re, double *im, size_t n,
-                           size_t half, const double *twre,
-                           const double *twim);
+                           size_t half, size_t k_lo, size_t k_hi,
+                           const double *twre, const double *twim);
 
-    /** Split n interleaved complexes (2n doubles at z) into re/im. */
-    void (*deinterleave)(const double *z, size_t n, double *re,
-                         double *im);
+    /**
+     * Split n interleaved complexes into re/im, gathered through a
+     * permutation: re[i], im[i] = z[perm[i]] for i in [0, n). perm is
+     * the FFT's bit-reversal table, so the gather is the radix-2
+     * transform's reordering pass. z must not overlap re or im.
+     */
+    void (*deinterleave)(const double *z, const uint32_t *perm, size_t n,
+                         double *re, double *im);
 
-    /** Merge re/im (n each) back into n interleaved complexes at z. */
-    void (*interleave)(const double *re, const double *im, size_t n,
-                       double *z);
-
-    /** x[i] *= s for i in [0, n). In-place by definition. */
-    void (*scaleInPlace)(double *x, size_t n, double s);
+    /**
+     * Merge re/im back into interleaved doubles, scaled: out[j] = s *
+     * x[first + j] for j in [0, count), where x is the interleaved
+     * sequence re[0], im[0], re[1], im[1], ... Each value is one
+     * product, so s = 1 moves the data exactly. out may alias the
+     * interleaved array re/im were split from, never re or im.
+     */
+    void (*interleave)(const double *re, const double *im, size_t first,
+                       size_t count, double s, double *out);
 
     /**
      * Forward r2c Hermitian untangle, bins k in [1, h) (the caller

@@ -52,6 +52,61 @@ fourierIntensity(
     return intensity;
 }
 
+/** The photodetector row's conversion of field samples, in place: the
+ *  Linear readout records R itself; the square law records |R|^2
+ *  (clamped at zero charge) and the CMOS takes its square root. */
+void
+applyReadout(ReadoutModel readout, std::span<double> samples)
+{
+    if (readout == ReadoutModel::SquareLaw) {
+        for (double &value : samples)
+            value = std::sqrt(std::max(0.0, value * value));
+    }
+}
+
+/**
+ * The second lens and the readout of one sliding window. Window sample
+ * i is c[-(start + i)], and c[m + Ls - 1] = R[(q + m) mod n], so it
+ * reads R[(q - start - i) mod n] while the correlation covers it (i in
+ * [lo, hi)) and is zero past either end. Those samples read a
+ * descending run of the plane: the c2r of the detected Fourier-plane
+ * intensity computes just that run (or the whole plane, if the run
+ * wraps the plane end, which a JtcPlaneLayout::design layout never
+ * does), then the readout acts on it.
+ */
+void
+secondLensWindow(const signal::ComplexVector &intensity,
+                 const JtcPlaneLayout &layout, const signal::FftPlan &plan,
+                 ReadoutModel readout, size_t count, long start,
+                 std::vector<double> &out)
+{
+    const long n = static_cast<long>(layout.plane_size);
+    const long w = static_cast<long>(count);
+    const long lo =
+        std::clamp(1 - static_cast<long>(layout.kernel_len) - start, 0L, w);
+    const long hi =
+        std::clamp(static_cast<long>(layout.signal_len) - start, lo, w);
+    out.assign(count, 0.0);
+    if (lo == hi)
+        return;
+    const long p_top = static_cast<long>(layout.kernel_pos) - start - lo;
+    const long p_bottom = p_top - (hi - lo - 1);
+    const bool inside = p_bottom >= 0 && p_top < n;
+    const size_t first = inside ? static_cast<size_t>(p_bottom) : 0;
+    const size_t span = static_cast<size_t>(inside ? hi - lo : n);
+    static thread_local std::vector<double> plane;
+    plane.resize(span);
+    plan.executeRealInverse(intensity.data(), first, span, plane.data());
+    applyReadout(readout, plane);
+    // Walk the run downwards; only a whole-plane run wraps at 0.
+    size_t p = static_cast<size_t>(inside ? p_top - p_bottom
+                                          : (p_top % n + n) % n);
+    for (long i = lo; i < hi; ++i) {
+        out[static_cast<size_t>(i)] = plane[p];
+        p = p == 0 ? span - 1 : p - 1;
+    }
+}
+
 } // namespace
 
 JtcPlaneLayout
@@ -144,6 +199,23 @@ JtcSystem::signalSpectrumInto(const std::vector<double> &s,
     plan.executeReal(plane.data(), out.data());
 }
 
+const signal::ComplexVector &
+JtcSystem::jointIntensity(const std::vector<double> &s,
+                          const std::vector<double> &k,
+                          const JtcPlaneLayout &layout,
+                          const signal::FftPlan &plan) const
+{
+    // Static kernel field: transformed once per (kernel, layout) and
+    // cached.
+    const auto kspec = kernelPlaneSpectrum(k, layout);
+    static thread_local signal::ComplexVector sspec;
+    signalSpectrumInto(s, layout, plan, sspec);
+    // Detection of the joint field, a group of one.
+    const signal::ComplexVector *signals[] = {&sspec};
+    const signal::ComplexVector *kernels[] = {kspec.get()};
+    return fourierIntensity(signals, kernels, plan);
+}
+
 void
 JtcSystem::outputPlaneInto(const std::vector<double> &s,
                            const std::vector<double> &k,
@@ -154,30 +226,17 @@ JtcSystem::outputPlaneInto(const std::vector<double> &s,
     // Both lens transforms run one cached plan for the plane size,
     // resolved once per call.
     const auto plan = signal::fftPlanFor(layout.plane_size);
-    // Static kernel field: transformed once per (kernel, layout) and
-    // cached.
-    const auto kspec = kernelPlaneSpectrum(k, layout);
-
-    static thread_local signal::ComplexVector sspec;
-    signalSpectrumInto(s, layout, *plan, sspec);
-    // Detection of the joint field, a group of one.
-    const signal::ComplexVector *signals[] = {&sspec};
-    const signal::ComplexVector *kernels[] = {kspec.get()};
     const signal::ComplexVector &intensity =
-        fourierIntensity(signals, kernels, *plan);
+        jointIntensity(s, k, layout, *plan);
     // Second lens: I(u) -> R(x). The inverse DFT (with its 1/n) is the
     // correlation theorem: ifft(|fft(E)|^2)[d] = sum_x E[x] E[(x+d)%n],
     // exactly the circular autocorrelation of the joint plane. A
     // forward DFT would yield the mirrored plane; physical lenses
     // differ only by that reflection.
     out.resize(layout.plane_size);
-    plan->executeRealInverse(intensity.data(), out.data());
-    // The Linear readout records R itself. The square law records
-    // |R|^2 (clamped at zero charge) and the CMOS takes its square root.
-    if (config_.readout == ReadoutModel::SquareLaw) {
-        for (double &value : out)
-            value = std::sqrt(std::max(0.0, value * value));
-    }
+    plan->executeRealInverse(intensity.data(), 0, layout.plane_size,
+                             out.data());
+    applyReadout(config_.readout, out);
 }
 
 std::vector<double>
@@ -198,9 +257,9 @@ JtcSystem::correlationWindowInto(const std::vector<double> &s,
 {
     const JtcPlaneLayout layout =
         JtcPlaneLayout::design(s.size(), k.size());
-    static thread_local std::vector<double> plane;
-    outputPlaneInto(s, k, plane);
-    readWindow(plane, layout, count, start, out);
+    const auto plan = signal::fftPlanFor(layout.plane_size);
+    secondLensWindow(jointIntensity(s, k, layout, *plan), layout, *plan,
+                     config_.readout, count, start, out);
 }
 
 void
@@ -215,39 +274,8 @@ JtcSystem::accumulatedWindowFromSpectraInto(
     const size_t n = layout.plane_size;
     pf_assert(plan.size() == n, "a ", plan.size(), "-point plan for the ",
               n, "-sample plane");
-    const signal::ComplexVector &intensity =
-        fourierIntensity(signal_spectra, kernel_spectra, plan);
-    static thread_local std::vector<double> plane;
-    plane.resize(n);
-    plan.executeRealInverse(intensity.data(), plane.data());
-    readWindow(plane, layout, count, start, out);
-}
-
-void
-JtcSystem::readWindow(const std::vector<double> &plane,
-                      const JtcPlaneLayout &layout, size_t count,
-                      long start, std::vector<double> &out)
-{
-    // out[i] = c[-(start + i)]: read the full correlation backwards,
-    // straight off the output plane (c[m + Ls - 1] = R[(q + m) % n]).
-    const long n = static_cast<long>(layout.plane_size);
-    const long q = static_cast<long>(layout.kernel_pos);
-    const long zero_index = static_cast<long>(layout.signal_len) - 1;
-    const long c_size =
-        static_cast<long>(layout.signal_len + layout.kernel_len) - 1;
-    out.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-        const long idx = zero_index - (start + static_cast<long>(i));
-        if (idx >= 0 && idx < c_size) {
-            const long m = idx - zero_index;
-            const size_t p =
-                static_cast<size_t>(((q + m) % n + n) % n);
-            out[i] = plane[p];
-        } else {
-            // Kernel fully past either end of the signal -> zero.
-            out[i] = 0.0;
-        }
-    }
+    secondLensWindow(fourierIntensity(signal_spectra, kernel_spectra, plan),
+                     layout, plan, config_.readout, count, start, out);
 }
 
 } // namespace jtc

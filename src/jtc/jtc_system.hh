@@ -32,7 +32,10 @@
  * Fourier-plane detection has one implementation: the intensities of a
  * group of joint fields summed in the Fourier plane
  * (simd::Kernels::jointIntensitySum). A one-call correlation is a group
- * of one.
+ * of one. Reading a window has one too: the second lens computes only
+ * the output-plane samples the window reads (a windowed c2r,
+ * FftPlan::executeRealInverse), bit-identical to reading them off the
+ * whole plane.
  */
 
 #ifndef PHOTOFOURIER_JTC_JTC_SYSTEM_HH
@@ -155,8 +158,9 @@ class JtcSystem
                                           size_t count,
                                           long start = 0) const;
 
-    /** correlationWindow writing into `out` — the optical-backend
-     *  hot path; allocation-free with a warm kernel cache. */
+    /** correlationWindow writing into `out`, the second lens run
+     *  over only the plane samples the window reads; allocation-free
+     *  with a warm kernel cache. */
     void correlationWindowInto(const std::vector<double> &s,
                                const std::vector<double> &k,
                                size_t count, long start,
@@ -193,7 +197,9 @@ class JtcSystem
      * output photodetector row (temporal accumulation, Section V-C):
      * the Fourier-plane intensities |signal_spectra[i] +
      * kernel_spectra[i]|^2 summed over the group, then one second lens
-     * and the window read off the output plane. The spectra come from
+     * over just the output-plane samples the window reads (a window
+     * past either end of the correlation reads zeros there; one that
+     * wraps the plane end runs the whole plane). The spectra come from
      * signalSpectrumInto and kernelPlaneSpectrum on `layout`. The
      * second lens and the Linear readout are linear in the intensity,
      * so this is the sum of the group's correlationWindow values up to
@@ -225,10 +231,13 @@ class JtcSystem
     JtcConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;
 
-    /** Read the sliding window off a recorded output plane. */
-    static void readWindow(const std::vector<double> &plane,
-                           const JtcPlaneLayout &layout, size_t count,
-                           long start, std::vector<double> &out);
+    /** The detected Fourier-plane intensity of the joint field of s
+     *  and k on `layout` (a group of one), in per-thread scratch. */
+    const signal::ComplexVector &
+    jointIntensity(const std::vector<double> &s,
+                   const std::vector<double> &k,
+                   const JtcPlaneLayout &layout,
+                   const signal::FftPlan &plan) const;
 };
 
 } // namespace jtc

@@ -173,6 +173,10 @@ fftRowConvolveBatch(std::span<const Tensor> inputs,
     const size_t n = signal::nextPowerOfTwo(cols + k - 1);
     const auto plan = signal::fftPlanFor(n);
     const size_t half = plan->halfSpectrumSize();
+    // Output column c reads correlation sample c*stride - pad + k - 1
+    // of its row: the inverse computes only columns 0 to ow-1's span.
+    const size_t first = k - 1 - static_cast<size_t>(pad);
+    const size_t span = ow == 0 ? 0 : (ow - 1) * stride + 1;
 
     const size_t total_macs = batch * n_out * n_in * oh * ow * k * k;
     const size_t workers =
@@ -220,7 +224,7 @@ fftRowConvolveBatch(std::span<const Tensor> inputs,
         const size_t oc = job % n_out;
         EngineScratch &sc = threadEngineScratch();
         sc.acc_spec.resize(half);
-        sc.row_time.resize(n);
+        sc.row_time.resize(span);
         Tensor &out = outs[b];
         const double bv = bias.empty() ? 0.0 : bias[oc];
         for (size_t r_out = 0; r_out < oh; ++r_out) {
@@ -246,14 +250,10 @@ fftRowConvolveBatch(std::span<const Tensor> inputs,
                         reinterpret_cast<const double *>(ks), half);
                 }
             }
-            plan->executeRealInverse(sc.acc_spec.data(),
+            plan->executeRealInverse(sc.acc_spec.data(), first, span,
                                      sc.row_time.data());
             for (size_t c = 0; c < ow; ++c)
-                out.at(oc, r_out, c) =
-                    sc.row_time[static_cast<size_t>(
-                        static_cast<long>(c * stride) - pad +
-                        static_cast<long>(k) - 1)] +
-                    bv;
+                out.at(oc, r_out, c) = sc.row_time[c * stride] + bv;
         }
     });
     return outs;

@@ -135,7 +135,7 @@ Fft2dPlan::inverseReal(const Complex *half, double *out) const
     if (rows_ * cols_ < kParallelDispatchThreshold ||
         defaultFftThreads() <= 1) {
         for (size_t r = 0; r < rows_; ++r)
-            row_plan_->executeRealInverse(h2.data() + r * hc,
+            row_plan_->executeRealInverse(h2.data() + r * hc, 0, cols_,
                                           out + r * cols_);
     } else {
         struct Job
@@ -146,8 +146,8 @@ Fft2dPlan::inverseReal(const Complex *half, double *out) const
             size_t cols, hc;
         } job{row_plan_.get(), h2.data(), out, cols_, hc};
         parallelFor(rows_, 0, [&job](size_t r) {
-            job.plan->executeRealInverse(job.h2 + r * job.hc,
-                                         job.out + r * job.cols);
+            job.plan->executeRealInverse(job.h2 + r * job.hc, 0,
+                                         job.cols, job.out + r * job.cols);
         });
     }
 }

@@ -38,6 +38,14 @@ asDoubles(const Complex *p)
     return reinterpret_cast<const double *>(p);
 }
 
+/** True when a radix-2 transform of size n runs the SIMD stages. */
+inline bool
+simdRadix2(size_t n)
+{
+    return simd::activeLevel() != simd::Level::Scalar &&
+           n >= kSimdFftMinSize;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -138,40 +146,19 @@ void
 FftPlan::executeRadix2(Complex *data, bool inverse) const
 {
     const size_t n = n_;
-    for (size_t i = 1; i < n; ++i) {
-        const size_t j = bit_reversal_[i];
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-
-    if (simd::activeLevel() != simd::Level::Scalar &&
-        n >= kSimdFftMinSize) {
-        // SIMD path: stage the bit-reversed data as split re/im
-        // arrays (the vector butterfly wants SoA), run every stage on
-        // the pre-splatted contiguous twiddles, and interleave back.
-        // The staging buffers persist per thread, so steady state
-        // stays allocation-free.
-        const simd::Kernels &kern = simd::kernels();
-        static thread_local std::vector<double> re, im;
-        re.resize(n);
-        im.resize(n);
-        kern.deinterleave(asDoubles(data), n, re.data(), im.data());
-        const double *twim = inverse ? stage_tw_im_inv_.data()
-                                     : stage_tw_im_fwd_.data();
-        for (size_t half = 1; half * 2 <= n; half *= 2)
-            kern.butterflyStage(re.data(), im.data(), n, half,
-                                stage_tw_re_.data() + (half - 1),
-                                twim + (half - 1));
-        kern.interleave(re.data(), im.data(), n, asDoubles(data));
-        if (inverse)
-            kern.scaleInPlace(asDoubles(data), 2 * n,
-                              1.0 / static_cast<double>(n));
+    if (simdRadix2(n)) {
+        radix2Simd(data, inverse, 0, 2 * n, asDoubles(data));
         return;
     }
 
     // Scalar reference path — also the PF_SIMD=scalar dispatch target
     // (the forced-scalar CI leg runs this exact loop, so the fallback
     // cannot rot unnoticed).
+    for (size_t i = 1; i < n; ++i) {
+        const size_t j = bit_reversal_[i];
+        if (i < j)
+            std::swap(data[i], data[j]);
+    }
     const Complex *twiddle =
         inverse ? twiddle_inv_.data() : twiddle_fwd_.data();
     for (size_t len = 2; len <= n; len <<= 1) {
@@ -193,6 +180,67 @@ FftPlan::executeRadix2(Complex *data, bool inverse) const
         for (size_t i = 0; i < n; ++i)
             data[i] *= scale;
     }
+}
+
+void
+FftPlan::radix2Simd(const Complex *in, bool inverse, size_t first,
+                    size_t count, double *out) const
+{
+    // Gather the input in bit-reversed order into split re/im arrays
+    // (the vector butterfly wants SoA), run the stages on the
+    // pre-splatted contiguous twiddles, and interleave the window
+    // back, scaled. The staging buffers persist per thread, so steady
+    // state stays allocation-free.
+    const size_t n = n_;
+    const simd::Kernels &kern = simd::kernels();
+    static thread_local std::vector<double> re, im;
+    re.resize(n);
+    im.resize(n);
+    kern.deinterleave(asDoubles(in), bit_reversal_.data(), n, re.data(),
+                      im.data());
+    const double *twim =
+        inverse ? stage_tw_im_inv_.data() : stage_tw_im_fwd_.data();
+
+    // The window covers the complexes [lo, lo + width). A later stage
+    // (half-length H, a multiple of half) mixes positions p and p + H,
+    // which agree mod half, so an output of this stage reaches only
+    // the final positions in its own residue class mod half: the
+    // window needs just the butterflies k in [lo, lo + width) mod
+    // half, at most two ranges per block, rounded out to the grain.
+    constexpr size_t grain = simd::kButterflyRangeGrain;
+    const size_t lo = first / 2;
+    const size_t width = (first + count + 1) / 2 - lo;
+    for (size_t half = 1; half * 2 <= n; half *= 2) {
+        const double *tr = stage_tw_re_.data() + (half - 1);
+        const double *ti = twim + (half - 1);
+        size_t a = (lo & (half - 1)) / grain * grain;
+        size_t b = ((lo & (half - 1)) + width + grain - 1) / grain * grain;
+        if (b - a >= half) { // the whole stage
+            a = 0;
+            b = half;
+        }
+        kern.butterflyStage(re.data(), im.data(), n, half, a,
+                            std::min(b, half), tr, ti);
+        if (b > half) // the range wraps past the block end
+            kern.butterflyStage(re.data(), im.data(), n, half, 0, b - half,
+                                tr, ti);
+    }
+    kern.interleave(re.data(), im.data(), first, count,
+                    inverse ? 1.0 / static_cast<double>(n) : 1.0, out);
+}
+
+void
+FftPlan::inverseWindow(Complex *data, size_t first, size_t count,
+                       double *out) const
+{
+    if (pow2_ && simdRadix2(n_)) {
+        radix2Simd(data, true, first, count, out);
+        return;
+    }
+    // Scalar level, Bluestein sizes: the whole transform, then the
+    // window.
+    execute(data, true);
+    std::memcpy(out, asDoubles(data) + first, count * sizeof(double));
 }
 
 void
@@ -296,11 +344,16 @@ FftPlan::executeReal(const double *in, Complex *out) const
 }
 
 void
-FftPlan::executeRealInverse(const Complex *in, double *out) const
+FftPlan::executeRealInverse(const Complex *in, size_t first, size_t count,
+                            double *out) const
 {
+    const size_t n = n_;
+    pf_assert(first <= n && count <= n - first, "window [", first, ", ",
+              first + count, ") outside the ", n, "-sample plane");
+    if (count == 0)
+        return;
     pf_assert(in != nullptr && out != nullptr,
               "FftPlan::executeRealInverse on null data");
-    const size_t n = n_;
     if (n == 1) {
         out[0] = in[0].real();
         return;
@@ -317,15 +370,18 @@ FftPlan::executeRealInverse(const Complex *in, double *out) const
         for (size_t k = 1; k <= n / 2; ++k)
             buf[n - k] = std::conj(in[k]);
         execute(buf.data(), true);
-        for (size_t i = 0; i < n; ++i)
-            out[i] = buf[i].real();
+        for (size_t i = 0; i < count; ++i)
+            out[i] = buf[first + i].real();
         return;
     }
 
     // Exact inverse of the forward untangling: rebuild the packed
     // half-size spectrum Z'[k] = Xe[k] + i*Xo[k] and invert it (the
     // half plan's 1/h normalization is exactly what the packing
-    // requires — the round trip is the identity).
+    // requires — the round trip is the identity). The unpack is the
+    // pack's mirror: interleaved (re, im) pairs are the even/odd
+    // output samples, so the window is a window of the interleaved
+    // half-size result.
     ensureRealTables();
     const size_t h = n / 2;
     ComplexVector &z = buf;
@@ -333,10 +389,7 @@ FftPlan::executeRealInverse(const Complex *in, double *out) const
     simd::kernels().realUntangleInverse(
         asDoubles(in), asDoubles(real_twiddle_.data()),
         asDoubles(z.data()), h);
-    half_->execute(z.data(), true);
-    // Unpack is the pack's mirror: interleaved (re, im) pairs are the
-    // even/odd output samples in place — one memcpy.
-    std::memcpy(out, asDoubles(z.data()), n * sizeof(double));
+    half_->inverseWindow(z.data(), first, count, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -83,15 +83,39 @@ class FftPlan
     void executeReal(const double *in, Complex *out) const;
 
     /**
-     * Inverse of executeReal: consume an n/2+1 half-spectrum (assumed
-     * Hermitian — only bins 0..n/2 are read) and produce size() real
-     * samples, 1/N-normalized. `in` and `out` must not overlap.
+     * Inverse of executeReal, windowed: consume an n/2+1 half-spectrum
+     * (assumed Hermitian — only bins 0..n/2 are read) and write the
+     * real samples [first, first + count) of its 1/N-normalized
+     * inverse to out[0, count). The whole plane is the window
+     * [0, size()); first + count must not exceed size(). Every sample
+     * written is bit-identical to the same sample of the whole plane
+     * at every dispatch level: on the SIMD radix-2 path (a power-of-two
+     * half of at least 32 points) only the butterflies whose outputs
+     * reach the window run, each with the arithmetic the whole
+     * transform gives it, and only the window is interleaved and
+     * scaled; other sizes and the scalar level run the whole
+     * transform and copy the window out. The saving is in the last
+     * stages of the half transform, those wider than the window: a
+     * 64-sample window of a 2048-sample plane skips about 31% of the
+     * butterflies. `in` and `out` must not overlap. Allocation-free
+     * in steady state.
      */
-    void executeRealInverse(const Complex *in, double *out) const;
+    void executeRealInverse(const Complex *in, size_t first, size_t count,
+                            double *out) const;
 
   private:
     void executeRadix2(Complex *data, bool inverse) const;
     void executeBluestein(Complex *data, bool inverse) const;
+    /** The SIMD radix-2 transform of `in`, writing the doubles
+     *  [first, first + count) of its interleaved result (1/n-scaled
+     *  when inverse) to `out`, which may alias `in`. */
+    void radix2Simd(const Complex *in, bool inverse, size_t first,
+                    size_t count, double *out) const;
+    /** The inverse transform of the size() complexes at `data`
+     *  (clobbered), writing the doubles [first, first + count) of its
+     *  interleaved result to `out`. */
+    void inverseWindow(Complex *data, size_t first, size_t count,
+                       double *out) const;
 
     size_t n_;
     bool pow2_;

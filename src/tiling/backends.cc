@@ -206,9 +206,7 @@ fftWindow(std::span<const ChannelTerm> group, const KernelBank &bank,
                   "kernel spectrum prepared for another input length");
     }
     static thread_local signal::ComplexVector spec;
-    static thread_local std::vector<double> time;
     spec.resize(half);
-    time.resize(w.n);
     const simd::Kernels &simd_kernels = simd::kernels();
     for (size_t b = w.b_first; b <= w.b_last; ++b) {
         const size_t offset = (b - w.b_first) * half;
@@ -229,15 +227,17 @@ fftWindow(std::span<const ChannelTerm> group, const KernelBank &bank,
                     half);
             }
         }
-        tile.plan->executeRealInverse(spec.data(), time.data());
-
-        const long seg_lo =
-            std::max<long>(w.m_lo, static_cast<long>(b * w.L));
-        const long seg_hi =
-            std::min<long>(w.m_hi, static_cast<long>(b * w.L + w.L - 1));
-        for (long m = seg_lo; m <= seg_hi; ++m)
-            out[static_cast<size_t>(m - w.m_base)] =
-                time[static_cast<size_t>(m) - b * w.L + n_k - 1];
+        // The block yields f[m] at sample m - b*L + K - 1; the inverse
+        // computes only the samples of f[seg_lo..seg_hi], straight
+        // into their (contiguous) window positions.
+        const size_t seg_lo =
+            static_cast<size_t>(std::max<long>(w.m_lo,
+                                               static_cast<long>(b * w.L)));
+        const size_t seg_hi = static_cast<size_t>(
+            std::min<long>(w.m_hi, static_cast<long>(b * w.L + w.L - 1)));
+        tile.plan->executeRealInverse(
+            spec.data(), seg_lo - b * w.L + n_k - 1, seg_hi - seg_lo + 1,
+            out.data() + (static_cast<long>(seg_lo) - w.m_base));
     }
 }
 

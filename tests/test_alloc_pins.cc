@@ -127,14 +127,40 @@ TEST(AllocPins, FftPlanExecuteRealRoundTrip)
         sig::ComplexVector half(plan->halfSpectrumSize());
         std::vector<double> back(n);
         plan->executeReal(x.data(), half.data());
-        plan->executeRealInverse(half.data(), back.data());
+        plan->executeRealInverse(half.data(), 0, n, back.data());
         for (size_t i = 0; i < n; ++i)
             EXPECT_NEAR(back[i], x[i], 1e-12) << "n=" << n << " i=" << i;
 
         EXPECT_EQ(steadyStateAllocations([&] {
             plan->executeReal(x.data(), half.data());
-            plan->executeRealInverse(half.data(), back.data());
+            plan->executeRealInverse(half.data(), 0, n, back.data());
         }), 0u) << "executeReal/executeRealInverse allocated in steady "
+                   "state at n=" << n;
+    }
+}
+
+TEST(AllocPins, FftPlanWindowedRealInverse)
+{
+    // The windowed c2r on each of its paths: a radix-2 half (the pruned
+    // SIMD stages), a Bluestein half and an odd size (whole transform,
+    // window copied out).
+    pf::Rng rng(73);
+    for (const size_t n : {2048u, 100u, 45u}) {
+        const auto plan = sig::fftPlanFor(n);
+        const auto x = rng.uniformVector(n, -1.0, 1.0);
+        sig::ComplexVector half(plan->halfSpectrumSize());
+        plan->executeReal(x.data(), half.data());
+        const size_t first = n / 4 + 1, count = n / 8 + 1;
+        std::vector<double> window(count);
+        plan->executeRealInverse(half.data(), first, count, window.data());
+        for (size_t i = 0; i < count; ++i)
+            EXPECT_NEAR(window[i], x[first + i], 1e-12)
+                << "n=" << n << " i=" << i;
+
+        EXPECT_EQ(steadyStateAllocations([&] {
+            plan->executeRealInverse(half.data(), first, count,
+                                     window.data());
+        }), 0u) << "windowed executeRealInverse allocated in steady "
                    "state at n=" << n;
     }
 }

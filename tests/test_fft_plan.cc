@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
+#include "arch/simd.hh"
 #include "common/rng.hh"
 #include "signal/fft2d_plan.hh"
 #include "signal/fft_plan.hh"
@@ -242,10 +246,57 @@ TEST(FftPlanReal, RoundTripRecoversInput)
         sig::ComplexVector half(plan->halfSpectrumSize());
         std::vector<double> back(n);
         plan->executeReal(x.data(), half.data());
-        plan->executeRealInverse(half.data(), back.data());
+        plan->executeRealInverse(half.data(), 0, n, back.data());
         for (size_t i = 0; i < n; ++i)
             EXPECT_NEAR(back[i], x[i], 1e-10) << "n=" << n << " i=" << i;
     }
+}
+
+/**
+ * Windowed c2r against the whole plane's samples, bit for bit, at
+ * every dispatch level this host supports: radix-2 halves on both
+ * sides of the SIMD cutoff (32, 64) and the JTC plane sizes (2048,
+ * 4096), a Bluestein half (100) and an odd size (45). Each size runs a
+ * one-sample window, an odd first with an odd count, the last sample
+ * and the whole plane; n = 64 runs every window.
+ */
+TEST(FftPlanReal, WindowedInverseMatchesWholePlaneBits)
+{
+    pf::Rng rng(23);
+    const pf::simd::Level previous = pf::simd::activeLevel();
+    for (pf::simd::Level level :
+         {pf::simd::Level::Scalar, pf::simd::Level::Avx2,
+          pf::simd::Level::Neon}) {
+        if (!pf::simd::forceLevel(level))
+            continue;
+        for (size_t n : {32u, 64u, 2048u, 4096u, 100u, 45u}) {
+            const auto plan = sig::fftPlanFor(n);
+            sig::ComplexVector half(plan->halfSpectrumSize());
+            plan->executeReal(randomReal(rng, n).data(), half.data());
+            std::vector<double> whole(n);
+            plan->executeRealInverse(half.data(), 0, n, whole.data());
+
+            std::vector<std::pair<size_t, size_t>> windows = {
+                {n / 3, 1}, {n / 4 + 1, n / 8 + 1}, {n - 1, 1}, {0, n}};
+            if (n == 64)
+                for (size_t first = 0; first < n; ++first)
+                    for (size_t count = 1; first + count <= n; ++count)
+                        windows.emplace_back(first, count);
+            for (const auto &[first, count] : windows) {
+                std::vector<double> out(count + 1, -1.0);
+                plan->executeRealInverse(half.data(), first, count,
+                                         out.data());
+                for (size_t i = 0; i < count; ++i)
+                    ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
+                              std::bit_cast<uint64_t>(whole[first + i]))
+                        << pf::simd::levelName(level) << " n=" << n
+                        << " window [" << first << ", " << first + count
+                        << ") sample " << first + i;
+                EXPECT_EQ(out[count], -1.0) << "wrote past the window";
+            }
+        }
+    }
+    pf::simd::forceLevel(previous);
 }
 
 TEST(FftPlanReal, HalfSpectrumSizeConvention)
@@ -258,6 +309,15 @@ TEST(FftPlanReal, HalfSpectrumSizeConvention)
 
 // pf_assert must stay active regardless of NDEBUG: this death test
 // runs identically in the Debug and Release legs of the CI matrix.
+TEST(FftPlanValidation, InverseWindowPastThePlanePanics)
+{
+    const auto plan = sig::fftPlanFor(64);
+    sig::ComplexVector half(plan->halfSpectrumSize());
+    std::vector<double> out(8);
+    EXPECT_DEATH(plan->executeRealInverse(half.data(), 60, 5, out.data()),
+                 "outside the 64-sample plane");
+}
+
 TEST(FftPlanValidation, WrongSizeExecutePanicsInEveryBuildType)
 {
     sig::Fft2dPlan plan(8, 8);

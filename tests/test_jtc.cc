@@ -233,46 +233,98 @@ TEST(JtcSystem, OutputPlaneMatchesPreRefactorReference)
     }
 }
 
+namespace {
+
+/**
+ * A group of random joint fields on `layout`, and the Fourier-plane
+ * intensity they integrate computed by the plain loop the SIMD kernel
+ * replaced: |S_c + K_c|^2 by std::norm, summed channel after channel
+ * into the half-spectrum.
+ */
+struct JointGroup
+{
+    std::vector<sig::ComplexVector> sspec;
+    std::vector<std::shared_ptr<const sig::ComplexVector>> kspec;
+    std::vector<const sig::ComplexVector *> signals, kernels;
+    sig::ComplexVector field;
+
+    JointGroup(const jtc::JtcSystem &sys, const jtc::JtcPlaneLayout &layout,
+               const sig::FftPlan &plan, size_t group, pf::Rng &rng)
+        : sspec(group)
+    {
+        for (size_t c = 0; c < group; ++c) {
+            sys.signalSpectrumInto(
+                randomNonNegative(rng, layout.signal_len), layout, plan,
+                sspec[c]);
+            kspec.push_back(sys.kernelPlaneSpectrum(
+                randomNonNegative(rng, layout.kernel_len), layout));
+            signals.push_back(&sspec[c]);
+            kernels.push_back(kspec.back().get());
+        }
+        const size_t half_n = plan.halfSpectrumSize();
+        field.resize(half_n);
+        for (size_t c = 0; c < group; ++c) {
+            const sig::ComplexVector &sc = sspec[c];
+            const sig::ComplexVector &kc = *kspec[c];
+            for (size_t i = 0; i < half_n; ++i) {
+                if (c == 0)
+                    field[i] = sig::Complex(std::norm(sc[i] + kc[i]), 0.0);
+                else
+                    field[i] += std::norm(sc[i] + kc[i]);
+            }
+        }
+    }
+
+    /** The window read sample by sample off the whole output plane
+     *  (the whole-plane c2r at the active level): out[i] =
+     *  c[-(start + i)], c[m + Ls - 1] = R[(q + m) mod n]. */
+    std::vector<double>
+    windowOffWholePlane(const jtc::JtcPlaneLayout &layout,
+                        const sig::FftPlan &plan, size_t count,
+                        long start) const
+    {
+        sig::ComplexVector intensity = field;
+        std::vector<double> plane(layout.plane_size);
+        plan.executeRealInverse(intensity.data(), 0, plane.size(),
+                                plane.data());
+        const long n = static_cast<long>(layout.plane_size);
+        const long q = static_cast<long>(layout.kernel_pos);
+        std::vector<double> expected(count, 0.0);
+        for (size_t i = 0; i < count; ++i) {
+            const long m = -(start + static_cast<long>(i));
+            if (m > -static_cast<long>(layout.signal_len) &&
+                m < static_cast<long>(layout.kernel_len))
+                expected[i] =
+                    plane[static_cast<size_t>(((q + m) % n + n) % n)];
+        }
+        return expected;
+    }
+};
+
+/** Bit patterns, so -0.0 and +0.0 compare as different. */
+std::vector<uint64_t>
+bits(const std::vector<double> &x)
+{
+    std::vector<uint64_t> out(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+        out[i] = std::bit_cast<uint64_t>(x[i]);
+    return out;
+}
+
+} // namespace
+
 TEST(JtcSystem, AccumulatedWindowMatchesStdNormLoop)
 {
     // The group intensity sum, now a SIMD kernel, against the plain
-    // loop it replaced: |S_c + K_c|^2 by std::norm, summed channel
-    // after channel into the half-spectrum, then the same c2r and the
-    // same window read. Bit for bit, at every dispatch level.
+    // loop it replaced, then the same c2r and the same window read.
+    // Bit for bit, at every dispatch level.
     pf::Rng rng(97);
-    const size_t ls = 200, lk = 9, group = 16, count = 212;
+    const size_t ls = 200, lk = 9, count = 212;
     const long start = -4;
     const jtc::JtcSystem sys;
     const auto layout = jtc::JtcPlaneLayout::design(ls, lk);
     const auto plan = sig::fftPlanFor(layout.plane_size);
-    std::vector<sig::ComplexVector> sspec(group);
-    std::vector<std::shared_ptr<const sig::ComplexVector>> kspec;
-    std::vector<const sig::ComplexVector *> signals, kernels;
-    for (size_t c = 0; c < group; ++c) {
-        sys.signalSpectrumInto(randomNonNegative(rng, ls), layout, *plan,
-                               sspec[c]);
-        kspec.push_back(
-            sys.kernelPlaneSpectrum(randomNonNegative(rng, lk), layout));
-        signals.push_back(&sspec[c]);
-        kernels.push_back(kspec.back().get());
-    }
-
-    const size_t half_n = plan->halfSpectrumSize();
-    sig::ComplexVector field(half_n);
-    for (size_t c = 0; c < group; ++c) {
-        const sig::ComplexVector &sc = sspec[c];
-        const sig::ComplexVector &kc = *kspec[c];
-        if (c == 0) {
-            for (size_t i = 0; i < half_n; ++i)
-                field[i] = sig::Complex(std::norm(sc[i] + kc[i]), 0.0);
-        } else {
-            for (size_t i = 0; i < half_n; ++i)
-                field[i] += std::norm(sc[i] + kc[i]);
-        }
-    }
-    // out[i] = c[-(start + i)], c[m + ls - 1] = R[(q + m) mod n].
-    const long n = static_cast<long>(layout.plane_size);
-    const long q = static_cast<long>(layout.kernel_pos);
+    const JointGroup group(sys, layout, *plan, 16, rng);
 
     const pf::simd::Level previous = pf::simd::activeLevel();
     for (pf::simd::Level level :
@@ -281,25 +333,61 @@ TEST(JtcSystem, AccumulatedWindowMatchesStdNormLoop)
         if (!pf::simd::forceLevel(level))
             continue;
         // The c2r runs at the level under test on both sides.
-        sig::ComplexVector intensity = field;
-        std::vector<double> plane(layout.plane_size);
-        plan->executeRealInverse(intensity.data(), plane.data());
-        std::vector<double> expected(count, 0.0);
-        for (size_t i = 0; i < count; ++i) {
-            const long m = -(start + static_cast<long>(i));
-            if (m > -static_cast<long>(ls) && m < static_cast<long>(lk))
-                expected[i] =
-                    plane[static_cast<size_t>(((q + m) % n + n) % n)];
-        }
-
+        const auto expected =
+            group.windowOffWholePlane(layout, *plan, count, start);
         std::vector<double> out;
-        sys.accumulatedWindowFromSpectraInto(signals, kernels, layout,
-                                             *plan, count, start, out);
-        ASSERT_EQ(out.size(), count);
-        for (size_t i = 0; i < count; ++i)
-            EXPECT_EQ(std::bit_cast<uint64_t>(out[i]),
-                      std::bit_cast<uint64_t>(expected[i]))
-                << pf::simd::levelName(level) << " shift " << i;
+        sys.accumulatedWindowFromSpectraInto(group.signals, group.kernels,
+                                             layout, *plan, count, start,
+                                             out);
+        EXPECT_EQ(bits(out), bits(expected)) << pf::simd::levelName(level);
+    }
+    pf::simd::forceLevel(previous);
+}
+
+TEST(JtcSystem, WindowedSecondLensMatchesWholePlaneRead)
+{
+    // The second lens computes only the plane samples the window reads.
+    // Against the whole plane read sample by sample: windows that run
+    // past either end of the correlation (zero fill), one entirely
+    // outside it, one sample, and, on a layout whose cross term
+    // straddles sample 0 (kernel_pos < Ls - 1), a window that wraps
+    // the plane end. Bit for bit, at every dispatch level.
+    pf::Rng rng(98);
+    const jtc::JtcSystem sys;
+    const size_t ls = 120, lk = 9;
+    const auto designed = jtc::JtcPlaneLayout::design(ls, lk);
+    jtc::JtcPlaneLayout wrapping = designed;
+    wrapping.kernel_pos = 40;
+    struct Window
+    {
+        size_t count;
+        long start;
+    };
+    const Window windows[] = {{64, 0},    {64, -30},  {140, -12},
+                              {200, -40}, {1, -3},    {1, 119},
+                              {16, 130},  {16, -200}, {128, -8}};
+    const pf::simd::Level previous = pf::simd::activeLevel();
+    for (const jtc::JtcPlaneLayout &layout : {designed, wrapping}) {
+        const auto plan = sig::fftPlanFor(layout.plane_size);
+        const JointGroup group(sys, layout, *plan, 3, rng);
+        for (pf::simd::Level level :
+             {pf::simd::Level::Scalar, pf::simd::Level::Avx2,
+              pf::simd::Level::Neon}) {
+            if (!pf::simd::forceLevel(level))
+                continue;
+            for (const Window &w : windows) {
+                const auto expected = group.windowOffWholePlane(
+                    layout, *plan, w.count, w.start);
+                std::vector<double> out;
+                sys.accumulatedWindowFromSpectraInto(
+                    group.signals, group.kernels, layout, *plan, w.count,
+                    w.start, out);
+                EXPECT_EQ(bits(out), bits(expected))
+                    << pf::simd::levelName(level) << " kernel_pos "
+                    << layout.kernel_pos << " count " << w.count
+                    << " start " << w.start;
+            }
+        }
     }
     pf::simd::forceLevel(previous);
 }

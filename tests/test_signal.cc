@@ -65,7 +65,7 @@ planCircularConvolve(const std::vector<double> &a,
     for (size_t i = 0; i < fa.size(); ++i)
         fa[i] *= fb[i];
     std::vector<double> out(a.size());
-    plan->executeRealInverse(fa.data(), out.data());
+    plan->executeRealInverse(fa.data(), 0, out.size(), out.data());
     return out;
 }
 

@@ -91,6 +91,17 @@ randomVector(size_t n, uint32_t seed)
     return out;
 }
 
+/** Bit patterns of a buffer, so -0.0 and +0.0 (and NaN payloads)
+ *  compare as different. */
+std::vector<uint64_t>
+bits(const std::vector<double> &x)
+{
+    std::vector<uint64_t> out(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+        out[i] = std::bit_cast<uint64_t>(x[i]);
+    return out;
+}
+
 double
 maxAbsDiff(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -183,13 +194,49 @@ TEST_P(SimdKernelEquivalence, ButterflyStage)
             auto twre = randomVector(half, 3),
                  twim = randomVector(half, 4);
             auto re2 = re, im2 = im;
-            ref.butterflyStage(re.data(), im.data(), n, half,
+            ref.butterflyStage(re.data(), im.data(), n, half, 0, half,
                                twre.data(), twim.data());
-            vec.butterflyStage(re2.data(), im2.data(), n, half,
+            vec.butterflyStage(re2.data(), im2.data(), n, half, 0, half,
                                twre.data(), twim.data());
             const double tol = transformTolerance(n, 2.0);
             EXPECT_LE(maxAbsDiff(re, re2), tol) << "n=" << n;
             EXPECT_LE(maxAbsDiff(im, im2), tol) << "n=" << n;
+        }
+    }
+}
+
+TEST_P(SimdKernelEquivalence, ButterflyRangeRunsWholeStageArithmetic)
+{
+    // A range on the grain runs, at each of its butterflies, exactly
+    // the whole stage's arithmetic at this level, and leaves every
+    // other element untouched.
+    ScopedLevel force(GetParam());
+    const simd::Kernels &vec = simd::kernels();
+    const size_t n = 256;
+    for (size_t half = simd::kButterflyRangeGrain; 2 * half <= n;
+         half *= 2) {
+        auto twre = randomVector(half, 41), twim = randomVector(half, 42);
+        for (size_t k_lo = 0; k_lo < half;
+             k_lo += simd::kButterflyRangeGrain) {
+            for (size_t k_hi = k_lo + simd::kButterflyRangeGrain;
+                 k_hi <= half; k_hi += simd::kButterflyRangeGrain) {
+                const auto re0 = randomVector(n, 43),
+                           im0 = randomVector(n, 44);
+                auto re = re0, im = im0, re_all = re0, im_all = im0;
+                vec.butterflyStage(re.data(), im.data(), n, half, k_lo,
+                                   k_hi, twre.data(), twim.data());
+                vec.butterflyStage(re_all.data(), im_all.data(), n, half,
+                                   0, half, twre.data(), twim.data());
+                for (size_t p = 0; p < n; ++p) {
+                    const size_t k = p % half;
+                    const bool ran = k >= k_lo && k < k_hi;
+                    EXPECT_EQ(bits({re[p], im[p]}),
+                              ran ? bits({re_all[p], im_all[p]})
+                                  : bits({re0[p], im0[p]}))
+                        << "half=" << half << " range=[" << k_lo << ", "
+                        << k_hi << ") p=" << p;
+                }
+            }
         }
     }
 }
@@ -200,11 +247,62 @@ TEST_P(SimdKernelEquivalence, InterleaveRoundTripIsExact)
     const simd::Kernels &vec = simd::kernels();
     for (size_t n : {1u, 2u, 3u, 7u, 8u, 33u, 128u}) {
         auto z = randomVector(2 * n, 5);
+        std::vector<uint32_t> identity(n);
+        for (size_t i = 0; i < n; ++i)
+            identity[i] = static_cast<uint32_t>(i);
         std::vector<double> re(n), im(n), back(2 * n);
-        vec.deinterleave(z.data(), n, re.data(), im.data());
-        vec.interleave(re.data(), im.data(), n, back.data());
+        vec.deinterleave(z.data(), identity.data(), n, re.data(),
+                         im.data());
+        vec.interleave(re.data(), im.data(), 0, 2 * n, 1.0, back.data());
         // Pure data movement: bit-exact, no tolerance.
-        EXPECT_EQ(maxAbsDiff(z, back), 0.0) << "n=" << n;
+        EXPECT_EQ(bits(z), bits(back)) << "n=" << n;
+    }
+}
+
+TEST_P(SimdKernelEquivalence, DeinterleaveGatherIsExact)
+{
+    ScopedLevel force(GetParam());
+    const simd::Kernels &vec = simd::kernels();
+    const simd::Kernels &ref = simd::scalarKernels();
+    for (size_t n : {1u, 3u, 4u, 7u, 64u, 129u}) {
+        auto z = randomVector(2 * n, 6);
+        std::vector<uint32_t> perm(n);
+        for (size_t i = 0; i < n; ++i)
+            perm[i] = static_cast<uint32_t>((i * 5 + 3) % n);
+        std::vector<double> re(n), im(n), re2(n), im2(n);
+        ref.deinterleave(z.data(), perm.data(), n, re.data(), im.data());
+        vec.deinterleave(z.data(), perm.data(), n, re2.data(), im2.data());
+        EXPECT_EQ(bits(re), bits(re2)) << "n=" << n;
+        EXPECT_EQ(bits(im), bits(im2)) << "n=" << n;
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(re2[i], z[2 * perm[i]]) << "n=" << n << " i=" << i;
+            EXPECT_EQ(im2[i], z[2 * perm[i] + 1]) << "n=" << n << " i=" << i;
+        }
+    }
+}
+
+TEST_P(SimdKernelEquivalence, InterleaveWindowIsOneProductPerValue)
+{
+    // Every window (odd and even first, ragged tails) of the scaled
+    // interleave: out[j] = s * x[first + j], bit for bit.
+    ScopedLevel force(GetParam());
+    const simd::Kernels &vec = simd::kernels();
+    const size_t n = 12;
+    const auto re = randomVector(n, 7), im = randomVector(n, 8);
+    const double s = 1.0 / 24.0;
+    for (size_t first = 0; first <= 2 * n; ++first) {
+        for (size_t count = 0; first + count <= 2 * n; ++count) {
+            std::vector<double> out(count + 1, -7.0);
+            vec.interleave(re.data(), im.data(), first, count, s,
+                           out.data());
+            std::vector<double> expected(count + 1, -7.0);
+            for (size_t j = 0; j < count; ++j) {
+                const size_t x = first + j;
+                expected[j] = (x % 2 == 0 ? re[x / 2] : im[x / 2]) * s;
+            }
+            EXPECT_EQ(bits(out), bits(expected))
+                << "first=" << first << " count=" << count;
+        }
     }
 }
 
@@ -312,17 +410,6 @@ TEST_P(SimdKernelEquivalence, TransposeIncludingDegenerate)
     }
 }
 
-/** Bit patterns of a buffer, so -0.0 and +0.0 (and NaN payloads)
- *  compare as different. */
-std::vector<uint64_t>
-bits(const std::vector<double> &x)
-{
-    std::vector<uint64_t> out(x.size());
-    for (size_t i = 0; i < x.size(); ++i)
-        out[i] = std::bit_cast<uint64_t>(x[i]);
-    return out;
-}
-
 TEST_P(SimdKernelEquivalence, NarrowButterflyStagesAreExact)
 {
     // Only the AVX2 table shuffles half = 1 and 2 into the lanes with
@@ -338,9 +425,9 @@ TEST_P(SimdKernelEquivalence, NarrowButterflyStagesAreExact)
             auto twre = randomVector(half, 33),
                  twim = randomVector(half, 34);
             auto re2 = re, im2 = im;
-            ref.butterflyStage(re.data(), im.data(), n, half,
+            ref.butterflyStage(re.data(), im.data(), n, half, 0, half,
                                twre.data(), twim.data());
-            vec.butterflyStage(re2.data(), im2.data(), n, half,
+            vec.butterflyStage(re2.data(), im2.data(), n, half, 0, half,
                                twre.data(), twim.data());
             EXPECT_EQ(bits(re), bits(re2)) << "n=" << n << " half=" << half;
             EXPECT_EQ(bits(im), bits(im2)) << "n=" << n << " half=" << half;
@@ -440,12 +527,12 @@ TEST_P(SimdTransformEquivalence, RealTransformRoundTrip)
         {
             ScopedLevel scalar(simd::Level::Scalar);
             plan->executeReal(in.data(), spec_s.data());
-            plan->executeRealInverse(spec_s.data(), back_s.data());
+            plan->executeRealInverse(spec_s.data(), 0, n, back_s.data());
         }
         {
             ScopedLevel vector(GetParam());
             plan->executeReal(in.data(), spec_v.data());
-            plan->executeRealInverse(spec_v.data(), back_v.data());
+            plan->executeRealInverse(spec_v.data(), 0, n, back_v.data());
         }
         const double tol =
             16.0 * transformTolerance(4 * n, static_cast<double>(n));
@@ -470,7 +557,8 @@ TEST_P(SimdTransformEquivalence, VectorPathStaysAllocationFree)
     // Warm every buffer (workspace slots, SoA staging, plan tables).
     plan->execute(data.data(), false);
     plan->executeReal(real_in.data(), half.data());
-    plan->executeRealInverse(half.data(), real_out.data());
+    plan->executeRealInverse(half.data(), 0, real_out.size(),
+                             real_out.data());
 
     const uint64_t before =
         pf_test_allocations.load(std::memory_order_relaxed);
@@ -478,7 +566,8 @@ TEST_P(SimdTransformEquivalence, VectorPathStaysAllocationFree)
         plan->execute(data.data(), false);
         plan->execute(data.data(), true);
         plan->executeReal(real_in.data(), half.data());
-        plan->executeRealInverse(half.data(), real_out.data());
+        plan->executeRealInverse(half.data(), 0, real_out.size(),
+                                 real_out.data());
     }
     const uint64_t after =
         pf_test_allocations.load(std::memory_order_relaxed);
