@@ -2,7 +2,6 @@
 """A/B two micro_kernels binaries in one sitting, row by row.
 
 Usage: ab_rows.py PARENT_BIN CHANGE_BIN [--filter RE] [--reps N]
-                  [--out FILE]
 
 Two sittings of the same code on a shared host can differ by far more
 than either sitting's spread, so a row delta taken against a committed
@@ -20,8 +19,9 @@ both sides see the same host. It prints, per row present in both:
 
 Pass the same build type of both trees (Release for perf evidence).
 --filter is handed to --benchmark_filter; any environment (say
-PHOTOFOURIER_THREADS=1) is inherited by both binaries. --out writes
-every round's rows as JSON. Exit code 0 unless a binary fails.
+PHOTOFOURIER_THREADS=1) is inherited by both binaries. The default is
+10 rounds: at 5, the ms-scale engine rows flipped between sittings on a
+4-vCPU shared host. Exit code 0 unless a binary fails.
 """
 
 import argparse
@@ -76,9 +76,8 @@ def main():
     parser.add_argument("change_bin")
     parser.add_argument("--filter", default=".",
                         help="--benchmark_filter regex (default: all)")
-    parser.add_argument("--reps", type=int, default=5,
-                        help="alternating rounds (default 5)")
-    parser.add_argument("--out", help="write every round's rows as JSON")
+    parser.add_argument("--reps", type=int, default=10,
+                        help="alternating rounds (default 10)")
     args = parser.parse_args()
     if args.reps < 1:
         sys.exit("error: --reps must be at least 1")
@@ -113,11 +112,6 @@ def main():
         print(f"{name:<{width}}  {fmt_ns(p_med):>10}  {fmt_ns(c_med):>10}"
               f"  {p_med / c_med:>5.3f}x  {wins:>2}/{len(rounds):<3}  "
               f"{' '.join(flags) if flags else '-'}")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump([{"parent": p, "change": c} for p, c in rounds], f,
-                      indent=1)
 
 
 if __name__ == "__main__":
