@@ -13,6 +13,12 @@ both sides see the same host. It prints, per row present in both:
   - the parent and change medians of real_time over the N rounds,
   - parent / change (> 1 = the change is faster),
   - the rounds where the change was faster ("wins"),
+  - a verdict by benchmark/compare.py's gain rule: "faster" or
+    "slower" only when one side wins at least nine tenths of the
+    rounds and the medians differ by more than the parent's quartile
+    distance, "within" otherwise (the same binary on both sides reads
+    up to about +-15% on us-scale rows, so a ratio alone is no
+    evidence),
   - the repetitions compare_bench.py --contention would flag
     (real_time > 1.5x cpu_time: the run waited on something other
     than its own work), as "p" (parent) and "c" (change) round lists.
@@ -32,7 +38,11 @@ import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.dont_write_bytecode = True  # leave no __pycache__ in benchmark/
+sys.path.insert(0, HERE)
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "benchmark"))
+from compare import quartiles  # noqa: E402
 from compare_bench import CONTENTION_FACTOR, fmt_ns  # noqa: E402
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -68,6 +78,20 @@ def contended(sample):
     return cpu > 0 and real > CONTENTION_FACTOR * cpu
 
 
+def verdict(parent, change):
+    """faster / slower / within for paired real times, one per round."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_med = statistics.median(change)
+    if abs(c_med - p_med) <= p_q3 - p_q1:
+        return "within"
+    n = len(parent)
+    if sum(c < p for p, c in zip(parent, change)) >= 0.9 * n:
+        return "faster"
+    if sum(c > p for p, c in zip(parent, change)) >= 0.9 * n:
+        return "slower"
+    return "within"
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -100,17 +124,21 @@ def main():
         return
     width = max(len(n) for n in names)
     print(f"{'benchmark':<{width}}  {'parent med':>10}  "
-          f"{'change med':>10}  {'p/c':>6}  {'wins':>6}  flagged")
+          f"{'change med':>10}  {'p/c':>6}  {'wins':>6}  {'verdict':<7}  "
+          "flagged")
     for name in names:
         p = [parent[name] for parent, _ in rounds]
         c = [change[name] for _, change in rounds]
-        p_med = statistics.median(s[0] for s in p)
-        c_med = statistics.median(s[0] for s in c)
-        wins = sum(1 for a, b in zip(p, c) if b[0] < a[0])
+        p_real = [s[0] for s in p]
+        c_real = [s[0] for s in c]
+        p_med = statistics.median(p_real)
+        c_med = statistics.median(c_real)
+        wins = sum(1 for a, b in zip(p_real, c_real) if b < a)
         flags = [f"p{i + 1}" for i, s in enumerate(p) if contended(s)]
         flags += [f"c{i + 1}" for i, s in enumerate(c) if contended(s)]
         print(f"{name:<{width}}  {fmt_ns(p_med):>10}  {fmt_ns(c_med):>10}"
               f"  {p_med / c_med:>5.3f}x  {wins:>2}/{len(rounds):<3}  "
+              f"{verdict(p_real, c_real):<7}  "
               f"{' '.join(flags) if flags else '-'}")
 
 

@@ -66,6 +66,9 @@ main(int argc, char **argv)
                 "II-C2 figure)\n", unpiped.total_cycles,
                 100.0 * unpiped.utilization());
     // Pipelining raises throughput, not a convolution's latency.
+    std::printf("  throughput: %.2f convolutions/cycle pipelined, "
+                "%.2f unpipelined\n", piped.throughput(),
+                unpiped.throughput());
     std::printf("  latency of one convolution: %zu cycles pipelined, "
                 "%zu unpipelined\n", piped.latencyOfJob(0),
                 unpiped.latencyOfJob(0));

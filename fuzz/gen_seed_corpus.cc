@@ -73,9 +73,8 @@ protocolCorpus(const std::string &dir)
     nn::Tensor input(1, 4, 4);
     input.data() = rng.uniformVector(input.size(), 0.0, 1.0);
     write(dir, "infer_request",
-          cluster::encodeInferRequest(cluster::InferRequestMsg::fromTensor(
-              7, "small-vgg", photofourier::serve::Priority::Interactive,
-              input)));
+          cluster::encodeInferRequest(
+              cluster::InferRequestMsg::fromTensor(7, "small-vgg", input)));
 
     cluster::InferResponseMsg response;
     response.seq = 7;
@@ -178,7 +177,7 @@ protocolCorpus(const std::string &dir)
     overflow.u8(static_cast<uint8_t>(cluster::MsgType::InferRequest));
     overflow.u64(1);
     overflow.str("small-vgg");
-    overflow.u8(0);
+    overflow.u64(0);           // trace_id
     overflow.u32(0x80000000u); // channels = 2^31
     overflow.u32(0x80000000u); // height   = 2^31
     overflow.u32(4u);          // width: product == 2^64 == 0 mod 2^64

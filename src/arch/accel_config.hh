@@ -86,13 +86,6 @@ struct AcceleratorConfig
     /** PFCUs sharing one ADC set (channel parallelization). */
     size_t channelParallel() const { return n_pfcus / input_broadcast; }
 
-    /** ADC sample rate after temporal accumulation (GHz). */
-    double adcFreqGhz() const
-    {
-        return clock_ghz / static_cast<double>(
-            temporal_accumulation_depth);
-    }
-
     /** Validate internal consistency (divisibility etc.). */
     void validate() const;
 

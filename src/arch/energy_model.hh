@@ -78,9 +78,6 @@ class EnergyModel
                                  size_t kernel,
                                  size_t active_inputs) const;
 
-    /** The configuration. */
-    const AcceleratorConfig &config() const { return config_; }
-
   private:
     AcceleratorConfig config_;
     photonics::ComponentPower parts_;

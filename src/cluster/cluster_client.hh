@@ -43,9 +43,6 @@ class ClusterClient
     /** Establish connections + handshake; false when unreachable. */
     bool connect() { return endpoint_.connect(); }
 
-    /** True while the endpoint is healthy. */
-    bool up() const { return endpoint_.up(); }
-
     /** Models the endpoint serves, sorted. */
     std::vector<std::string> models() const;
 

@@ -214,8 +214,8 @@ RemoteEndpoint::submitBound(const std::string &model,
         channel.pending.emplace(seq, state);
     }
     const std::string frame = encodeInferRequest(
-        InferRequestMsg::fromTensor(seq, model, options.priority,
-                                    input, options.trace_id));
+        InferRequestMsg::fromTensor(seq, model, input,
+                                    options.trace_id));
     bool sent;
     {
         std::lock_guard<std::mutex> lock(channel.send_mutex);

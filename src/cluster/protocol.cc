@@ -281,13 +281,11 @@ decodeHelloAck(std::string_view frame, HelloAckMsg *msg)
 
 InferRequestMsg
 InferRequestMsg::fromTensor(uint64_t seq, const std::string &model,
-                            serve::Priority priority,
                             const nn::Tensor &input, uint64_t trace_id)
 {
     InferRequestMsg msg;
     msg.seq = seq;
     msg.model = model;
-    msg.priority = priority;
     msg.trace_id = trace_id;
     msg.channels = static_cast<uint32_t>(input.channels());
     msg.height = static_cast<uint32_t>(input.height());
@@ -312,7 +310,6 @@ encodeInferRequest(const InferRequestMsg &msg)
     WireWriter w = beginMessage(MsgType::InferRequest);
     w.u64(msg.seq);
     w.str(msg.model);
-    w.u8(static_cast<uint8_t>(msg.priority));
     w.u64(msg.trace_id);
     w.u32(msg.channels);
     w.u32(msg.height);
@@ -329,10 +326,6 @@ decodeInferRequest(std::string_view frame, InferRequestMsg *msg)
         return false;
     msg->seq = r.u64();
     msg->model = r.str();
-    const uint8_t priority = r.u8();
-    if (priority > static_cast<uint8_t>(serve::Priority::Batch))
-        return false;
-    msg->priority = static_cast<serve::Priority>(priority);
     msg->trace_id = r.u64();
     msg->channels = r.u32();
     msg->height = r.u32();

@@ -51,7 +51,8 @@ constexpr uint32_t kMagic = 0x31434650;
 
 /** Protocol version; bumped on any layout change. */
 constexpr uint16_t kProtocolVersion =
-    4; ///< v4: Health messages (v3: Infer trace_id + Metrics)
+    5; ///< v5: InferRequest drops priority (v4: Health messages; v3:
+       ///< Infer trace_id + Metrics)
 
 /** Message tags (u8 on the wire). */
 enum class MsgType : uint8_t
@@ -93,7 +94,6 @@ struct InferRequestMsg
 {
     uint64_t seq = 0;
     std::string model;
-    serve::Priority priority = serve::Priority::Interactive;
     uint64_t trace_id = 0; ///< nonzero: record per-stage spans (v3)
     uint32_t channels = 0;
     uint32_t height = 0;
@@ -103,7 +103,6 @@ struct InferRequestMsg
     /** Build from a tensor (shape + data copied). */
     static InferRequestMsg fromTensor(uint64_t seq,
                                       const std::string &model,
-                                      serve::Priority priority,
                                       const nn::Tensor &input,
                                       uint64_t trace_id = 0);
 

@@ -148,12 +148,10 @@ Router::submit(const std::string &model, nn::Tensor input,
 
     // First choice: live shards that advertise the model, in
     // preference order — the primary unless it died, then spillover.
-    // With health_aware the walk visits known-Healthy shards first
-    // (rendezvous order within a class), so a degraded primary only
-    // serves when no healthier replica has the model.
-    const std::vector<std::string> preferred =
-        config_.health_aware ? healthOrdered(ranked) : ranked;
-    for (const auto &name : preferred) {
+    // The walk visits known-Healthy shards first (rendezvous order
+    // within a class), so a degraded primary only serves when no
+    // healthier replica has the model.
+    for (const auto &name : healthOrdered(ranked)) {
         RemoteEndpoint *ep = endpoint(name);
         if (ep == nullptr || !ep->up() || !ep->hasModel(model))
             continue;

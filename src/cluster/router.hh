@@ -79,11 +79,6 @@ struct RouterConfig
      *  obs::MetricsRegistry::global(). Tests inject private registries
      *  so several routers can coexist in one process. */
     obs::MetricsRegistry *metrics = nullptr;
-
-    /** Prefer healthier shards when routing: submit() walks the
-     *  rendezvous list best-known-health-class first (see
-     *  refreshHealth). Placement itself is unchanged. */
-    bool health_aware = true;
 };
 
 /** One shard's row in a cluster report. */
@@ -197,12 +192,6 @@ class Router : public ServingBackend
      * fleet's worst state.
      */
     obs::HealthState refreshHealth();
-
-    /** The registry the router records into (config or global). */
-    obs::MetricsRegistry &metricsRegistry() const
-    {
-        return *metrics_registry_;
-    }
 
     /** Disconnect every endpoint (in-flight requests fail cleanly). */
     void close();

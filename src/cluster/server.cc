@@ -164,8 +164,7 @@ ProtocolServer::readerLoop(Connection *connection)
             // join the same micro-batch.
             serve::Completion completion = backend_.submit(
                 request.model, request.toTensor(),
-                serve::SubmitOptions{request.priority,
-                                     request.trace_id});
+                serve::SubmitOptions{request.trace_id});
             {
                 std::lock_guard<std::mutex> lock(
                     connection->queue_mutex);

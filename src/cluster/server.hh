@@ -66,12 +66,6 @@ class ProtocolServer
      *  failure (port taken); safe to call once. */
     bool start();
 
-    /** True between a successful start() and stop(). */
-    bool running() const
-    {
-        return started_ && !stop_.load(std::memory_order_acquire);
-    }
-
     /** The bound port (valid after start()). */
     uint16_t port() const { return listener_.port(); }
 
@@ -196,9 +190,6 @@ class ShardServer : public ServingBackend
     StatsReportMsg stats() const override;
     MetricsReportMsg metricsReport(bool include_traces) override;
     HealthReportMsg healthReport() override;
-
-    /** The shard's health monitor (tests tighten rules through it). */
-    obs::HealthMonitor &health() { return health_; }
 
   private:
     ShardServerConfig config_;

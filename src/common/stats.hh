@@ -38,9 +38,6 @@ class RunningStats
     /** Fold one sample into the accumulator. */
     void add(double v);
 
-    /** Number of samples seen. */
-    size_t count() const { return count_; }
-
     /** Mean of the samples seen (0 when empty). */
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
 
@@ -49,9 +46,6 @@ class RunningStats
 
     /** Maximum sample (panics when empty). */
     double max() const;
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
 
   private:
     size_t count_ = 0;

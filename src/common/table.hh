@@ -26,9 +26,6 @@ class TextTable
     /** Append a row; must have exactly as many cells as headers. */
     void addRow(std::vector<std::string> cells);
 
-    /** Number of data rows. */
-    size_t rows() const { return rows_.size(); }
-
     /** Render with padded columns and a separator under the header. */
     std::string render() const;
 

@@ -75,13 +75,6 @@ class Jtc2d
     void correlateInto(const signal::Matrix &s, const signal::Matrix &k,
                        signal::Matrix &out) const;
 
-    /** The kernel-block spectrum cache of this instance. */
-    const std::shared_ptr<signal::PlaneSpectrumCache> &
-    spectrumCache() const
-    {
-        return spectra_;
-    }
-
   private:
     /** Cached plane_rows x (plane_cols/2+1) half-spectrum of the
      *  kernel block placed at (kernel_row_pos, 0). */

@@ -107,15 +107,6 @@ class System4f
     static Requirements4f requirements(size_t input_size,
                                        size_t kernel_size);
 
-    const System4fConfig &config() const { return config_; }
-
-    /** The programmed-filter spectrum cache of this instance. */
-    const std::shared_ptr<signal::PlaneSpectrumCache> &
-    spectrumCache() const
-    {
-        return spectra_;
-    }
-
   private:
     /** Cached rows x (cols/2+1) half-spectrum of the programmed
      *  filter for `kernel` on a rows x cols Fourier plane. */

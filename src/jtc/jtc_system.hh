@@ -217,16 +217,6 @@ class JtcSystem
         const JtcPlaneLayout &layout, const signal::FftPlan &plan,
         size_t count, long start, std::vector<double> &out) const;
 
-    /** The configuration of this instance. */
-    const JtcConfig &config() const { return config_; }
-
-    /** The kernel-plane spectrum cache this instance reads/populates. */
-    const std::shared_ptr<signal::PlaneSpectrumCache> &
-    spectrumCache() const
-    {
-        return spectra_;
-    }
-
   private:
     JtcConfig config_;
     std::shared_ptr<signal::PlaneSpectrumCache> spectra_;

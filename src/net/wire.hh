@@ -44,9 +44,6 @@ class WireWriter
     /** u32 element count + packed u64s. */
     void u64vec(const std::vector<uint64_t> &v);
 
-    /** The encoded bytes so far. */
-    const std::string &bytes() const { return out_; }
-
     /** Move the encoded bytes out (writer becomes empty). */
     std::string take() { return std::move(out_); }
 

@@ -151,13 +151,6 @@ class DirectEngine : public ConvEngine
 
     std::string name() const override { return "direct"; }
 
-    /** The kernel-spectrum cache this engine populates and reads. */
-    const std::shared_ptr<tiling::KernelSpectrumCache> &
-    spectrumCache() const
-    {
-        return spectra_;
-    }
-
   private:
     std::shared_ptr<tiling::KernelSpectrumCache> spectra_;
     ConvPath path_;
@@ -273,9 +266,6 @@ class PhotoFourierEngine : public ConvEngine
                            signal::ConvMode mode) const override;
 
     std::string name() const override { return "photofourier"; }
-
-    /** The configuration. */
-    const PhotoFourierEngineConfig &config() const { return config_; }
 
     /** The kernel-spectrum cache this engine populates and reads. */
     const std::shared_ptr<tiling::KernelSpectrumCache> &

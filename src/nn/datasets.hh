@@ -52,9 +52,6 @@ class SyntheticCifar
     /** Generate n samples with balanced labels. */
     std::vector<Sample> generate(size_t n);
 
-    /** The configuration. */
-    const SyntheticCifarConfig &config() const { return config_; }
-
   private:
     SyntheticCifarConfig config_;
     Rng rng_;

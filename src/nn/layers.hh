@@ -147,7 +147,6 @@ class Conv2d : public Layer
 
     size_t kernel() const { return kernel_; }
     size_t stride() const { return stride_; }
-    signal::ConvMode mode() const { return mode_; }
 
   private:
     size_t in_channels_, out_channels_, kernel_, stride_;

@@ -109,8 +109,6 @@ class HealthMonitor
     /** Evaluate every rule against `snap` and fold the state. */
     HealthStatus evaluate(const MetricsSnapshot &snap);
 
-    const std::vector<SloRule> &rules() const { return config_.rules; }
-
   private:
     // Lock order: mutex_ is a leaf lock — evaluate() reads only the
     // caller's snapshot while holding it.

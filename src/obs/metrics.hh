@@ -85,9 +85,6 @@ class HistogramMetric
     /** Exact union of every stripe. */
     Histogram merged() const;
 
-    double minBucket() const { return min_bucket_; }
-    double growth() const { return growth_; }
-
   private:
     static constexpr size_t kStripes = 8;
 

@@ -71,8 +71,6 @@ class TraceSink
     /** Number of live records. */
     size_t size() const;
 
-    size_t capacity() const { return capacity_; }
-
     /** Forget every record (tests). */
     void clear();
 

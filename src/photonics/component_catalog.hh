@@ -52,12 +52,6 @@ struct ComponentDimensions
     double waveguide_pitch_um;
     double laser_w_um, laser_h_um;
     double lens_w_um, lens_h_um;
-
-    double mrrAreaUm2() const { return mrr_w_um * mrr_h_um; }
-    double splitterAreaUm2() const { return splitter_w_um * splitter_h_um; }
-    double pdAreaUm2() const { return pd_w_um * pd_h_um; }
-    double laserAreaUm2() const { return laser_w_um * laser_h_um; }
-    double lensAreaUm2() const { return lens_w_um * lens_h_um; }
 };
 
 /**
@@ -78,12 +72,6 @@ class ComponentCatalog
      * best-published envelope at 625 MHz (Section VI-A): 5.81x.
      */
     static double ngConverterScale() { return 5.81; }
-
-    /** Photodetector dark current (A) used in the SNR budget. */
-    static double pdDarkCurrentA() { return 1e-7; }
-
-    /** Photodetector responsivity (A/W) at 1310 nm. */
-    static double pdResponsivityAPerW() { return 0.8; }
 };
 
 } // namespace photonics

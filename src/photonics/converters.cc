@@ -10,7 +10,6 @@ namespace photofourier {
 namespace photonics {
 
 Quantizer::Quantizer(int bits, double range)
-    : bits_(bits), range_(range)
 {
     pf_assert(bits >= kMinBits && bits <= kMaxBits,
               "quantizer bits out of range: ", bits);

@@ -92,21 +92,10 @@ class Quantizer
         return static_cast<double>(code) * step_;
     }
 
-    /** Quantization step size (0 when disabled). */
-    double step() const { return step_; }
-
-    /** Resolution in bits. */
-    int bits() const { return bits_; }
-
-    /** Full-scale range. */
-    double range() const { return range_; }
-
     /** True when this quantizer is a pass-through (range == 0). */
     bool ideal() const { return step_ == 0.0; }
 
   private:
-    int bits_;
-    double range_;
     double step_;
     int64_t max_code_;
 };

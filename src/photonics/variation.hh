@@ -58,11 +58,6 @@ class VariationModel
     /** Redraw the drift component (a new thermal state). */
     void drawDrift();
 
-    /** Number of modelled waveguides. */
-    size_t size() const { return static_gain_.size(); }
-
-    const VariationConfig &config() const { return config_; }
-
   private:
     VariationConfig config_;
     Rng rng_;

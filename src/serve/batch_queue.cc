@@ -9,26 +9,12 @@ namespace serve {
 
 using Clock = std::chrono::steady_clock;
 
-Clock::time_point
-BatchQueue::ModelQueue::oldestHead() const
-{
-    // Both deques are FIFO, so each front is its level's oldest.
-    if (level[0].empty())
-        return level[1].front().completion->enqueued;
-    if (level[1].empty())
-        return level[0].front().completion->enqueued;
-    return std::min(level[0].front().completion->enqueued,
-                    level[1].front().completion->enqueued);
-}
-
 BatchQueue::BatchQueue(BatchingConfig config) : config_(config)
 {
     pf_assert(config_.max_batch >= 1, "max_batch must be >= 1");
     pf_assert(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
     pf_assert(config_.batch_window.count() >= 0,
               "batch_window must be >= 0");
-    pf_assert(config_.priority_aging.count() >= 0,
-              "priority_aging must be >= 0");
 }
 
 bool
@@ -39,9 +25,7 @@ BatchQueue::push(QueuedRequest request)
         std::lock_guard<std::mutex> lock(mutex_);
         if (!admitting_ || closed_ || depth_ >= config_.queue_capacity)
             return false;
-        queues_[request.model]
-            .level[static_cast<size_t>(request.priority)]
-            .push_back(std::move(request));
+        queues_[request.model].push_back(std::move(request));
         ++depth_;
     }
     dispatch_cv_.notify_one();
@@ -64,9 +48,7 @@ BatchQueue::popBatch()
         bool pick_ready = false;
         Clock::time_point pick_head{};
         for (auto it = queues_.begin(); it != queues_.end(); ++it) {
-            if (it->second.empty())
-                continue;
-            const auto head = it->second.oldestHead();
+            const auto head = it->second.front().completion->enqueued;
             const bool ready =
                 it->second.size() >= config_.max_batch ||
                 !admitting_ || now >= head + config_.batch_window;
@@ -79,37 +61,15 @@ BatchQueue::popBatch()
         }
 
         if (pick != queues_.end() && pick_ready) {
-            auto &interactive =
-                pick->second.level[size_t(Priority::Interactive)];
-            auto &background =
-                pick->second.level[size_t(Priority::Batch)];
-            const size_t take =
-                std::min(pick->second.size(), config_.max_batch);
+            auto &queue = pick->second;
+            const size_t take = std::min(queue.size(), config_.max_batch);
             std::vector<QueuedRequest> batch;
             batch.reserve(take);
             for (size_t i = 0; i < take; ++i) {
-                // Interactive first; a Batch-class head that has aged
-                // past priority_aging competes by enqueue time (and
-                // being older, wins), so background work cannot starve
-                // under sustained interactive load.
-                bool from_background;
-                if (interactive.empty()) {
-                    from_background = true;
-                } else if (background.empty()) {
-                    from_background = false;
-                } else {
-                    const auto bg_head =
-                        background.front().completion->enqueued;
-                    from_background =
-                        now >= bg_head + config_.priority_aging &&
-                        bg_head <
-                            interactive.front().completion->enqueued;
-                }
-                auto &q = from_background ? background : interactive;
-                batch.push_back(std::move(q.front()));
-                q.pop_front();
+                batch.push_back(std::move(queue.front()));
+                queue.pop_front();
             }
-            if (pick->second.empty())
+            if (queue.empty())
                 queues_.erase(pick);
             depth_ -= take;
             inflight_ += take;

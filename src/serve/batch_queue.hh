@@ -1,21 +1,15 @@
 /**
  * @file
- * Bounded admission queue with dynamic micro-batch formation and
- * two-level priority.
+ * Bounded admission queue with dynamic micro-batch formation.
  *
  * Requests enter per-model FIFO queues behind one capacity bound.
  * Workers pop *batches*: up to max_batch requests of one model,
  * dispatched as soon as the batch is full OR the model's head request
  * has waited batch_window (the classic latency/throughput knob of
- * dynamic batching). Among models with waiting requests, the one with
- * the oldest head is served first, so no model starves.
- *
- * Each request carries a priority class (SubmitOptions): Interactive
- * requests fill a model's batch before Batch-class requests do. A
- * Batch-class request that has waited longer than priority_aging
- * competes as if it were interactive (and older requests win ties), so
- * sustained interactive load delays background work but can never
- * starve it.
+ * dynamic batching). Each model's queue is FIFO: a batch takes its
+ * model's oldest requests, in enqueue order. Among models with waiting
+ * requests, the one with the oldest head is served first, so no model
+ * starves.
  *
  * Drain protocol: closeAdmission() rejects new pushes and flushes the
  * batch windows (queued work dispatches immediately); waitDrained()
@@ -45,18 +39,9 @@
 namespace photofourier {
 namespace serve {
 
-/** Scheduling class of a request. */
-enum class Priority : uint8_t
-{
-    Interactive = 0, ///< latency-sensitive; fills batches first
-    Batch = 1,       ///< background; yields to interactive until aged
-};
-
 /** Per-request submission parameters. */
 struct SubmitOptions
 {
-    Priority priority = Priority::Interactive;
-
     /**
      * Nonzero opts this request into detailed tracing: the server
      * records per-stage spans tagged with this id into its trace sink
@@ -79,12 +64,6 @@ struct BatchingConfig
 
     /** Bounded admission: queued (not in-flight) requests, all models. */
     size_t queue_capacity = 1024;
-
-    /**
-     * Age at which a Batch-class request stops yielding to younger
-     * Interactive requests (starvation-free aging).
-     */
-    std::chrono::microseconds priority_aging{50000};
 };
 
 /** One admitted request awaiting dispatch. */
@@ -93,7 +72,6 @@ struct QueuedRequest
     std::string model;
     nn::Tensor input;
     std::shared_ptr<detail::CompletionState> completion;
-    Priority priority = Priority::Interactive;
     uint64_t trace_id = 0; ///< nonzero = record per-stage spans
 };
 
@@ -107,10 +85,9 @@ class BatchQueue
     bool push(QueuedRequest request);
 
     /**
-     * Block until a batch is dispatchable and take it (all one model;
-     * interactive-first order, see the header comment). Returns empty
-     * only after close() once nothing is left. The batch counts as in
-     * flight until markDone().
+     * Block until a batch is dispatchable and take it (all one model,
+     * in enqueue order). Returns empty only after close() once nothing
+     * is left. The batch counts as in flight until markDone().
      */
     std::vector<QueuedRequest> popBatch();
 
@@ -129,32 +106,13 @@ class BatchQueue
     /** Requests currently queued (diagnostics). */
     size_t depth() const;
 
-    /** The configuration. */
-    const BatchingConfig &config() const { return config_; }
-
   private:
-    /** One model's waiting requests, split by priority class. */
-    struct ModelQueue
-    {
-        std::deque<QueuedRequest> level[2]; ///< indexed by Priority
-
-        size_t size() const
-        {
-            return level[0].size() + level[1].size();
-        }
-        bool empty() const
-        {
-            return level[0].empty() && level[1].empty();
-        }
-        /** Enqueue time of the oldest request across both levels. */
-        std::chrono::steady_clock::time_point oldestHead() const;
-    };
-
     BatchingConfig config_;
     mutable std::mutex mutex_;
     std::condition_variable dispatch_cv_; ///< wakes popBatch
     std::condition_variable drained_cv_;  ///< wakes waitDrained
-    std::map<std::string, ModelQueue> queues_;
+    /** Each model's waiting requests, oldest first; none is empty. */
+    std::map<std::string, std::deque<QueuedRequest>> queues_;
     size_t depth_ = 0;    ///< queued, not yet popped
     size_t inflight_ = 0; ///< popped, not yet markDone'd
     bool admitting_ = true;

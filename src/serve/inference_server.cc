@@ -207,7 +207,6 @@ InferenceServer::submit(const std::string &model, nn::Tensor input,
         ++stats_[model].accepted;
     }
     if (!queue_.push(QueuedRequest{model, std::move(input), state,
-                                   options.priority,
                                    options.trace_id})) {
         state->fulfill(RequestStatus::Rejected, {},
                        "queue full or server draining");

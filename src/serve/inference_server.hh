@@ -155,9 +155,8 @@ class InferenceServer
     /**
      * Enqueue one request. Never blocks: the returned handle is
      * immediately Failed for an unknown model and Rejected when the
-     * queue is at capacity or the server is draining. Batch-class
-     * requests (options.priority) yield to interactive traffic until
-     * they age (BatchingConfig::priority_aging).
+     * queue is at capacity or the server is draining. Each model's
+     * requests are served in submission order (see batch_queue.hh).
      */
     Completion submit(const std::string &model, nn::Tensor input,
                       SubmitOptions options = {});
@@ -174,9 +173,6 @@ class InferenceServer
 
     /** Statistics snapshot (callable concurrently with serving). */
     ServerReport report() const;
-
-    /** Worker threads the server runs (resolved from the config). */
-    size_t workerCount() const { return worker_target_; }
 
     /** The registry this server records metrics into. */
     obs::MetricsRegistry &metricsRegistry() const { return *metrics_registry_; }

@@ -35,17 +35,6 @@ struct ComplexMatrix
     {
     }
 
-    /** Reshape to r x c without a zero-fill (callers overwrite every
-     *  element), reusing the existing allocation when capacity
-     *  suffices — the workspace idiom, mirroring
-     *  Matrix::resizeNoFill. */
-    void resizeNoFill(size_t r, size_t c)
-    {
-        rows = r;
-        cols = c;
-        data.resize(r * c);
-    }
-
     Complex &at(size_t r, size_t c) { return data[r * cols + c]; }
     Complex at(size_t r, size_t c) const { return data[r * cols + c]; }
 };

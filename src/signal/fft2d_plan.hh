@@ -69,9 +69,6 @@ class Fft2dPlan
     /** Build a plan for rows x cols transforms (both >= 1, any size). */
     Fft2dPlan(size_t rows, size_t cols);
 
-    size_t rows() const { return rows_; }
-    size_t cols() const { return cols_; }
-
     /** Complex entries per row of a real transform's half-spectrum:
      *  cols()/2 + 1 (bins 0..cols/2; the rest is conj-mirrored). */
     size_t halfCols() const { return cols_ / 2 + 1; }

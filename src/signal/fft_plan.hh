@@ -60,9 +60,6 @@ class FftPlan
     /** The transform size this plan was built for. */
     size_t size() const { return n_; }
 
-    /** True when this plan uses the radix-2 path (n a power of two). */
-    bool radix2() const { return pow2_; }
-
     /** Entries in the Hermitian half-spectrum: size()/2 + 1. */
     size_t halfSpectrumSize() const { return n_ / 2 + 1; }
 

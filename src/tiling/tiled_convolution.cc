@@ -385,7 +385,6 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
             for (size_t r = ceilDiv(r0, s) * s; r < r_end; r += s)
                 addRow(r, j.window.data() + (r - r0) * sp);
         });
-        last_ops_ = tiles.count;
         break;
       }
       case Variant::PartialRowTiling: {
@@ -406,7 +405,6 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
             }
             addRow(r0, j.row.data());
         });
-        last_ops_ = plan_.output_rows * groups;
         break;
       }
       case Variant::RowPartitioning: {
@@ -430,7 +428,6 @@ TiledConvolution::executePrepared(std::span<const TiledInput> inputs,
             }
             addRow(r0, j.row.data());
         });
-        last_ops_ = plan_.output_rows * sk * partitions;
         break;
       }
     }

@@ -42,7 +42,6 @@
 #ifndef PHOTOFOURIER_TILING_TILED_CONVOLUTION_HH
 #define PHOTOFOURIER_TILING_TILED_CONVOLUTION_HH
 
-#include <atomic>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -150,9 +149,6 @@ class TiledConvolution
      *  partitioning. */
     size_t kernelGroups() const;
 
-    /** 1D backend invocations made by the most recent execute(). */
-    size_t lastOpCount() const { return last_ops_.load(); }
-
     /** The problem this executor was built for. */
     const TilingParams &params() const { return params_; }
 
@@ -164,10 +160,6 @@ class TiledConvolution
     TilingPlan plan_;
     Conv1dBackend backend_;
     size_t workers_;
-    // Atomic: one TiledConvolution may serve several caller threads
-    // (e.g. the nn engine fanning output channels); the count is set
-    // once per execute(), not incremented in the hot loop.
-    mutable std::atomic<size_t> last_ops_{0};
 
     /** Worker count for the fan-outs: the explicit setting, or — in
      *  auto mode — 1 when the whole problem is too small to amortize

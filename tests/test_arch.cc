@@ -36,7 +36,8 @@ TEST(AccelConfig, CurrentGenPreset)
     EXPECT_EQ(cfg.n_chiplets, 2u);
     // Temporal accumulation depth 16 puts the ADC at 625 MHz — the
     // exact figure of Table IV.
-    EXPECT_DOUBLE_EQ(cfg.adcFreqGhz(), 0.625);
+    EXPECT_DOUBLE_EQ(cfg.clock_ghz / cfg.temporal_accumulation_depth,
+                     0.625);
 }
 
 TEST(AccelConfig, NextGenPreset)
@@ -54,7 +55,8 @@ TEST(AccelConfig, BaselinePreset)
     EXPECT_EQ(cfg.n_pfcus, 1u);
     EXPECT_EQ(cfg.temporal_accumulation_depth, 1u);
     EXPECT_FALSE(cfg.small_filter_opt);
-    EXPECT_DOUBLE_EQ(cfg.adcFreqGhz(), 10.0);
+    EXPECT_DOUBLE_EQ(cfg.clock_ghz / cfg.temporal_accumulation_depth,
+                     10.0);
 }
 
 TEST(AccelConfig, InvalidBroadcastPanics)

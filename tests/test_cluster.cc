@@ -180,7 +180,8 @@ TEST(Net, WireRoundTripAndStickyFailure)
     w.f64vec({1.5, -2.5, 1e-300});
     w.u64vec({1, 2, 3});
 
-    net::WireReader r(w.bytes());
+    const std::string bytes = w.take();
+    net::WireReader r(bytes);
     EXPECT_EQ(r.u8(), 7);
     EXPECT_EQ(r.u16(), 65535);
     EXPECT_EQ(r.u32(), 123456789u);
@@ -194,7 +195,7 @@ TEST(Net, WireRoundTripAndStickyFailure)
     // Sticky failure: one byte short, reads keep returning zero
     // values and ok() stays false forever.
     net::WireReader short_reader(
-        std::string_view(w.bytes()).substr(0, 3));
+        std::string_view(bytes).substr(0, 3));
     EXPECT_EQ(short_reader.u8(), 7);
     EXPECT_EQ(short_reader.u32(), 0u);
     EXPECT_FALSE(short_reader.ok());
@@ -204,7 +205,8 @@ TEST(Net, WireRoundTripAndStickyFailure)
     // A lying vector count must not allocate the claimed size.
     net::WireWriter liar;
     liar.u32(0xfffffff0u);
-    net::WireReader lied(liar.bytes());
+    const std::string lie = liar.take();
+    net::WireReader lied(lie);
     EXPECT_TRUE(lied.f64vec().empty());
     EXPECT_FALSE(lied.ok());
 }
@@ -219,14 +221,14 @@ TEST(Protocol, InferMessagesRoundTrip)
     pf::Rng rng(5);
     input.data() = rng.uniformVector(24, -1.0, 1.0);
 
-    const auto request = cluster::InferRequestMsg::fromTensor(
-        42, "vgg", serve::Priority::Batch, input);
+    const auto request =
+        cluster::InferRequestMsg::fromTensor(42, "vgg", input, 7);
     cluster::InferRequestMsg request2;
     ASSERT_TRUE(cluster::decodeInferRequest(
         cluster::encodeInferRequest(request), &request2));
     EXPECT_EQ(request2.seq, 42u);
     EXPECT_EQ(request2.model, "vgg");
-    EXPECT_EQ(request2.priority, serve::Priority::Batch);
+    EXPECT_EQ(request2.trace_id, 7u);
     EXPECT_EQ(request2.toTensor().data(), input.data());
     EXPECT_EQ(request2.toTensor().channels(), 2u);
 
@@ -317,8 +319,7 @@ TEST(Protocol, TruncatedAndGarbageFramesAreRejected)
     nn::Tensor input(1, 2, 2);
     input.data() = {1.0, 2.0, 3.0, 4.0};
     const std::string request = cluster::encodeInferRequest(
-        cluster::InferRequestMsg::fromTensor(
-            1, "m", serve::Priority::Interactive, input));
+        cluster::InferRequestMsg::fromTensor(1, "m", input));
 
     // Every proper prefix must fail to decode — no partial parses.
     cluster::InferRequestMsg out;
@@ -329,6 +330,20 @@ TEST(Protocol, TruncatedAndGarbageFramesAreRejected)
     }
     // Trailing junk is rejected too (atEnd discipline).
     EXPECT_FALSE(cluster::decodeInferRequest(request + "x", &out));
+
+    // The same request in the v4 layout, which carried a priority byte
+    // between the model name and trace_id, does not parse as v5.
+    net::WireWriter v4;
+    v4.u8(static_cast<uint8_t>(cluster::MsgType::InferRequest));
+    v4.u64(1);
+    v4.str("m");
+    v4.u8(0); // v4 priority: interactive
+    v4.u64(0);
+    v4.u32(1);
+    v4.u32(2);
+    v4.u32(2);
+    v4.f64vec(input.data());
+    EXPECT_FALSE(cluster::decodeInferRequest(v4.take(), &out));
 
     // Deterministic pseudo-random garbage: never crashes, never
     // decodes as any message type.
@@ -348,8 +363,8 @@ TEST(Protocol, TruncatedAndGarbageFramesAreRejected)
 
     // A shape/data mismatch is semantic garbage even when the layout
     // parses: rebuild the request with a corrupted channel count.
-    cluster::InferRequestMsg lying = cluster::InferRequestMsg::fromTensor(
-        1, "m", serve::Priority::Interactive, input);
+    cluster::InferRequestMsg lying =
+        cluster::InferRequestMsg::fromTensor(1, "m", input);
     lying.channels = 7;
     EXPECT_FALSE(cluster::decodeInferRequest(
         cluster::encodeInferRequest(lying), &out));
@@ -388,6 +403,24 @@ statsReportFrame(double min_bucket, double growth,
     return w.take();
 }
 
+/** An InferRequest frame in the v5 layout with the shape fields
+ *  supplied raw — for shapes InferRequestMsg::fromTensor cannot build. */
+std::string
+inferRequestFrame(uint32_t channels, uint32_t height, uint32_t width,
+                  const std::vector<double> &data)
+{
+    net::WireWriter w;
+    w.u8(static_cast<uint8_t>(cluster::MsgType::InferRequest));
+    w.u64(1);      // seq
+    w.str("m");    // model
+    w.u64(0);      // trace_id
+    w.u32(channels);
+    w.u32(height);
+    w.u32(width);
+    w.f64vec(data);
+    return w.take();
+}
+
 } // namespace
 
 // The uint64 product 2^31 * 2^31 * 4 wraps to 0 and matches an empty
@@ -396,29 +429,22 @@ statsReportFrame(double min_bucket, double growth,
 // fuzz_protocol.
 TEST(Protocol, OverflowingTensorShapeIsRejected)
 {
-    net::WireWriter w;
-    w.u8(static_cast<uint8_t>(cluster::MsgType::InferRequest));
-    w.u64(1);
-    w.str("m");
-    w.u8(0);            // Priority::Interactive
-    w.u32(0x80000000u); // channels = 2^31
-    w.u32(0x80000000u); // height   = 2^31
-    w.u32(4u);          // product == 2^64 == 0 mod 2^64
-    w.f64vec({});       // ...which "matches" an empty payload
     cluster::InferRequestMsg out;
-    EXPECT_FALSE(cluster::decodeInferRequest(w.take(), &out));
+    // Control: the hand-built layout with an honest shape decodes, so
+    // the rejections below can only come from the shape check.
+    ASSERT_TRUE(cluster::decodeInferRequest(
+        inferRequestFrame(1, 1, 1, {0.5}), &out));
+    EXPECT_EQ(out.toTensor().data(), std::vector<double>{0.5});
 
-    // The same dims with a wrapped-but-nonzero product.
-    net::WireWriter w2;
-    w2.u8(static_cast<uint8_t>(cluster::MsgType::InferRequest));
-    w2.u64(1);
-    w2.str("m");
-    w2.u8(0);
-    w2.u32(0x80000001u);
-    w2.u32(0x80000000u);
-    w2.u32(4u); // product wraps to 2^33... still must be rejected
-    w2.f64vec({1.0, 2.0});
-    EXPECT_FALSE(cluster::decodeInferRequest(w2.take(), &out));
+    // channels = height = 2^31, width = 4: the product is 2^64, which
+    // is 0 mod 2^64 and "matches" an empty payload.
+    EXPECT_FALSE(cluster::decodeInferRequest(
+        inferRequestFrame(0x80000000u, 0x80000000u, 4u, {}), &out));
+
+    // The same dims with a wrapped-but-nonzero product (2^33).
+    EXPECT_FALSE(cluster::decodeInferRequest(
+        inferRequestFrame(0x80000001u, 0x80000000u, 4u, {1.0, 2.0}),
+        &out));
 }
 
 // Buckets {2^63, 2^63, 2} wrap a naive total back to count == 2 and
@@ -805,6 +831,34 @@ TEST(ShardServer, RetiredTagDropsOnlyThatConnection)
     auto handle = client.submit("tiny-a", inputs[0]);
     ASSERT_EQ(handle.wait(), serve::RequestStatus::Done);
     EXPECT_EQ(handle.logits(), reference.logits(inputs[0]));
+
+    shard.server->stop();
+}
+
+TEST(ShardServer, OlderProtocolVersionDropsOnlyThatConnection)
+{
+    TestShard shard("s0", 1);
+    cluster::ClusterClient client("127.0.0.1", shard.server->port());
+    ASSERT_TRUE(client.connect());
+
+    // A v4 peer (its InferRequest still carried a priority byte) is
+    // refused at the handshake: no HelloAck, the connection drops.
+    net::TcpConnection old_peer = net::TcpConnection::connectTo(
+        "127.0.0.1", shard.server->port(),
+        std::chrono::milliseconds(2000));
+    ASSERT_TRUE(old_peer.valid());
+    cluster::HelloMsg hello;
+    hello.version = 4;
+    hello.client_name = "v4-peer";
+    ASSERT_TRUE(old_peer.sendFrame(cluster::encodeHello(hello)));
+    std::string frame;
+    EXPECT_FALSE(old_peer.recvFrame(&frame));
+
+    // The v5 client on the same shard is unaffected.
+    const auto inputs = tinyInputs(1);
+    auto handle = client.submit("tiny-a", inputs[0]);
+    ASSERT_EQ(handle.wait(), serve::RequestStatus::Done);
+    EXPECT_EQ(handle.logits(), tinyNet(1, 3).logits(inputs[0]));
 
     shard.server->stop();
 }

@@ -56,7 +56,6 @@ TEST(FftPlan, MatchesNaiveDftPowerOfTwo)
         const auto expected = oracle::dftNaive(input, false);
 
         sig::FftPlan plan(n);
-        EXPECT_TRUE(plan.radix2());
         auto data = input;
         plan.execute(data.data(), false);
         EXPECT_LT(maxAbsDiff(data, expected), 1e-9) << "n=" << n;
@@ -71,7 +70,6 @@ TEST(FftPlan, MatchesNaiveDftArbitrarySize)
         const auto expected = oracle::dftNaive(input, false);
 
         sig::FftPlan plan(n);
-        EXPECT_FALSE(plan.radix2());
         auto data = input;
         plan.execute(data.data(), false);
         EXPECT_LT(maxAbsDiff(data, expected), 1e-9) << "n=" << n;

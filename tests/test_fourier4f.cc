@@ -512,8 +512,9 @@ TEST(System4f, FilterSpectrumIsCachedPerKernel)
     const auto k1 = randomMatrix(rng, 3, 3, -0.5, 0.5);
     const auto k2 = randomMatrix(rng, 3, 3, -0.5, 0.5);
 
-    f4::System4f system;
-    const auto &cache = *system.spectrumCache();
+    auto spectra = std::make_shared<sig::PlaneSpectrumCache>();
+    f4::System4f system({}, spectra);
+    const auto &cache = *spectra;
     (void)convolve4f(system, image, k1);
     EXPECT_EQ(cache.stats().misses, 1u);
     (void)convolve4f(system, image, k1);
@@ -594,12 +595,13 @@ TEST(Jtc2d, KernelPlaneSpectrumIsCached)
     pf::Rng rng(41);
     const auto s = randomMatrix(rng, 10, 10);
     const auto k = randomMatrix(rng, 3, 3);
-    f4::Jtc2d jtc;
+    auto cache = std::make_shared<sig::PlaneSpectrumCache>();
+    f4::Jtc2d jtc(cache);
     (void)correlate2d(jtc, s, k);
     (void)correlate2d(jtc, s, k);
     (void)correlate2d(jtc, s, k);
-    EXPECT_EQ(jtc.spectrumCache()->stats().misses, 1u);
-    EXPECT_EQ(jtc.spectrumCache()->stats().hits, 2u);
+    EXPECT_EQ(cache->stats().misses, 1u);
+    EXPECT_EQ(cache->stats().hits, 2u);
 }
 
 TEST(Jtc2d, SteadyStateCorrelateIsAllocationFree)

@@ -410,23 +410,24 @@ TEST(JtcSystem, KernelPlaneSpectrumIsCachedPerKernelAndLayout)
     const auto k1 = randomNonNegative(rng, 9);
     const auto k2 = randomNonNegative(rng, 9);
 
-    jtc::JtcSystem sys;
+    auto cache = std::make_shared<sig::PlaneSpectrumCache>();
+    jtc::JtcSystem sys({}, cache);
     (void)sys.correlationWindow(s, k1, 64);
     (void)sys.correlationWindow(s, k1, 64);
     (void)sys.correlationWindow(s, k1, 64);
-    auto stats = sys.spectrumCache()->stats();
+    auto stats = cache->stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 2u);
 
     // Changed kernel content -> new entry, never a stale spectrum.
     (void)sys.correlationWindow(s, k2, 64);
-    EXPECT_EQ(sys.spectrumCache()->stats().misses, 2u);
+    EXPECT_EQ(cache->stats().misses, 2u);
 
     // Same kernel bytes on a different layout (longer signal changes
     // the plane size/separation) -> distinct entry as well.
     const auto s_long = randomNonNegative(rng, 200);
     (void)sys.correlationWindow(s_long, k1, 200);
-    EXPECT_EQ(sys.spectrumCache()->stats().misses, 3u);
+    EXPECT_EQ(cache->stats().misses, 3u);
 
     // Instances sharing one cache transform each kernel field once.
     auto shared = std::make_shared<sig::PlaneSpectrumCache>();

@@ -53,12 +53,17 @@ TEST(Catalog, NgConvertersAreWaldenScaledCg)
 TEST(Catalog, TableVDimensions)
 {
     const auto d = ph::ComponentCatalog::dimensions();
-    EXPECT_DOUBLE_EQ(d.mrrAreaUm2(), 15.0 * 17.0);
-    EXPECT_DOUBLE_EQ(d.splitterAreaUm2(), 1.2 * 2.2);
-    EXPECT_DOUBLE_EQ(d.pdAreaUm2(), 16.0 * 120.0);
+    EXPECT_DOUBLE_EQ(d.mrr_w_um, 15.0);
+    EXPECT_DOUBLE_EQ(d.mrr_h_um, 17.0);
+    EXPECT_DOUBLE_EQ(d.splitter_w_um, 1.2);
+    EXPECT_DOUBLE_EQ(d.splitter_h_um, 2.2);
+    EXPECT_DOUBLE_EQ(d.pd_w_um, 16.0);
+    EXPECT_DOUBLE_EQ(d.pd_h_um, 120.0);
     EXPECT_DOUBLE_EQ(d.waveguide_pitch_um, 1.3);
-    EXPECT_DOUBLE_EQ(d.laserAreaUm2(), 400.0 * 300.0);
-    EXPECT_DOUBLE_EQ(d.lensAreaUm2(), 2000.0 * 1000.0);
+    EXPECT_DOUBLE_EQ(d.laser_w_um, 400.0);
+    EXPECT_DOUBLE_EQ(d.laser_h_um, 300.0);
+    EXPECT_DOUBLE_EQ(d.lens_w_um, 2000.0);
+    EXPECT_DOUBLE_EQ(d.lens_h_um, 1000.0);
 }
 
 TEST(Quantizer, IdealModePassesThrough)
@@ -73,7 +78,7 @@ TEST(Quantizer, RoundTripWithinHalfStep)
     ph::Quantizer q(8, 1.0);
     EXPECT_FALSE(q.ideal());
     for (double v : {-0.999, -0.5, -0.001, 0.0, 0.3, 0.77, 1.0}) {
-        EXPECT_LE(std::abs(q.quantize(v) - v), q.step() / 2 + 1e-15)
+        EXPECT_LE(std::abs(q.quantize(v) - v), q.dequantize(1) / 2 + 1e-15)
             << "value " << v;
     }
 }
@@ -112,7 +117,7 @@ TEST(Quantizer, CodeRoundsLikeLlroundInRange)
     // input itself: ties, near-ties and random values all round as
     // llround does (half away from zero).
     ph::Quantizer q(8, 127.0);
-    ASSERT_EQ(q.step(), 1.0);
+    ASSERT_EQ(q.dequantize(1), 1.0);
     const double near_half = std::nextafter(0.5, 0.0);
     for (double x : {0.5, 1.5, 2.5, 126.5, near_half, 1.0 + near_half,
                      0.0, -0.0, 3.0, 126.99999999999999}) {
@@ -139,8 +144,9 @@ TEST(Quantizer, StepMatchesBits)
 {
     ph::Quantizer q8(8, 1.0);
     ph::Quantizer q4(4, 1.0);
-    EXPECT_NEAR(q8.step(), 1.0 / 127.0, 1e-15);
-    EXPECT_NEAR(q4.step(), 1.0 / 7.0, 1e-15);
+    // The step is the level of code 1.
+    EXPECT_NEAR(q8.dequantize(1), 1.0 / 127.0, 1e-15);
+    EXPECT_NEAR(q4.dequantize(1), 1.0 / 7.0, 1e-15);
 }
 
 TEST(Quantizer, CodesAreSymmetric)
@@ -163,7 +169,7 @@ TEST_P(QuantizerBitsTest, ErrorBoundedByHalfStep)
     ph::Quantizer q(bits, 2.0);
     for (int i = 0; i <= 100; ++i) {
         const double v = -2.0 + 4.0 * i / 100.0;
-        EXPECT_LE(std::abs(q.quantize(v) - v), q.step() / 2 + 1e-12);
+        EXPECT_LE(std::abs(q.quantize(v) - v), q.dequantize(1) / 2 + 1e-12);
     }
 }
 

@@ -216,7 +216,7 @@ namespace {
 
 /** A pushable request with a controlled enqueue timestamp. */
 serve::QueuedRequest
-stampedRequest(const std::string &model, serve::Priority priority,
+stampedRequest(const std::string &model,
                std::chrono::steady_clock::time_point enqueued)
 {
     serve::QueuedRequest request;
@@ -225,101 +225,39 @@ stampedRequest(const std::string &model, serve::Priority priority,
     request.completion =
         std::make_shared<serve::detail::CompletionState>();
     request.completion->enqueued = enqueued;
-    request.priority = priority;
     return request;
 }
 
 } // namespace
 
-TEST(BatchQueue, InteractiveClassIsServedFirstWithinABatch)
+TEST(BatchQueue, OneModelsBatchPopsInEnqueueOrder)
 {
     serve::BatchingConfig cfg;
     cfg.max_batch = 4;
     cfg.batch_window = std::chrono::microseconds(0); // dispatchable now
-    cfg.priority_aging = std::chrono::seconds(10);   // nobody ages
     serve::BatchQueue queue(cfg);
 
+    // Five requests of one model, tagged 1..5 in push order.
     const auto now = std::chrono::steady_clock::now();
-    using std::chrono::microseconds;
-    // Batch-class requests arrive *first* (older)...
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Batch, now - microseconds(400))));
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Batch, now - microseconds(300))));
-    // ...then interactive ones.
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Interactive, now - microseconds(200))));
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Interactive, now - microseconds(100))));
+    for (uint64_t tag = 1; tag <= 5; ++tag) {
+        auto request = stampedRequest(
+            "m", now - std::chrono::microseconds(600 - 100 * tag));
+        request.trace_id = tag;
+        ASSERT_TRUE(queue.push(std::move(request)));
+    }
 
+    // The first batch is the four oldest, in the order they came; the
+    // fifth waits for the next pop.
     const auto batch = queue.popBatch();
     ASSERT_EQ(batch.size(), 4u);
-    // Interactive jumps ahead of older, un-aged batch work.
-    EXPECT_EQ(batch[0].priority, serve::Priority::Interactive);
-    EXPECT_EQ(batch[1].priority, serve::Priority::Interactive);
-    EXPECT_EQ(batch[2].priority, serve::Priority::Batch);
-    EXPECT_EQ(batch[3].priority, serve::Priority::Batch);
-    // FIFO within each class.
-    EXPECT_LT(batch[0].completion->enqueued,
-              batch[1].completion->enqueued);
-    EXPECT_LT(batch[2].completion->enqueued,
-              batch[3].completion->enqueued);
+    for (size_t i = 0; i < batch.size(); ++i)
+        EXPECT_EQ(batch[i].trace_id, i + 1);
     queue.markDone(batch.size());
-}
 
-TEST(BatchQueue, AgedBatchRequestsStopYielding)
-{
-    serve::BatchingConfig cfg;
-    cfg.max_batch = 3;
-    cfg.batch_window = std::chrono::microseconds(0);
-    cfg.priority_aging = std::chrono::milliseconds(5);
-    serve::BatchQueue queue(cfg);
-
-    const auto now = std::chrono::steady_clock::now();
-    using std::chrono::milliseconds;
-    // A batch-class request older than priority_aging beats younger
-    // interactive work — starvation-free aging.
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Batch, now - milliseconds(50))));
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Interactive, now - milliseconds(1))));
-    // A *younger-than-aging* batch request still yields.
-    ASSERT_TRUE(queue.push(stampedRequest(
-        "m", serve::Priority::Batch, now)));
-
-    const auto batch = queue.popBatch();
-    ASSERT_EQ(batch.size(), 3u);
-    EXPECT_EQ(batch[0].priority, serve::Priority::Batch); // aged
-    EXPECT_EQ(batch[1].priority, serve::Priority::Interactive);
-    EXPECT_EQ(batch[2].priority, serve::Priority::Batch);
-    queue.markDone(batch.size());
-}
-
-TEST(InferenceServer, SubmitOptionsCarryPriorityEndToEnd)
-{
-    // Both classes execute correctly (scheduling differs, results
-    // must not): a smoke over the SubmitOptions plumbing.
-    auto proto = tinyNet();
-    const auto inputs = tinyInputs(6);
-    const auto expected = referenceLogits(proto, inputs);
-
-    serve::ServerConfig cfg;
-    cfg.workers = 2;
-    cfg.batching.max_batch = 4;
-    serve::InferenceServer server(cfg);
-    server.registry().add("tiny", std::move(proto));
-
-    std::vector<serve::Completion> handles;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        serve::SubmitOptions options;
-        options.priority = i % 2 == 0 ? serve::Priority::Interactive
-                                      : serve::Priority::Batch;
-        handles.push_back(server.submit("tiny", inputs[i], options));
-    }
-    for (size_t i = 0; i < handles.size(); ++i) {
-        ASSERT_EQ(handles[i].wait(), serve::RequestStatus::Done);
-        EXPECT_EQ(handles[i].logits(), expected[i]);
-    }
+    const auto rest = queue.popBatch();
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0].trace_id, 5u);
+    queue.markDone(rest.size());
 }
 
 TEST(InferenceServer, BatchedMatchesSequentialDigitalBitExact)

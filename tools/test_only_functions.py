@@ -13,8 +13,11 @@ Static reachability needs an unoptimised build: inlining hides callers.
 So the script configures the whole tree (fuzzers included) and a
 standalone benchmark/ tree, both with
 
-    -O0 -fno-inline -ffunction-sections -fdata-sections
-    -Wl,--gc-sections
+    -O0 -fno-inline -fkeep-inline-functions
+    -ffunction-sections -fdata-sections -Wl,--gc-sections
+
+(-fkeep-inline-functions emits every inline function of a header that
+an object includes, so one that nothing calls is still seen.)
 
 builds them, and runs `nm --defined-only` on the archive and on every
 binary. benchmark/CMakeLists.txt accepts only Release, so that tree
@@ -23,7 +26,10 @@ file under benchmark/ is edited.
 
 Findings are `photofourier::` functions (lambdas fold into the function
 that defines them; standard-library instances are ignored), printed per
-defining source file and sorted. tools/test_only_allowlist.txt names the
+defining source file and sorted. Special members the compiler
+generates are skipped by name: a constructor or destructor whose
+parameters are empty or the class itself (`X()`, `X(X const&)`,
+`X(X&&)`, `~X()`). tools/test_only_allowlist.txt names the
 findings that stay, one demangled name per line followed by ` # ` and
 the reason. The script exits 1 on a finding missing from the allowlist
 and on an allowlist line that is no longer a finding, so the list
@@ -49,7 +55,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWLIST = ROOT / "tools" / "test_only_allowlist.txt"
 
-FLAGS = "-O0 -fno-inline -ffunction-sections -fdata-sections"
+FLAGS = ("-O0 -fno-inline -fkeep-inline-functions -ffunction-sections "
+         "-fdata-sections")
 LINK_FLAGS = "-Wl,--gc-sections"
 
 # Binaries outside the system: the GTest suites and the kernel
@@ -216,6 +223,17 @@ def own_function(demangled: str) -> str | None:
     return ALLOCATOR.sub(">", name)
 
 
+def special_member(fn: str) -> bool:
+    """True for `X()`, `X(X const&)`, `X(X&&)` and `~X()`."""
+    qualified, _, params = fn.partition("(")
+    scope, _, name = qualified.rpartition("::")
+    cls = scope.rpartition("::")[2].split("<")[0]
+    if name not in (cls, "~" + cls):
+        return False
+    params = params.removesuffix(")")
+    return params in ("", f"{scope} const&", f"{scope}&&")
+
+
 def findings(tree: Path, bench: Path) -> tuple[dict[str, str],
                                               dict[str, str], int]:
     """(test-only, dead) maps of function -> source file."""
@@ -235,7 +253,7 @@ def findings(tree: Path, bench: Path) -> tuple[dict[str, str],
     dead: dict[str, str] = {}
     for sym in mangled:
         fn = own_function(names[sym])
-        if fn is None:
+        if fn is None or special_member(fn):
             continue
         if sym in in_system:
             reached.add(fn)
