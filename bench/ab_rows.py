@@ -18,7 +18,10 @@ both sides see the same host. It prints, per row present in both:
     rounds and the medians differ by more than the parent's quartile
     distance, "within" otherwise (the same binary on both sides reads
     up to about +-15% on us-scale rows, so a ratio alone is no
-    evidence),
+    evidence). Below MIN_VERDICT_ROUNDS (10) rounds the verdict reads
+    "n/a": at two rounds, 2/2 wins passes the nine-tenths rule and two
+    samples give a near-zero quartile distance, so the same binary on
+    both sides read "slower" on a us-scale row,
   - the repetitions compare_bench.py --contention would flag
     (real_time > 1.5x cpu_time: the run waited on something other
     than its own work), as "p" (parent) and "c" (change) round lists.
@@ -46,6 +49,7 @@ from compare import quartiles  # noqa: E402
 from compare_bench import CONTENTION_FACTOR, fmt_ns  # noqa: E402
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+MIN_VERDICT_ROUNDS = 10
 
 
 def run_once(binary, filter_re):
@@ -79,7 +83,10 @@ def contended(sample):
 
 
 def verdict(parent, change):
-    """faster / slower / within for paired real times, one per round."""
+    """faster / slower / within for paired real times, one per round;
+    n/a below MIN_VERDICT_ROUNDS rounds."""
+    if len(parent) < MIN_VERDICT_ROUNDS:
+        return "n/a"
     p_q1, p_med, p_q3 = quartiles(parent)
     c_med = statistics.median(change)
     if abs(c_med - p_med) <= p_q3 - p_q1:

@@ -524,26 +524,28 @@ namespace {
 
 /** N same-shape requests through one convolveBatch call (the serving
  *  path): per-layer weight prep and kernel-spectrum fetches happen
- *  once for the whole micro-batch. */
+ *  once for the whole micro-batch. The layer maps `channels` to
+ *  `channels` 32x32 planes with k x k kernels. */
 void
 convEngineBatchBench(benchmark::State &state,
-                     const pf::nn::ConvEngine &engine)
+                     const pf::nn::ConvEngine &engine, size_t channels = 8,
+                     size_t k = 7)
 {
     const size_t batch = static_cast<size_t>(state.range(0));
     pf::Rng rng(15);
     std::vector<pf::nn::Tensor> inputs;
     for (size_t b = 0; b < batch; ++b) {
-        pf::nn::Tensor t(8, 32, 32);
-        t.data() = rng.uniformVector(8 * 32 * 32, 0.0, 1.0);
+        pf::nn::Tensor t(channels, 32, 32);
+        t.data() = rng.uniformVector(t.size(), 0.0, 1.0);
         inputs.push_back(std::move(t));
     }
     std::vector<pf::nn::Tensor> weights;
-    for (size_t oc = 0; oc < 8; ++oc) {
-        pf::nn::Tensor w(8, 7, 7);
-        w.data() = rng.uniformVector(8 * 7 * 7, -0.3, 0.3);
+    for (size_t oc = 0; oc < channels; ++oc) {
+        pf::nn::Tensor w(channels, k, k);
+        w.data() = rng.uniformVector(w.size(), -0.3, 0.3);
         weights.push_back(std::move(w));
     }
-    const std::vector<double> bias(8, 0.1);
+    const std::vector<double> bias(channels, 0.1);
     auto warm = engine.convolveBatch(inputs, weights, bias, 1,
                                      sig::ConvMode::Same);
     benchmark::DoNotOptimize(warm.data());
@@ -575,6 +577,16 @@ BM_ConvEngineBatchPhotoFourier(benchmark::State &state)
     convEngineBatchBench(state, pf::nn::PhotoFourierEngine());
 }
 BENCHMARK(BM_ConvEngineBatchPhotoFourier)->Arg(1)->Arg(4);
+
+static void
+BM_ConvEngineBatchPhotoFourierVgg(benchmark::State &state)
+{
+    // small-vgg's second conv layer (16 -> 16 channels, 32x32, 3x3) on
+    // the paper's engine at its defaults: one temporal-accumulation
+    // group of 16 channels, every channel on the Auto sliding path.
+    convEngineBatchBench(state, pf::nn::PhotoFourierEngine(), 16, 3);
+}
+BENCHMARK(BM_ConvEngineBatchPhotoFourierVgg)->Arg(1);
 
 static void
 BM_ConvEngineBatchPhotoFourierOptical(benchmark::State &state)

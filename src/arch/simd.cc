@@ -161,7 +161,7 @@ slidingDotEdge(const double *s, size_t n_s, const size_t *tap_idx,
             if (idx >= 0 && idx < static_cast<long>(n_s))
                 acc += s[static_cast<size_t>(idx)] * tap_val[t];
         }
-        out[i] = acc;
+        out[i] += acc;
     }
 }
 
@@ -566,8 +566,7 @@ slidingDotAvx2(const double *s, size_t n_s, const size_t *tap_idx,
                size_t count, double *out)
 {
     if (n_taps == 0) {
-        for (size_t i = 0; i < count; ++i)
-            out[i] = 0.0;
+        slidingDotEdge(s, n_s, tap_idx, tap_val, 0, start, 0, count, out);
         return;
     }
     size_t i_lo, i_hi;
@@ -587,8 +586,10 @@ slidingDotAvx2(const double *s, size_t n_s, const size_t *tap_idx,
             acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(p), v, acc0);
             acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(p + 4), v, acc1);
         }
-        _mm256_storeu_pd(out + i, acc0);
-        _mm256_storeu_pd(out + i + 4, acc1);
+        _mm256_storeu_pd(out + i,
+                         _mm256_add_pd(_mm256_loadu_pd(out + i), acc0));
+        _mm256_storeu_pd(out + i + 4,
+                         _mm256_add_pd(_mm256_loadu_pd(out + i + 4), acc1));
     }
     for (; i + 4 <= i_hi; i += 4) {
         __m256d acc = _mm256_setzero_pd();
@@ -599,7 +600,8 @@ slidingDotAvx2(const double *s, size_t n_s, const size_t *tap_idx,
             acc = _mm256_fmadd_pd(_mm256_loadu_pd(p),
                                   _mm256_set1_pd(tap_val[t]), acc);
         }
-        _mm256_storeu_pd(out + i, acc);
+        _mm256_storeu_pd(out + i,
+                         _mm256_add_pd(_mm256_loadu_pd(out + i), acc));
     }
     slidingDotEdge(s, n_s, tap_idx, tap_val, n_taps, start, i, i_hi,
                    out);
@@ -920,8 +922,7 @@ slidingDotNeon(const double *s, size_t n_s, const size_t *tap_idx,
                size_t count, double *out)
 {
     if (n_taps == 0) {
-        for (size_t i = 0; i < count; ++i)
-            out[i] = 0.0;
+        slidingDotEdge(s, n_s, tap_idx, tap_val, 0, start, 0, count, out);
         return;
     }
     size_t i_lo, i_hi;
@@ -940,8 +941,8 @@ slidingDotNeon(const double *s, size_t n_s, const size_t *tap_idx,
             acc0 = vfmaq_n_f64(acc0, vld1q_f64(p), tap_val[t]);
             acc1 = vfmaq_n_f64(acc1, vld1q_f64(p + 2), tap_val[t]);
         }
-        vst1q_f64(out + i, acc0);
-        vst1q_f64(out + i + 2, acc1);
+        vst1q_f64(out + i, vaddq_f64(vld1q_f64(out + i), acc0));
+        vst1q_f64(out + i + 2, vaddq_f64(vld1q_f64(out + i + 2), acc1));
     }
     slidingDotEdge(s, n_s, tap_idx, tap_val, n_taps, start, i, i_hi,
                    out);

@@ -191,13 +191,18 @@ struct Kernels
                            const double *b, size_t n);
 
     /**
-     * Sliding dot product with zero extension outside [0, n_s):
+     * Sliding dot product with zero extension outside [0, n_s), added
+     * into out:
      *
-     *   out[i] = sum_t s[start + i + tap_idx[t]] * tap_val[t]
+     *   out[i] += sum_t s[start + i + tap_idx[t]] * tap_val[t]
      *
      * for i in [0, count), terms whose index falls outside the signal
-     * contributing exactly 0. tap_idx must be sorted ascending (the
-     * natural order of a kernel's nonzero taps). out aliases nothing.
+     * contributing exactly 0. Each sum starts from 0.0 and is added to
+     * out[i] once, so sliding into a prefilled out is bit for bit the
+     * prefill plus the window slid into zeros (zero taps add 0.0), and
+     * channels slid into one zero-filled out sum their windows in call
+     * order. tap_idx must be sorted ascending (the natural order of a
+     * kernel's nonzero taps). out aliases nothing.
      */
     void (*slidingDot)(const double *s, size_t n_s,
                        const size_t *tap_idx, const double *tap_val,

@@ -38,8 +38,8 @@ struct EngineScratch
     signal::ComplexVector acc_spec;
     std::vector<double> row_time;
 
-    /** PhotoFourierEngine: the prepared tiles of the input channels run
-     *  together (one, or a temporal-accumulation group), read by every
+    /** PhotoFourierEngine: the prepared tiles of one temporal-
+     *  accumulation group's input channels, read by every
      *  output-channel job. Grow-only. */
     std::vector<tiling::TiledInput> group_tiles;
     /** PhotoFourierEngine: photodetector charges, plane-sized blocks
@@ -651,13 +651,13 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
     // the hardware does (Section V-F2: one input-channel tile is
     // broadcast to every PFCU's filters in the same cycle; Section V-C:
     // the output photodetector integrates the group's N_TA cycles
-    // before one readout). The channels run together are prepared
-    // once, and every (output channel, polarity) kernel plane runs
-    // against them. Where the backend sums in the Fourier plane
-    // (groupChannels) that is the whole group: one inverse transform
-    // per tile, kernel plane and group. Otherwise it is one channel at
-    // a time, and per (oc, group) the charges accumulate in ascending
-    // input channel order, the sums of a per-kernel loop.
+    // before one readout). A group's channels are prepared together,
+    // and every (output channel, polarity) kernel plane runs against
+    // them. With row tiling every backend reads one window per tile,
+    // kernel plane and group: one inverse transform where it sums in
+    // the Fourier plane, the channels' sliding dots accumulated into
+    // one window otherwise, in ascending input channel order. The
+    // per-row variants run the channels one at a time, in that order.
     sc.charges.assign(n_out * groups * 2 * plane, 0.0);
     double *const charges = sc.charges.data();
     auto charge = [&](size_t oc, size_t g, size_t polarity) {
@@ -672,12 +672,11 @@ PhotoFourierEngine::convolvePrepared(const Tensor &input,
     const size_t total_macs = n_out * n_in * oh * ow * k * k;
     const size_t oc_workers =
         total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
-    // A width of N_TA or 1, so a run never straddles two groups.
-    const size_t width = tiled.groupChannels(kernels, nta);
+    const size_t width = std::min(nta, n_in);
     if (sc.group_tiles.size() < width)
         sc.group_tiles.resize(width);
-    for (size_t ic0 = 0; ic0 < n_in; ic0 += width) {
-        const size_t channels = std::min(width, n_in - ic0);
+    for (size_t ic0 = 0; ic0 < n_in; ic0 += nta) {
+        const size_t channels = std::min(nta, n_in - ic0);
         for (size_t c = 0; c < channels; ++c) {
             input.channelMatrixInto(ic0 + c, sc.in_ch);
             for (auto &v : sc.in_ch.data)

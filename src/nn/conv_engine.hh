@@ -220,12 +220,13 @@ std::string engineConfigError(const PhotoFourierEngineConfig &config);
  * optics.
  *
  * Dataflow: output-stationary with input broadcasting, as in the
- * hardware (Section V-F2). For each input channel, the tiles are
- * prepared once (flattened, checked, and transformed by the signal-
- * plane r2c where the backend needs it), and every (output channel,
- * polarity) kernel plane runs against them. Each (output channel,
- * readout group) charge still accumulates in ascending input-channel
- * order, so outputs match a per-kernel loop bit for bit.
+ * hardware (Section V-F2). For each readout group of N_TA input
+ * channels, the tiles are prepared once (flattened, checked, and
+ * transformed by the signal-plane r2c where the backend needs it), and
+ * every (output channel, polarity) kernel plane runs against the whole
+ * group. On the sliding and Auto paths each (output channel, readout
+ * group) charge still accumulates in ascending input-channel order, so
+ * outputs match a per-kernel loop bit for bit.
  */
 class PhotoFourierEngine : public ConvEngine
 {

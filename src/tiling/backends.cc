@@ -96,12 +96,12 @@ appendKernel(const std::vector<double> &kernel, KernelBank &bank)
     return k;
 }
 
-/** The kernel's window by the zero-skip SIMD sliding dot product. */
+/** Add the kernel's window, by the zero-skip SIMD sliding dot product,
+ *  into out (tile.count samples). */
 void
-slidingWindow(const PreparedTile &tile, const KernelBank &bank,
-              const PreparedKernel &k, std::vector<double> &out)
+addSlidingWindow(const PreparedTile &tile, const KernelBank &bank,
+                 const PreparedKernel &k, std::vector<double> &out)
 {
-    out.resize(tile.count);
     simd::kernels().slidingDot(
         tile.samples.data(), tile.samples.size(),
         bank.tap_idx.data() + k.tap_begin,
@@ -241,27 +241,6 @@ fftWindow(std::span<const ChannelTerm> group, const KernelBank &bank,
     }
 }
 
-/**
- * out = the group's per-channel windows summed in ascending channel
- * order; `one(term, window)` writes one channel's window. A group of
- * one is that channel's window itself.
- */
-template <typename OneWindow>
-void
-sumChannelWindows(std::span<const ChannelTerm> group,
-                  std::vector<double> &out, OneWindow &&one)
-{
-    one(group[0], out);
-    if (group.size() == 1)
-        return;
-    static thread_local std::vector<double> term_window;
-    for (size_t c = 1; c < group.size(); ++c) {
-        one(group[c], term_window);
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] += term_window[i];
-    }
-}
-
 /** The kernel's correlation half-spectrum at the FFT size its tiles
  *  of `input_len` samples use: shared through the cache, or owned. */
 std::shared_ptr<const signal::ComplexVector>
@@ -285,7 +264,6 @@ KernelBank::clear()
     tap_idx.clear();
     tap_val.clear();
     needs_tile_spectra = false;
-    fourier_sum = false;
 }
 
 size_t
@@ -335,11 +313,10 @@ class CpuImpl final : public Conv1dBackend::Impl
     window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        sumChannelWindows(group, out, [&](const ChannelTerm &term,
-                                          std::vector<double> &window) {
-            slidingWindow(*term.tile, bank, bank.kernels[term.kernel],
-                          window);
-        });
+        out.assign(group[0].tile->count, 0.0);
+        for (const ChannelTerm &term : group)
+            addSlidingWindow(*term.tile, bank, bank.kernels[term.kernel],
+                             out);
     }
 };
 
@@ -361,7 +338,6 @@ class FftImpl final : public Conv1dBackend::Impl
             k.spectrum =
                 correlationSpectrumFor(kernel, input_len, cache_.get());
         bank.needs_tile_spectra = true;
-        bank.fourier_sum = true;
         return bank.kernels.size() - 1;
     }
 
@@ -427,17 +403,21 @@ class AutoImpl final : public Conv1dBackend::Impl
     window(std::span<const ChannelTerm> group, const KernelBank &bank,
            std::vector<double> &out) const override
     {
-        sumChannelWindows(group, out, [&](const ChannelTerm &term,
-                                          std::vector<double> &window) {
+        out.assign(group[0].tile->count, 0.0);
+        static thread_local std::vector<double> fft_window;
+        for (const ChannelTerm &term : group) {
             const PreparedTile &tile = *term.tile;
             const PreparedKernel &k = bank.kernels[term.kernel];
             // fftConvProfitable, split across the halves: the FFT cost
             // is the tile's, the sliding cost the kernel's tap count.
-            if (tile.fft_cost < slidingCost(tile.count, k.tap_count))
-                fftWindow({&term, 1}, bank, window);
-            else
-                slidingWindow(tile, bank, k, window);
-        });
+            if (tile.fft_cost < slidingCost(tile.count, k.tap_count)) {
+                fftWindow({&term, 1}, bank, fft_window);
+                for (size_t i = 0; i < out.size(); ++i)
+                    out[i] += fft_window[i];
+            } else {
+                addSlidingWindow(tile, bank, k, out);
+            }
+        }
     }
 
   private:
@@ -464,7 +444,6 @@ class JtcImpl final : public Conv1dBackend::Impl
         PreparedKernel &k = bank.kernels.emplace_back();
         k.length = kernel.size();
         bank.needs_tile_spectra = true;
-        bank.fourier_sum = true;
         const bool any_negative =
             std::any_of(kernel.begin(), kernel.end(),
                         [](double w) { return w < 0.0; });

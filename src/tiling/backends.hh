@@ -25,12 +25,14 @@
  *
  * The group sum is the photodetector's temporal accumulation (paper
  * Section V-C): the charges of N_TA input channels integrate before one
- * readout. Backends whose second transform is linear in the Fourier
+ * readout, and every backend gains from running the group as one
+ * window. Backends whose second transform is linear in the Fourier
  * plane sum there and run one inverse transform per group: the FFT
  * path sums the block products S_i * K_i, the JTC sums the detected
- * intensities |S_i + K_i|^2 (KernelBank::fourier_sum). The sliding
- * paths and Auto sum the per-channel windows in ascending channel
- * order.
+ * intensities |S_i + K_i|^2. The sliding path slides every channel
+ * into one zero-filled window, in ascending channel order, so the
+ * caller reads one window per group instead of one per channel; an
+ * Auto channel that picks the FFT path adds its own window there.
  *
  * The one-kernel call backend(input, kernel, start, count, out) runs
  * the same halves back to back, so a prepared tile read by N prepared
@@ -129,10 +131,6 @@ struct KernelBank
     /** Some kernel runs in the frequency domain, so tiles need their
      *  spectrum (pass to Conv1dBackend::prepareTile). */
     bool needs_tile_spectra = false;
-    /** The backend sums a channel group's windows in the Fourier plane,
-     *  one inverse transform per group: callers gain from handing
-     *  window() whole groups rather than single channels. */
-    bool fourier_sum = false;
 
     /** Drop every kernel, keeping capacity. */
     void clear();

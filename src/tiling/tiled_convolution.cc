@@ -180,14 +180,6 @@ TiledConvolution::execute(const signal::Matrix &input,
 }
 
 size_t
-TiledConvolution::groupChannels(const KernelBank &bank, size_t depth) const
-{
-    const bool grouped =
-        plan_.variant == Variant::RowTiling && bank.fourier_sum;
-    return grouped ? depth : 1;
-}
-
-size_t
 TiledConvolution::prepareKernel(const signal::Matrix &kernel,
                                 KernelBank &bank) const
 {

@@ -27,8 +27,10 @@
  *    caller-owned accumulator plane, such as a photodetector charge
  *    plane: strided output positions only, with no intermediate output
  *    plane. Row tiling hands the backend each tile's whole channel
- *    group in one window() call, so a backend that sums in the Fourier
- *    plane runs one inverse transform per (tile, group).
+ *    group in one window() call, so every backend yields one window
+ *    per (tile, group) and the executor adds it once: one inverse
+ *    transform where the backend sums in the Fourier plane, every
+ *    channel's sliding dot accumulated into that window otherwise.
  *
  * execute() is the one-kernel call: both halves back to back,
  * accumulated into a zero-filled output.
@@ -134,15 +136,6 @@ class TiledConvolution
                          const KernelBank &bank, size_t kernel,
                          size_t kernel_stride,
                          std::span<double> acc) const;
-
-    /**
-     * Input planes to hand executePrepared at once for a temporal-
-     * accumulation depth (>= 1): the whole group where row tiling
-     * meets a bank whose backend sums in the Fourier plane
-     * (KernelBank::fourier_sum), else one. Sliding backends gain
-     * nothing from a group, so their callers hold one plane's tiles.
-     */
-    size_t groupChannels(const KernelBank &bank, size_t depth) const;
 
     /** Prepared kernels per kernel plane: 1 for row tiling, the
      *  kernel-row groups for partial row tiling, Sk for row

@@ -275,6 +275,62 @@ TEST(AllocPins, VariedBackendOneKernelCall)
 namespace {
 
 /**
+ * Allocations of warm group windows of `backend` over four channels of
+ * 4096 samples and 511-tap kernels; even channels are sparse, odd ones
+ * dense, so an Auto group runs both the sliding and the FFT path.
+ */
+uint64_t
+warmGroupWindowAllocations(const tl::Conv1dBackend &backend)
+{
+    pf::Rng rng(86);
+    const size_t n = 4096, k = 511, channels = 4;
+    const size_t counts[] = {n};
+    tl::KernelBank bank;
+    for (size_t c = 0; c < channels; ++c) {
+        auto kernel = rng.uniformVector(k, -0.5, 0.5);
+        if (c % 2 == 0)
+            for (size_t t = 0; t < k; ++t)
+                if (t % 16 != 0)
+                    kernel[t] = 0.0;
+        backend.prepareKernel(kernel, n, counts, bank);
+    }
+    std::vector<tl::PreparedTile> tiles(channels);
+    std::vector<tl::ChannelTerm> terms;
+    for (size_t c = 0; c < channels; ++c) {
+        tiles[c].samples = rng.uniformVector(n, -1.0, 1.0);
+        tiles[c].start = -7;
+        tiles[c].count = n;
+        tiles[c].kernel_len = k;
+        backend.prepareTile(tiles[c], bank.needs_tile_spectra);
+        terms.push_back({&tiles[c], c});
+    }
+    std::vector<double> out;
+    return steadyStateAllocations(
+        [&] { backend.window(terms, bank, out); }, 4);
+}
+
+} // namespace
+
+TEST(AllocPins, CpuBackendGroupWindow)
+{
+    // The channels slide into one window: no per-channel buffer.
+    EXPECT_EQ(warmGroupWindowAllocations(tl::cpuBackend()), 0u)
+        << "the CPU group window allocated in steady state";
+}
+
+TEST(AllocPins, AutoBackendGroupWindow)
+{
+    // A channel on the FFT path adds its window from per-thread
+    // scratch.
+    EXPECT_EQ(warmGroupWindowAllocations(tl::autoBackend(
+                  std::make_shared<tl::KernelSpectrumCache>())),
+              0u)
+        << "the Auto group window allocated in steady state";
+}
+
+namespace {
+
+/**
  * Allocations of `iterations` warm optical convolveBatch calls of a
  * batch of three over `in_channels` input channels, read out every
  * `depth` channels. `outs` receives the last call's result.

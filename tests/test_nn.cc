@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <sstream>
@@ -275,6 +277,81 @@ TEST(PhotoFourierEngine, FourierPlaneGroupsMatchPerChannelReadout)
         for (size_t i = 0; i < each.size(); ++i)
             ASSERT_NEAR(grouped.data()[i], each.data()[i], bound)
                 << (optical ? "optical" : "fft") << " output " << i;
+    }
+}
+
+TEST(PhotoFourierEngine, ShortLastAccumulationGroupIsItsOwnReadout)
+{
+    // 20 input channels at N_TA = 16: one full group and a short one of
+    // four, on the sliding (Direct), Auto and FFT paths under all three
+    // tiling variants. With ideal converters, no noise and no bias each
+    // group's readout is its own term of the output, so the layer must
+    // equal, bit for bit, the same layer run on channels 0..15 plus the
+    // one run on channels 16..19. It must also match N_TA = 1 (every
+    // channel read on its own) up to the rounding of the regrouped sums.
+    pf::Rng rng(8);
+    const size_t n_in = 20, nta = 16;
+    const auto input = randomTensor(rng, n_in, 16, 16, 0.0, 1.0);
+    std::vector<nn::Tensor> weights;
+    for (int oc = 0; oc < 3; ++oc)
+        weights.push_back(randomTensor(rng, n_in, 5, 5, -0.5, 0.5));
+    auto channels = [](const nn::Tensor &t, size_t first, size_t count) {
+        nn::Tensor out(count, t.height(), t.width());
+        const size_t plane = t.height() * t.width();
+        std::copy_n(t.data().begin() + first * plane, count * plane,
+                    out.data().begin());
+        return out;
+    };
+    struct Tiling
+    {
+        size_t n_conv, stride;
+        sig::ConvMode mode;
+    };
+    const Tiling tilings[] = {
+        {256, 1, sig::ConvMode::Same},  // row tiling, short last tile
+        {48, 2, sig::ConvMode::Same},   // partial row tiling
+        {12, 1, sig::ConvMode::Valid},  // row partitioning
+    };
+    for (nn::ConvPath path :
+         {nn::ConvPath::Direct, nn::ConvPath::Auto, nn::ConvPath::Fft}) {
+        for (const Tiling &t : tilings) {
+            nn::PhotoFourierEngineConfig cfg;
+            cfg.dac_bits = 0;
+            cfg.adc_bits = 0;
+            cfg.n_conv = t.n_conv;
+            cfg.conv_path = path;
+            cfg.temporal_accumulation_depth = nta;
+            const nn::PhotoFourierEngine engine(cfg);
+            const nn::Tensor all =
+                engine.convolve(input, weights, {}, t.stride, t.mode);
+
+            std::vector<nn::Tensor> head, tail;
+            for (const nn::Tensor &w : weights) {
+                head.push_back(channels(w, 0, nta));
+                tail.push_back(channels(w, nta, n_in - nta));
+            }
+            const nn::Tensor first = engine.convolve(
+                channels(input, 0, nta), head, {}, t.stride, t.mode);
+            const nn::Tensor last = engine.convolve(
+                channels(input, nta, n_in - nta), tail, {}, t.stride,
+                t.mode);
+            ASSERT_EQ(all.size(), first.size());
+            for (size_t i = 0; i < all.size(); ++i)
+                ASSERT_EQ(std::bit_cast<uint64_t>(all.data()[i]),
+                          std::bit_cast<uint64_t>(first.data()[i] +
+                                                  last.data()[i]))
+                    << "path " << static_cast<int>(path) << " n_conv="
+                    << t.n_conv << " output " << i;
+
+            cfg.temporal_accumulation_depth = 1;
+            const nn::Tensor each = nn::PhotoFourierEngine(cfg).convolve(
+                input, weights, {}, t.stride, t.mode);
+            const double bound = 1e-12 * each.maxAbs();
+            for (size_t i = 0; i < all.size(); ++i)
+                ASSERT_NEAR(all.data()[i], each.data()[i], bound)
+                    << "path " << static_cast<int>(path) << " n_conv="
+                    << t.n_conv << " output " << i;
+        }
     }
 }
 

@@ -382,13 +382,54 @@ TEST_P(SimdKernelEquivalence, SlidingDotSignedTapsAndEdges)
 
 TEST_P(SimdKernelEquivalence, SlidingDotZeroTaps)
 {
+    // No taps: the window is all 0.0, and adding it leaves out as it
+    // was.
     ScopedLevel force(GetParam());
     const size_t count = 17;
     std::vector<double> s(8, 1.0), out(count, 42.0);
     simd::kernels().slidingDot(s.data(), s.size(), nullptr, nullptr,
                                0, -3, count, out.data());
     for (double v : out)
-        EXPECT_EQ(v, 0.0);
+        EXPECT_EQ(v, 42.0);
+}
+
+TEST_P(SimdKernelEquivalence, SlidingDotAccumulatesBitExact)
+{
+    // Sliding into a prefilled out is, bit for bit, the prefill plus
+    // the window slid into zeros: each sum starts from 0.0 and is added
+    // once. Checked at the forced vector level and on the scalar table,
+    // with signed taps, windows past both signal ends, zero taps, and a
+    // prefill holding -0.0 (which 0.0 added turns into +0.0).
+    ScopedLevel force(GetParam());
+    const size_t n_s = 97;
+    const auto s = randomVector(n_s, 14);
+    const std::vector<size_t> tap_idx = {0, 1, 5, 6, 7, 20};
+    const std::vector<double> tap_val = {0.75, -1.5, 2.25, -0.125, 1.0,
+                                         -3.5};
+    for (const simd::Kernels *k :
+         {&simd::scalarKernels(), &simd::kernels()}) {
+        for (size_t n_taps : {size_t{0}, size_t{1}, tap_idx.size()}) {
+            for (long start : {-30L, -5L, 0L, 11L, 90L}) {
+                const size_t count = 120;
+                std::vector<double> prefill = randomVector(count, 15);
+                prefill[0] = -0.0;
+                prefill[count - 1] = -0.0;
+                std::vector<double> fresh(count, 0.0), out = prefill;
+                k->slidingDot(s.data(), n_s, tap_idx.data(),
+                              tap_val.data(), n_taps, start, count,
+                              fresh.data());
+                k->slidingDot(s.data(), n_s, tap_idx.data(),
+                              tap_val.data(), n_taps, start, count,
+                              out.data());
+                std::vector<double> want(count);
+                for (size_t i = 0; i < count; ++i)
+                    want[i] = prefill[i] + fresh[i];
+                EXPECT_EQ(bits(out), bits(want))
+                    << (k == &simd::scalarKernels() ? "scalar" : "vector")
+                    << " taps=" << n_taps << " start=" << start;
+            }
+        }
+    }
 }
 
 TEST_P(SimdKernelEquivalence, TransposeIncludingDegenerate)

@@ -15,11 +15,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 
 #include "counting_alloc.hh"
 
+#include "arch/simd.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "signal/convolution.hh"
@@ -635,6 +639,10 @@ struct NamedBackend
     const char *name;
     tl::Conv1dBackend backend;
     bool non_negative_input; ///< optical backends read light amplitudes
+    /** A group window sums the channels in the Fourier plane (one
+     *  inverse transform), so it matches the per-channel sum only up to
+     *  rounding; the sliding paths match it bit for bit. */
+    bool fourier_sum;
 };
 
 std::vector<NamedBackend>
@@ -645,17 +653,17 @@ everyBackend()
     const auto input_gains = randomVector(rng, 4096, 0.9, 1.1);
     const auto weight_gains = randomVector(rng, 4096, 0.9, 1.1);
     return {
-        {"cpu", tl::cpuBackend(), false},
-        {"fft", tl::fftBackend(), false},
-        {"fft cached", tl::fftBackend(cache), false},
-        {"auto", tl::autoBackend(cache), false},
-        {"jtc", tl::jtcBackend(cache->opticalPlaneCache()), true},
+        {"cpu", tl::cpuBackend(), false, false},
+        {"fft", tl::fftBackend(), false, true},
+        {"fft cached", tl::fftBackend(cache), false, true},
+        {"auto", tl::autoBackend(cache), false, false},
+        {"jtc", tl::jtcBackend(cache->opticalPlaneCache()), true, true},
         {"varied cpu",
          tl::variedBackend(tl::cpuBackend(), input_gains, weight_gains),
-         false},
+         false, false},
         {"varied jtc",
          tl::variedBackend(tl::jtcBackend(), input_gains, weight_gains),
-         true},
+         true, true},
     };
 }
 
@@ -865,7 +873,6 @@ TEST(Conv1dBackendGroups, JtcGroupSumMatchesSummedCorrelationWindows)
         for (size_t channels : {1, 2, 4, 16}) {
             PreparedGroup group(backend, rng, channels, shape.n, shape.k,
                                 shape.start, shape.count, true);
-            ASSERT_TRUE(group.bank.fourier_sum);
             std::vector<double> out;
             backend.window(group.terms, group.bank, out);
 
@@ -913,21 +920,17 @@ TEST(Conv1dBackendGroups, JtcGroupSumMatchesSummedCorrelationWindows)
 TEST(Conv1dBackendGroups, GroupWindowsMatchPerChannelSums)
 {
     // Per channel, window() over a group of one; the group's window
-    // against their ascending sum. CPU, Auto and the varied CPU sum
-    // those windows themselves (bit-identical); the FFT paths and the
-    // JTC sum in the Fourier plane (bounded).
+    // against their ascending sum. CPU, Auto and the varied CPU
+    // accumulate the channels into one window (bit-identical); the FFT
+    // paths and the JTC sum in the Fourier plane (bounded).
     pf::Rng rng(331);
     for (const NamedBackend &nb : everyBackend()) {
-        const bool fourier = nb.name == std::string("fft") ||
-                             nb.name == std::string("fft cached") ||
-                             nb.name == std::string("jtc") ||
-                             nb.name == std::string("varied jtc");
+        const bool fourier = nb.fourier_sum;
         for (const GroupShape &shape : kGroupShapes) {
             for (size_t channels : {2, 5}) {
                 PreparedGroup group(nb.backend, rng, channels, shape.n,
                                     shape.k, shape.start, shape.count,
                                     nb.non_negative_input);
-                EXPECT_EQ(group.bank.fourier_sum, fourier) << nb.name;
                 std::vector<double> out, ref, window;
                 nb.backend.window(group.terms, group.bank, out);
                 for (size_t c = 0; c < channels; ++c) {
@@ -957,12 +960,106 @@ TEST(Conv1dBackendGroups, GroupWindowsMatchPerChannelSums)
     }
 }
 
+TEST(Conv1dBackendGroups, SlidingGroupWindowIsTheSumOfChannelWindows)
+{
+    // The CPU and Auto group windows accumulate every channel into one
+    // window. The reference keeps one window per channel (its sliding
+    // dot into zeros, or the FFT path's window for an Auto channel past
+    // the crossover) and adds the others to the first in ascending
+    // channel order; the two must match bit for bit. Even channels are
+    // sparse and stay on the sliding path; odd ones are dense, so on
+    // the long shape Auto runs them through the FFT path and its groups
+    // mix both paths.
+    auto cache = std::make_shared<tl::KernelSpectrumCache>();
+    const tl::Conv1dBackend fft = tl::fftBackend(cache);
+    const GroupShape shapes[] = {
+        {64, 9, -4, 80}, {256, 67, -1, 192}, {4096, 511, -7, 4096},
+    };
+    pf::Rng rng(333);
+    size_t mixed_groups = 0;
+    for (bool autoselect : {false, true}) {
+        const tl::Conv1dBackend backend =
+            autoselect ? tl::autoBackend(cache) : tl::cpuBackend();
+        for (const GroupShape &shape : shapes) {
+            for (size_t channels : {1, 3, 16}) {
+                std::vector<std::vector<double>> signals, kernels;
+                for (size_t c = 0; c < channels; ++c) {
+                    signals.push_back(
+                        rng.uniformVector(shape.n, -1.0, 1.0));
+                    kernels.push_back(
+                        rng.uniformVector(shape.k, -0.5, 0.5));
+                    if (c % 2 == 0)
+                        for (size_t t = 0; t < shape.k; ++t)
+                            if (t % 16 != 0)
+                                kernels.back()[t] = 0.0;
+                }
+                const size_t counts[] = {shape.count};
+                tl::KernelBank bank;
+                for (const auto &k : kernels)
+                    backend.prepareKernel(k, shape.n, counts, bank);
+                std::vector<tl::PreparedTile> tiles(channels);
+                std::vector<tl::ChannelTerm> terms;
+                for (size_t c = 0; c < channels; ++c) {
+                    tiles[c].samples = signals[c];
+                    tiles[c].start = shape.start;
+                    tiles[c].count = shape.count;
+                    tiles[c].kernel_len = shape.k;
+                    backend.prepareTile(tiles[c], bank.needs_tile_spectra);
+                    terms.push_back({&tiles[c], c});
+                }
+                std::vector<double> out;
+                backend.window(terms, bank, out);
+
+                std::vector<double> ref, window;
+                size_t fft_channels = 0;
+                for (size_t c = 0; c < channels; ++c) {
+                    const tl::PreparedKernel &k = bank.kernels[c];
+                    if (autoselect &&
+                        tl::fftConvProfitable(shape.n, shape.k,
+                                              k.tap_count, shape.count)) {
+                        fft(signals[c], kernels[c], shape.start,
+                            shape.count, window);
+                        ++fft_channels;
+                    } else {
+                        window.assign(shape.count, 0.0);
+                        pf::simd::kernels().slidingDot(
+                            signals[c].data(), shape.n,
+                            bank.tap_idx.data() + k.tap_begin,
+                            bank.tap_val.data() + k.tap_begin,
+                            k.tap_count, shape.start, shape.count,
+                            window.data());
+                    }
+                    if (c == 0) {
+                        ref = window;
+                        continue;
+                    }
+                    for (size_t i = 0; i < ref.size(); ++i)
+                        ref[i] += window[i];
+                }
+                if (fft_channels > 0 && fft_channels < channels)
+                    ++mixed_groups;
+                ASSERT_EQ(out.size(), ref.size());
+                for (size_t i = 0; i < ref.size(); ++i)
+                    ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
+                              std::bit_cast<uint64_t>(ref[i]))
+                        << (autoselect ? "auto" : "cpu") << " n="
+                        << shape.n << " channels " << channels
+                        << " sample " << i;
+            }
+        }
+    }
+    EXPECT_GT(mixed_groups, 0u)
+        << "no Auto group mixed the sliding and FFT paths";
+}
+
 TEST(TiledConvolutionHalves, InputPlaneGroupsMatchPerPlaneAccumulation)
 {
     // executePrepared over several input planes (the engine's channel
     // group) against one call per plane in ascending order. Row tiling
     // hands the backend whole groups; the per-row variants run plane by
-    // plane, so only row tiling on a Fourier-summing backend moves.
+    // plane, so only row tiling on a Fourier-summing backend moves the
+    // rounding. The sliding paths accumulate a group's channels into
+    // one window in the same order, so they stay bit for bit.
     struct Geometry { size_t si, sk, n_conv, stride; sig::ConvMode mode; };
     const Geometry cases[] = {
         {16, 5, 256, 1, sig::ConvMode::Same},  // row tiling, short last
@@ -987,11 +1084,9 @@ TEST(TiledConvolutionHalves, InputPlaneGroupsMatchPerPlaneAccumulation)
                     randomMatrix(rng, g.si, g.si,
                                  nb.non_negative_input ? 0.0 : -1.0, 1.0),
                     inputs[c], bank.needs_tile_spectra);
-            const bool row_tiling =
-                conv.plan().variant == tl::Variant::RowTiling;
-            const bool grouped = row_tiling && bank.fourier_sum;
-            EXPECT_EQ(conv.groupChannels(bank, 4), grouped ? 4u : 1u)
-                << nb.name << " n_conv=" << g.n_conv;
+            const bool grouped =
+                conv.plan().variant == tl::Variant::RowTiling &&
+                nb.fourier_sum;
 
             const size_t stride = conv.kernelGroups();
             sig::Matrix group, each;

@@ -26,7 +26,12 @@ file under benchmark/ is edited.
 
 Findings are `photofourier::` functions (lambdas fold into the function
 that defines them; standard-library instances are ignored), printed per
-defining source file and sorted. Special members the compiler
+defining source file and sorted. A weak symbol (an inline or template
+function) is emitted by every object that uses it, so it is filed under
+the src/ header that declares it: the one header naming the function,
+or, if several do, the one that also defines its class. A weak symbol
+no header declares (a template local to a .cc) keeps the smallest
+source path of the objects that emit it. Special members the compiler
 generates are skipped by name: a constructor or destructor whose
 parameters are empty or the class itself (`X()`, `X(X const&)`,
 `X(X&&)`, `~X()`). tools/test_only_allowlist.txt names the
@@ -76,6 +81,8 @@ ABBREVIATIONS = [
 # The default allocator argument: `std::vector<T, std::allocator<T> >`
 # reads as `std::vector<T>`.
 ALLOCATOR = re.compile(r", std::allocator<(?:[^<>]|<[^<>]*>)*> >")
+# An innermost template argument list.
+TEMPLATE_ARGS = re.compile(r"<[^<>]*>")
 
 
 def run(cmd: list[str]) -> str:
@@ -128,23 +135,44 @@ def text_symbols(binary: Path) -> set[str]:
     return syms
 
 
-def library_symbols(archive: Path) -> dict[str, str]:
-    """Mangled text symbol -> the src/ file of the object defining it."""
+def library_symbols(archive: Path) -> tuple[dict[str, str], set[str]]:
+    """(mangled text symbol -> the src/ file of the object defining it,
+    the weak symbols among them)."""
     sources = {p.name: str(p.relative_to(ROOT))
                for p in (ROOT / "src").rglob("*.cc")}
     out = run(["nm", "--defined-only", "-A", str(archive)])
     where: dict[str, str] = {}
+    weak: set[str] = set()
     for line in out.splitlines():
         parts = line.split()
         if len(parts) != 3 or parts[1] not in TEXT_TYPES:
             continue
         member = parts[0].split(":")[1].removesuffix(".o")
         src = sources.get(member, member)
+        if parts[1] == "W":
+            weak.add(parts[2])
         # A weak (inline or template) symbol is defined in several
         # objects; keep the smallest path so reruns agree.
         if parts[2] not in where or src < where[parts[2]]:
             where[parts[2]] = src
-    return where
+    return where, weak
+
+
+def declaring_header(fn: str, headers: dict[str, str]) -> str | None:
+    """The src/ header declaring function `fn`: the only header naming
+    it, else the only one of those that also defines its class."""
+    qualified = fn.partition("(")[0]
+    while TEMPLATE_ARGS.search(qualified):
+        qualified = TEMPLATE_ARGS.sub("", qualified)
+    scope, _, name = qualified.rpartition("::")
+    call = re.compile(r"(?<![\w~])" + re.escape(name) + r"\s*\(")
+    named = [h for h, text in headers.items() if call.search(text)]
+    if len(named) > 1:
+        owner = scope.rpartition("::")[2]
+        defines = re.compile(r"\b(?:class|struct)\s+" + re.escape(owner) +
+                             r"\b[^;]*?\{")
+        named = [h for h in named if defines.search(headers[h])]
+    return named[0] if len(named) == 1 else None
 
 
 def demangle(names: list[str]) -> list[str]:
@@ -237,7 +265,9 @@ def special_member(fn: str) -> bool:
 def findings(tree: Path, bench: Path) -> tuple[dict[str, str],
                                               dict[str, str], int]:
     """(test-only, dead) maps of function -> source file."""
-    lib = library_symbols(tree / "libphotofourier.a")
+    lib, weak = library_symbols(tree / "libphotofourier.a")
+    headers = {str(p.relative_to(ROOT)): p.read_text()
+               for p in (ROOT / "src").rglob("*.hh")}
     system, others = executables(tree, bench)
     in_system: set[str] = set()
     for b in system:
@@ -260,6 +290,8 @@ def findings(tree: Path, bench: Path) -> tuple[dict[str, str],
             continue
         dest = test_only if sym in in_others else dead
         src = lib[sym]
+        if sym in weak:
+            src = declaring_header(fn, headers) or src
         if fn not in dest or src < dest[fn]:
             dest[fn] = src
     # A function with any reached symbol (a constructor's other
