@@ -382,14 +382,12 @@ BM_TiledConv2dReusedOutput(benchmark::State &state)
 }
 BENCHMARK(BM_TiledConv2dReusedOutput)->Arg(14)->Arg(28)->Arg(56);
 
-// --- DirectEngine conv layers: the sliding window vs the frequency-
-// --- domain row path with cached kernel-row spectra (large kernels
-// --- are where the row path wins; Auto picks per geometry).
+// --- DirectEngine conv layers: the float reference on the tiled
+// --- executor (one zero-padded tile per plane, Auto 1D backend, no
+// --- cache, kernel half prepared every call).
 
-namespace {
-
-void
-engineLayerBench(benchmark::State &state, pf::nn::ConvPath path)
+static void
+BM_DirectEngine(benchmark::State &state)
 {
     const size_t k = static_cast<size_t>(state.range(0));
     pf::Rng rng(9);
@@ -402,34 +400,14 @@ engineLayerBench(benchmark::State &state, pf::nn::ConvPath path)
         weights.push_back(std::move(w));
     }
     const std::vector<double> bias(8, 0.1);
-    pf::nn::DirectEngine engine(nullptr, path);
-    // Populate the spectrum cache outside the timed loop (the serving
-    // steady state; cold spectra are a per-registration one-off).
-    auto warm = engine.convolve(input, weights, bias, 1,
-                                sig::ConvMode::Same);
-    benchmark::DoNotOptimize(warm.data().data());
+    const pf::nn::DirectEngine engine;
     for (auto _ : state) {
         auto out = engine.convolve(input, weights, bias, 1,
                                    sig::ConvMode::Same);
         benchmark::DoNotOptimize(out.data().data());
     }
 }
-
-} // namespace
-
-static void
-BM_DirectEngineSliding(benchmark::State &state)
-{
-    engineLayerBench(state, pf::nn::ConvPath::Direct);
-}
-BENCHMARK(BM_DirectEngineSliding)->Arg(3)->Arg(7)->Arg(13);
-
-static void
-BM_DirectEngineFftRows(benchmark::State &state)
-{
-    engineLayerBench(state, pf::nn::ConvPath::Fft);
-}
-BENCHMARK(BM_DirectEngineFftRows)->Arg(3)->Arg(7)->Arg(13);
+BENCHMARK(BM_DirectEngine)->Arg(1)->Arg(3)->Arg(5)->Arg(7)->Arg(13);
 
 // --- 2D transforms: the complex plan (full complex plane) vs the
 // --- real half-spectrum plan path — the optical comparators' hot
@@ -563,8 +541,7 @@ convEngineBatchBench(benchmark::State &state,
 static void
 BM_ConvEngineBatch(benchmark::State &state)
 {
-    convEngineBatchBench(
-        state, pf::nn::DirectEngine(nullptr, pf::nn::ConvPath::Fft));
+    convEngineBatchBench(state, pf::nn::DirectEngine());
 }
 BENCHMARK(BM_ConvEngineBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -604,7 +581,7 @@ BENCHMARK(BM_ConvEngineBatchPhotoFourierOptical)->Arg(1)->Arg(4);
 // --- observability hot paths: the acceptance bar is that recording a
 // metric or span costs a vanishing fraction of a DirectEngine-class
 // workload (microseconds), so serve-path instrumentation stays on in
-// production. Compare against BM_DirectConv/BM_DirectEngine rows.
+// production. Compare against the BM_DirectEngine rows.
 
 static void
 BM_ObsCounterInc(benchmark::State &state)
@@ -775,10 +752,10 @@ realPackBench(benchmark::State &state, bool scalar)
 void
 slidingDotBench(benchmark::State &state, bool scalar)
 {
-    // Dense 13-tap sliding dot product over the full signal — the
-    // DirectEngine row shape (13 is its largest benchmarked kernel
-    // width). start=0, count=n covers both edge handling and the
-    // vectorized interior.
+    // Dense 13-tap sliding dot product over the full signal: one
+    // kernel row of the largest BM_DirectEngine kernel, dense.
+    // start=0, count=n covers both edge handling and the vectorized
+    // interior.
     const size_t n = static_cast<size_t>(state.range(0));
     const size_t n_taps = 13;
     pf::Rng rng(n);

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <utility>
 
-#include "arch/simd.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "photonics/converters.hh"
-#include "signal/fft.hh"
 #include "signal/fft_plan.hh"
 #include "tiling/tiled_convolution.hh"
 
@@ -20,11 +18,12 @@ namespace {
 
 /**
  * Per-thread scratch for the engines' convolution hot loops: channel
- * matrices, partial planes, and the photonic engine's per-input state,
- * all reused across calls so steady-state inference never allocates
- * on the per-channel path. PhotoFourierEngine's output-channel jobs
- * touch only part_p and part_n; the rest belongs to the thread running
- * the call, so the caller's own jobs never clobber it.
+ * matrices, partial planes, prepared operands and the photonic
+ * engine's per-input state, all reused across calls so steady-state
+ * inference never allocates on the per-channel path. PhotoFourierEngine's
+ * output-channel jobs touch only part_p and part_n; the rest belongs to
+ * the thread running the call, so the caller's own jobs never clobber
+ * it.
  */
 struct EngineScratch
 {
@@ -32,16 +31,15 @@ struct EngineScratch
     signal::Matrix w_ch;
     signal::Matrix part_p;
     signal::Matrix part_n;
-    std::vector<double> kernel_row;
-    /** DirectEngine's frequency path: one zero-padded input row. */
-    std::vector<double> padded_row;
-    signal::ComplexVector acc_spec;
-    std::vector<double> row_time;
 
-    /** PhotoFourierEngine: the prepared tiles of one temporal-
-     *  accumulation group's input channels, read by every
-     *  output-channel job. Grow-only. */
+    /** The prepared tiles of input channel planes, read by every
+     *  output-channel job: one temporal-accumulation group's
+     *  (PhotoFourierEngine) or every channel of every input of the
+     *  batch (DirectEngine). Grow-only. */
     std::vector<tiling::TiledInput> group_tiles;
+    /** DirectEngine: the layer's kernel planes, plane (oc, ic) at
+     *  index oc * n_in + ic. */
+    tiling::KernelBank kernels;
     /** PhotoFourierEngine: photodetector charges, plane-sized blocks
      *  indexed ((oc * groups + g) * 2 + polarity). */
     std::vector<double> charges;
@@ -101,164 +99,6 @@ hashQuantized(uint64_t h, const Tensor &t, const photonics::Quantizer &q)
     return h;
 }
 
-/**
- * True when the frequency-domain row path is predicted faster than the
- * direct sliding window for one conv-layer call. Flop model, fitted in
- * Release against BM_DirectEngine{Sliding,FftRows} in
- * bench/micro_kernels.cc: a transform of size n costs ~3*n*log2(n)
- * model-flops, a frequency MAC 5 per bin, and a direct sliding MAC 4.
- * The frequency-side weights started at the textbook 5/8 and were
- * divided by the measured SIMD speedup of that path
- * (BM_DirectEngineFftRows, ~1.6x with vector butterflies, r2c packs,
- * and the vector complex-MAC) while the direct weight is unchanged
- * (the 2D window walk in conv2dInto is not vectorized and its
- * BM_DirectEngineSliding time did not move) — re-fit the same way if
- * either path's kernels change speed. The FFT path pays one r2c per
- * (input channel, input row), one c2r per (output channel, output
- * row), and a complex multiply-add per half-spectrum bin per (oc, ic,
- * kernel row, output row); the direct path pays ow*k*k MACs per
- * (oc, ic, output row) — with the vector kernels frequency
- * accumulation now wins from k >= 3 at CIFAR widths (measured 1.9x at
- * k=3, 6.4x at k=13 on 32x32x8->8 layers), while 1x1/2x2 stay direct.
- */
-bool
-fftRowPathProfitable(size_t in_rows, size_t in_cols, size_t k,
-                     size_t n_in, size_t n_out, size_t oh, size_t ow)
-{
-    const size_t n = signal::nextPowerOfTwo(in_cols + k - 1);
-    const size_t half = n / 2 + 1;
-    const double log2n = std::log2(static_cast<double>(n));
-    const double transform_flops =
-        3.0 * static_cast<double>(n) * log2n *
-        static_cast<double>(n_in * in_rows + n_out * oh);
-    const double product_flops =
-        5.0 * static_cast<double>(half * k) *
-        static_cast<double>(n_out * n_in * oh);
-    const double direct_flops =
-        4.0 * static_cast<double>(n_out * n_in * oh) *
-        static_cast<double>(ow * k * k);
-    return transform_flops + product_flops < direct_flops;
-}
-
-/**
- * The frequency-domain conv layer over a batch of same-shape inputs:
- * the input-row half-spectra of every input run as ONE dispatch,
- * kernel-row spectra come from the shared cache once per call (one
- * lookup per (oc, ic, kernel row), however many inputs), and each
- * output row accumulates its (ic, kernel row) products in the
- * frequency domain so one c2r finishes the row. The accumulation
- * fan-out crosses (input, output channel) pairs; each input's
- * arithmetic is ordered the same whatever the batch, so outputs do
- * not depend on it. Matches the direct path within FFT rounding
- * (~1e-12 relative).
- */
-std::vector<Tensor>
-fftRowConvolveBatch(std::span<const Tensor> inputs,
-                    const std::vector<Tensor> &weights,
-                    const std::vector<double> &bias, size_t stride,
-                    signal::ConvMode mode,
-                    tiling::KernelSpectrumCache &cache)
-{
-    const size_t batch = inputs.size();
-    const size_t k = weights[0].height();
-    const size_t n_in = inputs[0].channels();
-    const size_t n_out = weights.size();
-    const size_t rows = inputs[0].height();
-    const size_t cols = inputs[0].width();
-    const size_t oh = outputDim(rows, k, stride, mode);
-    const size_t ow = outputDim(cols, k, stride, mode);
-    const long pad =
-        mode == signal::ConvMode::Same ? static_cast<long>(k / 2) : 0;
-
-    const size_t n = signal::nextPowerOfTwo(cols + k - 1);
-    const auto plan = signal::fftPlanFor(n);
-    const size_t half = plan->halfSpectrumSize();
-    // Output column c reads correlation sample c*stride - pad + k - 1
-    // of its row: the inverse computes only columns 0 to ow-1's span.
-    const size_t first = k - 1 - static_cast<size_t>(pad);
-    const size_t span = ow == 0 ? 0 : (ow - 1) * stride + 1;
-
-    const size_t total_macs = batch * n_out * n_in * oh * ow * k * k;
-    const size_t workers =
-        total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
-
-    // Row spectra of every input, one fused dispatch, laid out input
-    // after input. Disjoint writes keep the pass bit-exact for any
-    // worker count.
-    signal::ComplexVector in_spec(batch * n_in * rows * half);
-    signal::parallelFor(batch * n_in * rows, workers, [&](size_t job) {
-        const size_t b = job / (n_in * rows);
-        const size_t ic = (job / rows) % n_in;
-        const size_t r = job % rows;
-        std::vector<double> &pad_buf = threadEngineScratch().padded_row;
-        pad_buf.resize(n);
-        const double *row =
-            inputs[b].data().data() + (ic * rows + r) * cols;
-        std::copy(row, row + cols, pad_buf.begin());
-        std::fill(pad_buf.begin() + cols, pad_buf.end(), 0.0);
-        plan->executeReal(pad_buf.data(), &in_spec[job * half]);
-    });
-
-    // Kernel-row spectra, fetched once per call (hits after the first
-    // request) and shared read-only across the fan-out.
-    std::vector<std::shared_ptr<const signal::ComplexVector>> kspecs(
-        n_out * n_in * k);
-    signal::parallelFor(n_out, workers, [&](size_t oc) {
-        std::vector<double> &kernel_row = threadEngineScratch().kernel_row;
-        kernel_row.resize(k);
-        for (size_t ic = 0; ic < n_in; ++ic)
-            for (size_t kr = 0; kr < k; ++kr) {
-                for (size_t kc = 0; kc < k; ++kc)
-                    kernel_row[kc] = weights[oc].at(ic, kr, kc);
-                kspecs[(oc * n_in + ic) * k + kr] =
-                    cache.correlationSpectrum(kernel_row, n);
-            }
-    });
-
-    std::vector<Tensor> outs;
-    outs.reserve(batch);
-    for (size_t b = 0; b < batch; ++b)
-        outs.emplace_back(n_out, oh, ow);
-    signal::parallelFor(batch * n_out, workers, [&](size_t job) {
-        const size_t b = job / n_out;
-        const size_t oc = job % n_out;
-        EngineScratch &sc = threadEngineScratch();
-        sc.acc_spec.resize(half);
-        sc.row_time.resize(span);
-        Tensor &out = outs[b];
-        const double bv = bias.empty() ? 0.0 : bias[oc];
-        for (size_t r_out = 0; r_out < oh; ++r_out) {
-            std::fill(sc.acc_spec.begin(), sc.acc_spec.end(),
-                      signal::Complex(0.0, 0.0));
-            for (size_t ic = 0; ic < n_in; ++ic) {
-                for (size_t kr = 0; kr < k; ++kr) {
-                    const long r_in =
-                        static_cast<long>(r_out * stride) - pad +
-                        static_cast<long>(kr);
-                    if (r_in < 0 || r_in >= static_cast<long>(rows))
-                        continue;
-                    const signal::Complex *src =
-                        &in_spec[((b * n_in + ic) * rows +
-                                  static_cast<size_t>(r_in)) *
-                                 half];
-                    const signal::Complex *ks =
-                        kspecs[(oc * n_in + ic) * k + kr]->data();
-                    simd::kernels().complexMacInto(
-                        reinterpret_cast<double *>(
-                            sc.acc_spec.data()),
-                        reinterpret_cast<const double *>(src),
-                        reinterpret_cast<const double *>(ks), half);
-                }
-            }
-            plan->executeRealInverse(sc.acc_spec.data(), first, span,
-                                     sc.row_time.data());
-            for (size_t c = 0; c < ow; ++c)
-                out.at(oc, r_out, c) = sc.row_time[c * stride] + bv;
-        }
-    });
-    return outs;
-}
-
 /** All batch inputs one shape? Fused dispatches require it; the
  *  serving layer groups per model, so mixed batches only appear from
  *  direct API use. */
@@ -285,6 +125,39 @@ convolveEach(const ConvEngine &engine, std::span<const Tensor> inputs,
     for (const Tensor &input : inputs)
         outs.push_back(engine.convolve(input, weights, bias, stride, mode));
     return outs;
+}
+
+/**
+ * The float reference's tiling problem: exact Same padding
+ * (zero_pad_rows) and n_conv holding the whole padded plane, so row
+ * tiling runs one tile per input plane.
+ */
+tiling::TilingParams
+directTilingParams(size_t input_size, size_t kernel, size_t stride,
+                   signal::ConvMode mode)
+{
+    const size_t padded_row = input_size + kernel - 1;
+    return {
+        .input_size = input_size,
+        .kernel_size = kernel,
+        .n_conv = padded_row * padded_row,
+        .mode = mode,
+        .stride = stride,
+        .zero_pad_rows = true,
+    };
+}
+
+/** The tiled executor's limits on a layer that passed the base check:
+ *  square maps and TilingPlan::paramsError. */
+std::string
+tiledShapeError(const char *engine, const Shape &input,
+                const tiling::TilingParams &params)
+{
+    if (input.height != input.width)
+        return std::string(engine) +
+               " engine expects square feature maps, got " +
+               toString(input);
+    return tiling::TilingPlan::paramsError(params);
 }
 
 } // namespace
@@ -316,13 +189,16 @@ ConvEngine::convolve(const Tensor &input,
     return std::move(outs.front());
 }
 
-DirectEngine::DirectEngine(
-    std::shared_ptr<tiling::KernelSpectrumCache> spectra, ConvPath path)
-    : spectra_(spectra
-                   ? std::move(spectra)
-                   : std::make_shared<tiling::KernelSpectrumCache>()),
-      path_(path)
+std::string
+DirectEngine::shapeError(const Shape &input, size_t kernel, size_t stride,
+                         signal::ConvMode mode) const
 {
+    std::string invalid = ConvEngine::shapeError(input, kernel, stride, mode);
+    if (!invalid.empty())
+        return invalid;
+    return tiledShapeError("Direct", input,
+                           directTilingParams(input.height, kernel, stride,
+                                              mode));
 }
 
 std::vector<Tensor>
@@ -340,59 +216,60 @@ DirectEngine::convolveBatch(std::span<const Tensor> inputs,
     const Tensor &first = inputs[0];
     checkConvShapes(first, weights, bias);
     const size_t k = weights[0].height();
-    // Catch a degenerate shape before outputDim's size_t arithmetic
-    // wraps: the sliding path would hit conv2dInto's assert anyway,
-    // but the FFT row path must not get as far as allocating a
-    // wrapped-size output.
     const std::string invalid = shapeError(first.shape(), k, stride, mode);
     pf_assert(invalid.empty(), invalid);
+    static const tiling::Conv1dBackend backend = tiling::autoBackend();
+    const tiling::TiledConvolution tiled(
+        directTilingParams(first.height(), k, stride, mode), backend);
+    const size_t batch = inputs.size();
     const size_t n_in = first.channels();
     const size_t n_out = weights.size();
-    const size_t oh = outputDim(first.height(), k, stride, mode);
-    const size_t ow = outputDim(first.width(), k, stride, mode);
+    const size_t plane = tiled.plan().output_rows * tiled.plan().output_cols;
+    EngineScratch &sc = threadEngineScratch();
 
-    // The crossover is a pure function of the (shared) shape, so the
-    // whole batch takes one path, whatever its size.
-    const bool use_fft =
-        path_ == ConvPath::Fft ||
-        (path_ == ConvPath::Auto &&
-         fftRowPathProfitable(first.height(), first.width(), k, n_in,
-                              n_out, oh, ow));
-    if (use_fft)
-        return fftRowConvolveBatch(inputs, weights, bias, stride, mode,
-                                   *spectra_);
+    // The kernel half, once per call: no converters, so each filter
+    // channel is one signed kernel plane.
+    sc.kernels.clear();
+    for (const Tensor &filter : weights) {
+        for (size_t ic = 0; ic < n_in; ++ic) {
+            filter.channelMatrixInto(ic, sc.w_ch);
+            tiled.prepareKernel(sc.w_ch, sc.kernels);
+        }
+    }
+    // The tile half: each input's channel planes, prepared as one group
+    // for every output channel.
+    if (sc.group_tiles.size() < batch * n_in)
+        sc.group_tiles.resize(batch * n_in);
+    for (size_t b = 0; b < batch; ++b) {
+        for (size_t ic = 0; ic < n_in; ++ic) {
+            inputs[b].channelMatrixInto(ic, sc.in_ch);
+            tiled.prepareInput(sc.in_ch, sc.group_tiles[b * n_in + ic],
+                               sc.kernels.needs_tile_spectra);
+        }
+    }
 
-    // (input, output channel) pairs are independent; fan them across
-    // the worker pool. Each pair's input-channel accumulation keeps
-    // its sequential order, so results are bit-exact vs the serial
-    // loop. Tiny layers run sequentially: below the shared dispatch
-    // threshold a pool publication costs more than the convolution.
-    const size_t total_macs =
-        inputs.size() * n_out * n_in * oh * ow * k * k;
+    // (input, output channel) pairs are independent, so they fan across
+    // the worker pool, each writing only its own output plane; the
+    // executor's sums do not depend on the schedule or on the batch.
+    // Tiny layers run sequentially: below the shared dispatch threshold
+    // a pool publication costs more than the convolution.
+    const size_t total_macs = batch * n_out * n_in * plane * k * k;
     const size_t workers =
         total_macs < signal::kParallelDispatchThreshold ? 1 : 0;
     std::vector<Tensor> outs;
-    outs.reserve(inputs.size());
-    for (size_t b = 0; b < inputs.size(); ++b)
-        outs.emplace_back(n_out, oh, ow);
-    signal::parallelFor(inputs.size() * n_out, workers, [&](size_t job) {
+    outs.reserve(batch);
+    for (size_t b = 0; b < batch; ++b)
+        outs.emplace_back(n_out, tiled.plan().output_rows,
+                          tiled.plan().output_cols);
+    signal::parallelForEach(batch * n_out, workers, [&](size_t job) {
         const size_t b = job / n_out;
         const size_t oc = job % n_out;
-        EngineScratch &sc = threadEngineScratch();
-        signal::Matrix &acc = sc.part_p;
-        acc.resize(oh, ow);
-        for (size_t ic = 0; ic < n_in; ++ic) {
-            inputs[b].channelMatrixInto(ic, sc.in_ch);
-            weights[oc].channelMatrixInto(ic, sc.w_ch);
-            signal::conv2dInto(sc.in_ch, sc.w_ch, mode, stride,
-                               sc.part_n);
-            for (size_t i = 0; i < acc.data.size(); ++i)
-                acc.data[i] += sc.part_n.data[i];
-        }
+        double *out = outs[b].data().data() + oc * plane;
+        tiled.executePrepared({&sc.group_tiles[b * n_in], n_in}, sc.kernels,
+                              oc * n_in, 1, {out, plane});
         const double bv = bias.empty() ? 0.0 : bias[oc];
-        for (size_t i = 0; i < acc.data.size(); ++i)
-            acc.data[i] += bv;
-        outs[b].setChannel(oc, acc);
+        for (size_t i = 0; i < plane; ++i)
+            out[i] += bv;
     });
     return outs;
 }
@@ -462,11 +339,8 @@ PhotoFourierEngine::shapeError(const Shape &input, size_t kernel,
     std::string invalid = ConvEngine::shapeError(input, kernel, stride, mode);
     if (!invalid.empty())
         return invalid;
-    if (input.height != input.width)
-        return "PhotoFourier engine expects square feature maps, got " +
-               toString(input);
-    return tiling::TilingPlan::paramsError(
-        tilingParams(input.height, kernel, stride, mode));
+    return tiledShapeError("PhotoFourier", input,
+                           tilingParams(input.height, kernel, stride, mode));
 }
 
 tiling::TilingParams

@@ -2,13 +2,16 @@
  * @file
  * Convolution engines: how a Conv2d layer computes its output.
  *
- * DirectEngine is the floating-point reference. PhotoFourierEngine
- * models execution on the accelerator: row-tiled 1D convolutions, 8-bit
- * DAC quantization of activations and weights, photodetector temporal
- * accumulation over input-channel groups, a single 8-bit ADC readout per
- * group (Section V-C), optional per-readout sensing noise, and the
- * pseudo-negative weight decomposition (implicit: the engine's math is
- * sign-exact, matching the digitally subtracted pair).
+ * Both engines run on the Section III tiled executor
+ * (tiling::TiledConvolution). DirectEngine is the floating-point
+ * reference: exact zero-padded row tiling at ideal numerics.
+ * PhotoFourierEngine models execution on the accelerator: row-tiled 1D
+ * convolutions, 8-bit DAC quantization of activations and weights,
+ * photodetector temporal accumulation over input-channel groups, a
+ * single 8-bit ADC readout per group (Section V-C), optional
+ * per-readout sensing noise, and the pseudo-negative weight
+ * decomposition (implicit: the engine's math is sign-exact, matching
+ * the digitally subtracted pair).
  *
  * Accuracy experiments (Table I, Figure 7) swap the engine on a trained
  * network and measure the drop.
@@ -40,21 +43,21 @@ class TiledConvolution;
 namespace nn {
 
 /**
- * How a digital engine computes its convolutions.
+ * The 1D backend PhotoFourierEngine's digital tiled path runs on
+ * (PhotoFourierEngineConfig::conv_path).
  *
- * Auto picks per layer geometry between the direct/sliding reference
- * and the real-FFT frequency path using a measured crossover — the
- * choice is a pure function of the shapes, so outputs stay
- * deterministic across threads, workers, and processes. The FFT path
- * reuses kernel spectra through a KernelSpectrumCache and matches the
- * direct path within ~1e-12 relative error (well inside the 1e-9
- * engine contract).
+ * Auto picks per window shape between the sliding dot product and the
+ * real-FFT path by tiling::fftConvProfitable, a pure function of the
+ * shapes, so outputs stay deterministic across threads, workers, and
+ * processes. The FFT path reuses kernel spectra through the engine's
+ * KernelSpectrumCache and matches the sliding path within ~1e-12
+ * relative error (well inside the 1e-9 engine contract).
  */
 enum class ConvPath
 {
-    Auto,   ///< measured crossover decides per call shape
-    Direct, ///< always the sliding/direct reference
-    Fft,    ///< always the frequency-domain fast path
+    Auto,   ///< fftConvProfitable decides per window shape
+    Direct, ///< always the sliding dot product (tiling::cpuBackend)
+    Fft,    ///< always the frequency-domain path (tiling::fftBackend)
 };
 
 /**
@@ -123,37 +126,39 @@ class ConvEngine
     virtual std::string name() const = 0;
 };
 
-/** Floating-point reference engine (direct 2D sliding window, with an
- *  FFT fast path for geometries where it measures faster). */
+/**
+ * Floating-point reference engine: the tiled executor at ideal
+ * numerics. Each call plans zero-padded row tiling (exact Same mode)
+ * with n_conv = (H + k - 1)^2, so a whole padded input plane is one
+ * tile, and runs it on tiling::autoBackend with no spectrum cache: no
+ * converters, no pseudo-negative split, no state between calls. It
+ * matches a channel sum of signal::conv2d within 1e-12 of the output
+ * peak (summation order).
+ */
 class DirectEngine : public ConvEngine
 {
   public:
-    /**
-     * @param spectra kernel-spectrum cache the FFT path draws from;
-     *                null = a private cache (still reused across calls
-     *                on this engine). Pass the registry's per-model
-     *                cache to share spectra across worker replicas.
-     * @param path    force the direct or FFT path (Auto = crossover)
-     */
-    explicit DirectEngine(
-        std::shared_ptr<tiling::KernelSpectrumCache> spectra = nullptr,
-        ConvPath path = ConvPath::Auto);
-
-    /** The frequency row path runs the input-row spectra of all N
-     *  inputs as one dispatch and fetches kernel-row spectra once per
-     *  call; both paths fan (input, output channel) pairs across the
-     *  worker pool. */
+    /** The layer's C_out x C_in kernel planes and each input's C_in
+     *  channel planes are prepared once per call into per-thread
+     *  scratch, then (input, output channel) pairs fan across the
+     *  worker pool, each adding its channel group straight into its
+     *  output plane. In steady state the call allocates only the
+     *  tensors it returns, whatever the weights, while the Auto
+     *  backend slides every window (every zoo layer shape); a kernel
+     *  it sends to the FFT path transforms a fresh spectrum. */
     std::vector<Tensor>
     convolveBatch(std::span<const Tensor> inputs,
                   const std::vector<Tensor> &weights,
                   const std::vector<double> &bias, size_t stride,
                   signal::ConvMode mode) const override;
 
-    std::string name() const override { return "direct"; }
+    /** The base limits plus the tiled executor's: square maps and
+     *  TilingPlan::paramsError (a kernel larger than the map). */
+    std::string shapeError(const Shape &input, size_t kernel,
+                           size_t stride,
+                           signal::ConvMode mode) const override;
 
-  private:
-    std::shared_ptr<tiling::KernelSpectrumCache> spectra_;
-    ConvPath path_;
+    std::string name() const override { return "direct"; }
 };
 
 /** Numerical model of PhotoFourier execution. */

@@ -46,17 +46,6 @@ Tensor::channelMatrixInto(size_t c, signal::Matrix &out) const
 }
 
 void
-Tensor::setChannel(size_t c, const signal::Matrix &m)
-{
-    pf_assert(c < channels_, "channel ", c, " out of range ", channels_);
-    pf_assert(m.rows == height_ && m.cols == width_,
-              "channel shape mismatch: ", m.rows, "x", m.cols, " vs ",
-              height_, "x", width_);
-    const size_t base = c * height_ * width_;
-    std::copy(m.data.begin(), m.data.end(), data_.begin() + base);
-}
-
-void
 Tensor::add(const Tensor &other)
 {
     pf_assert(channels_ == other.channels_ && height_ == other.height_ &&

@@ -61,9 +61,6 @@ class Tensor
      *  conv kernels. */
     void channelMatrixInto(size_t c, signal::Matrix &out) const;
 
-    /** Write a Matrix into channel c (shapes must match). */
-    void setChannel(size_t c, const signal::Matrix &m);
-
     /** Elementwise in-place add; shapes must match. */
     void add(const Tensor &other);
 

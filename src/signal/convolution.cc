@@ -12,15 +12,6 @@ Matrix
 conv2d(const Matrix &input, const Matrix &kernel, ConvMode mode,
        size_t stride)
 {
-    Matrix out;
-    conv2dInto(input, kernel, mode, stride, out);
-    return out;
-}
-
-void
-conv2dInto(const Matrix &input, const Matrix &kernel, ConvMode mode,
-           size_t stride, Matrix &out)
-{
     pf_assert(input.rows > 0 && input.cols > 0, "conv2d: empty input");
     pf_assert(kernel.rows > 0 && kernel.cols > 0, "conv2d: empty kernel");
     pf_assert(stride >= 1, "conv2d: stride must be >= 1");
@@ -40,7 +31,7 @@ conv2dInto(const Matrix &input, const Matrix &kernel, ConvMode mode,
         out_cols = (input.cols + stride - 1) / stride;
     }
 
-    out.resizeNoFill(out_rows, out_cols);
+    Matrix out(out_rows, out_cols);
     for (size_t orow = 0; orow < out_rows; ++orow) {
         for (size_t ocol = 0; ocol < out_cols; ++ocol) {
             double acc = 0.0;
@@ -64,6 +55,7 @@ conv2dInto(const Matrix &input, const Matrix &kernel, ConvMode mode,
             out.at(orow, ocol) = acc;
         }
     }
+    return out;
 }
 
 } // namespace signal

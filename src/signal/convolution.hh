@@ -4,8 +4,7 @@
  *
  * conv2d is the golden model the JTC optics and the row-tiling
  * algorithm are validated against, in `valid` and `same` modes (the
- * two modes the paper's Section III distinguishes); the digital conv
- * engines run its Into form.
+ * two modes the paper's Section III distinguishes).
  */
 
 #ifndef PHOTOFOURIER_SIGNAL_CONVOLUTION_HH
@@ -79,11 +78,6 @@ struct Matrix
  */
 Matrix conv2d(const Matrix &input, const Matrix &kernel, ConvMode mode,
               size_t stride = 1);
-
-/** conv2d writing into `out` (resized, capacity reused) — the
- *  allocation-free form the nn engines' hot loops use. */
-void conv2dInto(const Matrix &input, const Matrix &kernel, ConvMode mode,
-                size_t stride, Matrix &out);
 
 } // namespace signal
 } // namespace photofourier

@@ -96,24 +96,6 @@ TEST(AllocPins, TensorChannelMatrixInto)
     }), 0u) << "Tensor::channelMatrixInto allocated in steady state";
 }
 
-TEST(AllocPins, Conv2dInto)
-{
-    pf::Rng rng(71);
-    const auto input = randomMatrix(rng, 10, 10, -1.0, 1.0);
-    const auto kernel = randomMatrix(rng, 3, 3, -0.5, 0.5);
-
-    for (auto mode : {sig::ConvMode::Valid, sig::ConvMode::Same}) {
-        sig::Matrix out;
-        sig::conv2dInto(input, kernel, mode, 1, out);
-        EXPECT_EQ(matrixMax(out, sig::conv2d(input, kernel, mode, 1)),
-                  0.0);
-
-        EXPECT_EQ(steadyStateAllocations([&] {
-            sig::conv2dInto(input, kernel, mode, 1, out);
-        }), 0u) << "conv2dInto allocated in steady state";
-    }
-}
-
 TEST(AllocPins, FftPlanExecuteRealRoundTrip)
 {
     // The 1D real transforms at a radix-2 size, an even size whose
@@ -395,6 +377,46 @@ TEST(AllocPins, PhotoFourierEngineOpticalChannelGroupsOfTwo)
     EXPECT_EQ(allocations, iterations * (outs.size() + 1))
         << "PhotoFourierEngine::convolveBatch allocated beyond its result "
            "with channel groups of two";
+}
+
+TEST(AllocPins, DirectEngineWeightsChangeEveryCall)
+{
+    // Training's use of the float reference: every call sees a new
+    // weight version. Each warm call allocates only what it returns
+    // (the output vector and one buffer per output tensor), so no
+    // per-weight state builds up across SGD steps. The layer stays
+    // below the parallel dispatch threshold, so one thread's scratch
+    // serves every call.
+    pf::Rng rng(86);
+    const nn::DirectEngine engine;
+    for (const size_t k : {3u, 5u}) {
+        std::vector<nn::Tensor> weights;
+        for (size_t oc = 0; oc < 2; ++oc) {
+            nn::Tensor w(2, k, k);
+            w.data() = rng.uniformVector(w.size(), -0.5, 0.5);
+            weights.push_back(std::move(w));
+        }
+        std::vector<nn::Tensor> inputs;
+        for (size_t b = 0; b < 2; ++b) {
+            nn::Tensor x(2, 12, 12);
+            x.data() = rng.uniformVector(x.size(), 0.0, 1.0);
+            inputs.push_back(std::move(x));
+        }
+        const std::vector<double> bias = {0.1, -0.1};
+        std::vector<nn::Tensor> outs;
+        const int iterations = 16;
+        const uint64_t allocations = steadyStateAllocations([&] {
+            for (nn::Tensor &w : weights)
+                for (double &v : w.data())
+                    v *= 0.999;
+            outs = engine.convolveBatch(inputs, weights, bias, 1,
+                                        sig::ConvMode::Same);
+        }, iterations);
+        ASSERT_EQ(outs.size(), 2u);
+        EXPECT_EQ(allocations, iterations * (outs.size() + 1))
+            << "DirectEngine::convolveBatch allocated beyond its result "
+               "at k=" << k;
+    }
 }
 
 TEST(AllocPins, JtcSystemAccumulatedWindowFromSpectraInto)

@@ -86,11 +86,11 @@ TEST(Tensor, ChannelRoundTrip)
     pf::Rng rng(1);
     auto t = randomTensor(rng, 3, 5, 5);
     const auto m = channelOf(t, 1);
-    nn::Tensor t2(3, 5, 5);
-    t2.setChannel(1, m);
+    ASSERT_EQ(m.rows, 5u);
+    ASSERT_EQ(m.cols, 5u);
     for (size_t h = 0; h < 5; ++h)
         for (size_t w = 0; w < 5; ++w)
-            EXPECT_DOUBLE_EQ(t2.at(1, h, w), t.at(1, h, w));
+            EXPECT_DOUBLE_EQ(m.at(h, w), t.at(1, h, w));
 }
 
 TEST(Tensor, AddAndMaxAbs)
@@ -816,76 +816,71 @@ TEST(Network, CloneIsDeepAcrossAllLayerKinds)
     EXPECT_EQ(net.logits(input), expected);
 }
 
-// --- DirectEngine frequency-domain row path --------------------------------
+// --- DirectEngine: the tiled executor at ideal numerics --------------------
 
-TEST(DirectEngine, FftRowPathMatchesSlidingAcrossShapes)
+TEST(DirectEngine, MatchesConv2dOracleAcrossShapes)
 {
-    // The forced-FFT engine must reproduce the forced-direct engine
-    // within the 1e-9 contract for every mode/stride/kernel shape,
-    // including even kernels and non-square inputs (the row path's
-    // pad and column indexing differ per case).
+    // Every shape class the one-tile plan meets: Same and Valid modes,
+    // strides 1-3, odd and even kernels from 1 to 9 (a kernel as large
+    // as the map included), several channels and a bias. The oracle
+    // is the layer written out as a channel sum of signal::conv2d.
     pf::Rng rng(515);
     struct Shape
     {
-        size_t ic, oc, h, w, k, stride;
+        size_t ic, oc, size, k, stride;
         sig::ConvMode mode;
     };
     const Shape shapes[] = {
-        {3, 4, 16, 16, 3, 1, sig::ConvMode::Same},
-        {2, 3, 16, 16, 5, 2, sig::ConvMode::Same},
-        {2, 2, 20, 12, 7, 1, sig::ConvMode::Valid},
-        {1, 2, 12, 12, 4, 2, sig::ConvMode::Valid},
-        {2, 2, 9, 17, 9, 3, sig::ConvMode::Same},
+        {3, 4, 16, 3, 1, sig::ConvMode::Same},
+        {2, 3, 16, 5, 2, sig::ConvMode::Same},
+        {2, 2, 20, 7, 1, sig::ConvMode::Valid},
+        {1, 2, 12, 4, 2, sig::ConvMode::Valid},
+        {2, 2, 17, 9, 3, sig::ConvMode::Same},
+        {4, 3, 9, 1, 1, sig::ConvMode::Same},
+        {3, 2, 10, 2, 3, sig::ConvMode::Valid},
+        {2, 3, 13, 6, 1, sig::ConvMode::Same},
+        {5, 2, 8, 8, 2, sig::ConvMode::Valid},
+        {3, 3, 11, 8, 2, sig::ConvMode::Same},
     };
-    nn::DirectEngine direct(nullptr, nn::ConvPath::Direct);
-    nn::DirectEngine fft(nullptr, nn::ConvPath::Fft);
+    const nn::DirectEngine engine;
     for (const auto &s : shapes) {
-        nn::Tensor input(s.ic, s.h, s.w);
-        input.data() = rng.uniformVector(s.ic * s.h * s.w, -1.0, 1.0);
+        const auto input = randomTensor(rng, s.ic, s.size, s.size);
         std::vector<nn::Tensor> weights;
-        for (size_t oc = 0; oc < s.oc; ++oc) {
-            nn::Tensor w(s.ic, s.k, s.k);
-            w.data() = rng.uniformVector(s.ic * s.k * s.k, -1.0, 1.0);
-            weights.push_back(std::move(w));
-        }
+        for (size_t oc = 0; oc < s.oc; ++oc)
+            weights.push_back(randomTensor(rng, s.ic, s.k, s.k));
         const auto bias = rng.uniformVector(s.oc, -0.5, 0.5);
-        const auto a =
-            direct.convolve(input, weights, bias, s.stride, s.mode);
-        const auto b =
-            fft.convolve(input, weights, bias, s.stride, s.mode);
-        ASSERT_EQ(a.channels(), b.channels());
-        ASSERT_EQ(a.height(), b.height());
-        ASSERT_EQ(a.width(), b.width());
-        for (size_t i = 0; i < a.data().size(); ++i)
-            ASSERT_NEAR(a.data()[i], b.data()[i], 1e-9)
-                << "k=" << s.k << " stride=" << s.stride << " i=" << i;
-    }
-}
+        const auto out =
+            engine.convolve(input, weights, bias, s.stride, s.mode);
 
-TEST(DirectEngine, FftRowPathIsRepeatableThroughTheCache)
-{
-    // Second convolve reads every kernel-row spectrum from the cache;
-    // results must be bit-identical to the populating call.
-    pf::Rng rng(516);
-    nn::Tensor input(4, 24, 24);
-    input.data() = rng.uniformVector(4 * 24 * 24, -1.0, 1.0);
-    std::vector<nn::Tensor> weights;
-    for (size_t oc = 0; oc < 4; ++oc) {
-        nn::Tensor w(4, 7, 7);
-        w.data() = rng.uniformVector(4 * 7 * 7, -1.0, 1.0);
-        weights.push_back(std::move(w));
+        std::vector<sig::Matrix> oracle;
+        for (size_t oc = 0; oc < s.oc; ++oc) {
+            sig::Matrix acc;
+            for (size_t ic = 0; ic < s.ic; ++ic) {
+                const sig::Matrix term =
+                    sig::conv2d(channelOf(input, ic),
+                                channelOf(weights[oc], ic), s.mode,
+                                s.stride);
+                if (ic == 0)
+                    acc = term;
+                else
+                    for (size_t i = 0; i < acc.data.size(); ++i)
+                        acc.data[i] += term.data[i];
+            }
+            for (double &v : acc.data)
+                v += bias[oc];
+            oracle.push_back(std::move(acc));
+        }
+        ASSERT_EQ(out.channels(), s.oc);
+        ASSERT_EQ(out.height(), oracle[0].rows);
+        ASSERT_EQ(out.width(), oracle[0].cols);
+        const double bound = 1e-12 * out.maxAbs();
+        for (size_t oc = 0; oc < s.oc; ++oc)
+            for (size_t i = 0; i < oracle[oc].data.size(); ++i)
+                ASSERT_NEAR(out.data()[oc * oracle[oc].data.size() + i],
+                            oracle[oc].data[i], bound)
+                    << "k=" << s.k << " stride=" << s.stride
+                    << " oc=" << oc << " i=" << i;
     }
-    auto cache =
-        std::make_shared<photofourier::tiling::KernelSpectrumCache>();
-    nn::DirectEngine fft(cache, nn::ConvPath::Fft);
-    const auto first =
-        fft.convolve(input, weights, {}, 1, sig::ConvMode::Same);
-    const auto cache_stats = cache->stats();
-    EXPECT_GT(cache_stats.entries, 0u);
-    const auto second =
-        fft.convolve(input, weights, {}, 1, sig::ConvMode::Same);
-    EXPECT_EQ(first.data(), second.data());
-    EXPECT_GT(cache->stats().hits, cache_stats.hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -926,8 +921,10 @@ expectBatchMatchesSolo(const nn::ConvEngine &engine,
 
 } // namespace
 
-TEST(ConvEngineBatch, DirectEngineBothPathsBitIdentical)
+TEST(ConvEngineBatch, DirectEngineBitIdentical)
 {
+    // Four inputs of a layer above the parallel dispatch threshold, so
+    // the (input, output channel) jobs fan across the pool.
     pf::Rng rng(200);
     std::vector<nn::Tensor> weights;
     for (size_t oc = 0; oc < 4; ++oc)
@@ -935,15 +932,12 @@ TEST(ConvEngineBatch, DirectEngineBothPathsBitIdentical)
     const std::vector<double> bias = {0.1, -0.2, 0.3, 0.0};
     const auto inputs = randomBatch(rng, 4, 3, 12, 12);
 
-    for (auto path : {nn::ConvPath::Direct, nn::ConvPath::Fft,
-                      nn::ConvPath::Auto}) {
-        nn::DirectEngine engine(nullptr, path);
-        for (auto mode : {sig::ConvMode::Valid, sig::ConvMode::Same})
-            expectBatchMatchesSolo(engine, inputs, weights, bias, 1,
-                                   mode, "direct");
-        expectBatchMatchesSolo(engine, inputs, weights, bias, 2,
-                               sig::ConvMode::Same, "direct stride 2");
-    }
+    const nn::DirectEngine engine;
+    for (auto mode : {sig::ConvMode::Valid, sig::ConvMode::Same})
+        expectBatchMatchesSolo(engine, inputs, weights, bias, 1, mode,
+                               "direct");
+    expectBatchMatchesSolo(engine, inputs, weights, bias, 2,
+                           sig::ConvMode::Same, "direct stride 2");
 }
 
 TEST(ConvEngineBatch, DirectEngineMixedShapesFallBack)
@@ -1119,11 +1113,11 @@ TEST(Network, ShapeWalkNamesTheRefusingLayer)
     EXPECT_NE(net.shapeError({3, 16, 16}).find("linear"),
               std::string::npos);
     EXPECT_NE(net.shapeError({3, 0, 32}).find("empty"), std::string::npos);
-    // The direct engine takes rectangular maps; the photonic one does
-    // not, and a walk against it says so.
+    // Both engines run the tiled executor, which takes square maps
+    // only, and a walk against either says so.
     nn::PhotoFourierEngineConfig config;
     const nn::PhotoFourierEngine photonic(config);
-    EXPECT_NE(net.shapeError({3, 16, 32}).find("linear"),
+    EXPECT_NE(net.shapeError({3, 16, 32}).find("square"),
               std::string::npos);
     EXPECT_NE(net.shapeError({3, 16, 32}, &photonic).find("square"),
               std::string::npos);
